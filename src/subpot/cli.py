@@ -115,18 +115,21 @@ def _cmd_validate(args) -> int:
 
 def _eval_rows(model, xs, args):
     x_max = float(np.max(xs))
-    engine = ConvolutionEngine(model, x_max + 1.0)
-    grid = None
-    radius = series_radius(model, x_max, engine)
     route = args.route
-    if route in ("auto", "volterra"):
-        grid = u_volterra(model, x_max + 0.5, tol=args.tol, engine=None)
+    fd = not args.no_derivatives and args.derivatives == "fd"
+    # one engine (and so one convolution ladder) serves the radius, the
+    # series values and the Volterra head
+    engine = ConvolutionEngine(model, x_max + 0.5)
+    radius = series_radius(model, x_max, engine) if route == "auto" else None
+    grid = None
+    if fd or route == "volterra" or (route == "auto" and np.any(xs > radius)):
+        grid = u_volterra(model, x_max + 0.5, tol=args.tol, engine=engine)
     rows = []
     for x in xs:
         x = float(x)
         if route == "inversion":
             u, err = invert_density(model, x, N=args.order, lam=args.contour_lambda,
-                                    tol=args.tol, theta_cut=args.theta_cut)
+                                    tol=args.tol, engine=engine, theta_cut=args.theta_cut)
             method = "inversion"
         elif route == "series" or (route == "auto" and x <= radius):
             # a forced series route outside the radius raises (exit 4)
@@ -136,23 +139,20 @@ def _eval_rows(model, xs, args):
             u, err = float(grid(x)), float(grid.err_at(x))
             method = "volterra"
         du_l = du_r = None
-        if not args.no_derivatives:
-            if args.derivatives == "inversion":
-                du_l, _ = invert_derivative(model, x, Side.LEFT, N=args.order,
-                                            lam=args.contour_lambda, tol=args.tol)
-                du_r, _ = invert_derivative(model, x, Side.RIGHT, N=args.order,
-                                            lam=args.contour_lambda, tol=args.tol)
-            else:
-                fd_grid = grid if grid is not None else u_volterra(model, x_max + 0.5, tol=args.tol)
-                grid = fd_grid
-                try:
-                    du_l, _ = one_sided_fd(fd_grid, x, 1, Side.LEFT)
-                except SubpotError:
-                    du_l = None
-                try:
-                    du_r, _ = one_sided_fd(fd_grid, x, 1, Side.RIGHT)
-                except SubpotError:
-                    du_r = None
+        if fd:
+            try:
+                du_l, _ = one_sided_fd(grid, x, 1, Side.LEFT)
+            except SubpotError:
+                du_l = None
+            try:
+                du_r, _ = one_sided_fd(grid, x, 1, Side.RIGHT)
+            except SubpotError:
+                du_r = None
+        elif not args.no_derivatives:
+            du_l, _ = invert_derivative(model, x, Side.LEFT, N=args.order,
+                                        lam=args.contour_lambda, tol=args.tol, engine=engine)
+            du_r, _ = invert_derivative(model, x, Side.RIGHT, N=args.order,
+                                        lam=args.contour_lambda, tol=args.tol, engine=engine)
         rows.append((x, u, du_l, du_r, err, method))
     return rows
 

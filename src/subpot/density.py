@@ -99,8 +99,7 @@ class DensityGrid:
     """Sampled u^(q) on a breakpoint-aligned grid with per-node provenance.
 
     u is continuous (only its derivatives jump), so a single value per node
-    is stored; ``u_left``/``u_right`` are aliases kept for symmetry with the
-    tail evaluator.
+    is stored.
     """
 
     model_hash: str
@@ -112,14 +111,6 @@ class DensityGrid:
     method: np.ndarray  # "series" | "volterra" per node
     breakpoints: np.ndarray
     series_head_end: float
-
-    @property
-    def u_left(self) -> np.ndarray:
-        return self.u
-
-    @property
-    def u_right(self) -> np.ndarray:
-        return self.u
 
     def __call__(self, x):
         return np.interp(x, self.nodes, self.u)

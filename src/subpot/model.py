@@ -486,26 +486,40 @@ class LevyModel:
 # -- JSON schema -------------------------------------------------------------
 
 
+def _is_finite_number(v) -> bool:
+    """A finite JSON number; JSON booleans parse as Python ints but are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def model_from_dict(doc: dict) -> LevyModel:
     """Parse and validate the JSON model schema.
 
     Schema: {"drift": >0, "q": >=0, "atoms": [{"x": num|rational-string,
     "mass": num}, ...], "atom_family": {"kind": "reciprocal-integers",
     "masses": [...], "cap": int}?, "ac": {"kind": "none"|"stable"|"tempered",
-    "C":, "alpha":, "b":}}
+    "C":, "alpha":, "b":}}.  Every number must be finite and not a boolean.
     """
     violations = []
     if not isinstance(doc, dict):
         raise ModelValidationError([("", "model document must be a JSON object")])
     drift = doc.get("drift")
-    if not isinstance(drift, (int, float)) or not drift > 0:
-        violations.append(("/drift", "drift must be a number > 0"))
+    if not _is_finite_number(drift) or not drift > 0:
+        violations.append(("/drift", "drift must be a finite number > 0"))
     q = doc.get("q", 0.0)
-    if not isinstance(q, (int, float)) or q < 0:
-        violations.append(("/q", "q must be a number >= 0"))
+    if not _is_finite_number(q) or q < 0:
+        violations.append(("/q", "q must be a finite number >= 0"))
 
     pairs = []
-    for i, entry in enumerate(doc.get("atoms", []) or []):
+    atoms = doc.get("atoms", []) or []
+    if not isinstance(atoms, list):
+        violations.append(("/atoms", "atoms must be a list"))
+        atoms = []
+    for i, entry in enumerate(atoms):
         x = entry.get("x") if isinstance(entry, dict) else None
         mass = entry.get("mass") if isinstance(entry, dict) else None
         if x is None or mass is None:
@@ -513,38 +527,55 @@ def model_from_dict(doc: dict) -> LevyModel:
             continue
         if isinstance(x, str):
             try:
-                Fraction(x)
+                loc = float(Fraction(x))
             except (ValueError, ZeroDivisionError):
                 violations.append((f"/atoms/{i}/x", f"not a rational literal: {x!r}"))
                 continue
-        elif not isinstance(x, (int, float)) or not float(x) > 0:
-            violations.append((f"/atoms/{i}/x", "atom location must be > 0"))
+            except OverflowError:
+                loc = math.inf
+        else:
+            loc = x if _is_finite_number(x) else math.nan
+        if not (math.isfinite(loc) and loc > 0):
+            violations.append((f"/atoms/{i}/x", "atom location must be a finite number > 0"))
             continue
-        if not isinstance(mass, (int, float)) or not mass > 0:
-            violations.append((f"/atoms/{i}/mass", "atom mass must be > 0"))
+        if not _is_finite_number(mass) or not mass > 0:
+            violations.append((f"/atoms/{i}/mass", "atom mass must be a finite number > 0"))
             continue
         pairs.append((x, mass))
 
     ac_doc = doc.get("ac", {"kind": "none"}) or {"kind": "none"}
+    if not isinstance(ac_doc, dict):
+        violations.append(("/ac", "ac must be an object"))
+        ac_doc = {"kind": "none"}
     kind = ac_doc.get("kind", "none")
     if kind not in ("none", "stable", "tempered"):
         violations.append(("/ac/kind", f"unknown AC kind {kind!r}"))
     else:
         if kind != "none":
-            if not isinstance(ac_doc.get("C"), (int, float)) or not ac_doc["C"] > 0:
-                violations.append(("/ac/C", "C must be a number > 0"))
+            if not _is_finite_number(ac_doc.get("C")) or not ac_doc["C"] > 0:
+                violations.append(("/ac/C", "C must be a finite number > 0"))
             alpha = ac_doc.get("alpha")
-            if not isinstance(alpha, (int, float)) or not (0 < alpha < 1):
+            if not _is_finite_number(alpha) or not (0 < alpha < 1):
                 violations.append(("/ac/alpha", "alpha must lie in (0, 1)"))
-        if kind == "tempered" and (not isinstance(ac_doc.get("b"), (int, float)) or not ac_doc["b"] > 0):
-            violations.append(("/ac/b", "b must be a number > 0"))
+        if kind == "tempered" and (not _is_finite_number(ac_doc.get("b")) or not ac_doc["b"] > 0):
+            violations.append(("/ac/b", "b must be a finite number > 0"))
 
     fam = doc.get("atom_family")
-    if fam is not None:
+    if fam is not None and not isinstance(fam, dict):
+        violations.append(("/atom_family", "atom_family must be an object"))
+    elif fam is not None:
         if fam.get("kind") != "reciprocal-integers":
             violations.append(("/atom_family/kind", "only 'reciprocal-integers' is supported"))
-        if not isinstance(fam.get("cap"), int) or fam["cap"] < 1:
+        cap = fam.get("cap")
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
             violations.append(("/atom_family/cap", "cap must be a positive integer"))
+        masses = fam.get("masses")
+        if not isinstance(masses, list):
+            violations.append(("/atom_family/masses", "masses must be a list of numbers"))
+        else:
+            for i, m in enumerate(masses):
+                if not _is_finite_number(m) or not m > 0:
+                    violations.append((f"/atom_family/masses/{i}", "mass must be a finite number > 0"))
 
     if violations:
         raise ModelValidationError(violations)
@@ -587,12 +618,3 @@ def load_model(path) -> LevyModel:
         doc = json.load(fh)
     return model_from_dict(doc)
 
-
-def model_to_dict(model: LevyModel) -> dict:
-    atoms = [{"x": a, "mass": m} for a, m in zip(model.atomic.locations, model.atomic.masses)]
-    out = {"drift": model.drift, "q": model.q, "atoms": atoms, "ac": {"kind": model.ac.kind}}
-    if not model.ac.is_none:
-        out["ac"].update({"C": model.ac.C, "alpha": model.ac.alpha})
-        if model.ac.kind == "tempered":
-            out["ac"]["b"] = model.ac.b
-    return out

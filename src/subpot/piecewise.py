@@ -1,9 +1,16 @@
 """Exact piecewise-polynomial algebra on [0, inf).
 
-Functions are zero on the negative half-line.  Coefficients are stored in
-ascending powers of (x - left breakpoint of the cell), which keeps Horner
-evaluation well conditioned; the last cell extends to infinity.  These
-objects carry the atomic part of the jump measure through repeated
+Functions are zero on the negative half-line.  A function is held as two
+arrays: strictly increasing ``breaks`` with ``breaks[0] == 0`` (the last
+cell extends to infinity), and ``coeffs`` of shape ``(cells, degree + 1)``,
+whose row i is the polynomial on cell i in ascending powers of
+(x - breaks[i]), zero-padded to the common degree.  Local coordinates keep
+Horner evaluation well conditioned.  Every operation works on whole arrays:
+moving rows to new origins is one Taylor shift run column by column over
+all rows at once, so the number of numpy calls depends on the degree, not
+on the number of cells.
+
+These objects carry the atomic part of the jump measure through repeated
 convolution: convolving any piecewise polynomial with a step-function tail
 is again piecewise polynomial, with breakpoints shifted by atom locations.
 """
@@ -16,20 +23,32 @@ _BREAK_TOL = 1e-12
 
 
 def _poly_eval(coeffs: np.ndarray, t):
+    """Horner over the rows of ``coeffs`` (ascending powers); rows may be vectors."""
     out = np.zeros_like(np.asarray(t, dtype=float))
     for c in coeffs[::-1]:
         out = out * t + c
     return out
 
 
-def _poly_shift(coeffs: np.ndarray, d: float) -> np.ndarray:
-    """Rebase p(t) to p(u + d) via repeated synthetic (Horner) division."""
-    c = np.array(coeffs, dtype=float)
-    n = c.size
+def _poly_shift(coeffs: np.ndarray, d) -> np.ndarray:
+    """Rebase p(t) to p(u + d) via repeated synthetic (Horner) division.
+
+    ``coeffs`` is one polynomial, or a (rows, n) array with one offset per
+    row in ``d``; each division step runs over all rows at once, in the same
+    order of operations as for a single row.
+    """
+    c = np.array(np.asarray(coeffs, dtype=float).T, order="C")
+    n = c.shape[0]
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             c[j] += d * c[j + 1]
-    return c
+    return c.T
+
+
+def _merge_breaks(breaks: np.ndarray) -> np.ndarray:
+    """Drop each sorted break lying within the tolerance of its predecessor."""
+    keep = np.concatenate([[True], np.diff(breaks) > _BREAK_TOL * np.maximum(1.0, breaks[1:])])
+    return breaks[keep]
 
 
 class PiecewisePoly:
@@ -43,8 +62,8 @@ class PiecewisePoly:
             raise ValueError("first breakpoint must be 0")
         if np.any(np.diff(breaks) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        coeffs = [np.asarray(c, dtype=float) for c in coeffs]
-        if len(coeffs) != breaks.size:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[0] != breaks.size:
             raise ValueError("need one coefficient row per cell (last cell is unbounded)")
         self.breaks = breaks
         self.coeffs = coeffs
@@ -52,29 +71,17 @@ class PiecewisePoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "PiecewisePoly":
-        return cls([0.0], [[0.0]])
-
-    @classmethod
-    def constant(cls, value: float) -> "PiecewisePoly":
-        return cls([0.0], [[float(value)]])
-
-    @classmethod
     def step_tail(cls, locations, masses, q: float) -> "PiecewisePoly":
         """The function q + sum_a m_a 1_{(0, a]}(x) as a piecewise constant."""
-        locations = list(locations)
-        masses = list(masses)
-        breaks = [0.0] + locations
+        masses = np.asarray(list(masses), dtype=float)
+        breaks = np.concatenate([[0.0], np.asarray(list(locations), dtype=float)])
         total = float(np.sum(masses)) + float(q)
-        vals = [total]
-        for m in masses:
-            total -= m
-            vals.append(total)
-        return cls(breaks, [[v] for v in vals])
+        vals = np.subtract.accumulate(np.concatenate([[total], masses]))
+        return cls(breaks, vals[:, None])
 
     # -- evaluation ------------------------------------------------------------
 
-    def _cell_index(self, x: np.ndarray, left_limit: np.ndarray) -> np.ndarray:
+    def _cell_index(self, x: np.ndarray, left_limit: bool) -> np.ndarray:
         idx = np.searchsorted(self.breaks, x, side="right") - 1
         # snap to a breakpoint when within tolerance, then honor the side
         near = np.searchsorted(self.breaks, x + _BREAK_TOL * np.maximum(1.0, np.abs(x)), side="right") - 1
@@ -86,106 +93,91 @@ class PiecewisePoly:
 
     def eval(self, x, side_left: bool = True):
         """Evaluate; at a breakpoint, side_left picks the cell ending there."""
-        x_arr = np.asarray(x, dtype=float)
-        scalar = np.ndim(x) == 0
-        x_arr = np.atleast_1d(x_arr)
-        left = np.full(x_arr.shape, bool(side_left))
-        idx = self._cell_index(x_arr, left)
-        out = np.zeros_like(x_arr)
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        side_left = bool(side_left)
+        idx = self._cell_index(x_arr, side_left)
         valid = idx >= 0
-        # x at or below 0 from the left is 0 by convention
-        valid &= ~(left & (x_arr <= _BREAK_TOL))
-        for i in np.unique(idx[valid]):
-            sel = valid & (idx == i)
-            t = x_arr[sel] - self.breaks[i]
-            out[sel] = _poly_eval(self.coeffs[i], t)
-        return float(out[0]) if scalar else out
+        if side_left:
+            # x at or below 0 from the left is 0 by convention
+            valid &= ~(x_arr <= _BREAK_TOL)
+        cell = idx[valid]
+        out = np.zeros_like(x_arr)
+        out[valid] = _poly_eval(self.coeffs[cell].T, x_arr[valid] - self.breaks[cell])
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     def __call__(self, x):
         return self.eval(x, side_left=True)
 
     @property
     def degree(self) -> int:
-        return max(c.size for c in self.coeffs) - 1
+        return self.coeffs.shape[1] - 1
 
     # -- algebra ----------------------------------------------------------------
 
     def scale(self, factor: float) -> "PiecewisePoly":
-        return PiecewisePoly(self.breaks, [c * factor for c in self.coeffs])
+        return PiecewisePoly(self.breaks, self.coeffs * factor)
 
     def shift(self, a: float) -> "PiecewisePoly":
         """x -> f(x - a) for a > 0 (zero on [0, a))."""
         if a <= 0:
             raise ValueError("shift requires a > 0")
         breaks = np.concatenate([[0.0], self.breaks + a])
-        coeffs = [np.zeros(1)] + [c.copy() for c in self.coeffs]
+        coeffs = np.vstack([np.zeros((1, self.coeffs.shape[1])), self.coeffs])
         return PiecewisePoly(breaks, coeffs)
 
     def add(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        breaks = np.union1d(self.breaks, other.breaks)
-        # merge near-duplicates
-        keep = np.concatenate([[True], np.diff(breaks) > _BREAK_TOL * np.maximum(1.0, breaks[1:])])
-        breaks = breaks[keep]
-        coeffs = []
-        for o in breaks:
-            ca = self._coeffs_at(o)
-            cb = other._coeffs_at(o)
-            n = max(ca.size, cb.size)
-            row = np.zeros(n)
-            row[: ca.size] += ca
-            row[: cb.size] += cb
-            coeffs.append(row)
-        return PiecewisePoly(breaks, coeffs)
+        breaks = _merge_breaks(np.union1d(self.breaks, other.breaks))
+        a, b = self._rebased(breaks), other._rebased(breaks)
+        width = max(a.shape[1], b.shape[1])
+        pad = lambda c: np.pad(c, ((0, 0), (0, width - c.shape[1])))
+        return PiecewisePoly(breaks, pad(a) + pad(b))
 
-    def __add__(self, other):
-        return self.add(other)
+    def _rebased(self, origins: np.ndarray) -> np.ndarray:
+        """Row k: the polynomial valid on [origins[k], next break), rebased there.
 
-    def _coeffs_at(self, origin: float) -> np.ndarray:
-        """The polynomial valid on [origin, next break), rebased to origin."""
-        i = int(np.searchsorted(self.breaks, origin + _BREAK_TOL * max(1.0, abs(origin)), side="right") - 1)
-        if i < 0:
-            return np.zeros(1)
-        return _poly_shift(self.coeffs[i], origin - self.breaks[i])
+        Origins are >= 0, so each lies in some cell; an origin within the
+        tolerance below a break snaps to the cell starting at that break.
+        """
+        i = np.searchsorted(self.breaks, origins + _BREAK_TOL * np.maximum(1.0, np.abs(origins)), side="right") - 1
+        return _poly_shift(self.coeffs[i], origins - self.breaks[i])
 
     def antiderivative(self) -> "PiecewisePoly":
         """F(x) = int_0^x f, continuous, F(0) = 0."""
-        coeffs = []
-        acc = 0.0
-        for i, c in enumerate(self.coeffs):
-            anti = np.concatenate([[acc], c / np.arange(1, c.size + 1)])
-            coeffs.append(anti)
-            if i + 1 < self.breaks.size:
-                acc = float(_poly_eval(anti, self.breaks[i + 1] - self.breaks[i]))
-        return PiecewisePoly(self.breaks, coeffs)
+        n = self.coeffs.shape[1]
+        anti = np.zeros((self.breaks.size, n + 1))
+        anti[:, 1:] = self.coeffs / np.arange(1, n + 1)
+        # each cell's integral over its full width, summed left to right,
+        # is the constant term of the next cell
+        anti[1:, 0] = np.cumsum(_poly_eval(anti[:-1].T, np.diff(self.breaks)))
+        return PiecewisePoly(self.breaks, anti)
 
     def derivative(self) -> "PiecewisePoly":
-        coeffs = []
-        for c in self.coeffs:
-            if c.size == 1:
-                coeffs.append(np.zeros(1))
-            else:
-                coeffs.append(c[1:] * np.arange(1, c.size))
-        return PiecewisePoly(self.breaks, coeffs)
+        n = self.coeffs.shape[1]
+        if n == 1:
+            return PiecewisePoly(self.breaks, np.zeros_like(self.coeffs))
+        return PiecewisePoly(self.breaks, self.coeffs[:, 1:] * np.arange(1, n))
 
     def truncate(self, x_max: float) -> "PiecewisePoly":
         """Drop breakpoints beyond x_max; result is only valid on [0, x_max]."""
-        keep = self.breaks <= x_max * (1.0 + 1e-12)
-        if np.all(keep):
+        n = int(np.sum(self.breaks <= x_max * (1.0 + 1e-12)))
+        if n == self.breaks.size:
             return self
-        n = int(np.sum(keep))
         return PiecewisePoly(self.breaks[:n], self.coeffs[:n])
 
     def convolve_step_tail(self, locations, masses, q: float, x_max: float | None = None) -> "PiecewisePoly":
-        """Convolution with q + sum m_a 1_{(0,a]}: sum m_a (F(x) - F(x-a)) + q F(x)."""
+        """Convolution with q + sum m_a 1_{(0,a]}: sum m_a (F(x) - F(x-a)) + q F(x).
+
+        The result lives on one merge of F's breaks with all their atom
+        shifts; every term is rebased once onto it.
+        """
         F = self.antiderivative()
         if x_max is not None:
             F = F.truncate(x_max)
-        out = F.scale(q) if q else PiecewisePoly.zero()
+        breaks = _merge_breaks(np.unique(np.concatenate([F.breaks + a for a in (0.0, *locations)])))
+        if x_max is not None:
+            breaks = breaks[breaks <= x_max * (1.0 + 1e-12)]
+        base = F._rebased(breaks)
+        out = base * q
         for a, m in zip(locations, masses):
-            term = F.add(F.shift(a).scale(-1.0)).scale(m)
-            if x_max is not None:
-                term = term.truncate(x_max)
-            out = out.add(term)
-            if x_max is not None:
-                out = out.truncate(x_max)
-        return out
+            out += (base - F.shift(a)._rebased(breaks)) * m
+        return PiecewisePoly(breaks, out)

@@ -9,11 +9,19 @@ path-counting formula, independent of any library code path:
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subpot import AcTail, AtomicPart, LevyModel, u_volterra
+
+# CLI tests start `python -m subpot.cli` in a child process; point it at this
+# checkout's sources, as the `pythonpath` setting in pyproject.toml does here
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")) if p
+)
 
 
 def delta1_u(x: float) -> float:

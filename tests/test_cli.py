@@ -54,6 +54,19 @@ class TestValidate:
         err = json.loads(capsys.readouterr().err)
         assert any("alpha" in v["pointer"] for v in err["violations"])
 
+    @pytest.mark.parametrize("text, pointer", [
+        ('{"drift": true}', "/drift"),
+        ('{"drift": 1.0, "q": Infinity}', "/q"),
+        ('{"drift": 1.0, "atoms": [{"x": 1, "mass": Infinity}]}', "/atoms/0/mass"),
+        ('{"drift": 1.0, "ac": {"kind": "stable", "C": Infinity, "alpha": 0.5}}', "/ac/C"),
+    ])
+    def test_non_finite_and_boolean_numbers_rejected(self, tmp_path, capsys, text, pointer):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["validate", "--model", str(p)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert [v["pointer"] for v in err["violations"]] == [pointer]
+
 
 class TestEval:
     def test_csv_columns_and_values(self, delta1_path, tmp_path):
@@ -77,6 +90,27 @@ class TestEval:
             x, u, *_ , method = row.split(",")
             assert method == "inversion"
             assert float(u) == pytest.approx(delta1_u(float(x)), abs=1e-6)
+
+    @pytest.mark.parametrize("extra, grids, method", [
+        ([], 1, "series"),
+        (["--no-derivatives"], 0, "series"),
+        (["--route", "inversion", "--order", "3", "--derivatives", "inversion"], 0, "inversion"),
+    ])
+    def test_one_engine_per_eval(self, delta1_path, tmp_path, monkeypatch, extra, grids, method):
+        # every x lies inside the series radius (x <= 1/2 for the unit atom),
+        # so only fd derivatives need a Volterra grid
+        import subpot.cli as cli
+
+        engines, solves = [], []
+        init = cli.ConvolutionEngine.__init__
+        solve = cli.u_volterra
+        monkeypatch.setattr(cli.ConvolutionEngine, "__init__",
+                            lambda self, *a, **k: engines.append(a) or init(self, *a, **k))
+        monkeypatch.setattr(cli, "u_volterra", lambda *a, **k: solves.append(a) or solve(*a, **k))
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--model", delta1_path, "--x", "0.1:0.45:4", *extra, "--out", str(out)]) == 0
+        assert len(engines) == 1 and len(solves) == grids
+        assert all(row.endswith("," + method) for row in out.read_text().strip().splitlines()[1:])
 
 
 class TestGk:

@@ -185,6 +185,36 @@ class TestValidationAndSchema:
         assert "/drift" in pointers
         assert "/ac/alpha" in pointers
 
+    @pytest.mark.parametrize("doc, pointer", [
+        ({"drift": True}, "/drift"),
+        ({"drift": math.nan}, "/drift"),
+        ({"drift": 1.0, "q": math.inf}, "/q"),
+        ({"drift": 1.0, "q": False}, "/q"),
+        ({"drift": 1.0, "atoms": [{"x": math.inf, "mass": 1.0}]}, "/atoms/0/x"),
+        ({"drift": 1.0, "atoms": [{"x": True, "mass": 1.0}]}, "/atoms/0/x"),
+        ({"drift": 1.0, "atoms": [{"x": "1e400", "mass": 1.0}]}, "/atoms/0/x"),
+        ({"drift": 1.0, "atoms": [{"x": "1e-400", "mass": 1.0}]}, "/atoms/0/x"),
+        ({"drift": 1.0, "atoms": 5}, "/atoms"),
+        ({"drift": 1.0, "ac": "stable"}, "/ac"),
+        ({"drift": 1.0, "atom_family": [1.0]}, "/atom_family"),
+        ({"drift": 1.0, "atoms": [{"x": 1.0, "mass": math.inf}]}, "/atoms/0/mass"),
+        ({"drift": 1.0, "atoms": [{"x": 1.0, "mass": 10**400}]}, "/atoms/0/mass"),
+        ({"drift": 1.0, "ac": {"kind": "stable", "C": math.inf, "alpha": 0.5}}, "/ac/C"),
+        ({"drift": 1.0, "ac": {"kind": "stable", "C": True, "alpha": 0.5}}, "/ac/C"),
+        ({"drift": 1.0, "ac": {"kind": "stable", "C": 1.0, "alpha": math.nan}}, "/ac/alpha"),
+        ({"drift": 1.0, "ac": {"kind": "tempered", "C": 1.0, "alpha": 0.5, "b": math.inf}}, "/ac/b"),
+        ({"drift": 1.0, "atom_family": {"kind": "reciprocal-integers", "cap": 4,
+                                        "masses": [1.0, math.inf, 0.1, 0.05]}}, "/atom_family/masses/1"),
+        ({"drift": 1.0, "atom_family": {"kind": "reciprocal-integers", "cap": 4,
+                                        "masses": [1.0, 0.3, True, 0.05]}}, "/atom_family/masses/2"),
+        ({"drift": 1.0, "atom_family": {"kind": "reciprocal-integers", "cap": True,
+                                        "masses": [1.0]}}, "/atom_family/cap"),
+    ])
+    def test_schema_rejects_non_finite_and_boolean_numbers(self, doc, pointer):
+        with pytest.raises(ModelValidationError) as exc:
+            model_from_dict(doc)
+        assert [p for p, _ in exc.value.violations] == [pointer]
+
     def test_hash_distinguishes_models(self, delta1, stable_half):
         assert delta1.model_hash() != stable_half.model_hash()
         clone = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))

@@ -40,9 +40,9 @@ from .inversion import (
     density_integrand,
     derivative_integrand,
     derivative_zero_contour,
-    imaginary_axis_integrand,
     invert_density,
     invert_derivative,
+    invert_derivative_pair,
     tail_transform,
 )
 from .model import AcTail, AtomicPart, LevyModel, Side, load_model, model_from_dict
@@ -96,9 +96,9 @@ __all__ = [
     "derivative_jump",
     "derivative_zero_contour",
     "first_passage",
-    "imaginary_axis_integrand",
     "invert_density",
     "invert_derivative",
+    "invert_derivative_pair",
     "laplace_crosscheck",
     "load_model",
     "model_from_dict",

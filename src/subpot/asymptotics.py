@@ -86,15 +86,11 @@ def check_zero_series(model: LevyModel, n: int, x_grid: Optional[np.ndarray] = N
         if t_first < 1e-280:
             raise PreconditionError(f"denominator underflow at x={x}; shrink the grid toward larger x")
         total = 0.0
-        k = n + 1
-        sign = 1.0
-        while k <= n + 1 + 200:
+        for k in range(n + 1, n + 202):
             term = engine.running(k, x) / delta ** (k + 1)
-            total += sign * term
+            total += (-1.0) ** (k - n - 1) * term
             if term < 1e-14 * t_first:
                 break
-            sign = -sign
-            k += 1
         ratios[i] = abs(total) / t_first
     metric = np.abs(ratios - 1.0)
     passed = metric[-1] <= rtol and _monotone_approach(metric)
@@ -174,10 +170,7 @@ def check_du_zero(model: LevyModel, x_grid: Optional[np.ndarray] = None) -> Asym
         lead = (model.q + model.tail(x, Side.RIGHT)) / delta**2
         tol = max(1e-9, 1e-4 * abs(lead))
         du[i], _ = invert_derivative(model, x, Side.RIGHT, tol=tol, engine=engine)
-        s = 0.0
-        for k in range(1, n + 1):
-            s += (-1.0) ** k / delta ** (k + 1) * engine.power(k, x, Side.RIGHT)
-        series[i] = s
+        series[i] = engine.alternating_sum(x, 1, n + 1, Side.RIGHT)
         leading[i] = lead
     residual = np.abs(du - series)
     passed = _monotone_approach(residual) and residual[-1] < 0.01 * abs(leading[-1])
@@ -202,9 +195,10 @@ def check_du_infinity(model: LevyModel, x_grid: Optional[np.ndarray] = None) -> 
         x_hi = max(20.0 * mean, 40.0)
         x_grid = np.geomspace(x_hi / 8.0, x_hi, 6)
     xs = np.asarray(x_grid, dtype=float)
+    engine = ConvolutionEngine(model, float(xs.max()))
     vals = np.empty_like(xs)
     for i, x in enumerate(xs):
-        left, right, _ = derivative_zero_contour(model, x, tol=1e-10)
+        left, right, _ = derivative_zero_contour(model, x, tol=1e-10, engine=engine)
         vals[i] = max(abs(left), abs(right))
     passed = _monotone_approach(vals) and vals[-1] < 1e-3 / model.drift
     return AsymptoticCheck("du-infinity", xs, vals, np.zeros_like(xs), vals * 0, bool(passed))

@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     SubpotError,
 )
-from .inversion import invert_density, invert_derivative
+from .inversion import invert_density, invert_derivative_pair
 from .model import Side, load_model
 from .smoothness import classify_point, one_sided_fd
 
@@ -67,11 +67,18 @@ def _emit(args, text: str) -> None:
 
 def _parse_range(spec: str, spacing: str) -> np.ndarray:
     parts = spec.split(":")
-    if len(parts) == 1:
-        return np.array([float(x) for x in spec.split(",")])
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ModelValidationError([("--x", "expected min:max:steps or a comma list")])
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        nums = [float(v) for v in (spec.split(",") if len(parts) == 1 else parts[:2])]
+        steps = int(parts[2]) if len(parts) == 3 else 0
+    except ValueError:
+        raise ModelValidationError([("--x", f"not a number list or range: {spec!r}")])
+    if not all(math.isfinite(v) for v in nums):
+        raise ModelValidationError([("--x", "x values must be finite numbers")])
+    if len(parts) == 1:
+        return np.array(nums)
+    lo, hi = nums
     if steps < 2:
         raise ModelValidationError([("--x", "steps must be >= 2")])
     if spacing == "geometric":
@@ -113,6 +120,14 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _fd_or_none(grid, x: float, side: Side):
+    # a kink too close to x leaves no clean fit window: report no derivative
+    try:
+        return one_sided_fd(grid, x, 1, side)[0]
+    except SubpotError:
+        return None
+
+
 def _eval_rows(model, xs, args):
     x_max = float(np.max(xs))
     route = args.route
@@ -140,19 +155,10 @@ def _eval_rows(model, xs, args):
             method = "volterra"
         du_l = du_r = None
         if fd:
-            try:
-                du_l, _ = one_sided_fd(grid, x, 1, Side.LEFT)
-            except SubpotError:
-                du_l = None
-            try:
-                du_r, _ = one_sided_fd(grid, x, 1, Side.RIGHT)
-            except SubpotError:
-                du_r = None
+            du_l, du_r = (_fd_or_none(grid, x, side) for side in (Side.LEFT, Side.RIGHT))
         elif not args.no_derivatives:
-            du_l, _ = invert_derivative(model, x, Side.LEFT, N=args.order,
-                                        lam=args.contour_lambda, tol=args.tol, engine=engine)
-            du_r, _ = invert_derivative(model, x, Side.RIGHT, N=args.order,
-                                        lam=args.contour_lambda, tol=args.tol, engine=engine)
+            du_l, du_r, _ = invert_derivative_pair(model, x, N=args.order, lam=args.contour_lambda,
+                                                   tol=args.tol, engine=engine)
         rows.append((x, u, du_l, du_r, err, method))
     return rows
 
@@ -254,7 +260,7 @@ def _cmd_simulate(args) -> int:
     from .simulate import creep_prob, creep_prob_killed
 
     model = load_model(args.model)
-    xs = _parse_range(args.x, "linear") if ":" in args.x else np.array([float(v) for v in args.x.split(",")])
+    xs = _parse_range(args.x, "linear")
     lines = ["x,q,p_hat,ci95,n_paths,eps,seed"]
     for x in xs:
         if args.q > 0:

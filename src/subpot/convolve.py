@@ -174,8 +174,8 @@ class ConvolutionEngine:
     """Evaluates (tbar + q)^{*n} and its running integral on [0, x_max]."""
 
     def __init__(self, model: LevyModel, x_max: float, budget: int = DEFAULT_SUM_BUDGET):
-        if x_max <= 0:
-            raise ValueError("x_max must be > 0")
+        if not (x_max > 0 and math.isfinite(x_max)):
+            raise ValueError(f"x_max must be a finite number > 0, got {x_max!r}")
         self.model = model
         self.x_max = float(x_max)
         self.budget = int(budget)
@@ -205,25 +205,27 @@ class ConvolutionEngine:
             raise ValueError("n must be >= 1")
         if n == 1:
             return self.model.tail(x, side) + self.model.q
-        total = 0.0
-        for j in range(n + 1):
-            i = n - j
-            term = self._term_power(i, j, x)
-            if term != 0.0:
-                total += math.comb(n, j) * term
-        return total
+        return self._binomial(n, x, running=False)
 
     def running(self, n: int, x: float) -> float:
         """(1 * (tbar + q)^{*n})(x); the n = 0 convention is the constant 1."""
         if n == 0:
             return 1.0
         self._check_x(x)
+        return self._binomial(n, x, running=True)
+
+    def alternating_sum(self, x: float, n_lo: int, n_hi: int, side: Optional[Side] = None) -> float:
+        """sum_{n_lo <= n < n_hi} (-1)^n drift^-(n+1) g_n(x), the split series' finite part.
+
+        g_n is the running integral ``running(n, x)`` when side is None (the
+        density's terms) and the power ``power(n, x, side)`` otherwise (the
+        derivative's terms).
+        """
+        delta = self.model.drift
         total = 0.0
-        for j in range(n + 1):
-            i = n - j
-            term = self._term_running(i, j, x)
-            if term != 0.0:
-                total += math.comb(n, j) * term
+        for n in range(n_lo, n_hi):
+            g = self.running(n, x) if side is None else self.power(n, x, side)
+            total += (-1.0) ** n / delta ** (n + 1) * g
         return total
 
     def mass_scale(self, x: float) -> float:
@@ -246,7 +248,7 @@ class ConvolutionEngine:
     # -- internals -------------------------------------------------------------
 
     def _check_x(self, x: float):
-        if x <= 0:
+        if not x > 0:
             raise ValueError(f"convolution argument must be > 0, got {x!r}")
         if x > self.x_max * (1 + 1e-12):
             raise ValueError(f"x={x!r} beyond engine horizon {self.x_max!r}")
@@ -272,35 +274,32 @@ class ConvolutionEngine:
         log_k = j * math.log(self._A) - _gammaln(j * (1.0 - alpha))
         return p, math.exp(log_k)
 
-    def _term_power(self, i: int, j: int, x: float) -> float:
-        if j == 0:
-            if self._pc_trivial:
-                return 0.0
-            return self.pc_power(i).eval(x) if i >= 1 else 0.0
-        if self.model.ac.is_none:
-            return 0.0
-        p, K = self._ac_exponents(j)
-        if i == 0:
-            val = K * x**p
-            if self.model.ac.kind == "tempered":
-                val *= math.exp(-self.model.ac.b * x)
-            return val
-        if self._pc_trivial:
-            return 0.0
-        return self._cross(self.pc_power(i), j, x)
+    def _binomial(self, n: int, x: float, running: bool) -> float:
+        """sum_j C(n, j) pc^{*(n-j)} * s^{*j} at x, or its running integral."""
+        total = 0.0
+        for j in range(n + 1):
+            term = self._term(n - j, j, x, running)
+            if term != 0.0:
+                total += math.comb(n, j) * term
+        return total
 
-    def _term_running(self, i: int, j: int, x: float) -> float:
-        if j == 0:
-            if self._pc_trivial:
-                return 0.0
-            return self.pc_running(i).eval(x) if i >= 1 else 0.0
-        if self.model.ac.is_none:
+    def _term(self, i: int, j: int, x: float, running: bool) -> float:
+        """pc^{*i} * s^{*j} at x (i + j >= 1), or its running integral."""
+        if j > 0 and self.model.ac.is_none:
             return 0.0
         if i == 0:
-            return self._ac_running(j, x)
+            return self._ac_running(j, x) if running else self._ac_power(j, x)
         if self._pc_trivial:
             return 0.0
-        return self._cross(self.pc_running(i), j, x)
+        pp = self.pc_running(i) if running else self.pc_power(i)
+        return pp.eval(x) if j == 0 else self._cross(pp, j, x)
+
+    def _ac_power(self, j: int, x: float) -> float:
+        p, K = self._ac_exponents(j)
+        val = K * x**p
+        if self.model.ac.kind == "tempered":
+            val *= math.exp(-self.model.ac.b * x)
+        return val
 
     def _ac_running(self, j: int, x: float) -> float:
         ac = self.model.ac

@@ -41,8 +41,8 @@ def u_series(model: LevyModel, x: float, tol: float = 1e-10, engine: Optional[Co
     m(x) > 1/2, where the geometric tail bound is unavailable; the Volterra
     solver covers that regime.
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    if not x >= 0:
+        raise ValueError(f"x must be a number >= 0, got {x!r}")
     delta = model.drift
     if x == 0:
         return 1.0 / delta, 0.0, 1
@@ -54,23 +54,13 @@ def u_series(model: LevyModel, x: float, tol: float = 1e-10, engine: Optional[Co
     if m == 0.0:
         return 1.0 / delta, 0.0, 1
     # smallest N with delta^-1 m^(N+1) / (1-m) < tol
-    bound = 1.0 / delta
-    n = 0
-    while True:
+    for n in range(_MAX_SERIES_TERMS + 1):
         bound = m ** (n + 1) / (delta * (1.0 - m))
-        if bound < tol or n >= _MAX_SERIES_TERMS:
+        if bound < tol:
             break
-        n += 1
-    if bound >= tol:
+    else:
         raise AccuracyFailureError("series truncation failed to meet tolerance", bound, tol)
-    total = 0.0
-    sign = 1.0
-    scale = 1.0 / delta
-    for k in range(n + 1):
-        total += sign * scale * engine.running(k, x)
-        sign = -sign
-        scale /= delta
-    return total, bound, n + 1
+    return engine.alternating_sum(x, 0, n + 1), bound, n + 1
 
 
 def series_radius(model: LevyModel, x_max: float, engine: Optional[ConvolutionEngine] = None, level: float = 0.5) -> float:

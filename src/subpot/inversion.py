@@ -3,19 +3,25 @@
 The density splits into a finite alternating sum of running convolutions
 plus a remainder whose bilateral Laplace transform is explicit:
 
+    u(x) = sum_{n<N} (-1)^n d^-(n+1) (1 * (tbar+q)^{*n})(x) + remainder(x),
     remainder_transform(s) = (-T(s))^N / (s * d^(N+1) * (1 + T(s)/d)),
 
 with T(s) the transform of (tbar + q) and d the drift.  The derivative
-remainder drops the 1/s factor.  Both decay along a vertical contour like
-|theta|^(N*(beta+eps-1)) (one extra power of decay for the density), where
-beta is the small-jump index, so the truncation point Theta follows from a
-conservatively fitted tail constant.  The truncated integral is evaluated
-on panels no wider than one half-oscillation of e^{i theta x} with 15-point
-Gauss-Legendre, using Hermitian symmetry to fold onto theta >= 0.
+replaces the running convolutions by the powers (tbar+q)^{*n} and drops
+the 1/s factor.  Its two one-sided limits differ only in the n = 1 term,
+-(q + tbar(x-/x+))/d^2, so one contour integral serves both sides.
 
-For killing rate zero and finite mean the derivative admits the same
-representation directly on the imaginary axis, which is what makes the
-derivative's decay at infinity computable without e^{lam*x} amplification.
+Both remainders decay along a vertical contour like |theta|^(N*(beta+eps-1))
+(one extra power of decay for the density), where beta is the small-jump
+index.  One driver picks or checks the order N, places the truncation
+point Theta from a conservatively fitted tail constant, and evaluates the
+integral on panels no wider than one half-oscillation of e^{i theta x}
+with 15-point Gauss-Legendre, using Hermitian symmetry to fold onto
+theta >= 0.
+
+For killing rate zero and finite mean the derivative pair is valid on the
+imaginary axis itself (lam = 0), which is what makes the derivative's
+decay at infinity computable without e^{lam*x} amplification.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def default_lambda(x: float) -> float:
     return float(min(max(1.0 / x, 1e-3), 10.0))
 
 
-def tail_transform(model: LevyModel, s, include_q: bool = True):
+def tail_transform(model: LevyModel, s):
     """Bilateral Laplace transform of (tbar + q) at s with Re(s) >= 0, s != 0.
 
     Per atom (a, m): m (1 - e^{-s a})/s; stable tail: C Gamma(1-alpha)
@@ -63,53 +69,32 @@ def tail_transform(model: LevyModel, s, include_q: bool = True):
         g = ac.C * _gamma(1.0 - ac.alpha)
         base = s_arr if ac.kind == "stable" else s_arr + ac.b
         out += g * np.exp((ac.alpha - 1.0) * np.log(base))
-    if include_q and model.q:
+    if model.q:
         out += model.q / s_arr
     return out if np.ndim(s) else complex(out)
 
 
-def _denominator(model: LevyModel, transform):
-    den = 1.0 + transform / model.drift
+def _remainder(model: LevyModel, N: int, s, over_s: bool):
+    """(-T)^N / ([s] d^(N+1) (1 + T/d)) with T = tail_transform(model, s)."""
+    s_arr = np.asarray(s, dtype=complex)
+    t = tail_transform(model, s_arr)
+    den = 1.0 + t / model.drift
     if np.min(np.abs(den)) < DENOM_FLOOR:
         raise ModelValidationError(
             [("", "transform denominator nearly singular on the contour; model violates contour positivity")]
         )
-    return den
+    val = (-t) ** N / ((s_arr if over_s else 1.0) * model.drift ** (N + 1) * den)
+    return val if np.ndim(s) else complex(val)
 
 
 def density_integrand(model: LevyModel, N: int, s):
     """Bromwich integrand of the order-N density remainder."""
-    s_arr = np.asarray(s, dtype=complex)
-    t = tail_transform(model, s_arr)
-    den = _denominator(model, t)
-    d = model.drift
-    val = (-t) ** N / (s_arr * d ** (N + 1) * den)
-    return val if np.ndim(s) else complex(val)
+    return _remainder(model, N, s, over_s=True)
 
 
 def derivative_integrand(model: LevyModel, N: int, s):
-    """Bromwich integrand of the order-N derivative remainder."""
-    s_arr = np.asarray(s, dtype=complex)
-    t = tail_transform(model, s_arr)
-    den = _denominator(model, t)
-    d = model.drift
-    val = (-t) ** N / (d ** (N + 1) * den)
-    return val if np.ndim(s) else complex(val)
-
-
-def imaginary_axis_integrand(model: LevyModel, N: int, theta):
-    """Derivative remainder on the lam = 0 contour (q = 0, finite mean)."""
-    th = np.asarray(theta, dtype=float)
-    s = 1j * th
-    t = np.empty_like(s)
-    nz = th != 0.0
-    t[nz] = tail_transform(model, s[nz], include_q=False)
-    if np.any(~nz):
-        t[~nz] = model.mean() - model.drift  # L tbar(0) = int tbar
-    den = _denominator(model, t)
-    d = model.drift
-    val = (-t) ** N / (d ** (N + 1) * den)
-    return val if np.ndim(theta) else complex(val)
+    """Bromwich integrand of the order-N derivative remainder (no 1/s factor)."""
+    return _remainder(model, N, s, over_s=False)
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +108,16 @@ def _panel_width(model: LevyModel, x: float) -> float:
     return math.pi / max(x, a_max, 1.0)
 
 
-def _panel_edges(theta_lo: float, theta_hi: float, width: float, lam: Optional[float]) -> np.ndarray:
+def _panel_edges(theta_lo: float, theta_hi: float, width: float, lam: float) -> np.ndarray:
     """Panel boundaries on [theta_lo, theta_hi].
 
     Near the real axis the integrand varies on the scale of lam, so a fine
-    zone [0, 4*lam] with panels of lam/2 precedes the half-oscillation grid.
+    zone [0, 4*lam] with panels of lam/2 precedes the half-oscillation grid
+    (none for lam = 0).
     """
     pieces = []
     start = theta_lo
-    if lam is not None and theta_lo < 4.0 * lam:
+    if theta_lo < 4.0 * lam:
         fine_end = min(4.0 * lam, theta_hi)
         fine_w = min(0.5 * lam, width)
         n = max(1, int(math.ceil((fine_end - start) / fine_w)))
@@ -154,39 +140,28 @@ def _oscillatory(fn, x: float, edges: np.ndarray) -> complex:
     return complex(np.dot(w, vals))
 
 
-def _fit_tail_constant(fn, slope: float, theta_from: float) -> float:
-    """Conservative C with |fn| <= C * theta^slope for theta >= theta_from."""
-    probes = np.geomspace(theta_from, theta_from * 1e3, 24)
-    mags = np.abs(fn(probes))
-    c = 2.0 * float(np.max(mags * probes ** (-slope)))
-    return max(c, 1e-300)
-
-
 def _truncation(fn, slope: float, tol: float, theta_from: float):
     """Theta with the analytic tail below tol/2, given decay exponent slope."""
-    c = _fit_tail_constant(fn, slope, theta_from)
+    # conservative C with |fn| <= C * theta^slope for theta >= theta_from
+    probes = np.geomspace(theta_from, theta_from * 1e3, 24)
+    c = max(2.0 * float(np.max(np.abs(fn(probes)) * probes ** (-slope))), 1e-300)
     tail = lambda t: c * t ** (slope + 1.0) / (-(slope + 1.0))
     theta = (tol * 0.5 * (-(slope + 1.0)) / c) ** (1.0 / (slope + 1.0))
     theta = max(theta, theta_from, 10.0)
     return theta, tail
 
 
-def _order_scan(model: LevyModel, tol: float, width: float, budget: int,
-                extra_decay: float, fn_factory, n_min: int):
+def _order_scan(slope, tol: float, width: float, budget: int, fn_factory, n_min: int):
     """Smallest split order whose truncation point fits the panel budget.
 
-    A first pass looks for an order that fits comfortably (the extra
-    convolution terms are far cheaper than oscillatory panels); only if
-    none exists is the full budget allowed.
+    ``slope(n)`` is the order-n decay exponent.  A first pass looks for an
+    order that fits comfortably (the extra convolution terms are far
+    cheaper than oscillatory panels); only if none exists is the full
+    budget allowed.
     """
-    beta = model.bg_index()
-    eps = contour_epsilon(beta)
     for allowed in (min(budget, 30_000), budget):
         for n in range(n_min, 17):
-            slope = n * (beta + eps - 1.0) - extra_decay
-            if slope >= -1.0:
-                continue
-            theta, tail = _truncation(fn_factory(n), slope, tol, 10.0)
+            theta, tail = _truncation(fn_factory(n), slope(n), tol, 10.0)
             if 2.0 * theta / width <= allowed:
                 return n, theta, tail
     raise AccuracyFailureError(
@@ -202,12 +177,56 @@ def _contour_integral(fn, x, theta, tail, width, lam):
     roundoff, inflated if the check segment exceeds its analytic bound.
     """
     main = _oscillatory(fn, x, _panel_edges(0.0, theta, width, lam))
-    check = _oscillatory(fn, x, _panel_edges(theta, 2.0 * theta, width, None))
+    check = _oscillatory(fn, x, _panel_edges(theta, 2.0 * theta, width, 0.0))
     integral = (main + check).real / math.pi
     err = tail(2.0 * theta) / math.pi + 1e-13 * (abs(main) + 1.0)
     if abs(check) > tail(theta):
         err = max(err, abs(check))
     return integral, err
+
+
+def _abscissa(x: float, lam: Optional[float]) -> float:
+    """Validated contour abscissa for x, defaulting to ``default_lambda``."""
+    if not x > 0:
+        raise ValueError("x must be > 0")
+    lam = default_lambda(x) if lam is None else lam
+    if not lam > 0:
+        raise PreconditionError("contour abscissa lam must be > 0")
+    return lam
+
+
+def _split_contour(model: LevyModel, x: float, N: Optional[int], lam: float, tol: float,
+                   theta_cut: Optional[float], panel_budget: int, integrand, extra_decay: float):
+    """Split order, truncation and the amplified remainder integral at x.
+
+    ``integrand(model, n, s)`` is the order-n remainder transform, whose
+    magnitude decays like |theta|^(n*(beta+eps-1) - extra_decay).  Orders
+    whose decay is not integrable are refused.  Returns (N, integral, err)
+    with e^{lam x} already applied to both.
+    """
+    beta = model.bg_index()
+    eps = contour_epsilon(beta)
+    slope = lambda n: n * (beta + eps - 1.0) - extra_decay
+    # smallest order with an integrable remainder (slope below -1)
+    n_min = max(1, math.floor((1.0 + 1e-12 - extra_decay) / (1.0 - beta - eps)) + 1)
+    width = _panel_width(model, x)
+    factory = lambda n: (lambda th: integrand(model, n, lam + 1j * th))
+    if N is None:
+        N, theta, tail = _order_scan(slope, tol, width, panel_budget, factory, n_min)
+    else:
+        if N < 1:
+            raise ValueError("N must be >= 1")
+        if N < n_min:
+            raise ContourOrderError(N, n_min)
+        theta, tail = _truncation(factory(N), slope(N), tol, max(10.0, 4.0 * lam))
+        if theta_cut is None and 2.0 * theta / width > panel_budget:
+            n_req, _, _ = _order_scan(slope, tol, width, panel_budget, factory, N + 1)
+            raise ContourOrderError(N, n_req)
+    if theta_cut is not None:
+        theta = float(theta_cut)
+    integral, err = _contour_integral(factory(N), x, theta, tail, width, lam)
+    amp = math.exp(lam * x)
+    return N, amp * integral, amp * err
 
 
 def invert_density(model: LevyModel, x: float, N: Optional[int] = 3, lam: Optional[float] = None,
@@ -221,127 +240,64 @@ def invert_density(model: LevyModel, x: float, N: Optional[int] = 3, lam: Option
     budget; that raises ContourOrderError citing a workable order.
     N=None picks the smallest order that fits the budget.
     """
-    if x <= 0:
-        raise ValueError("x must be > 0")
-    if lam is None:
-        lam = default_lambda(x)
-    if lam <= 0:
-        raise PreconditionError("contour abscissa lam must be > 0")
-    beta = model.bg_index()
-    eps = contour_epsilon(beta)
-    width = _panel_width(model, x)
-    factory = lambda n: (lambda th: density_integrand(model, n, lam + 1j * th))
-    if N is None:
-        N, theta, tail = _order_scan(model, tol, width, panel_budget, 1.0, factory, 1)
-    else:
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        slope = N * (beta + eps - 1.0) - 1.0
-        theta, tail = _truncation(factory(N), slope, tol, max(10.0, 4.0 * lam))
-        if theta_cut is None and 2.0 * theta / width > panel_budget:
-            n_req, _, _ = _order_scan(model, tol, width, panel_budget, 1.0, factory, N + 1)
-            raise ContourOrderError(N, n_req)
-    if theta_cut is not None:
-        theta = float(theta_cut)
+    lam = _abscissa(x, lam)
+    N, integral, err = _split_contour(model, x, N, lam, tol, theta_cut, panel_budget,
+                                      density_integrand, 1.0)
     if engine is None:
         engine = ConvolutionEngine(model, x)
-    delta = model.drift
-    total = 0.0
-    for n in range(N):
-        total += (-1.0) ** n / delta ** (n + 1) * engine.running(n, x)
-    fn = factory(N)
-    integral, err = _contour_integral(fn, x, theta, tail, width, lam)
-    amp = math.exp(lam * x)
-    return total + amp * integral, amp * err
+    return engine.alternating_sum(x, 0, N) + integral, err
 
 
-def _derivative_min_order(beta: float, eps: float) -> int:
-    return int(math.floor(1.0 / (1.0 - beta - eps))) + 1
+def _derivative_pair(model, x, N, lam, tol, engine, theta_cut, panel_budget):
+    N, integral, err = _split_contour(model, x, N, lam, tol, theta_cut, panel_budget,
+                                      derivative_integrand, 0.0)
+    if engine is None:
+        engine = ConvolutionEngine(model, x)
+    # orders n >= 2 are continuous; the n = 1 term carries the atom's jump
+    base = engine.alternating_sum(x, 2, N, Side.RIGHT)
+    left, right = (-(model.tail(x, side) + model.q) / model.drift**2 + base + integral
+                   for side in (Side.LEFT, Side.RIGHT))
+    return left, right, err
+
+
+def invert_derivative_pair(model: LevyModel, x: float, N: Optional[int] = None,
+                           lam: Optional[float] = None, tol: float = 1e-8,
+                           engine: Optional[ConvolutionEngine] = None,
+                           theta_cut: Optional[float] = None, panel_budget: int = 400_000):
+    """Both one-sided derivatives of u^(q) at x from one contour integral.
+
+    The sides differ only in the n = 1 term, -(q + tbar(x-/x+))/drift^2,
+    so right - left is the atom mass at x over drift^2.  Needs N large
+    enough that the derivative remainder is integrable (N > 1/(1 - beta));
+    a too-small explicit N raises ContourOrderError citing the required
+    order.  N=None picks the smallest order that fits the panel budget.
+    Returns (left, right, err_est); err_est bounds each side.
+    """
+    return _derivative_pair(model, x, N, _abscissa(x, lam), tol, engine, theta_cut, panel_budget)
 
 
 def invert_derivative(model: LevyModel, x: float, side: Side = Side.RIGHT,
                       N: Optional[int] = None, lam: Optional[float] = None,
                       tol: float = 1e-8, engine: Optional[ConvolutionEngine] = None,
                       theta_cut: Optional[float] = None, panel_budget: int = 400_000):
-    """One-sided derivative of u^(q) at x through the split representation.
-
-    Needs N large enough that the derivative remainder is integrable
-    (N > 1/(1 - beta)); a too-small explicit N raises ContourOrderError
-    citing the required order.  N=None picks the smallest order that fits
-    the panel budget.  Returns (value, err_est).
-    """
-    if x <= 0:
-        raise ValueError("x must be > 0")
-    beta = model.bg_index()
-    eps = contour_epsilon(beta)
-    required = _derivative_min_order(beta, eps)
-    if lam is None:
-        lam = default_lambda(x)
-    if lam <= 0:
-        raise PreconditionError("contour abscissa lam must be > 0")
-    width = _panel_width(model, x)
-    factory = lambda n: (lambda th: derivative_integrand(model, n, lam + 1j * th))
-    if N is None:
-        N, theta, tail = _order_scan(model, tol, width, panel_budget, 0.0, factory, required)
-    else:
-        if N * (1.0 - beta - eps) <= 1.0 + 1e-12:
-            raise ContourOrderError(N, required)
-        slope = N * (beta + eps - 1.0)
-        theta, tail = _truncation(factory(N), slope, tol, max(10.0, 4.0 * lam))
-        if theta_cut is None and 2.0 * theta / width > panel_budget:
-            n_req, _, _ = _order_scan(model, tol, width, panel_budget, 0.0, factory, N + 1)
-            raise ContourOrderError(N, n_req)
-    if theta_cut is not None:
-        theta = float(theta_cut)
-    if engine is None:
-        engine = ConvolutionEngine(model, x)
-    delta = model.drift
-    total = -(model.tail(x, side) + model.q) / delta**2
-    for n in range(2, N):
-        total += (-1.0) ** n / delta ** (n + 1) * engine.power(n, x)
-    fn = factory(N)
-    integral, err = _contour_integral(fn, x, theta, tail, width, lam)
-    amp = math.exp(lam * x)
-    return total + amp * integral, amp * err
+    """One side of ``invert_derivative_pair``: returns (value, err_est)."""
+    left, right, err = invert_derivative_pair(model, x, N, lam, tol, engine, theta_cut, panel_budget)
+    return (left if side is Side.LEFT else right), err
 
 
 def derivative_zero_contour(model: LevyModel, x: float, N: Optional[int] = None,
                             tol: float = 1e-9, engine: Optional[ConvolutionEngine] = None,
                             panel_budget: int = 400_000):
-    """u'(x-), u'(x+) via the imaginary-axis contour (q = 0, finite mean).
+    """u'(x-), u'(x+) on the imaginary axis (q = 0, finite mean).
 
-    Avoids the e^{lam x} amplification entirely, which is what makes the
-    derivative at large x resolvable.  Returns (left, right, err_est).
+    The derivative pair at lam = 0 avoids the e^{lam x} amplification
+    entirely, which is what makes the derivative at large x resolvable.
+    Returns (left, right, err_est).
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("x must be > 0")
     if model.q != 0.0:
         raise PreconditionError("imaginary-axis contour requires q = 0")
     if not math.isfinite(model.mean()):
         raise PreconditionError("imaginary-axis contour requires a finite mean")
-    beta = model.bg_index()
-    eps = contour_epsilon(beta)
-    required = _derivative_min_order(beta, eps)
-    width = _panel_width(model, x)
-    factory = lambda n: (lambda th: imaginary_axis_integrand(model, n, th))
-    if N is None:
-        N, theta, tail = _order_scan(model, tol, width, panel_budget, 0.0, factory, required)
-    else:
-        if N * (1.0 - beta - eps) <= 1.0 + 1e-12:
-            raise ContourOrderError(N, required)
-        slope = N * (beta + eps - 1.0)
-        theta, tail = _truncation(factory(N), slope, tol, 10.0)
-        if 2.0 * theta / width > panel_budget:
-            n_req, _, _ = _order_scan(model, tol, width, panel_budget, 0.0, factory, N + 1)
-            raise ContourOrderError(N, n_req)
-    if engine is None:
-        engine = ConvolutionEngine(model, x)
-    delta = model.drift
-    base = 0.0
-    for n in range(2, N):
-        base += (-1.0) ** n / delta ** (n + 1) * engine.power(n, x)
-    fn = factory(N)
-    integral, err = _contour_integral(fn, x, theta, tail, width, None)
-    left = -model.tail(x, Side.LEFT) / delta**2 + base + integral
-    right = -model.tail(x, Side.RIGHT) / delta**2 + base + integral
-    return left, right, err
+    return _derivative_pair(model, x, N, 0.0, tol, engine, None, panel_budget)

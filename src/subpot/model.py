@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -51,7 +52,19 @@ class Side(Enum):
     RIGHT = "right"
 
 
+def _is_finite_number(v) -> bool:
+    """A finite real number; booleans (JSON ``true``) are ints but not numbers."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _as_fraction(value) -> Optional[Fraction]:
+    if isinstance(value, bool):
+        return None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -87,8 +100,8 @@ class AtomicPart:
         if not pairs:
             return cls.empty()
         exact = [_as_fraction(loc) for loc, _ in pairs]
-        locs = [float(loc) if ex is None else float(ex) for (loc, _), ex in zip(pairs, exact)]
-        masses = [float(m) for _, m in pairs]
+        locs = [loc if ex is None else float(ex) for (loc, _), ex in zip(pairs, exact)]
+        masses = [m for _, m in pairs]
         order = sorted(range(len(locs)), key=lambda i: locs[i])
         return cls(
             locations=tuple(locs[i] for i in order),
@@ -133,6 +146,10 @@ class AtomicPart:
         )
 
     def __post_init__(self):
+        if not all(_is_finite_number(v) for v in (*self.locations, *self.masses)):
+            raise ModelValidationError([("/atoms", "locations and masses must be finite numbers")])
+        object.__setattr__(self, "locations", tuple(float(v) for v in self.locations))
+        object.__setattr__(self, "masses", tuple(float(v) for v in self.masses))
         locs = np.asarray(self.locations, dtype=float)
         if locs.size and (np.any(locs <= 0) or np.any(np.diff(locs) <= 0)):
             raise ModelValidationError([("/atoms", "locations must be positive and strictly increasing")])
@@ -140,9 +157,7 @@ class AtomicPart:
             raise ModelValidationError([("/atoms", "masses must be positive")])
         if len(self.masses) != len(self.locations):
             raise ModelValidationError([("/atoms", "locations and masses differ in length")])
-        if len(self.exact_locations) not in (0, len(self.locations)):
-            object.__setattr__(self, "exact_locations", tuple(None for _ in self.locations))
-        if not self.exact_locations:
+        if len(self.exact_locations) != len(self.locations):
             object.__setattr__(self, "exact_locations", tuple(None for _ in self.locations))
 
     @property
@@ -221,12 +236,14 @@ class AcTail:
         if self.kind not in ("none", "stable", "tempered"):
             raise ModelValidationError([("/ac/kind", f"unknown kind {self.kind!r}")])
         if self.kind != "none":
-            if not self.C > 0:
-                raise ModelValidationError([("/ac/C", "C must be > 0")])
-            if not (0.0 < self.alpha < 1.0):
+            if not (_is_finite_number(self.C) and self.C > 0):
+                raise ModelValidationError([("/ac/C", "C must be a finite number > 0")])
+            if not (_is_finite_number(self.alpha) and 0.0 < self.alpha < 1.0):
                 raise ModelValidationError([("/ac/alpha", "alpha must lie in (0, 1)")])
-        if self.kind == "tempered" and not self.b > 0:
-            raise ModelValidationError([("/ac/b", "b must be > 0")])
+        if self.kind == "tempered" and not (_is_finite_number(self.b) and self.b > 0):
+            raise ModelValidationError([("/ac/b", "b must be a finite number > 0")])
+        for name in ("C", "alpha", "b"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def none(cls) -> "AcTail":
@@ -234,11 +251,11 @@ class AcTail:
 
     @classmethod
     def stable(cls, C: float, alpha: float) -> "AcTail":
-        return cls(kind="stable", C=float(C), alpha=float(alpha))
+        return cls(kind="stable", C=C, alpha=alpha)
 
     @classmethod
     def tempered(cls, C: float, alpha: float, b: float) -> "AcTail":
-        return cls(kind="tempered", C=float(C), alpha=float(alpha), b=float(b))
+        return cls(kind="tempered", C=C, alpha=alpha, b=b)
 
     @property
     def is_none(self) -> bool:
@@ -313,10 +330,10 @@ class LevyModel:
 
     def __post_init__(self):
         violations = []
-        if not self.drift > 0:
-            violations.append(("/drift", "drift must be > 0"))
-        if self.q < 0:
-            violations.append(("/q", "q must be >= 0"))
+        if not (_is_finite_number(self.drift) and self.drift > 0):
+            violations.append(("/drift", "drift must be a finite number > 0"))
+        if not (_is_finite_number(self.q) and self.q >= 0):
+            violations.append(("/q", "q must be a finite number >= 0"))
         if violations:
             raise ModelValidationError(violations)
         object.__setattr__(self, "drift", float(self.drift))
@@ -484,16 +501,6 @@ class LevyModel:
 
 
 # -- JSON schema -------------------------------------------------------------
-
-
-def _is_finite_number(v) -> bool:
-    """A finite JSON number; JSON booleans parse as Python ints but are not numbers."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def model_from_dict(doc: dict) -> LevyModel:

@@ -23,10 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .convolve import ConvolutionEngine, atom_sums
+from .convolve import atom_sums
 from .density import DensityGrid, u_volterra
 from .errors import FitWindowError, PreconditionError
-from .inversion import invert_derivative
+from .inversion import invert_derivative_pair
 from .model import AtomicPart, LevyModel, Side
 from .piecewise import PiecewisePoly
 
@@ -191,10 +191,8 @@ def derivative_jump(model: LevyModel, x: float, grid: Optional[DensityGrid] = No
     """
     predicted = model.atom_mass_at(x) / model.drift**2
     try:
-        engine = ConvolutionEngine(model, x)
-        right, err_r = invert_derivative(model, x, Side.RIGHT, tol=tol, engine=engine)
-        left, err_l = invert_derivative(model, x, Side.LEFT, tol=tol, engine=engine)
-        return predicted, right - left, err_r + err_l
+        left, right, err = invert_derivative_pair(model, x, tol=tol)
+        return predicted, right - left, 2.0 * err
     except PreconditionError:
         if grid is None:
             grid = u_volterra(model, x + 1.0, breakpoint_order=2)

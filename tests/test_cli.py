@@ -113,6 +113,33 @@ class TestEval:
         assert all(row.endswith("," + method) for row in out.read_text().strip().splitlines()[1:])
 
 
+    def test_invert_runs_one_contour_per_quantity(self, delta1_path, tmp_path, monkeypatch):
+        # the density and the derivative pair: two contour integrals per x
+        import subpot.inversion as inversion
+
+        calls = []
+        integral = inversion._contour_integral
+        monkeypatch.setattr(inversion, "_contour_integral",
+                            lambda *a: calls.append(a[1]) or integral(*a))
+        out = tmp_path / "inv.csv"
+        assert main(["invert", "--model", delta1_path, "--x", "0.5,1.5,2.5", "--out", str(out)]) == 0
+        assert calls == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--x", "nan", "--no-derivatives"],
+        ["eval", "--x", "inf"],
+        ["eval", "--x", "0.5:inf:4"],
+        ["eval", "--x", "0.5,abc"],
+        ["invert", "--x", "nan"],
+        ["simulate", "--x", "nan", "--paths", "10"],
+        ["simulate", "--x=-inf:1:3", "--paths", "10"],
+    ])
+    def test_non_finite_x_rejected(self, delta1_path, capsys, argv):
+        assert main([argv[0], "--model", delta1_path, *argv[1:]]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert [v["pointer"] for v in err["violations"]] == ["--x"]
+
+
 class TestGk:
     def test_single_atom(self, delta1_path, capsys):
         assert main(["gk", "--model", delta1_path, "--k", "3", "--xmax", "10"]) == 0

@@ -17,6 +17,7 @@ from subpot import (
     LevyModel,
     Side,
     atom_sums,
+    u_series,
 )
 
 
@@ -190,3 +191,69 @@ class TestRunningIntegral:
         x = 0.8
         want = (mixed_model.tail_antiderivative(x) + mixed_model.q * x) / mixed_model.drift
         assert eng.mass_scale(x) == pytest.approx(want, rel=1e-12)
+
+
+class TestNonFiniteArguments:
+    def test_engine_horizon_must_be_finite(self, delta1):
+        for x_max in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ConvolutionEngine(delta1, x_max)
+
+    def test_nan_argument_rejected(self, delta1):
+        eng = ConvolutionEngine(delta1, 6.0)
+        with pytest.raises(ValueError):
+            eng.power(2, math.nan)
+        with pytest.raises(ValueError):
+            eng.running(2, math.nan)
+
+    def test_u_series_nan_rejected(self, delta1):
+        with pytest.raises(ValueError):
+            u_series(delta1, math.nan)
+        with pytest.raises(ValueError):
+            u_series(delta1, math.nan, engine=ConvolutionEngine(delta1, 6.0))
+
+
+class TestAlternatingSum:
+    MODEL = LevyModel(drift=1.7, q=0.2, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)]),
+                      ac=AcTail.stable(0.3, 0.4))
+
+    def test_matches_term_by_term_sum(self):
+        eng = ConvolutionEngine(self.MODEL, 3.0)
+        x, d = 1.7, self.MODEL.drift
+        running = sum((-1) ** n / d ** (n + 1) * eng.running(n, x) for n in range(4))
+        power = sum((-1) ** n / d ** (n + 1) * eng.power(n, x, Side.RIGHT) for n in range(1, 4))
+        assert eng.alternating_sum(x, 0, 4) == pytest.approx(running, rel=1e-15)
+        assert eng.alternating_sum(x, 1, 4, Side.RIGHT) == pytest.approx(power, rel=1e-15)
+        assert eng.alternating_sum(x, 2, 2) == 0.0
+
+    def test_side_enters_only_at_order_one(self):
+        eng = ConvolutionEngine(self.MODEL, 3.0)
+        left = eng.alternating_sum(1.4, 1, 4, Side.LEFT)
+        right = eng.alternating_sum(1.4, 1, 4, Side.RIGHT)
+        assert right - left == pytest.approx(0.5 / 1.7**2, rel=1e-12)  # mass / drift^2
+
+
+class TestPinnedValues:
+    # recorded before power and running shared one binomial loop; the merge
+    # must not move a single bit
+    CASES = [
+        (LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)),
+         "power", 3, 1.7, 1.806914907454394),
+        (LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)),
+         "running", 3, 1.7, 1.7559757265126106),
+        (LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                   ac=AcTail.tempered(0.7, 0.6, 1.5)), "power", 2, 0.8, 3.0843663537962436),
+        (LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                   ac=AcTail.tempered(0.7, 0.6, 1.5)), "running", 4, 2.9, 25.852446784686947),
+        (LevyModel(drift=1.0, ac=AcTail.tempered(1.0, 0.5, 1.0)), "power", 3, 1.0, 2.3114546995818426),
+        (LevyModel(drift=1.0, ac=AcTail.stable(1.0, 0.5)), "running", 2, 0.3, 0.9424777960769377),
+        (LevyModel(drift=1.7, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)])),
+         "power", 4, 2.9, 0.6604780833333332),
+        (LevyModel(drift=1.7, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)])),
+         "running", 5, 1.7, 0.40994454937333324),
+    ]
+
+    @pytest.mark.parametrize("model, quantity, n, x, want", CASES)
+    def test_bits_unchanged(self, model, quantity, n, x, want):
+        eng = ConvolutionEngine(model, 3.0)
+        assert getattr(eng, quantity)(n, x) == want

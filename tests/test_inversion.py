@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from subpot import (
+    AcTail,
     AtomicPart,
     ContourOrderError,
     LevyModel,
@@ -16,6 +17,7 @@ from subpot import (
     derivative_zero_contour,
     invert_density,
     invert_derivative,
+    invert_derivative_pair,
     tail_transform,
 )
 from subpot.inversion import contour_epsilon, default_lambda
@@ -145,6 +147,45 @@ class TestInvertDerivative:
         assert v == pytest.approx(fd, abs=5e-4)
 
 
+class TestDerivativePair:
+    # (left, right, err) from the earlier code, which ran one contour per side
+    EARLIER = {
+        ("delta1", 1.0): (-0.3678794411714388, 0.6321205588285612, 1.2004662052015771e-09),
+        ("delta1", 2.5): (0.03379891869412377, 0.03379891869412377, 6.215861954800897e-10),
+        ("mixed_model", 1.0): (-0.3010308929146835, 0.6989691070853166, 1.286617451369038e-09),
+        ("mixed_model", 2.5): (0.008017505164782612, 0.008017505164782612, 8.793508236382455e-10),
+    }
+
+    @pytest.mark.parametrize("name, x", sorted(EARLIER))
+    def test_matches_one_sided_calls(self, request, name, x):
+        model = request.getfixturevalue(name)
+        left, right, err = invert_derivative_pair(model, x)
+        for side, value in ((Side.LEFT, left), (Side.RIGHT, right)):
+            one, one_err = invert_derivative(model, x, side)
+            assert value == pytest.approx(one, rel=1e-13, abs=0.0)
+            assert err == one_err
+        want_l, want_r, want_err = self.EARLIER[(name, x)]
+        assert left == pytest.approx(want_l, rel=1e-13, abs=0.0)
+        assert right == pytest.approx(want_r, rel=1e-13, abs=0.0)
+        assert err == pytest.approx(want_err, rel=1e-13, abs=0.0)
+
+    def test_jump_is_atom_mass(self, mixed_model):
+        left, right, _ = invert_derivative_pair(mixed_model, 1.0)
+        assert right - left == pytest.approx(1.0, abs=1e-14)
+
+    def test_abscissa_must_be_positive(self, delta1):
+        with pytest.raises(PreconditionError):
+            invert_derivative_pair(delta1, 1.0, lam=0.0)
+
+    def test_order_floor_at_integer_boundary(self):
+        # alpha = 0.7: 4 * (1 - alpha - eps) is 1 up to rounding, so N = 4
+        # leaves a non-integrable remainder and the cited order must be 5
+        model = LevyModel(drift=1.0, ac=AcTail.stable(1.0, 0.7))
+        with pytest.raises(ContourOrderError) as exc:
+            invert_derivative_pair(model, 1.0, N=4)
+        assert exc.value.n_required == 5
+
+
 class TestZeroContour:
     def test_delta1_large_x(self, delta1):
         for x in (10.0, 20.0):
@@ -155,6 +196,14 @@ class TestZeroContour:
     def test_delta1_x20_below_tolerance(self, delta1):
         _, right, _ = derivative_zero_contour(delta1, 20.0, tol=1e-10)
         assert abs(right) < 1e-6
+
+    @pytest.mark.parametrize("name, x, want", [
+        ("delta1", 20.0, (-3.157462248302692e-14, -3.157462248302692e-14, 1.2857458788385047e-12)),
+        ("tempered_model", 5.0, (-8.795968684971456e-05, -8.795968684971456e-05, 5.4450483322970626e-12)),
+    ])
+    def test_bits_unchanged(self, request, name, x, want):
+        # recorded from the earlier dedicated imaginary-axis driver
+        assert derivative_zero_contour(request.getfixturevalue(name), x, tol=1e-10) == want
 
     def test_pure_drift_exact_zero(self, pure_drift):
         left, right, _ = derivative_zero_contour(pure_drift, 3.0, N=2)

@@ -215,6 +215,37 @@ class TestValidationAndSchema:
             model_from_dict(doc)
         assert [p for p, _ in exc.value.violations] == [pointer]
 
+    @pytest.mark.parametrize("build, pointer", [
+        (lambda: LevyModel(drift=1.0, q=math.nan), "/q"),
+        (lambda: LevyModel(drift=1.0, q=math.inf), "/q"),
+        (lambda: LevyModel(drift=1.0, q=False), "/q"),
+        (lambda: LevyModel(drift=True), "/drift"),
+        (lambda: LevyModel(drift=math.inf), "/drift"),
+        (lambda: LevyModel(drift=math.nan), "/drift"),
+        (lambda: AtomicPart.from_pairs([(1, math.nan)]), "/atoms"),
+        (lambda: AtomicPart.from_pairs([(math.inf, 1.0)]), "/atoms"),
+        (lambda: AtomicPart.from_pairs([(1, True)]), "/atoms"),
+        (lambda: AtomicPart.from_pairs([(True, 1.0)]), "/atoms"),
+        (lambda: AcTail.stable(math.inf, 0.5), "/ac/C"),
+        (lambda: AcTail.stable(True, 0.5), "/ac/C"),
+        (lambda: AcTail.stable(1.0, math.nan), "/ac/alpha"),
+        (lambda: AcTail.tempered(1.0, 0.5, math.inf), "/ac/b"),
+        (lambda: AcTail.tempered(1.0, 0.5, True), "/ac/b"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_constructors_reject_non_finite_and_boolean_numbers(self, build, pointer):
+        with pytest.raises(ModelValidationError) as exc:
+            build()
+        assert [p for p, _ in exc.value.violations] == [pointer]
+
+    def test_constructors_store_floats(self):
+        model = LevyModel(drift=np.int64(2), q=Fraction(1, 4),
+                          atomic=AtomicPart.from_pairs([(1, np.float32(0.5))]),
+                          ac=AcTail.stable(1, Fraction(1, 2)))
+        numbers = (model.drift, model.q, *model.atomic.locations, *model.atomic.masses,
+                   model.ac.C, model.ac.alpha)
+        assert numbers == (2.0, 0.25, 1.0, 0.5, 1.0, 0.5)
+        assert all(type(v) is float for v in numbers)
+
     def test_hash_distinguishes_models(self, delta1, stable_half):
         assert delta1.model_hash() != stable_half.model_hash()
         clone = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))

@@ -107,7 +107,7 @@ def check_linear_zero(model: LevyModel, x_grid: Optional[np.ndarray] = None,
     xs = _auto_zero_grid(model) if x_grid is None else np.asarray(x_grid, dtype=float)
     delta = model.drift
     engine = ConvolutionEngine(model, float(xs.max()))
-    u = np.array([u_series(model, x, tol=1e-12, engine=engine)[0] for x in xs])
+    u = u_series(model, xs, tol=1e-12, engine=engine)[0]
     slopes = (u - 1.0 / delta) / xs
 
     total = model.total_mass()

@@ -170,8 +170,18 @@ def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SU
 # ---------------------------------------------------------------------------
 
 
+def _unwrap(out: np.ndarray, x):
+    """A float for a scalar argument x, else the array."""
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
 class ConvolutionEngine:
-    """Evaluates (tbar + q)^{*n} and its running integral on [0, x_max]."""
+    """Evaluates (tbar + q)^{*n} and its running integral on [0, x_max].
+
+    ``power``, ``running``, ``mass_scale`` and ``alternating_sum`` take a
+    number or an array of numbers; an array is evaluated with one ladder
+    lookup per order, and each entry equals the scalar call bit for bit.
+    """
 
     def __init__(self, model: LevyModel, x_max: float, budget: int = DEFAULT_SUM_BUDGET):
         if not (x_max > 0 and math.isfinite(x_max)):
@@ -194,45 +204,61 @@ class ConvolutionEngine:
 
     # -- public surface ------------------------------------------------------
 
-    def power(self, n: int, x: float, side: Side = Side.LEFT) -> float:
+    def power(self, n: int, x, side: Side = Side.LEFT):
         """(tbar + q)^{*n}(x); side selects the one-sided limit for n = 1.
 
         Convolutions of order n >= 2 are continuous, so the side argument is
-        ignored there.
+        ignored there.  x may be a number or an array of numbers in (0, x_max].
         """
-        self._check_x(x)
         if n < 1:
             raise ValueError("n must be >= 1")
+        xs = self._check_x(x, allow_zero=False)
         if n == 1:
-            return self.model.tail(x, side) + self.model.q
-        return self._binomial(n, x, running=False)
+            tail, q = self.model.tail, self.model.q
+            out = np.array([tail(float(v), side) + q for v in xs])
+        else:
+            out = self._binomial(n, xs, running=False)
+        return _unwrap(out, x)
 
-    def running(self, n: int, x: float) -> float:
-        """(1 * (tbar + q)^{*n})(x); the n = 0 convention is the constant 1."""
+    def running(self, n: int, x):
+        """(1 * (tbar + q)^{*n})(x); the n = 0 convention is the constant 1.
+
+        x may be a number or an array of numbers in [0, x_max]; the running
+        integral is 0 at x = 0 for n >= 1.
+        """
         if n == 0:
-            return 1.0
-        self._check_x(x)
-        return self._binomial(n, x, running=True)
+            return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
+        xs = self._check_x(x, allow_zero=True)
+        return _unwrap(self._binomial(n, xs, running=True), x)
 
-    def alternating_sum(self, x: float, n_lo: int, n_hi: int, side: Optional[Side] = None) -> float:
+    def alternating_sum(self, x, n_lo: int, n_hi, side: Optional[Side] = None):
         """sum_{n_lo <= n < n_hi} (-1)^n drift^-(n+1) g_n(x), the split series' finite part.
 
         g_n is the running integral ``running(n, x)`` when side is None (the
         density's terms) and the power ``power(n, x, side)`` otherwise (the
-        derivative's terms).
+        derivative's terms).  For an array x, n_hi may be an array too: each
+        point keeps its own stopping order, and order n is evaluated only at
+        the points with n < n_hi.  Every point's sum is bit-for-bit the sum a
+        scalar call would form.
         """
         delta = self.model.drift
-        total = 0.0
-        for n in range(n_lo, n_hi):
-            g = self.running(n, x) if side is None else self.power(n, x, side)
-            total += (-1.0) ** n / delta ** (n + 1) * g
-        return total
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        hi = np.broadcast_to(np.asarray(n_hi), xs.shape)
+        total = np.zeros(xs.shape)
+        for n in range(n_lo, int(hi.max(initial=n_lo))):
+            sel = hi > n
+            g = self.running(n, xs[sel]) if side is None else self.power(n, xs[sel], side)
+            total[sel] += (-1.0) ** n / delta ** (n + 1) * g
+        return _unwrap(total, x)
 
-    def mass_scale(self, x: float) -> float:
-        """m(x) = (1 * (tbar + q))(x) / drift, the series contraction factor."""
-        if x <= 0:
-            return 0.0
-        return self.running(1, min(x, self.x_max)) / self.model.drift
+    def mass_scale(self, x):
+        """m(x) = (1 * (tbar + q))(x) / drift, the series contraction factor.
+
+        x may be a number or an array; m is 0 for x <= 0 and is held at its
+        value at x_max beyond the horizon.
+        """
+        # the running integral is 0 at x = 0; a NaN passes on to its domain check
+        return self.running(1, np.clip(np.asarray(x, dtype=float), 0.0, self.x_max)) / self.model.drift
 
     def kinks(self, n: int) -> np.ndarray:
         """Potential non-smoothness points of order-n convolutions in (0, x_max]."""
@@ -247,11 +273,17 @@ class ConvolutionEngine:
 
     # -- internals -------------------------------------------------------------
 
-    def _check_x(self, x: float):
-        if not x > 0:
-            raise ValueError(f"convolution argument must be > 0, got {x!r}")
-        if x > self.x_max * (1 + 1e-12):
-            raise ValueError(f"x={x!r} beyond engine horizon {self.x_max!r}")
+    def _check_x(self, x, allow_zero: bool) -> np.ndarray:
+        """x as a 1-D float array, after checking it lies in (0, x_max] ([0, x_max])."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if xs.size == 0:
+            return xs
+        lo, hi = float(xs.min()), float(xs.max())  # NaN if any entry is NaN
+        if not (lo >= 0 if allow_zero else lo > 0):
+            raise ValueError(f"convolution argument must be {'>=' if allow_zero else '>'} 0, got {lo!r}")
+        if hi > self.x_max * (1 + 1e-12):
+            raise ValueError(f"x={hi!r} beyond engine horizon {self.x_max!r}")
+        return xs
 
     def pc_power(self, i: int) -> PiecewisePoly:
         if i not in self._pc_pow:
@@ -274,25 +306,34 @@ class ConvolutionEngine:
         log_k = j * math.log(self._A) - _gammaln(j * (1.0 - alpha))
         return p, math.exp(log_k)
 
-    def _binomial(self, n: int, x: float, running: bool) -> float:
-        """sum_j C(n, j) pc^{*(n-j)} * s^{*j} at x, or its running integral."""
-        total = 0.0
-        for j in range(n + 1):
-            term = self._term(n - j, j, x, running)
-            if term != 0.0:
-                total += math.comb(n, j) * term
+    def _binomial(self, n: int, xs: np.ndarray, running: bool) -> np.ndarray:
+        """sum_j C(n, j) pc^{*(n-j)} * s^{*j} at the points xs, or its running integral.
+
+        The pure pc term (j = 0) is one ladder lookup for all points.  The
+        terms with the AC tail are added point by point in scalar floats, in
+        the order a single point would use, so a point's value does not
+        depend on the array it arrives in.
+        """
+        total = np.zeros(xs.shape)
+        if not self._pc_trivial:
+            total += (self.pc_running(n) if running else self.pc_power(n)).eval(xs)
+        if self.model.ac.is_none:
+            return total
+        for k, x in enumerate(xs.tolist()):
+            t = float(total[k])
+            for j in range(1, n + 1):
+                t += math.comb(n, j) * self._ac_term(n - j, j, x, running)
+            total[k] = t
         return total
 
-    def _term(self, i: int, j: int, x: float, running: bool) -> float:
-        """pc^{*i} * s^{*j} at x (i + j >= 1), or its running integral."""
-        if j > 0 and self.model.ac.is_none:
-            return 0.0
+    def _ac_term(self, i: int, j: int, x: float, running: bool) -> float:
+        """pc^{*i} * s^{*j} at x (j >= 1), or its running integral."""
         if i == 0:
             return self._ac_running(j, x) if running else self._ac_power(j, x)
         if self._pc_trivial:
             return 0.0
         pp = self.pc_running(i) if running else self.pc_power(i)
-        return pp.eval(x) if j == 0 else self._cross(pp, j, x)
+        return self._cross(pp, j, x)
 
     def _ac_power(self, j: int, x: float) -> float:
         p, K = self._ac_exponents(j)

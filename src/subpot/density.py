@@ -4,25 +4,36 @@ Two routes with certified error control:
 
   * ``u_series`` sums (-1)^n drift^{-(n+1)} (1 * (tbar+q)^{*n})(x) with the
     geometric truncation bound, valid wherever the contraction factor
-    m(x) = (1*(tbar+q))(x)/drift is at most 1/2.
+    m(x) = (1*(tbar+q))(x)/drift is at most 1/2.  It takes a number or a
+    whole node vector; each node keeps its own truncation order.
   * ``u_volterra`` marches the renewal equation
     drift*u(x) = 1 - int_0^x u(x-y)(tbar(y)+q) dy by product integration:
     the unknown is piecewise linear on a breakpoint-aligned grid while the
     kernel is integrated exactly through its closed-form moments, so atoms
     and the integrable power singularity at zero cost no order of accuracy.
+    Rows are solved in blocks: one broadcast of the kernel moments over the
+    block's column window, one matrix-vector product for the columns solved
+    before it, and forward substitution inside it.  Without an AC part
+    tbar vanishes beyond the largest atom a_max, so only a window of about
+    a_max/h columns sees tbar and q times a running trapezoid integral of u
+    covers the older cells: the march costs O(n * a_max / h), not O(n^2).
     The head of the grid (inside the series radius) is filled with certified
-    series values, which also pins down the singular slope of u at 0+ for
-    models with an absolutely continuous part.
+    series values from one ``u_series`` call per grid, which also pins down
+    the singular slope of u at 0+ for models with an absolutely continuous
+    part.
 
-``bv_split`` separates the even and odd series terms into the two
-nondecreasing components of the bounded-variation decomposition, and
-``laplace_crosscheck`` validates the grid against 1/(q + psi(lambda)).
+``DensityGrid.err_at`` adds the linear-interpolation error of the cell to
+the node estimates.  ``bv_split`` separates the even and odd series terms
+into the two nondecreasing components of the bounded-variation
+decomposition, and ``laplace_crosscheck`` validates the grid against
+1/(q + psi(lambda)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -34,33 +45,50 @@ from .model import LevyModel
 _MAX_SERIES_TERMS = 400
 
 
-def u_series(model: LevyModel, x: float, tol: float = 1e-10, engine: Optional[ConvolutionEngine] = None):
-    """Series value of u^(q)(x) with a certified truncation bound.
-
-    Returns (value, err_bound, terms_used).  Raises SeriesRadiusError when
-    m(x) > 1/2, where the geometric tail bound is unavailable; the Volterra
-    solver covers that regime.
-    """
-    if not x >= 0:
-        raise ValueError(f"x must be a number >= 0, got {x!r}")
-    delta = model.drift
-    if x == 0:
-        return 1.0 / delta, 0.0, 1
-    if engine is None:
-        engine = ConvolutionEngine(model, x)
-    m = engine.mass_scale(x)
-    if m > 0.5 + 1e-12:
-        raise SeriesRadiusError(x, m)
-    if m == 0.0:
-        return 1.0 / delta, 0.0, 1
-    # smallest N with delta^-1 m^(N+1) / (1-m) < tol
+def _truncation(m: float, delta: float, tol: float):
+    """Smallest N with drift^-1 m^N / (1 - m) < tol, as (that bound, N)."""
     for n in range(_MAX_SERIES_TERMS + 1):
         bound = m ** (n + 1) / (delta * (1.0 - m))
         if bound < tol:
-            break
-    else:
-        raise AccuracyFailureError("series truncation failed to meet tolerance", bound, tol)
-    return engine.alternating_sum(x, 0, n + 1), bound, n + 1
+            return bound, n + 1
+    raise AccuracyFailureError("series truncation failed to meet tolerance", bound, tol)
+
+
+def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[ConvolutionEngine] = None):
+    """Series value of u^(q)(x) with a certified truncation bound.
+
+    Returns (value, err_bound, terms_used).  x may also be an array: then
+    value and err_bound are arrays, each point keeps its own truncation
+    order, terms_used is the total over the points, and every entry equals
+    the scalar call bit for bit.  Raises SeriesRadiusError when m(x) > 1/2
+    at any point, where the geometric tail bound is unavailable; the
+    Volterra solver covers that regime.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(xs >= 0):
+        raise ValueError(f"x must be a number >= 0, got {xs[~(xs >= 0)][0]!r}")
+    delta = model.drift
+    m = np.zeros(xs.shape)
+    if np.any(xs > 0):
+        if engine is None:
+            engine = ConvolutionEngine(model, float(xs.max()))
+        m = engine.mass_scale(xs)
+    outside = m > 0.5 + 1e-12
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        raise SeriesRadiusError(float(xs[k]), float(m[k]))
+    # m = 0 (x = 0 or no kernel mass yet): the first term 1/drift is exact
+    value = np.full(xs.shape, 1.0 / delta)
+    bound = np.zeros(xs.shape)
+    terms = np.ones(xs.shape, dtype=int)
+    live = np.nonzero(m)[0]
+    for k in live:
+        bound[k], terms[k] = _truncation(float(m[k]), delta, tol)
+    if live.size:
+        value[live] = engine.alternating_sum(xs[live], 0, terms[live])
+    if np.ndim(x) == 0:
+        return float(value[0]), float(bound[0]), int(terms[0])
+    return value, bound, int(terms.sum())
 
 
 def series_radius(model: LevyModel, x_max: float, engine: Optional[ConvolutionEngine] = None, level: float = 0.5) -> float:
@@ -106,7 +134,30 @@ class DensityGrid:
         return np.interp(x, self.nodes, self.u)
 
     def err_at(self, x):
-        return np.interp(x, self.nodes, self.err_est)
+        """Error bound of ``self(x)``: the node estimates, interpolated, plus
+        the linear-interpolation error (x - x_j)(x_{j+1} - x)/2 * |u''| of
+        the cell [x_j, x_{j+1}] holding x (0 at the nodes themselves)."""
+        x_arr = np.asarray(x, dtype=float)
+        j = np.clip(np.searchsorted(self.nodes, x_arr, side="right") - 1, 0, self.nodes.size - 2)
+        gap = np.maximum(x_arr - self.nodes[j], 0.0) * np.maximum(self.nodes[j + 1] - x_arr, 0.0)
+        return np.interp(x, self.nodes, self.err_est) + gap / 2.0 * self._cell_curvature[j]
+
+    @cached_property
+    def _cell_curvature(self) -> np.ndarray:
+        """|u''| per cell, the larger second difference at the cell's two nodes.
+
+        A difference centred on a breakpoint node straddles a jump of u' (or
+        u''), so next to a breakpoint only the one-sided difference from the
+        other end counts; a cell between two breakpoints falls back to both.
+        """
+        x, u = self.nodes, self.u
+        slope = np.diff(u) / np.diff(x)
+        d2 = np.full(x.size, np.nan)
+        d2[1:-1] = np.abs(2.0 * np.diff(slope) / (x[2:] - x[:-2]))
+        both = np.fmax(d2[:-1], d2[1:])
+        d2[np.isin(x, self.breakpoints)] = np.nan
+        one_sided = np.fmax(d2[:-1], d2[1:])
+        return np.nan_to_num(np.where(np.isnan(one_sided), both, one_sided))
 
     @property
     def x_max(self) -> float:
@@ -144,26 +195,68 @@ def _grid_nodes(model, engine, x_max, h, breakpoint_order, head_end):
     return arr[keep], breaks
 
 
+# Rows per block are chosen so that each (rows, columns[, atoms]) temporary
+# of the march holds at most this many floats (128 KB).
+_BLOCK_FLOATS = 1 << 14
+
+
 def _march(model: LevyModel, nodes: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Product-integration march: exact kernel moments, piecewise-linear u."""
+    """Product-integration march: exact kernel moments, piecewise-linear u.
+
+    Row i solves drift*u_i + sum_c G[i, c] u_c = 1, where G[i, c] collects
+    the exact moments of the kernel against the two hat functions of the
+    cells next to node c.  Rows are solved in blocks: one broadcast builds
+    w = x_r - x_c over the block's column window and the kernel moments on
+    it, one matrix-vector product applies the columns solved before the
+    block, and forward substitution solves the block's lower-triangular
+    rest.  Without an AC part tbar vanishes beyond the largest atom, so a
+    cell whose lags all reach past it carries only q: there the window is
+    cut, and q times the running trapezoid integral of u stands in for the
+    cells left of it.  The cost is then O(n * a_max / h) instead of O(n^2).
+    With an AC part the window is the whole history (the tempered tail
+    decays but never vanishes, and a cut-off would not be exact).
+    """
     delta = model.drift
     q = model.q
     u = np.array(known, dtype=float)
-    n_known = int(np.sum(~np.isnan(known)))
+    n = nodes.size
+    h = np.diff(nodes)
+    reach = math.inf if model.has_ac else max(model.atomic.locations, default=0.0)
+    cap = _BLOCK_FLOATS // max(1, len(model.atomic.locations))
+    trap = np.zeros(n)  # trap[c]: the trapezoid integral of u over [0, x_c]
 
-    for i in range(n_known, nodes.size):
-        xi = nodes[i]
-        w = xi - nodes[: i + 1]  # decreasing, w[i] = 0
+    def extend_trap(lo, hi):
+        lo = max(lo, 1)
+        if lo < hi:
+            trap[lo:hi] = trap[lo - 1] + np.cumsum(h[lo - 1 : hi - 1] * (u[lo - 1 : hi - 1] + u[lo:hi]) / 2.0)
+
+    i = int(np.sum(~np.isnan(known)))
+    extend_trap(1, i)
+    while i < n:
+        # c0: the last node whose lag from x_i (and so from every later row)
+        # reaches past the kernel's support
+        c0 = int(np.searchsorted(nodes, nodes[i] - reach, side="right")) - 1
+        while c0 >= 0 and nodes[i] - nodes[c0] < reach:
+            c0 -= 1
+        c0 = max(0, min(c0, i - 1))
+        hist = i - c0
+        rows = max(1, int((math.sqrt(hist * hist + 4 * cap) - hist) / 2))
+        end = min(n, i + rows)
+        w = np.maximum(nodes[i:end, None] - nodes[None, c0:end], 0.0)  # 0 on and above the diagonal
         f0 = model.tail_antiderivative(w) + q * w
         f1 = model.tail_first_moment(w) + q * w**2 / 2.0
-        m0 = f0[:-1] - f0[1:]   # cell j: window [w_{j+1}, w_j]
-        m1 = f1[:-1] - f1[1:]
-        h = nodes[1 : i + 1] - nodes[:i]
-        a_coef = (m1 - w[1:] * m0) / h       # multiplies u_j
-        b_coef = (w[:-1] * m0 - m1) / h      # multiplies u_{j+1}
-        conv_known = float(np.dot(a_coef, u[:i])) + float(np.dot(b_coef[:-1], u[1:i]))
-        c_last = b_coef[-1]
-        u[i] = (1.0 - conv_known) / (delta + c_last)
+        m0 = f0[:, :-1] - f0[:, 1:]  # cell c: lags [w_{c+1}, w_c]
+        m1 = f1[:, :-1] - f1[:, 1:]
+        hc = h[c0 : end - 1]
+        g = np.zeros_like(w)
+        g[:, :-1] = (m1 - w[:, 1:] * m0) / hc   # hat function of the cell's left node
+        g[:, 1:] += (w[:, :-1] * m0 - m1) / hc  # ... and of its right node
+        rhs = 1.0 - g[:, :hist] @ u[c0:i] - q * trap[c0]
+        block = g[:, hist:]
+        for r in range(end - i):
+            u[i + r] = (rhs[r] - block[r, :r] @ u[i : i + r]) / (delta + block[r, r])
+        extend_trap(i, end)
+        i = end
     return u
 
 
@@ -192,26 +285,29 @@ def u_volterra(
     head_end = series_radius(model, x_max, engine, level=head_level)
     head_end = min(head_end, x_max)
     series_tol = min(tol * 1e-2, 1e-10)
-    head_cache: dict = {}
 
-    def head_value(x):
-        if x not in head_cache:
-            head_cache[x], _, _ = u_series(model, x, tol=series_tol, engine=engine)
-        return head_cache[x]
-
-    def solve(h):
+    def solve(h, prev_x, prev_u):
+        """March on the grid of step h; head nodes the coarser grid shares keep its series values."""
         nodes, breaks = _grid_nodes(model, engine, x_max, h, breakpoint_order, head_end)
-        known = np.full(nodes.size, np.nan)
         head = nodes <= head_end * (1 + 1e-15)
-        for idx in np.nonzero(head)[0]:
-            known[idx] = head_value(float(nodes[idx]))
+        hx = nodes[head]
+        values = np.full(hx.size, np.nan)
+        if prev_x.size:
+            j = np.minimum(np.searchsorted(prev_x, hx), prev_x.size - 1)
+            shared = prev_x[j] == hx
+            values[shared] = prev_u[j[shared]]
+        new = np.isnan(values)
+        if np.any(new):
+            values[new] = u_series(model, hx[new], tol=series_tol, engine=engine)[0]
+        known = np.full(nodes.size, np.nan)
+        known[head] = values
         u = _march(model, nodes, known)
         return nodes, breaks, u, head
 
     h = float(h_target)
-    nodes1, breaks, u1, head1 = solve(h)
+    nodes1, breaks, u1, head1 = solve(h, np.empty(0), np.empty(0))
     for attempt in range(max_refine):
-        nodes2, _, u2, head2 = solve(h / 2.0)
+        nodes2, _, u2, head2 = solve(h / 2.0, nodes1[head1], u1[head1])
         diff = np.abs(np.interp(nodes1, nodes2, u2) - u1)
         max_diff = float(diff.max()) if diff.size else 0.0
         if max_diff <= 10.0 * tol or attempt == max_refine - 1:
@@ -288,8 +384,7 @@ def bv_split(model: LevyModel, x_max: float, tol: float = 1e-8, n_nodes: int = 1
     u1 = np.zeros_like(nodes)
     u2 = np.zeros_like(nodes)
     for n in range(n_terms + 1):
-        vals = np.array([engine.running(n, x) if x > 0 else (1.0 if n == 0 else 0.0) for x in nodes])
-        term = vals / delta ** (n + 1)
+        term = engine.running(n, nodes) / delta ** (n + 1)
         if n % 2 == 0:
             u1 += term
         else:

@@ -387,12 +387,14 @@ class LevyModel:
 
     # -- exact kernel moments ----------------------------------------------
 
+    def _atom_clip(self, t_arr: np.ndarray) -> np.ndarray:
+        """min(t, a) for every atom location a, along a new last axis."""
+        return np.minimum(t_arr[..., None], np.asarray(self.atomic.locations, dtype=float))
+
     def tail_antiderivative(self, t):
         """int_0^t tbar(y) dy (no q term), exact and vectorized."""
         t_arr = np.maximum(np.asarray(t, dtype=float), 0.0)
-        out = np.zeros_like(t_arr)
-        for a, m in zip(self.atomic.locations, self.atomic.masses):
-            out += m * np.minimum(t_arr, a)
+        out = self._atom_clip(t_arr) @ np.asarray(self.atomic.masses, dtype=float)
         if self.has_ac:
             out += self.ac.antiderivative(t_arr)
         return out if np.ndim(t) else float(out)
@@ -400,9 +402,7 @@ class LevyModel:
     def tail_first_moment(self, t):
         """int_0^t y * tbar(y) dy, exact and vectorized."""
         t_arr = np.maximum(np.asarray(t, dtype=float), 0.0)
-        out = np.zeros_like(t_arr)
-        for a, m in zip(self.atomic.locations, self.atomic.masses):
-            out += m * np.minimum(t_arr, a) ** 2 / 2.0
+        out = self._atom_clip(t_arr) ** 2 @ np.asarray(self.atomic.masses, dtype=float) / 2.0
         if self.has_ac:
             out += self.ac.first_moment(t_arr)
         return out if np.ndim(t) else float(out)

@@ -257,3 +257,39 @@ class TestPinnedValues:
     def test_bits_unchanged(self, model, quantity, n, x, want):
         eng = ConvolutionEngine(model, 3.0)
         assert getattr(eng, quantity)(n, x) == want
+
+
+class TestArrayArguments:
+    # atoms, killing and a tempered tail: every kind of term, cross terms too
+    MODEL = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                      ac=AcTail.tempered(0.7, 0.6, 1.5))
+    XS = np.array([0.05, 0.8, 1.7, 0.8, 2.9, 1e-9])
+
+    @pytest.mark.parametrize("quantity, n", [("running", 1), ("running", 3), ("power", 1), ("power", 2)])
+    def test_equals_scalar_calls(self, quantity, n):
+        eng = ConvolutionEngine(self.MODEL, 3.0)
+        got = getattr(eng, quantity)(n, self.XS)
+        assert got.tolist() == [getattr(eng, quantity)(n, float(x)) for x in self.XS]
+
+    def test_mass_scale_and_running_at_zero(self):
+        eng = ConvolutionEngine(self.MODEL, 3.0)
+        xs = np.array([0.0, 0.4, -1.0, 5.0])
+        assert eng.mass_scale(xs).tolist() == [eng.mass_scale(float(x)) for x in xs]
+        assert eng.running(2, np.array([0.0, 0.4])).tolist() == [0.0, eng.running(2, 0.4)]
+        assert eng.running(0, np.array([0.0, 0.4])).tolist() == [1.0, 1.0]
+
+    def test_alternating_sum_per_point_orders(self):
+        eng = ConvolutionEngine(self.MODEL, 3.0)
+        n_hi = np.array([1, 4, 2, 0, 3, 5])
+        for side in (None, Side.RIGHT):
+            lo = 0 if side is None else 1
+            got = eng.alternating_sum(self.XS, lo, n_hi, side)
+            assert got.tolist() == [eng.alternating_sum(float(x), lo, int(k), side) for x, k in zip(self.XS, n_hi)]
+
+    def test_nan_and_domain_in_arrays(self):
+        eng = ConvolutionEngine(self.MODEL, 3.0)
+        bad = np.array([0.4, math.nan])
+        for call in (lambda: eng.running(2, bad), lambda: eng.power(2, bad), lambda: eng.mass_scale(bad),
+                     lambda: eng.power(2, np.array([0.4, 0.0])), lambda: eng.running(2, np.array([0.4, 3.5]))):
+            with pytest.raises(ValueError):
+                call()

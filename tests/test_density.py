@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpot import (
+    AcTail,
     AtomicPart,
+    ConvolutionEngine,
     LevyModel,
     SeriesRadiusError,
     bv_split,
@@ -15,6 +17,7 @@ from subpot import (
     u_series,
     u_volterra,
 )
+from subpot import density
 from conftest import delta1_u, random_atomic_model
 
 
@@ -186,3 +189,227 @@ class TestCrosscheck:
         model = LevyModel(drift=1.0, q=0.5, atomic=AtomicPart.from_pairs([(1, 1.0)]))
         res = laplace_crosscheck(model, 2.0, tol=1e-6)
         assert res.abs_diff < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# blocked march, array series head, honest interpolation error
+# ---------------------------------------------------------------------------
+
+
+def reference_march(model, nodes, known):
+    """The row-by-row march over the whole history, kept as the reference."""
+    u = np.array(known, dtype=float)
+    for i in range(int(np.sum(~np.isnan(known))), nodes.size):
+        w = nodes[i] - nodes[: i + 1]
+        f0 = model.tail_antiderivative(w) + model.q * w
+        f1 = model.tail_first_moment(w) + model.q * w**2 / 2.0
+        m0, m1 = f0[:-1] - f0[1:], f1[:-1] - f1[1:]
+        h = np.diff(nodes[: i + 1])
+        a = (m1 - w[1:] * m0) / h
+        b = (w[:-1] * m0 - m1) / h
+        u[i] = (1.0 - a @ u[:i] - b[:-1] @ u[1:i]) / (model.drift + b[-1])
+    return u
+
+
+UNIT_ATOM = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))
+TWO_ATOMS_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)]))
+ATOM_STABLE = LevyModel(drift=1.4, atomic=AtomicPart.from_pairs([(0.7, 0.6)]), ac=AcTail.stable(0.3, 0.5))
+TEMPERED_ATOM_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                                 ac=AcTail.tempered(0.7, 0.6, 1.5))
+KILLED_DRIFT = LevyModel(drift=1.0, q=1.0)
+
+
+class TestBlockedMarch:
+    # (model, relative limit against the row-by-row march): with q = 0 and
+    # no AC part the cells beyond the largest atom contribute exact zeros
+    MODELS = [
+        (UNIT_ATOM, 1e-14),
+        (TWO_ATOMS_KILLED, 1e-12),
+        (ATOM_STABLE, 1e-12),
+        (TEMPERED_ATOM_KILLED, 1e-12),
+        (KILLED_DRIFT, 1e-12),
+    ]
+
+    @staticmethod
+    def grid(model, head_end=0.93):
+        kinks = [a + b for a in (0.0, *model.atomic.locations) for b in model.atomic.locations]
+        nodes = np.unique(np.concatenate([np.arange(0.0, 3.0, 0.01), [3.0], [k for k in kinks if k < 3.0]]))
+        known = np.where(nodes <= head_end, np.exp(-nodes) / model.drift, np.nan)
+        return nodes, known
+
+    @pytest.mark.parametrize("budget", [64, 1 << 14])
+    @pytest.mark.parametrize("model, limit", MODELS)
+    def test_matches_row_by_row_march(self, model, limit, budget, monkeypatch):
+        # a budget of 64 floats leaves one row per block with a cut window
+        monkeypatch.setattr(density, "_BLOCK_FLOATS", budget)
+        nodes, known = self.grid(model)
+        want = reference_march(model, nodes, known)
+        got = density._march(model, nodes, known)
+        assert np.all(got[~np.isnan(known)] == known[~np.isnan(known)])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= limit
+
+    def test_first_block_spans_head_end_and_breakpoints(self, monkeypatch):
+        shapes = []
+        moment = LevyModel.tail_antiderivative
+
+        def spy(self, t):
+            shapes.append(np.shape(t))
+            return moment(self, t)
+
+        monkeypatch.setattr(LevyModel, "tail_antiderivative", spy)
+        nodes, known = self.grid(TWO_ATOMS_KILLED)
+        got = density._march(TWO_ATOMS_KILLED, nodes, known)
+        first = int(np.sum(~np.isnan(known)))
+        rows = shapes[0][0]
+        # the first block starts right after the head and runs past the
+        # breakpoints 0.6 + 0.6 and 1.4
+        assert nodes[first - 1] <= 0.93 < nodes[first]
+        assert nodes[first + rows - 1] > 1.4
+        want = reference_march(TWO_ATOMS_KILLED, nodes, known)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+class TestParentValues:
+    # grid(xs) at xs = linspace(0.1, x_max, 7), recorded from the row-by-row
+    # march before the blocked one replaced it
+    RECORDED = {
+        "delta1_grid": [0.9048374180359596, 0.39984966448988607, 0.5289183272475428, 0.4943296676095238,
+                        0.5002749489149736, 0.5003394964667143, 0.4998176655252555],
+        "delta1_fine_grid": [0.9048374180359596, 0.44190221327910195, 0.52869305899263, 0.4878677437947864,
+                             0.5043628859169079, 0.4985336883781489, 0.5005061826298036],
+        "stable_grid": [0.5859407167850803, 0.27303509482654936, 0.20728974140934492, 0.17395184252810544,
+                        0.15286617592821264, 0.1379801111890899, 0.12674586468442642],
+    }
+    SOLVED = {
+        "tempered": (1.5, [0.5965674447658658, 0.46069787198139855, 0.41523063984553726, 0.39339805428614577,
+                           0.38137494818252454, 0.37423323510047396, 0.36977935711419596]),
+        "mixed": (1.5, [0.8352132490216145, 0.6160041163710157, 0.46938050885153476, 0.3639186421335169,
+                        0.31635159748943, 0.3981339314141057, 0.41957583572185614]),
+        "pure_drift": (3.0, [0.5] * 7),
+        "two_atoms_killed": (4.0, [0.6749386404782487, 0.3541323795554947, 0.2786373197115577,
+                                   0.29562051752430185, 0.27273390633040995, 0.25215841443756687,
+                                   0.23428624469654255]),
+        "atom_stable": (1.5, [0.6017631784483729, 0.4971148298884301, 0.42766528352692246, 0.39899587919253354,
+                              0.39651512399190536, 0.38827144747123227, 0.37769206974033054]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_fixture_grids(self, name, request):
+        grid = request.getfixturevalue(name)
+        got = grid(np.linspace(0.1, grid.x_max, 7))
+        # q = 0 atomic fixtures: 1e-14; the stable fixture: 1e-12
+        limit = 1e-14 if name.startswith("delta1") else 1e-12
+        assert np.max(np.abs(got / self.RECORDED[name] - 1.0)) <= limit
+
+    @pytest.mark.parametrize("name", sorted(SOLVED))
+    def test_solved_grids(self, name, tempered_model, mixed_model, pure_drift):
+        model = {"tempered": tempered_model, "mixed": mixed_model, "pure_drift": pure_drift,
+                 "two_atoms_killed": TWO_ATOMS_KILLED, "atom_stable": ATOM_STABLE}[name]
+        x_max, want = self.SOLVED[name]
+        got = u_volterra(model, x_max)(np.linspace(0.1, x_max, 7))
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+class TestSeriesArrays:
+    # kernel mass 0.4: m(5e-324) underflows to exactly 0, the m = 0 case at x > 0
+    LIGHT = LevyModel(drift=1.1, q=0.1, atomic=AtomicPart.from_pairs([(0.9, 0.3)]))
+
+    @pytest.mark.parametrize("model, xs", [
+        (LIGHT, [0.0, 5e-324, 1e-6, 0.3, 1.2, 0.0, 0.9]),
+        (UNIT_ATOM, [0.45, 0.0, 0.01, 1e-9, 0.2]),
+        (TEMPERED_ATOM_KILLED, [0.0, 1e-7, 0.004, 0.02, 1e-3]),
+        (LevyModel(drift=2.0), [0.0, 1.0, 3.0]),
+    ])
+    def test_equals_scalar_calls(self, model, xs):
+        engine = ConvolutionEngine(model, 1.5)
+        scalar = [u_series(model, x, tol=1e-12, engine=engine) for x in xs]
+        value, bound, terms = u_series(model, np.array(xs), tol=1e-12, engine=engine)
+        assert value.tolist() == [s[0] for s in scalar]
+        assert bound.tolist() == [s[1] for s in scalar]
+        assert terms == sum(s[2] for s in scalar)
+        if model.total_mass() > 0:
+            assert len({s[2] for s in scalar if s[2] > 1}) >= 2  # several truncation orders
+        if model is self.LIGHT:
+            assert engine.mass_scale(5e-324) == 0.0
+
+    def test_without_engine(self):
+        xs = np.array([0.0, 0.1, 0.3])
+        value, bound, _ = u_series(UNIT_ATOM, xs)
+        assert value.tolist() == [u_series(UNIT_ATOM, float(x))[0] for x in xs]
+        assert bound.tolist() == [u_series(UNIT_ATOM, float(x))[1] for x in xs]
+        value, _, terms = u_series(UNIT_ATOM, np.zeros(3))
+        assert value.tolist() == [1.0] * 3 and terms == 3
+
+    def test_one_point_outside_radius(self):
+        with pytest.raises(SeriesRadiusError):
+            u_series(UNIT_ATOM, np.array([0.1, 0.2, 0.9, 0.3]))
+
+    def test_nan_in_array(self):
+        with pytest.raises(ValueError):
+            u_series(UNIT_ATOM, np.array([0.1, math.nan, 0.3]))
+        with pytest.raises(ValueError):
+            u_series(UNIT_ATOM, np.array([0.1, -0.2]))
+
+    def test_volterra_head_bit_equal_to_series(self):
+        grid = u_volterra(TWO_ATOMS_KILLED, 2.0)
+        head = grid.method == "series"
+        # the head's series tolerance is min(tol / 100, 1e-10) = 1e-10
+        want = [u_series(TWO_ATOMS_KILLED, float(x), tol=1e-10)[0] for x in grid.nodes[head]]
+        assert grid.u[head].tolist() == want
+
+
+class TestHonestInterpolation:
+    def test_no_slack_on_the_head(self, delta1_grid):
+        # the unit atom between series-head nodes: the gap the node
+        # estimates alone under-reported by about 1000x
+        xs = np.linspace(1e-6, 0.6, 4001)
+        want = np.array([delta1_u(x) for x in xs])
+        assert np.all(np.abs(delta1_grid(xs) - want) <= delta1_grid.err_at(xs))
+
+    def test_no_slack_next_to_breakpoints(self, delta1_grid):
+        off = np.geomspace(1e-9, 3e-3, 40)
+        xs = np.sort(np.concatenate([k + s * off for k in (0.45, 1.0, 2.0, 3.0, 4.0) for s in (-1.0, 1.0)]))
+        want = np.array([delta1_u(x) for x in xs])
+        assert np.all(np.abs(delta1_grid(xs) - want) <= delta1_grid.err_at(xs))
+
+    def test_kinks_do_not_inflate_the_estimate(self, delta1_grid):
+        # u' jumps at the atoms; a second difference centred on one would
+        # read that jump as a curvature of order 1/h
+        nodes = delta1_grid.nodes
+        for k in (1.0, 2.0, 3.0):
+            i = int(np.searchsorted(nodes, k))
+            for cell, far in ((i, i + 2), (i - 1, i - 3)):
+                mid = 0.5 * (nodes[cell] + nodes[cell + 1])
+                far_mid = 0.5 * (nodes[far] + nodes[far + 1])
+                assert delta1_grid.err_at(mid) <= 3.0 * delta1_grid.err_at(far_mid)
+
+    def test_nodes_keep_their_estimates(self, delta1_grid):
+        assert np.array_equal(delta1_grid.err_at(delta1_grid.nodes), delta1_grid.err_est)
+        assert np.ndim(delta1_grid.err_at(0.3)) == 0
+
+
+class TestArrayCallers:
+    def test_bv_split_bit_equal_to_pointwise(self):
+        model = TWO_ATOMS_KILLED
+        split = bv_split(model, 0.8, tol=1e-10, n_nodes=40)
+        engine = ConvolutionEngine(model, 0.8)
+        u1 = np.zeros(split.nodes.size)
+        u2 = np.zeros(split.nodes.size)
+        for n in range(split.terms_used):
+            vals = np.array([engine.running(n, float(x)) if x > 0 else (1.0 if n == 0 else 0.0)
+                             for x in split.nodes])
+            if n % 2 == 0:
+                u1 += vals / model.drift ** (n + 1)
+            else:
+                u2 += vals / model.drift ** (n + 1)
+        assert np.array_equal(split.u1, u1) and np.array_equal(split.u2, u2)
+
+    def test_check_linear_zero_bit_equal_to_pointwise(self):
+        from subpot import check_linear_zero
+
+        model = TEMPERED_ATOM_KILLED
+        check = check_linear_zero(model)
+        engine = ConvolutionEngine(model, float(check.xs.max()))
+        u = np.array([u_series(model, float(x), tol=1e-12, engine=engine)[0] for x in check.xs])
+        # an infinite measure: the check reports (1/drift - u)/x
+        assert np.array_equal(check.lhs, (1.0 / model.drift - u) / check.xs)

@@ -135,31 +135,30 @@ def _eval_rows(model, xs, args):
     # one engine (and so one convolution ladder) serves the radius, the
     # series values and the Volterra head
     engine = ConvolutionEngine(model, x_max + 0.5)
-    radius = series_radius(model, x_max, engine) if route == "auto" else None
-    grid = None
-    if fd or route == "volterra" or (route == "auto" and np.any(xs > radius)):
-        grid = u_volterra(model, x_max + 0.5, tol=args.tol, engine=engine)
+    methods = np.full(xs.size, route)
+    if route == "auto":
+        methods = np.where(xs <= series_radius(model, x_max, engine), "series", "volterra")
+    series, volterra = methods == "series", methods == "volterra"
+    grid = u_volterra(model, x_max + 0.5, tol=args.tol, engine=engine) if fd or volterra.any() else None
+    u, err = np.empty(xs.size), np.empty(xs.size)
+    if series.any():
+        # one call for all series rows; a forced series route with a point
+        # outside the radius raises at the first such x (exit 4)
+        u[series], err[series], _ = u_series(model, xs[series], tol=args.tol, engine=engine)
+    if volterra.any():
+        u[volterra], err[volterra] = grid(xs[volterra]), grid.err_at(xs[volterra])
     rows = []
-    for x in xs:
-        x = float(x)
-        if route == "inversion":
-            u, err = invert_density(model, x, N=args.order, lam=args.contour_lambda,
-                                    tol=args.tol, engine=engine, theta_cut=args.theta_cut)
-            method = "inversion"
-        elif route == "series" or (route == "auto" and x <= radius):
-            # a forced series route outside the radius raises (exit 4)
-            u, err, _ = u_series(model, x, tol=args.tol, engine=engine)
-            method = "series"
-        else:
-            u, err = float(grid(x)), float(grid.err_at(x))
-            method = "volterra"
+    for k, x in enumerate(xs.tolist()):
+        if methods[k] == "inversion":
+            u[k], err[k] = invert_density(model, x, N=args.order, lam=args.contour_lambda,
+                                          tol=args.tol, engine=engine, theta_cut=args.theta_cut)
         du_l = du_r = None
         if fd:
             du_l, du_r = (_fd_or_none(grid, x, side) for side in (Side.LEFT, Side.RIGHT))
         elif not args.no_derivatives:
             du_l, du_r, _ = invert_derivative_pair(model, x, N=args.order, lam=args.contour_lambda,
                                                    tol=args.tol, engine=engine)
-        rows.append((x, u, du_l, du_r, err, method))
+        rows.append((x, float(u[k]), du_l, du_r, float(err[k]), str(methods[k])))
     return rows
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -52,15 +53,27 @@ class AtomSumEntry:
     exact: Optional[Fraction]
     min_jumps: int
     representations: int  # ordered tuples of length min_jumps reaching value
+    weight: float  # sum over those tuples of the product of their atoms' masses
+
+
+def _near(sorted_values, v: float) -> Optional[int]:
+    """Index of a neighbour of v in sorted_values within the 1e-12 relative tolerance, else None."""
+    i = bisect_left(sorted_values, v)
+    for j in (i - 1, i):
+        if 0 <= j < len(sorted_values) and abs(sorted_values[j] - v) <= _VALUE_TOL * max(1.0, abs(v)):
+            return j
+    return None
 
 
 @dataclass(frozen=True)
 class AtomSumSet:
     """All sums of at most k atom locations that land in (0, x_max].
 
-    ``representations`` counts ordered tuples of min_jumps atoms.  Values
-    are deduplicated exactly when every atom location is rational, with a
-    1e-12 relative tolerance otherwise.
+    ``representations`` counts the ordered tuples of min_jumps atoms that
+    reach a value, and ``weight`` sums the product of their masses over
+    those tuples: the weight J_k(x) of the order-k derivative jump at a
+    value with min_jumps = k.  Values are deduplicated exactly when every
+    atom location is rational, with a 1e-12 relative tolerance otherwise.
     """
 
     k: int
@@ -68,46 +81,28 @@ class AtomSumSet:
     entries: tuple
     exact_mode: bool
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
         return np.array([e.value for e in self.entries], dtype=float)
 
+    @cached_property
+    def _by_exact(self) -> dict:
+        return {e.exact: e for e in self.entries}
+
     def member(self, x, exact: Optional[Fraction] = None) -> Optional[AtomSumEntry]:
         if self.exact_mode and exact is not None:
-            for e in self.entries:
-                if e.exact == exact:
-                    return e
-            return None
-        x = float(x)
-        vals = self.values
-        i = int(np.searchsorted(vals, x))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.entries) and abs(self.entries[j].value - x) <= _VALUE_TOL * max(1.0, abs(x)):
-                return self.entries[j]
-        return None
-
-    def min_jumps(self, x, exact: Optional[Fraction] = None) -> Optional[int]:
-        e = self.member(x, exact=exact)
-        return None if e is None else e.min_jumps
-
-
-class _FloatCanon:
-    """Canonicalize float sums within a relative tolerance."""
-
-    def __init__(self):
-        self._sorted = []
-
-    def canonical(self, v: float) -> float:
-        i = bisect_left(self._sorted, v)
-        for j in (i - 1, i):
-            if 0 <= j < len(self._sorted) and abs(self._sorted[j] - v) <= _VALUE_TOL * max(1.0, abs(v)):
-                return self._sorted[j]
-        insort(self._sorted, v)
-        return v
+            return self._by_exact.get(exact)
+        j = _near(self.values, float(x))
+        return None if j is None else self.entries[j]
 
 
 def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SUM_BUDGET) -> AtomSumSet:
-    """Breadth-first enumeration of the k-fold atom-sum set, pruned at x_max."""
+    """Breadth-first enumeration of the k-fold atom-sum set, pruned at x_max.
+
+    Level j carries, for every sum of j atoms, the number of ordered j-tuples
+    reaching it and the sum of their mass products; an entry keeps the pair
+    from the first level that reaches its value.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if x_max <= 0:
@@ -123,42 +118,39 @@ def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SU
     else:
         atoms = list(atomic.locations)
         tol_ok = lambda v: v <= x_max * (1 + 1e-12)
-    canon = _FloatCanon()
+    seen = []  # sorted float keys, pairwise further apart than the tolerance
 
-    first_seen = {}   # key -> (level, value_float, exact, ordered reps at that level)
-    counts_prev = {}  # key -> ordered-representation count at previous level
+    def canonical(v: float) -> float:
+        j = _near(seen, v)
+        if j is None:
+            insort(seen, v)
+            return v
+        return seen[j]
+
+    masses = list(atomic.masses)
+    first_seen = {}  # key -> (level, value_float, exact, ordered reps, weight at that level)
+    level_sums = {0: (1, 1.0)}  # key -> (ordered-tuple count, mass-product sum); level 0: the empty tuple
     spent = 0
-    for a in atoms:
-        if not tol_ok(a):
-            continue
-        key = a if exact_mode else canon.canonical(float(a))
-        counts_prev[key] = counts_prev.get(key, 0) + 1
-        if key not in first_seen:
-            first_seen[key] = (1, float(a), a if exact_mode else None, 1)
-
-    level = 1
-    while level < k and counts_prev:
-        level += 1
-        counts_next = {}
-        for key, cnt in counts_prev.items():
-            for a in atoms:
+    for level in range(1, k + 1):
+        next_sums = {}
+        for key, (cnt, wt) in level_sums.items():
+            for a, m in zip(atoms, masses):
                 spent += 1
                 if spent > budget:
                     raise BudgetExceededError(level, budget)
                 v = key + a
-                if not tol_ok(v):
-                    continue
-                nk = v if exact_mode else canon.canonical(float(v))
-                counts_next[nk] = counts_next.get(nk, 0) + cnt
-        for nk, cnt in counts_next.items():
-            if nk not in first_seen:
-                first_seen[nk] = (level, float(nk), nk if exact_mode else None, cnt)
-        counts_prev = counts_next
+                if tol_ok(v):
+                    nk = v if exact_mode else canonical(float(v))
+                    c, w = next_sums.get(nk, (0, 0.0))
+                    next_sums[nk] = (c + cnt, w + wt * m)
+        for key, (cnt, wt) in next_sums.items():
+            first_seen.setdefault(key, (level, float(key), key if exact_mode else None, cnt, wt))
+        level_sums = next_sums
 
     entries = sorted(
         (
-            AtomSumEntry(value=val, exact=ex, min_jumps=lvl, representations=reps)
-            for key, (lvl, val, ex, reps) in first_seen.items()
+            AtomSumEntry(value=val, exact=ex, min_jumps=lvl, representations=reps, weight=wt)
+            for lvl, val, ex, reps, wt in first_seen.values()
         ),
         key=lambda e: e.value,
     )
@@ -262,8 +254,6 @@ class ConvolutionEngine:
 
     def kinks(self, n: int) -> np.ndarray:
         """Potential non-smoothness points of order-n convolutions in (0, x_max]."""
-        if self.model.atomic.is_empty:
-            return np.empty(0)
         return self.sum_set(n).values
 
     def sum_set(self, k: int) -> AtomSumSet:

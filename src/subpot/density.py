@@ -166,8 +166,8 @@ class DensityGrid:
 
 def _grid_nodes(model, engine, x_max, h, breakpoint_order, head_end):
     breaks = {0.0, float(x_max)}
-    for k in range(1, breakpoint_order + 1):
-        breaks.update(float(v) for v in engine.kinks(k) if v < x_max)
+    # the order-k sum set holds every sum of fewer atoms too
+    breaks.update(float(v) for v in engine.kinks(breakpoint_order) if v < x_max)
     breaks = np.array(sorted(breaks))
     nodes = set(breaks.tolist())
     nodes.update(np.arange(0.0, x_max, h).tolist())

@@ -88,7 +88,6 @@ class AtomicPart:
     exact_locations: tuple = ()
     generator: Optional[str] = None
     generator_cap: int = 0
-    truncated_tail_mass: float = 0.0
 
     @classmethod
     def empty(cls) -> "AtomicPart":
@@ -114,8 +113,7 @@ class AtomicPart:
         """Family with atoms at 1/j, j = 1..cap, truncated at the cap.
 
         The constructor checks that sum_j (1 ^ 1/j) m_j converges within the
-        cap (power-law fit of the terms m_j / j), and records an estimate of
-        the mass dropped beyond the cap.
+        cap (power-law fit of the terms m_j / j).
         """
         masses = [float(m) for m in masses]
         if len(masses) != cap:
@@ -133,8 +131,6 @@ class AtomicPart:
             raise ModelValidationError(
                 [("/atom_family/masses", f"mass decay exponent {slope:.3f} too close to divergence")]
             )
-        # conservative geometric tail estimate from the last dyadic block
-        tail_block = float(terms[cap // 2 :].sum())
         exact = tuple(Fraction(1, k) for k in range(cap, 0, -1))
         return cls(
             locations=tuple(1.0 / k for k in range(cap, 0, -1)),
@@ -142,7 +138,6 @@ class AtomicPart:
             exact_locations=exact,
             generator="reciprocal-integers",
             generator_cap=cap,
-            truncated_tail_mass=tail_block,
         )
 
     def __post_init__(self):
@@ -605,7 +600,6 @@ def model_from_dict(doc: dict) -> LevyModel:
                 exact_locations=tuple(exact[i] for i in order),
                 generator=gen.generator,
                 generator_cap=gen.generator_cap,
-                truncated_tail_mass=gen.truncated_tail_mass,
             )
         else:
             atomic = gen

@@ -6,8 +6,11 @@ differentiable at x precisely when x is outside that set, and an
 infinitely-differentiable AC tail does not change the verdict.  The density's
 order-j derivative jumps only at points whose minimal jump count is j, by
 
-    jump_j(x) = J_j(x) / drift^(j+1),   J_1(x) = mass at x,
-    J_j(x) = sum_a m_a * J_{j-1}(x - a)   (magnitudes).
+    jump_j(x) = J_j(x) / drift^(j+1)   (magnitudes),
+
+where J_j(x) sums the product of the masses over the ordered j-tuples of
+atoms that add up to x (J_1(x) is the mass at x).  J_j is the ``weight`` of
+x's entry in the atom-sum enumeration, read from it, not recomputed.
 
 Measurements are one-sided polynomial fits on grid windows that never
 straddle a breakpoint, or one-sided limits of the inversion representation.
@@ -23,12 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .convolve import atom_sums
+from .convolve import DEFAULT_SUM_BUDGET, AtomSumEntry, ConvolutionEngine, atom_sums
 from .density import DensityGrid, u_volterra
 from .errors import FitWindowError, PreconditionError
 from .inversion import invert_derivative_pair
 from .model import AtomicPart, LevyModel, Side
-from .piecewise import PiecewisePoly
 
 _JUMP_SIGMA = 3.0  # decision rule: a jump is "present" when |est| > 3*stderr
 
@@ -68,17 +70,18 @@ class SmoothnessReport:
         return json.dumps(doc)
 
 
-def predicted_jump_magnitude(atomic: AtomicPart, order: int, x: float) -> float:
-    """|J_order(x)|: recursive atom-sum weights (0 off the order-level set)."""
-    if order == 1:
-        return atomic.mass_at(x)
-    total = 0.0
-    for a, m in zip(atomic.locations, atomic.masses):
-        if a < x - 1e-12:
-            inner = predicted_jump_magnitude(atomic, order - 1, x - a)
-            if inner:
-                total += m * inner
-    return total
+def _jump_weight(entry: Optional[AtomSumEntry], order: int) -> float:
+    """J_order at an atom-sum entry: its weight on the order-level set, else 0."""
+    return entry.weight if entry is not None and entry.min_jumps == order else 0.0
+
+
+def predicted_jump_magnitude(atomic: AtomicPart, order: int, x: float,
+                             exact: Optional[Fraction] = None) -> float:
+    """|J_order(x)|: the ordered-tuple mass sum (0 off the order-level set).
+
+    ``exact`` matches x exactly against rational atom locations.
+    """
+    return _jump_weight(atom_sums(atomic, order, x).member(x, exact=exact), order)
 
 
 def classify_point(
@@ -87,7 +90,7 @@ def classify_point(
     k_max: int = 4,
     grid: Optional[DensityGrid] = None,
     measure: bool = False,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_SUM_BUDGET,
 ) -> SmoothnessReport:
     """Differentiability verdicts at x, optionally with measured jumps.
 
@@ -99,17 +102,15 @@ def classify_point(
     exact = None
     if isinstance(x, (Fraction, str, int)):
         exact = Fraction(x)
-    xf = float(x)
+    xf = float(x if exact is None else exact)
     if xf <= 0:
         raise ValueError("x must be > 0")
     if model.bg_index() >= 1.0:
         raise PreconditionError("classification requires small-jump index < 1")
 
-    min_k = None
-    if model.has_atoms:
-        kwargs = {} if budget is None else {"budget": budget}
-        sums = atom_sums(model.atomic, k_max, xf + 1.0, **kwargs)
-        min_k = sums.min_jumps(xf, exact=exact)
+    # membership of x needs no sum beyond x
+    entry = atom_sums(model.atomic, k_max, xf, budget).member(xf, exact=exact)
+    min_k = None if entry is None else entry.min_jumps
     verdicts = [(k, min_k is None or min_k > k) for k in range(1, k_max + 1)]
 
     jumps = []
@@ -118,7 +119,7 @@ def classify_point(
     if grid is not None:
         top = min_k if min_k is not None else k_max
         for order in range(1, k_max + 1):
-            pred = predicted_jump_magnitude(model.atomic, order, xf) / model.drift ** (order + 1)
+            pred = _jump_weight(entry, order) / model.drift ** (order + 1)
             if order > top:
                 jumps.append(JumpMeasurement(order, None, None, None))
                 continue
@@ -173,9 +174,9 @@ def one_sided_fd(grid: DensityGrid, x: float, order: int, side: Side,
 
 
 def _fit_deriv(t, vals, order, degree, w):
-    a = np.vander(t, degree + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(a, vals, rcond=None)
-    pinv = np.linalg.pinv(a)
+    # the pseudo-inverse gives both the least-squares fit and its sensitivity
+    pinv = np.linalg.pinv(np.vander(t, degree + 1, increasing=True))
+    coef = pinv @ vals
     row_norm = float(np.linalg.norm(pinv[order])) * math.factorial(order) / w**order
     est = coef[order] * math.factorial(order) / w**order
     return float(est), row_norm
@@ -205,28 +206,24 @@ def conv_jump(model: LevyModel, n: int, b: float):
     """Jump magnitude of the (n-1)-th derivative of the n-fold tail power at b.
 
     Only defined for purely atomic measures and b reachable by exactly n
-    jumps.  The prediction is the recursive atom-sum weight; the measured
-    value differentiates the exact piecewise polynomial on both sides.
+    jumps.  The prediction is the entry's ordered-tuple mass sum; the
+    measured value differentiates the engine's exact piecewise polynomial
+    on both sides (its q terms hold fewer than n atoms, so are smooth at b).
     Returns (predicted, measured) as magnitudes.
     """
     if model.has_ac:
         raise PreconditionError("conv_jump requires a purely atomic model")
     if n < 2:
         raise ValueError("n must be >= 2")
-    sums = atom_sums(model.atomic, n, b + 1.0)
-    entry = sums.member(b)
+    engine = ConvolutionEngine(model, b + 1.0)
+    entry = engine.sum_set(n).member(b)
     if entry is None or entry.min_jumps != n:
         raise PreconditionError(
             f"b={b} is not reachable by exactly {n} atomic jumps (min_jumps="
             f"{None if entry is None else entry.min_jumps})"
         )
-    predicted = predicted_jump_magnitude(model.atomic, n, b)
-
-    pp = PiecewisePoly.step_tail(model.atomic.locations, model.atomic.masses, 0.0)
-    power = pp
-    for _ in range(n - 1):
-        power = power.convolve_step_tail(model.atomic.locations, model.atomic.masses, 0.0, x_max=b + 1.0)
+    power = engine.pc_power(n)
     for _ in range(n - 1):
         power = power.derivative()
     measured = abs(power.eval(b, side_left=False) - power.eval(b, side_left=True))
-    return predicted, measured
+    return entry.weight, measured

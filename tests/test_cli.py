@@ -139,6 +139,41 @@ class TestEval:
         err = json.loads(capsys.readouterr().err)
         assert [v["pointer"] for v in err["violations"]] == ["--x"]
 
+    @pytest.mark.parametrize("extra", [["--route", "series"], ["--route", "series", "--no-derivatives"], []])
+    def test_one_series_call_per_eval(self, delta1_path, tmp_path, monkeypatch, extra):
+        # all points lie inside the unit atom's series radius 1/2
+        import subpot.cli as cli
+        from subpot import load_model, u_series
+
+        calls = []
+        series = cli.u_series
+        monkeypatch.setattr(cli, "u_series", lambda *a, **k: calls.append(a[1]) or series(*a, **k))
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--model", delta1_path, "--x", "0.05,0.3,0.1,0.45", *extra, "--format", "json"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(calls) == 1 and calls[0].tolist() == [0.05, 0.3, 0.1, 0.45]
+        model = load_model(delta1_path)
+        for row in json.loads(out.read_text()):
+            u, err, _ = u_series(model, row["x"], tol=1e-7)
+            assert (row["u"], row["err_est"], row["method"]) == (u, err, "series")
+
+    def test_forced_series_outside_radius_cites_first_x(self, delta1_path, capsys):
+        argv = ["eval", "--model", delta1_path, "--x", "0.2,0.7,0.4,0.8", "--route", "series"]
+        assert main(argv) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "precondition" and "x=0.7:" in err["message"]
+
+    def test_volterra_rows_read_the_grid(self, delta1_path, tmp_path):
+        import subpot.cli as cli
+        from subpot import load_model
+
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", delta1_path, "--x", "0.6,1.0,2.5", "--route", "volterra",
+                     "--no-derivatives", "--format", "json", "--out", str(out)]) == 0
+        grid = cli.u_volterra(load_model(delta1_path), 3.0, tol=1e-7)
+        for row in json.loads(out.read_text()):
+            assert (row["u"], row["err_est"]) == (float(grid(row["x"])), float(grid.err_at(row["x"])))
+
 
 class TestGk:
     def test_single_atom(self, delta1_path, capsys):

@@ -80,6 +80,69 @@ class TestAtomSums:
         assert atom_sums(AtomicPart.empty(), 3, 5.0).entries == ()
 
 
+def brute_force_tuples(locations, masses, j, value, close):
+    """(count, sum of mass products) over the ordered j-tuples of atoms reaching value."""
+    count, products = 0, []
+    for combo in itertools.product(range(len(locations)), repeat=j):
+        if close(sum(locations[i] for i in combo), value):
+            count += 1
+            products.append(math.prod(masses[i] for i in combo))
+    return count, math.fsum(products)
+
+
+class TestAtomSumWeights:
+    """``weight`` is the ordered-tuple mass sum J_k of the entry's min_jumps level."""
+
+    @staticmethod
+    def battery():
+        # the atomic models of acceptance criterion 3
+        from conftest import random_atomic_model
+
+        rng = np.random.default_rng(7)
+        return [AtomicPart.from_pairs([(1, 1.0)]), AtomicPart.from_pairs([(1, 1.0)])] + [
+            random_atomic_model(rng).atomic for _ in range(6)
+        ]
+
+    def test_random_models_match_brute_force(self):
+        for atomic in self.battery():
+            sums = atom_sums(atomic, 3, 6.0)
+            assert sums.entries
+            for e in sums.entries:
+                count, weight = brute_force_tuples(
+                    atomic.locations, atomic.masses, e.min_jumps, e.value,
+                    lambda v, x: abs(v - x) <= 1e-9,
+                )
+                assert e.representations == count
+                assert e.weight == pytest.approx(weight, rel=1e-12)
+
+    def test_reciprocal_family_exact(self):
+        masses = [j**-1.25 for j in range(1, 9)]
+        fam = AtomicPart.reciprocal_integers(masses, 8)
+        sums = atom_sums(fam, 3, 1.0)
+        assert sums.exact_mode
+        for e in sums.entries:
+            count, weight = brute_force_tuples(
+                fam.exact_locations, fam.masses, e.min_jumps, e.exact, lambda v, x: v == x
+            )
+            assert e.representations == count
+            assert e.weight == pytest.approx(weight, rel=1e-12)
+        # 7/10 = 1/2 + 1/5 = 1/5 + 1/2, and no single atom
+        e = sums.member(0.7, exact=Fraction(7, 10))
+        assert (e.min_jumps, e.representations) == (2, 2)
+        assert e.weight == pytest.approx(2 * masses[1] * masses[4], rel=1e-15)
+
+    def test_first_level_weight_is_the_mass(self):
+        atomic = AtomicPart.from_pairs([(0.5, 0.7), (0.8, 1.3)])
+        sums = atom_sums(atomic, 2, 2.0)
+        assert [(e.min_jumps, e.weight) for e in sums.entries[:2]] == [(1, 0.7), (1, 1.3)]
+
+    def test_member_float_tolerance(self):
+        sums = atom_sums(AtomicPart.from_pairs([(0.5, 1.0), (0.7, 1.0)]), 2, 2.0)
+        assert sums.member(1.2 + 1e-13).value == pytest.approx(1.2)
+        assert sums.member(1.2 + 1e-9) is None
+        assert sums.member(0.1) is None and sums.member(5.0) is None
+
+
 class TestConvPower:
     def test_delta1_two_fold_overlap(self, delta1):
         eng = ConvolutionEngine(delta1, 6.0)

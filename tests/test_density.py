@@ -413,3 +413,37 @@ class TestArrayCallers:
         u = np.array([u_series(model, float(x), tol=1e-12, engine=engine)[0] for x in check.xs])
         # an infinite measure: the check reports (1/drift - u)/x
         assert np.array_equal(check.lhs, (1.0 / model.drift - u) / check.xs)
+
+
+class TestGridNodesOneEnumeration:
+    """The breakpoints come from one atom-sum set, the old union over k = 1..order."""
+
+    FAMILY = LevyModel(drift=2.0, atomic=AtomicPart.reciprocal_integers([j**-1.25 for j in range(1, 9)], 8))
+
+    @staticmethod
+    def union_over_k(model, engine, x_max, order):
+        from subpot import atom_sums
+
+        breaks = {0.0, float(x_max)}
+        for k in range(1, order + 1):
+            breaks.update(float(v) for v in atom_sums(model.atomic, k, engine.x_max).values if v < x_max)
+        return np.array(sorted(breaks))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("model, x_max", [(UNIT_ATOM, 4.5), (TWO_ATOMS_KILLED, 3.0), (FAMILY, 1.2)])
+    def test_bit_equal_to_union_over_k(self, model, x_max, order):
+        engine = ConvolutionEngine(model, x_max)
+        calls = []
+        sum_set = engine.sum_set
+        engine.sum_set = lambda k: calls.append(k) or sum_set(k)
+        nodes, breaks = density._grid_nodes(model, engine, x_max, 0.004, order, 0.3)
+        want = self.union_over_k(model, engine, x_max, order)
+        assert calls == [order]
+        assert breaks.tobytes() == want.tobytes()
+        assert np.all(np.isin(want, nodes))
+
+    def test_atom_free_model_has_only_the_ends(self):
+        engine = ConvolutionEngine(KILLED_DRIFT, 2.0)
+        assert engine.kinks(2).size == 0
+        _, breaks = density._grid_nodes(KILLED_DRIFT, engine, 2.0, 0.01, 2, 0.0)
+        assert breaks.tolist() == [0.0, 2.0]

@@ -172,3 +172,75 @@ class TestPredictedMagnitude:
     def test_third_order_single_atom(self, delta1):
         assert predicted_jump_magnitude(delta1.atomic, 3, 3.0) == 1.0
         assert predicted_jump_magnitude(delta1.atomic, 3, 2.0) == 0.0
+
+
+class TestAtomSumLookups:
+    """Every atom-sum fact in this module is read from one enumeration."""
+
+    FAMILY = LevyModel(
+        drift=2.0, atomic=AtomicPart.reciprocal_integers([j**-1.25 for j in range(1, 9)], 8)
+    )
+
+    def test_predicted_magnitude_exact_rational(self):
+        m = self.FAMILY.atomic.masses[::-1]  # masses of the atoms 1/1, 1/2, ..., 1/8
+        seven_tenths = Fraction(7, 10)  # 1/2 + 1/5 and 1/5 + 1/2
+        assert predicted_jump_magnitude(self.FAMILY.atomic, 2, 0.7, exact=seven_tenths) == pytest.approx(
+            2 * m[1] * m[4], rel=1e-15
+        )
+        assert predicted_jump_magnitude(self.FAMILY.atomic, 1, 0.7, exact=seven_tenths) == 0.0
+        assert predicted_jump_magnitude(self.FAMILY.atomic, 3, 0.7, exact=seven_tenths) == 0.0
+        assert predicted_jump_magnitude(self.FAMILY.atomic, 1, 0.25, exact=Fraction(1, 4)) == m[3]
+        # within the float tolerance of 7/10 but not equal to it: only the
+        # exact test tells them apart
+        near = seven_tenths + Fraction(1, 10**14)
+        assert predicted_jump_magnitude(self.FAMILY.atomic, 2, float(near), exact=near) == 0.0
+        assert predicted_jump_magnitude(self.FAMILY.atomic, 2, float(near)) > 0.0
+
+    def test_predicted_magnitude_off_the_level_set(self):
+        model = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 0.5), (2, 3.0)]))
+        # 2 is an atom (order 1, mass 3) and also 1 + 1 (order 2, mass 0.25)
+        assert predicted_jump_magnitude(model.atomic, 1, 2.0) == 3.0
+        assert predicted_jump_magnitude(model.atomic, 2, 2.0) == 0.0
+        assert predicted_jump_magnitude(model.atomic, 2, 3.0) == pytest.approx(2 * 0.5 * 3.0)
+        assert predicted_jump_magnitude(AtomicPart.empty(), 2, 1.0) == 0.0
+
+    # min_k at the family points of the atom-family-ladder benchmark, k_max = 3,
+    # recorded from the recursive implementation
+    FAMILY_MIN_K = {
+        "0.25": 1, "0.375": 2, "0.45": 2, "0.5": 1, "0.625": 2, "0.7": 2,
+        "0.75": 2, "0.875": 3, "0.3": None, "0.55": None, "0.9": 3,
+    }
+
+    def test_family_min_k_recorded(self):
+        got = {x: classify_point(self.FAMILY, x, k_max=3).min_k for x in self.FAMILY_MIN_K}
+        assert got == self.FAMILY_MIN_K
+
+    def test_classify_point_enumerates_once_up_to_x(self, monkeypatch, delta1_fine_grid):
+        import subpot.smoothness as smoothness
+
+        calls = []
+        enumerate_ = smoothness.atom_sums
+        monkeypatch.setattr(smoothness, "atom_sums", lambda *a: calls.append(a[1:3]) or enumerate_(*a))
+        rep = classify_point(self.FAMILY, "7/8", k_max=3)
+        assert rep.min_k == 3 and calls == [(3, 0.875)]
+        calls.clear()
+        delta1 = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))
+        rep = classify_point(delta1, 2.0, k_max=3, grid=delta1_fine_grid)
+        assert calls == [(3, 2.0)]
+        assert [j.predicted for j in rep.jumps] == [0.0, 1.0, None]
+
+    def test_rational_string_point(self):
+        rep = classify_point(self.FAMILY, "7/10", k_max=3)
+        assert rep.x == 0.7 and rep.min_k == 2
+
+    @pytest.mark.parametrize("pairs, n, b", [
+        ([(0.5, 0.7), (0.8, 1.3)], 2, 1.3),
+        ([(1, 1.0)], 3, 3.0),
+        ([(1, 1.0), (2, 1.0)], 2, 3.0),
+    ])
+    def test_conv_jump_killing_leaves_the_jump(self, pairs, n, b):
+        pred0, meas0 = conv_jump(LevyModel(drift=1.0, atomic=AtomicPart.from_pairs(pairs)), n, b)
+        pred, meas = conv_jump(LevyModel(drift=1.0, q=0.4, atomic=AtomicPart.from_pairs(pairs)), n, b)
+        assert pred == pred0
+        assert meas == pytest.approx(meas0, abs=1e-10)
+        assert meas0 == pytest.approx(pred0, rel=1e-10)

@@ -7,12 +7,15 @@ The n-fold convolution expands binomially,
     f^{*n} = sum_j C(n, j) pc^{*(n-j)} * s^{*j},
 
 where pc^{*i} is an exact piecewise polynomial (degree i-1, breakpoints on
-the i-fold atom sums), s^{*j} is closed form (powers and exponentials are
-stable under self-convolution), and the cross terms reduce to cell
-integrals of a polynomial against the weight v^{p} e^{-b v}.  Those cells
-are delimited by the polynomial's breakpoints -- integration never crosses
-a kink -- and are evaluated by Gauss-Jacobi (singular first cell) and
-Gauss-Legendre rules that are exact for the polynomial factor.
+the i-fold atom sums) and s^{*j} is closed form (powers and exponentials are
+stable under self-convolution).  Without atoms pc is the constant q, so
+pc^{*i}(y) = q^i y^(i-1)/(i-1)! and every cross term is a Beta function
+times a Kummer function (DLMF 13.4.1), evaluated for all points at once.
+With atoms the cross terms reduce to cell integrals of a polynomial against
+the weight v^{p} e^{-b v}.  Those cells are delimited by the polynomial's
+breakpoints -- integration never crosses a kink -- and are evaluated by
+Gauss-Jacobi (singular first cell) and Gauss-Legendre rules that are exact
+for the polynomial factor.
 
 Evaluations are pure; the per-order ladders are memoized with an exclusive
 writer during construction and are safe for concurrent readers afterwards.
@@ -28,9 +31,11 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from scipy.special import betaln as _betaln
 from scipy.special import gamma as _gamma
 from scipy.special import gammainc as _gammainc
 from scipy.special import gammaln as _gammaln
+from scipy.special import hyp1f1 as _hyp1f1
 from scipy.special import roots_jacobi
 
 from .errors import BudgetExceededError
@@ -299,15 +304,28 @@ class ConvolutionEngine:
     def _binomial(self, n: int, xs: np.ndarray, running: bool) -> np.ndarray:
         """sum_j C(n, j) pc^{*(n-j)} * s^{*j} at the points xs, or its running integral.
 
-        The pure pc term (j = 0) is one ladder lookup for all points.  The
-        terms with the AC tail are added point by point in scalar floats, in
-        the order a single point would use, so a point's value does not
-        depend on the array it arrives in.
+        The pure pc term (j = 0) is one ladder lookup for all points.
+        Without atoms pc is the constant q: each cross term (0 < j < n) is
+        one closed-form array (``_killing_cross``), the pure tail term
+        (j = n) is formed point by point, and the terms are added as arrays
+        in order of j.  With atoms the terms with the AC tail are added
+        point by point in scalar floats, the cross terms by cell quadrature.
+        Either way a point's value does not depend on the array it arrives
+        in.
         """
         total = np.zeros(xs.shape)
         if not self._pc_trivial:
             total += (self.pc_running(n) if running else self.pc_power(n)).eval(xs)
         if self.model.ac.is_none:
+            return total
+        if self.model.atomic.is_empty:
+            for j in range(1, n + 1):
+                i = n - j
+                if i == 0:
+                    f = self._ac_running if running else self._ac_power
+                    total += np.array([f(j, x) for x in xs.tolist()])
+                elif not self._pc_trivial:
+                    total += math.comb(n, j) * self._killing_cross(i, j, xs, running)
             return total
         for k, x in enumerate(xs.tolist()):
             t = float(total[k])
@@ -317,13 +335,30 @@ class ConvolutionEngine:
         return total
 
     def _ac_term(self, i: int, j: int, x: float, running: bool) -> float:
-        """pc^{*i} * s^{*j} at x (j >= 1), or its running integral."""
+        """pc^{*i} * s^{*j} at x (j >= 1), or its running integral, by quadrature for i >= 1."""
         if i == 0:
             return self._ac_running(j, x) if running else self._ac_power(j, x)
-        if self._pc_trivial:
-            return 0.0
         pp = self.pc_running(i) if running else self.pc_power(i)
         return self._cross(pp, j, x)
+
+    def _killing_cross(self, i: int, j: int, xs: np.ndarray, running: bool) -> np.ndarray:
+        """q^i y^(i-1)/(i-1)! * s^{*j} at the points xs (i >= 1), or its running integral.
+
+        With m = i - 1 (m = i for the running integral, whose pc factor is
+        q^i y^i/i!), int_0^x (x - v)^m v^p e^{-b v} dv
+        = x^(m+p+1) B(m+1, p+1) 1F1(p+1; m+p+2; -b x) (DLMF 13.4.1).
+        The prefactor is formed in logarithms, so a vanishing coefficient
+        and a large power of x cannot meet as 0 * inf.
+        """
+        ac = self.model.ac
+        m = i if running else i - 1
+        p, K = self._ac_exponents(j)
+        log_c = math.log(K) + i * math.log(self.model.q) - _gammaln(m + 1.0) + _betaln(m + 1.0, p + 1.0)
+        with np.errstate(divide="ignore"):  # log(0) = -inf gives the running integral's 0 at x = 0
+            out = np.exp(log_c + (m + p + 1.0) * np.log(xs))
+        if ac.kind == "tempered":
+            out *= _hyp1f1(p + 1.0, m + p + 2.0, -ac.b * xs)
+        return out
 
     def _ac_power(self, j: int, x: float) -> float:
         p, K = self._ac_exponents(j)

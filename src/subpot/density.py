@@ -62,7 +62,8 @@ def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[Convoluti
     order, terms_used is the total over the points, and every entry equals
     the scalar call bit for bit.  Raises SeriesRadiusError when m(x) > 1/2
     at any point, where the geometric tail bound is unavailable; the
-    Volterra solver covers that regime.
+    Volterra solver covers that regime.  Raises AccuracyFailureError when a
+    value or bound would be NaN or infinite.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(xs >= 0):
@@ -86,6 +87,10 @@ def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[Convoluti
         bound[k], terms[k] = _truncation(float(m[k]), delta, tol)
     if live.size:
         value[live] = engine.alternating_sum(xs[live], 0, terms[live])
+    bad = ~(np.isfinite(value) & np.isfinite(bound))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise AccuracyFailureError(f"series value {value[k]!r} at x={float(xs[k])!r} is not finite", bound[k], tol)
     if np.ndim(x) == 0:
         return float(value[0]), float(bound[0]), int(terms[0])
     return value, bound, int(terms.sum())

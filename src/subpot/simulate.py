@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .convolve import ConvolutionEngine
 from .errors import PreconditionError
 from .model import LevyModel
 
@@ -209,8 +208,8 @@ def _bias_bound(model: LevyModel, x: float, eps: float) -> float:
     if eps <= 0:
         return 0.0
     nu = model.small_jump_moment(eps)
-    engine = ConvolutionEngine(model, x)
-    return nu / model.drift * math.exp(engine.mass_scale(x))
+    m = (model.tail_antiderivative(x) + model.q * x) / model.drift  # the series contraction factor m(x)
+    return nu / model.drift * math.exp(m)
 
 
 def creep_prob(model: LevyModel, x: float, n_paths: int, seed: int = 0,

@@ -1,7 +1,9 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,70 @@ class TestPinnedValues:
         assert getattr(eng, quantity)(n, x) == want
 
 
+class TestKillingCrossTerms:
+    """Atom-free killed models: pc is the constant q, so pc^{*i} * s^{*j} has a
+    closed form.  Probes: i <= 7, j <= 5 and five x, for power and running,
+    against mpmath.quad at 40 digits and against the cell quadrature's values
+    (``QUADRATURE`` at the end of this file)."""
+
+    MODELS = {
+        "stable": LevyModel(drift=1.0, q=0.25, ac=AcTail.stable(0.8, 0.3)),
+        "tempered": LevyModel(drift=1.3, q=0.3, ac=AcTail.tempered(0.7, 0.6, 1.5)),
+        "routes": LevyModel(drift=1.0, q=0.3, ac=AcTail.tempered(0.6, 0.5, 1.0)),  # test_killed_tempered_routes
+    }
+    XS = (0.01, 0.1, 0.5, 1.0, 2.0)
+    PROBES = [(model, quantity) for model in MODELS for quantity in ("power", "running")]
+
+    @staticmethod
+    @cache
+    def _integral(model: str, m: int, j: int, x: float):
+        """int_0^x (x - v)^m s^{*j}(v) dv at 40 digits, s^{*j}(v) = A^j v^(j(1-alpha)-1) e^{-bv} / Gamma(j(1-alpha))."""
+        ac = TestKillingCrossTerms.MODELS[model].ac
+        with mpmath.workdps(40):
+            alpha, b, x = mpmath.mpf(ac.alpha), mpmath.mpf(ac.b), mpmath.mpf(x)
+            s = j * (1 - alpha)
+            k = (ac.C * mpmath.gamma(1 - alpha)) ** j / mpmath.gamma(s)
+            return k * mpmath.quad(lambda v: (x - v) ** m * v ** (s - 1) * mpmath.exp(-b * v), [0, x])
+
+    def reference(self, model, quantity):
+        """The cross terms at 40 digits, [i - 1][j - 1][x index]; pc^{*i}(y) = q^i y^(i-1)/(i-1)!
+        and its running integral q^i y^i/i!."""
+        q = mpmath.mpf(self.MODELS[model].q)
+        out = []
+        for i in range(1, 8):
+            m = i if quantity == "running" else i - 1
+            with mpmath.workdps(40):
+                out.append([[q**i / mpmath.factorial(m) * self._integral(model, m, j, x) for x in self.XS]
+                            for j in range(1, 6)])
+        return out
+
+    def closed_form(self, model, quantity):
+        eng = ConvolutionEngine(self.MODELS[model], 2.0)
+        xs = np.array(self.XS)
+        return [[eng._killing_cross(i, j, xs, quantity == "running").tolist() for j in range(1, 6)] for i in range(1, 8)]
+
+    @staticmethod
+    def worst_rel_error(got, want) -> float:
+        with mpmath.workdps(40):
+            return max(float(abs((mpmath.mpf(g) - w) / w))
+                       for g_i, w_i in zip(got, want) for g_ij, w_ij in zip(g_i, w_i) for g, w in zip(g_ij, w_ij))
+
+    @pytest.mark.parametrize("model, quantity", PROBES)
+    def test_within_1e12_of_40_digit_reference(self, model, quantity):
+        assert self.worst_rel_error(self.closed_form(model, quantity), self.reference(model, quantity)) < 1e-12
+
+    def test_no_worse_than_the_quadrature(self):
+        closed = max(self.worst_rel_error(self.closed_form(*k), self.reference(*k)) for k in self.PROBES)
+        quadrature = max(self.worst_rel_error(QUADRATURE[k], self.reference(*k)) for k in self.PROBES)
+        assert closed <= quadrature
+
+    @pytest.mark.parametrize("model, quantity", PROBES)
+    def test_agrees_with_the_quadrature(self, model, quantity):
+        got = np.array(self.closed_form(model, quantity))
+        want = np.array(QUADRATURE[model, quantity])
+        assert np.max(np.abs(got - want) / want) < 1e-12
+
+
 class TestArrayArguments:
     # atoms, killing and a tempered tail: every kind of term, cross terms too
     MODEL = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
@@ -333,6 +399,24 @@ class TestArrayArguments:
         eng = ConvolutionEngine(self.MODEL, 3.0)
         got = getattr(eng, quantity)(n, self.XS)
         assert got.tolist() == [getattr(eng, quantity)(n, float(x)) for x in self.XS]
+
+    ATOM_FREE = [LevyModel(drift=1.0, q=0.3, ac=AcTail.stable(0.5, 0.5)),
+                 LevyModel(drift=1.3, q=0.3, ac=AcTail.tempered(0.7, 0.6, 1.5))]
+
+    @pytest.mark.parametrize("model", ATOM_FREE, ids=["killed-stable", "killed-tempered"])
+    @pytest.mark.parametrize("quantity, n", [("running", 1), ("running", 4), ("power", 2), ("power", 5)])
+    def test_atom_free_equals_scalar_calls(self, model, quantity, n):
+        eng = ConvolutionEngine(model, 3.0)
+        got = getattr(eng, quantity)(n, self.XS)
+        assert got.tolist() == [getattr(eng, quantity)(n, float(x)) for x in self.XS]
+
+    @pytest.mark.parametrize("model", ATOM_FREE, ids=["killed-stable", "killed-tempered"])
+    def test_atom_free_running_at_zero_and_alternating_sum(self, model):
+        eng = ConvolutionEngine(model, 3.0)
+        assert eng.running(3, np.array([0.0, 0.4])).tolist() == [0.0, eng.running(3, 0.4)]
+        n_hi = np.array([1, 4, 2, 0, 3, 5])
+        got = eng.alternating_sum(self.XS, 0, n_hi)
+        assert got.tolist() == [eng.alternating_sum(float(x), 0, int(k)) for x, k in zip(self.XS, n_hi)]
 
     def test_mass_scale_and_running_at_zero(self):
         eng = ConvolutionEngine(self.MODEL, 3.0)
@@ -356,3 +440,315 @@ class TestArrayArguments:
                      lambda: eng.power(2, np.array([0.4, 0.0])), lambda: eng.running(2, np.array([0.4, 3.5]))):
             with pytest.raises(ValueError):
                 call()
+
+
+# The cell quadrature's values on these probes, recorded before the closed
+# form replaced it on atom-free models: [model, quantity][i - 1][j - 1][x index].
+QUADRATURE = {
+    ("stable", "power"): [
+        [
+            [0.01137449058724279, 0.05700749471339662, 0.1758777733349882, 0.2857142857142859, 0.4641442264892778],
+            [0.00034397397637775726, 0.008640235640556852, 0.0822400930428968, 0.21703290670560235, 0.5727532745921556],
+            [8.03779513505749e-06, 0.0010118984550319397, 0.029714877344050386, 0.12739046791949651, 0.5461348915847892],
+            [1.5556560297903958e-07, 9.815525974811483e-05, 0.008892617018554436, 0.061931782037434095, 0.43131798190896825],
+            [2.5954443370571894e-09, 8.20751564528648e-06, 0.0022940703636567025, 0.025954443370571897, 0.2936410065480579],
+        ],
+        [
+            [1.672719204006295e-05, 0.000838345510491128, 0.012932189215807972, 0.04201680672268917, 0.13651300779096426],
+            [3.5830622539349673e-07, 9.000245458913382e-05, 0.004283338179317537, 0.022607594448500225, 0.11932359887336565],
+            [6.4820928508528e-09, 8.160471411547881e-06, 0.0011981805380665454, 0.010273424832217439, 0.08808627283625614],
+            [1.0234579143357859e-10, 6.457582878165445e-07, 0.0002925202966629746, 0.004074459344568029, 0.05675236604065367],
+            [1.4419135205873255e-12, 4.5597309140480385e-08, 6.372417676824162e-05, 0.0014419135205873252, 0.03262677850533971],
+        ],
+        [
+            [1.548814077783608e-08, 7.762458430473415e-06, 0.0005987124636948144, 0.0038904450669156685, 0.025280186627956374],
+            [2.6346045984815944e-10, 6.617827543318662e-07, 0.00015747566835726235, 0.0016623231212132515, 0.017547588069612593],
+            [3.952495640763904e-12, 4.975897202163344e-08, 3.652989445324833e-05, 0.0006264283434278925, 0.010742228394665381],
+            [5.330509970498887e-14, 3.3633244157111704e-09, 7.6177160589316324e-06, 0.00021221142419625158, 0.005911704795901426],
+            [6.554152366306024e-16, 2.072604960930926e-10, 1.4482767447327645e-06, 6.554152366306025e-05, 0.0029660707732127017],
+        ],
+        [
+            [1.046495998502439e-11, 5.2449043449144745e-08, 2.0226772422122123e-05, 0.0002628679099267346, 0.003416241436210324],
+            [1.496934430955451e-13, 3.760129285976512e-09, 4.473740578331317e-06, 9.4450177341662e-05, 0.0019940440988196126],
+            [1.9374978631195615e-15, 2.439165295178112e-10, 8.953405503247144e-07, 3.0707271736661414e-05, 0.0010531596465358224],
+            [2.2976336079736588e-17, 1.449708799875505e-11, 1.6417491506318176e-07, 9.147044146390156e-06, 0.0005096297237846058],
+            [2.520827833194625e-19, 7.971557542042026e-13, 2.785147586024547e-08, 2.5208278331946246e-06, 0.00022815929024713088],
+        ],
+        [
+            [5.5664680771406374e-15, 2.789842736656637e-10, 5.379460750564396e-07, 1.398233563440078e-05, 0.00036342994002237496],
+            [6.930251995164125e-17, 1.7408005953594964e-11, 1.0355880968359527e-07, 4.372693395447313e-06, 0.00018463371285366777],
+            [7.940565012785092e-19, 9.996579078598819e-13, 1.8347142424686776e-08, 1.258494743305796e-06, 8.632456119146086e-05],
+            [8.4471823822561e-21, 5.329811764248181e-14, 3.0179212327790776e-09, 3.362883877349323e-07, 3.747277380769161e-05],
+            [8.402759443982084e-23, 2.6571858473473424e-15, 4.6419126433742443e-10, 8.402759443982081e-08, 1.5210619349808724e-05],
+        ],
+        [
+            [2.4414333671669475e-18, 1.2236152353757189e-12, 1.179706304948333e-08, 6.132603348421398e-07, 3.187981930020834e-05],
+            [2.707129685610986e-20, 6.800002325623033e-14, 2.0226330016327203e-09, 1.7080833575966073e-07, 1.4424508816692797e-05],
+            [2.7959735960510896e-22, 3.519922210774235e-15, 3.2301307085716175e-10, 4.431319518682383e-08, 6.079194450102882e-06],
+            [2.7074302507231082e-24, 1.7082730013615956e-16, 4.8364122320177513e-11, 1.0778473965863214e-08, 2.4021008851084363e-06],
+            [2.4713998364653183e-26, 7.815252492198065e-18, 6.826342122609183e-12, 2.471399836465318e-09, 8.947423146946308e-07],
+        ],
+        [
+            [9.109825996891598e-22, 4.565728490207908e-15, 2.2009445987842043e-10, 2.2882848315005225e-08, 2.379090992552863e-06],
+            [9.145708397334412e-24, 2.2972980829807546e-16, 3.4166098000552724e-11, 5.770551883772323e-09, 9.74628974100865e-07],
+            [8.629548135960158e-26, 1.086395744066122e-17, 4.984769611993238e-12, 1.3676912094698716e-09, 3.7525891667301746e-07],
+            [7.691563212281559e-28, 4.853048299322716e-19, 6.869903738661579e-13, 3.062066467574777e-10, 1.3648300483570661e-07],
+            [6.50368378017189e-30, 2.0566453926837016e-20, 8.982029108696295e-14, 6.50368378017189e-11, 4.709170077340163e-08],
+        ],
+    ],
+    ("stable", "running"): [
+        [
+            [6.69087681602518e-05, 0.003353382041964512, 0.05172875686323189, 0.16806722689075668, 0.546052031163857],
+            [1.433224901573987e-06, 0.00036000981835653526, 0.017133352717270147, 0.0904303777940009, 0.4772943954934626],
+            [2.59283714034112e-08, 3.2641885646191524e-05, 0.0047927221522661816, 0.041093699328869755, 0.35234509134502456],
+            [4.0938316573431436e-10, 2.583033151266178e-06, 0.0011700811866518985, 0.016297837378272118, 0.2270094641626147],
+            [5.767654082349302e-12, 1.8238923656192154e-07, 0.0002548967070729665, 0.005767654082349301, 0.13050711402135884],
+        ],
+        [
+            [6.195256311134432e-08, 3.104983372189366e-05, 0.0023948498547792575, 0.015561780267662674, 0.1011207465118255],
+            [1.0538418393926378e-09, 2.647131017327465e-06, 0.0006299026734290494, 0.006649292484853006, 0.07019035227845037],
+            [1.5809982563055617e-11, 1.9903588808653376e-07, 0.0001461195778129933, 0.00250571337371157, 0.042968913578661526],
+            [2.1322039881995547e-13, 1.3453297662844682e-08, 3.047086423572653e-05, 0.0008488456967850063, 0.023646819183605703],
+            [2.6216609465224096e-15, 8.290419843723704e-10, 5.793106978931058e-06, 0.000262166094652241, 0.011864283092850807],
+        ],
+        [
+            [4.185983994009756e-11, 2.0979617379657898e-07, 8.090708968848849e-05, 0.0010514716397069385, 0.013664965744841296],
+            [5.987737723821804e-13, 1.5040517143906048e-08, 1.7894962313325266e-05, 0.000377800709366648, 0.00797617639527845],
+            [7.749991452478246e-15, 9.756661180712449e-10, 3.5813622012988575e-06, 0.00012282908694664566, 0.00421263858614329],
+            [9.190534431894635e-17, 5.79883519950202e-11, 6.56699660252727e-07, 3.658817658556062e-05, 0.002038518895138423],
+            [1.00833113327785e-18, 3.1886230168168104e-12, 1.1140590344098187e-07, 1.0083311332778498e-05, 0.0009126371609885235],
+        ],
+        [
+            [2.226587230856255e-14, 1.1159370946626548e-09, 2.1517843002257585e-06, 5.592934253760312e-05, 0.0014537197600894998],
+            [2.77210079806565e-16, 6.963202381437986e-11, 4.142352387343811e-07, 1.7490773581789254e-05, 0.0007385348514146711],
+            [3.1762260051140367e-18, 3.9986316314395276e-12, 7.33885696987471e-08, 5.033978973223184e-06, 0.00034529824476584346],
+            [3.37887295290244e-20, 2.1319247056992724e-13, 1.207168493111631e-08, 1.3451535509397292e-06, 0.00014989109523076645],
+            [3.3611037775928336e-22, 1.062874338938937e-14, 1.8567650573496977e-09, 3.3611037775928325e-07, 6.0842477399234895e-05],
+        ],
+        [
+            [9.76573346866779e-18, 4.8944609415028755e-12, 4.718825219793332e-08, 2.453041339368559e-06, 0.00012751927720083337],
+            [1.0828518742443944e-19, 2.720000930249213e-13, 8.090532006530881e-09, 6.832333430386429e-07, 5.769803526677119e-05],
+            [1.1183894384204358e-21, 1.407968884309694e-14, 1.292052283428647e-09, 1.7725278074729532e-07, 2.4316777800411527e-05],
+            [1.0829721002892433e-23, 6.833092005446382e-16, 1.9345648928071005e-10, 4.3113895863452854e-08, 9.608403540433745e-06],
+            [9.885599345861273e-26, 3.126100996879226e-17, 2.730536849043673e-11, 9.885599345861272e-09, 3.5789692587785233e-06],
+        ],
+        [
+            [3.643930398756639e-21, 1.826291396083163e-14, 8.803778395136817e-10, 9.15313932600209e-08, 9.516363970211451e-06],
+            [3.658283358933765e-23, 9.189192331923019e-16, 1.366643920022109e-10, 2.3082207535089292e-08, 3.89851589640346e-06],
+            [3.451819254384063e-25, 4.345582976264488e-17, 1.9939078447972953e-11, 5.470764837879486e-09, 1.5010356666920699e-06],
+            [3.0766252849126237e-27, 1.9412193197290863e-18, 2.7479614954646317e-12, 1.2248265870299107e-09, 5.459320193428265e-07],
+            [2.601473512068756e-29, 8.226581570734807e-20, 3.592811643478518e-13, 2.601473512068756e-10, 1.8836680309360652e-07],
+        ],
+        [
+            [1.1830942853105973e-24, 5.929517519750532e-17, 1.4291848044053276e-11, 2.9717984824682117e-09, 6.179457123513931e-07],
+            [1.0887748092064776e-26, 2.7348786702151835e-18, 2.0336963095567092e-12, 6.869704623538479e-10, 2.3205451764306306e-07],
+            [9.483019929626547e-29, 1.193841476995739e-19, 2.738884402194087e-13, 1.502957373043815e-10, 8.247448718088297e-08],
+            [7.848533890083223e-31, 4.9520901013497115e-21, 3.5050529278885604e-14, 3.124557619974262e-11, 2.7853674456266653e-08],
+            [6.193984552544658e-33, 1.9587098977940013e-22, 4.277156718426806e-15, 6.193984552544657e-12, 8.969847766362214e-09],
+        ],
+    ],
+    ("tempered", "power"): [
+        [
+            [0.08285184627471943, 0.20042729985121277, 0.32839990605994446, 0.37173809573567385, 0.39211212607182944],
+            [0.019376852767050607, 0.1152526091869084, 0.3274524166828935, 0.43823713500215933, 0.5058637025855622],
+            [0.004024764122651021, 0.05931111479454655, 0.30124140220505213, 0.49090302694023324, 0.6411830907195496],
+            [0.0007625298982115443, 0.02795738925757584, 0.25845170961683067, 0.5232501074935936, 0.7955351025658248],
+            [0.00013403096080953606, 0.012257139743489005, 0.2086114105291084, 0.5320918762426646, 0.9637068662884697],
+        ],
+        [
+            [0.00017785610578063458, 0.004370103728470223, 0.03802344342274901, 0.0911538477880797, 0.20665747164110174],
+            [3.237161285414363e-05, 0.0019663933800724035, 0.030434746277596895, 0.08907698174717352, 0.23335050178546204],
+            [5.502351845712623e-06, 0.0008295275001675987, 0.023185536536795597, 0.08403744331830242, 0.2588063021699074],
+            [8.820998886029547e-07, 0.0003309170835997708, 0.016882823270417343, 0.07662549916481283, 0.2816582061433759],
+            [1.3436637286861918e-07, 0.00012566592849582307, 0.011794783940429753, 0.06761771095087266, 0.3005818741749296],
+        ],
+        [
+            [2.2248323179715688e-07, 5.5018933494840774e-05, 0.0024544747684202913, 0.012063681349950511, 0.056591923026884726],
+            [3.4722935650543255e-08, 2.130291984877861e-05, 0.0017161378910957271, 0.010474804597649566, 0.05835388236938916],
+            [5.165358507100957e-09, 7.880206849282309e-06, 0.0011567182352404334, 0.008844469775925876, 0.05917548961676577],
+            [7.361482595993205e-10, 2.797482290783628e-06, 0.0007534533392252494, 0.007268698316678384, 0.05899843439968444],
+            [1.00925941578003e-10, 9.566296091574529e-07, 0.0004753447713399332, 0.005820099644649043, 0.057822411977308204],
+        ],
+        [
+            [1.9638730037817134e-10, 4.873674327141283e-07, 0.00011024220970124844, 0.001099256074764513, 0.010529975786719197],
+            [2.7430851711194807e-11, 1.6927092019391968e-07, 6.980861765955284e-05, 0.0008737232364805072, 0.010112071836343663],
+            [3.692579468090324e-12, 5.6746274314464574e-08, 4.2924720278685665e-05, 0.0006783756250944531, 0.009563245558572787],
+            [4.805436763532658e-13, 1.8413240319306842e-08, 2.5672098251375925e-05, 0.0005148922189612814, 0.008906390869747639],
+            [6.061609450104221e-14, 5.796923974566549e-09, 1.4956472280645338e-05, 0.0003823376115759463, 0.008168447501843304],
+        ],
+        [
+            [1.3393418056743734e-13, 3.331192426213787e-09, 3.801467977736408e-06, 7.652589314662514e-05, 0.0014871581750721188],
+            [1.7151661237870838e-14, 1.062436837777563e-09, 2.225219990136142e-06, 5.6643896769485127e-05, 0.0013461335976279272],
+            [2.1315223672444887e-15, 3.291897252444047e-10, 1.2708725162299883e-06, 4.108633725113722e-05, 0.00120146995498861],
+            [2.5760113591182773e-16, 9.927746512966619e-11, 7.09021130799499e-07, 2.922218081117702e-05, 0.0010574417624107193],
+            [3.0329682315681404e-17, 2.919034990379149e-11, 3.868354254123653e-07, 2.0392412643945032e-05, 0.0009178276091349161],
+        ],
+        [
+            [7.442077385168881e-17, 1.853820680060128e-11, 1.0643893345796459e-07, 4.314069292165416e-06, 0.00016943856107721743],
+            [8.874244414897907e-18, 5.511852406076823e-12, 5.8366067555261873e-08, 3.007684464194046e-06, 0.0001457681050430371],
+            [1.0317972043325302e-18, 1.5992046779878426e-12, 3.133301378317647e-08, 2.059729587965144e-06, 0.00012378853736674973],
+            [1.171473996895291e-19, 4.534009849009703e-13, 1.6482490133152586e-08, 1.386268974502338e-06, 0.00010377943758322829],
+            [1.3005393750934842e-20, 1.257668919926528e-13, 8.50339434727531e-09, 9.174170630012507e-07, 8.59034269480494e-05],
+        ],
+        [
+            [3.4889150365415414e-20, 8.700623610851876e-14, 2.5093052026972635e-09, 2.0442992348473628e-07, 1.6188078615264517e-05],
+            [3.91599244760336e-21, 2.4371301299761196e-14, 1.3011452455449605e-09, 1.3533752782703794e-07, 1.33176488152084e-05],
+            [4.300464312259251e-22, 6.683448516857036e-15, 6.621984105395591e-10, 8.817240373016704e-08, 1.0825288447318945e-05],
+            [4.625935933111333e-23, 1.796253375957493e-15, 3.3102007803273817e-10, 5.655608244637238e-08, 8.69530273822696e-06],
+            [4.879053225478841e-24, 4.735762321357766e-16, 1.626366380461373e-10, 3.573099822255442e-08, 6.902761922958406e-06],
+        ],
+    ],
+    ("tempered", "running"): [
+        [
+            [0.0005928536859354485, 0.01456701242823407, 0.12674481140916333, 0.303846159293599, 0.6888582388036726],
+            [0.0001079053761804788, 0.0065546446002413454, 0.10144915425865635, 0.2969232724905784, 0.7778350059515403],
+            [1.834117281904208e-05, 0.0027650916672253283, 0.07728512178931864, 0.280124811061008, 0.8626876738996915],
+            [2.94033296200985e-06, 0.0011030569453325694, 0.056276077568057796, 0.25541833054937607, 0.9388606871445863],
+            [4.478879095620639e-07, 0.00041888642831941015, 0.03931594646809917, 0.2253923698362422, 1.0019395805830984],
+        ],
+        [
+            [7.416107726571894e-07, 0.00018339644498280254, 0.008181582561400972, 0.04021227116650169, 0.18863974342294906],
+            [1.1574311883514416e-07, 7.100973282926202e-05, 0.005720459636985759, 0.03491601532549855, 0.19451294123129725],
+            [1.7217861690336522e-08, 2.6267356164274357e-05, 0.0038557274508014446, 0.02948156591975292, 0.1972516320558859],
+            [2.4538275319977354e-09, 9.324940969278762e-06, 0.002511511130750831, 0.024228994388927942, 0.19666144799894816],
+            [3.3641980526000993e-10, 3.1887653638581766e-06, 0.0015844825711331108, 0.019400332148830142, 0.19274137325769403],
+        ],
+        [
+            [6.546243345939044e-10, 1.6245581090470942e-06, 0.00036747403233749494, 0.00366418691588171, 0.035099919289063995],
+            [9.143617237064935e-11, 5.642364006463989e-07, 0.00023269539219850945, 0.002912410788268357, 0.03370690612114556],
+            [1.2308598226967745e-11, 1.8915424771488193e-07, 0.00014308240092895223, 0.0022612520836481765, 0.031877485195242625],
+            [1.6018122545108856e-12, 6.137746773102282e-08, 8.557366083791976e-05, 0.0017163073965376047, 0.02968796956582547],
+            [2.0205364833680731e-13, 1.932307991522183e-08, 4.985490760215112e-05, 0.0012744587052531545, 0.02722815833947768],
+        ],
+        [
+            [4.464472685581245e-13, 1.1103974754045955e-08, 1.2671559925788026e-05, 0.00025508631048875045, 0.004957193916907064],
+            [5.71722041262361e-14, 3.5414561259252097e-09, 7.417399967120474e-06, 0.00018881298923161712, 0.00448711199209309],
+            [7.105074557481631e-15, 1.097299084148016e-09, 4.236241720766627e-06, 0.0001369544575037908, 0.004004899849962033],
+            [8.586704530394256e-16, 3.30924883765554e-10, 2.363403769331664e-06, 9.740726937059005e-05, 0.0035248058747023967],
+            [1.0109894105227136e-16, 9.73011663459716e-11, 1.289451418041218e-06, 6.797470881315013e-05, 0.0030594253637830546],
+        ],
+        [
+            [2.4806924617229606e-16, 6.179402266867092e-11, 3.5479644485988206e-07, 1.4380230973884722e-05, 0.0005647952035907248],
+            [2.9580814716326364e-17, 1.8372841353589406e-11, 1.9455355851753961e-07, 1.002561488064682e-05, 0.00048589368347679024],
+            [3.4393240144417672e-18, 5.330682259959475e-12, 1.0444337927725489e-07, 6.865765293217147e-06, 0.0004126284578891658],
+            [3.9049133229843033e-19, 1.5113366163365678e-12, 5.494163377717528e-08, 4.620896581674461e-06, 0.0003459314586107609],
+            [4.3351312503116147e-20, 4.1922297330884257e-13, 2.8344647824251033e-08, 3.0580568766708355e-06, 0.00028634475649349795],
+        ],
+        [
+            [1.1629716788471805e-19, 2.9002078702839584e-13, 8.364350675657544e-09, 6.814330782824541e-07, 5.396026205088172e-05],
+            [1.3053308158677864e-20, 8.123767099920401e-14, 4.3371508184832006e-09, 4.5112509275679305e-07, 4.439216271736134e-05],
+            [1.4334881040864174e-21, 2.227816172285678e-14, 2.2073280351318634e-09, 2.9390801243389014e-07, 3.608429482439648e-05],
+            [1.5419786443704436e-22, 5.987511253191646e-15, 1.1034002601091269e-09, 1.885202748212413e-07, 2.898434246075654e-05],
+            [1.6263510751596136e-23, 1.578587440452589e-15, 5.421221268204575e-10, 1.1910332740851475e-07, 2.300920640986136e-05],
+        ],
+        [
+            [4.715204494155569e-23, 1.1768788895037717e-15, 1.7031101175761483e-10, 2.7858491673752428e-08, 4.440349462326639e-06],
+            [5.021379781420949e-24, 3.1299224179929787e-16, 8.409346645164453e-11, 1.7620613502372602e-08, 3.5098854788600282e-06],
+            [5.245718704116191e-25, 8.169793293269043e-17, 4.083545899964987e-11, 1.0984397631199241e-08, 2.7435153277438494e-06],
+            [5.380557543738056e-26, 2.094684725197833e-17, 1.951295099510757e-11, 6.751294231221851e-09, 2.1208828527707483e-06],
+            [5.422975938665483e-27, 5.279365477498764e-18, 9.180335833981093e-12, 4.0927267098830005e-09, 1.6217377670512012e-06],
+        ],
+    ],
+    ("routes", "power"): [
+        [
+            [0.03588035914452108, 0.11015844590011882, 0.21780641147599847, 0.2688566878124711, 0.3045252119301297],
+            [0.003376011873125959, 0.0322879033866455, 0.13350100199683818, 0.21447345281027808, 0.29337382677623297],
+            [0.0002698108050240836, 0.008086401117519838, 0.07171379016712574, 0.15428748577515114, 0.2664841655291001],
+            [1.9059079269012986e-05, 0.0017954123599683968, 0.03461400468770025, 0.1013973019775867, 0.22793350544348845],
+            [1.21919974125278e-06, 0.0003616212438292322, 0.015276401181173674, 0.06156186861203274, 0.1838772505825907],
+        ],
+        [
+            [7.185630800090675e-05, 0.002232261118939275, 0.02315962489393864, 0.06019399299512753, 0.14737156699168086],
+            [5.07245782530507e-06, 0.0004923891816372729, 0.010843500389103176, 0.03744556613322587, 0.11556305591974878],
+            [3.243282514804012e-07, 9.870751231944044e-05, 0.004678781623472213, 0.021791556493598336, 0.08672806593654409],
+            [1.9090865560193437e-08, 1.8255336875429855e-05, 0.0018795086118675816, 0.011930746977239105, 0.0623186854683463],
+            [1.0466884170486202e-09, 3.1491932517064823e-06, 0.0007086569970263442, 0.006177109180997365, 0.04292395655549016],
+        ],
+        [
+            [8.627677683158567e-08, 2.6938171573279315e-05, 0.0014267005241190866, 0.007584001476926394, 0.038460136598087086],
+            [5.076682053117934e-09, 4.964648473282081e-06, 0.0005639849573806452, 0.004034470456478639, 0.026403644409860993],
+            [2.782603329077031e-10, 8.541005938406998e-07, 0.00020992579171866472, 0.0020398366488221767, 0.017478969952378215],
+            [1.4332467309087984e-11, 1.3828407904579859e-07, 7.39993760229126e-05, 0.0009836544958196716, 0.011166212669662024],
+            [6.984972387986495e-13, 2.1207038861240044e-08, 2.4823377914552963e-05, 0.00045386814466746324, 0.0068910623274478855],
+        ],
+        [
+            [7.397496920695832e-11, 2.3162217923071687e-07, 6.205426858525819e-05, 0.0006682195683148439, 0.006919287189596368],
+            [3.809413709259964e-12, 3.74194876600157e-08, 2.165626649138648e-05, 0.0003164728927010491, 0.004293418914198834],
+            [1.85619259331999e-13, 5.728335052483442e-09, 7.203986836483832e-06, 0.00014378753260240598, 0.0025818384633359173],
+            [8.605211731925172e-15, 8.352197984281225e-10, 2.29284756999432e-06, 6.282606057127172e-05, 0.001505878594168374],
+            [3.8126489399246203e-16, 1.1648265617382728e-10, 7.005037895739793e-07, 2.6459424796308788e-05, 0.0008526718114674383],
+        ],
+        [
+            [4.9326597185271895e-14, 1.547230336045098e-09, 2.0881704646564783e-06, 4.534886417180901e-05, 0.0009522863380843083],
+            [2.286409455491531e-15, 2.2525892433009617e-10, 6.600608165433112e-07, 1.9569184413033382e-05, 0.0005441511613139207],
+            [1.0128932418255695e-16, 3.1375768822039406e-11, 2.0046910588982903e-07, 8.152097290367448e-06, 0.0003024589359815357],
+            [4.304653871801275e-18, 4.195901930711899e-12, 5.865692538468371e-08, 3.2844079845610962e-06, 0.00016365688644690685],
+            [1.760586282998908e-19, 5.403616873900501e-13, 1.657408044847866e-08, 1.2819773862637069e-06, 8.627145422495229e-05],
+        ],
+        [
+            [2.6909175540147828e-17, 8.45111389938121e-12, 5.7327505749764395e-08, 2.504690753587197e-06, 0.00010625138811282074],
+            [1.1434766926293061e-18, 1.1289540349800355e-12, 1.668997795578438e-08, 9.999078094908744e-07, 5.661587187465242e-05],
+            [4.6763294025581064e-20, 1.4525399612943456e-13, 4.695149761405816e-09, 3.8710931844409857e-07, 2.9429808123970633e-05],
+            [1.845510221152288e-21, 1.8046353698608073e-14, 1.278842753003259e-09, 1.4554669491456217e-07, 1.4933976642803828e-05],
+            [7.045105866570573e-23, 2.1698931551098478e-15, 3.3786514471349646e-10, 5.3217108866534935e-08, 7.40289257209067e-06],
+        ],
+        [
+            [1.2420892020152925e-20, 3.904475123470452e-14, 1.3294020474823761e-09, 1.1667754302001064e-07, 9.9745972227854e-06],
+            [4.901488812527079e-22, 4.846946176034017e-15, 3.6071218623413274e-10, 4.3560813822782446e-08, 5.001360464487148e-06],
+            [1.8709716082497137e-23, 5.823744716400894e-16, 9.497336575197399e-11, 1.58263967833847e-08, 2.452061251552687e-06],
+            [6.922584774671327e-25, 6.786087004806534e-17, 2.430304565906881e-11, 5.602111294047806e-09, 1.1762124327062515e-06],
+            [2.487277467683964e-26, 7.68206369443205e-18, 6.052802713866178e-12, 1.934100412331758e-09, 5.523481694236361e-07],
+        ],
+    ],
+    ("routes", "running"): [
+        [
+            [0.00023952102666968916, 0.007440870396464251, 0.07719874964646214, 0.20064664331709178, 0.4912385566389362],
+            [1.69081927510169e-05, 0.0016412972721242425, 0.03614500129701059, 0.12481855377741956, 0.3852101863991626],
+            [1.0810941716013375e-06, 0.00032902504106480145, 0.015595938744907377, 0.07263852164532777, 0.2890935531218136],
+            [6.363621853397813e-08, 6.0851122918099524e-05, 0.006265028706225272, 0.03976915659079701, 0.20772895156115437],
+            [3.4889613901620684e-09, 1.0497310839021607e-05, 0.002362189990087815, 0.020590363936657877, 0.1430798551849672],
+        ],
+        [
+            [2.8758925610528566e-07, 8.979390524426434e-05, 0.004755668413730288, 0.025280004923087993, 0.12820045532695695],
+            [1.6922273510393108e-08, 1.6548828244273602e-05, 0.0018799498579354838, 0.013448234854928794, 0.08801214803286998],
+            [9.275344430256772e-10, 2.8470019794689997e-06, 0.0006997526390622155, 0.006799455496073924, 0.05826323317459404],
+            [4.777489103029328e-11, 4.609469301526619e-07, 0.000246664586743042, 0.0032788483193989053, 0.037220708898873404],
+            [2.328324129328832e-12, 7.069012953746682e-08, 8.274459304850987e-05, 0.001512893815558211, 0.022970207758159618],
+        ],
+        [
+            [2.4658323068986104e-10, 7.720739307690562e-07, 0.00020684756195086068, 0.0022273985610494797, 0.0230642906319879],
+            [1.269804569753321e-11, 1.2473162553338564e-07, 7.218755497128824e-05, 0.0010549096423368301, 0.01431139638066278],
+            [6.187308644399966e-13, 1.9094450174944812e-08, 2.4013289454946105e-05, 0.0004792917753413533, 0.008606128211119727],
+            [2.868403910641724e-14, 2.7840659947604083e-09, 7.642825233314401e-06, 0.00020942020190423908, 0.005019595313894581],
+            [1.2708829799748741e-15, 3.8827552057942433e-10, 2.335012631913264e-06, 8.819808265436263e-05, 0.002842239371558128],
+        ],
+        [
+            [1.6442199061757298e-13, 5.157434453483661e-09, 6.960568215521596e-06, 0.0001511628805726967, 0.0031742877936143613],
+            [7.621364851638436e-15, 7.508630811003204e-10, 2.200202721811037e-06, 6.52306147101113e-05, 0.0018138372043797358],
+            [3.376310806085232e-16, 1.045858960734647e-10, 6.682303529660969e-07, 2.717365763455816e-05, 0.0010081964532717856],
+            [1.4348846239337586e-17, 1.3986339769039667e-11, 1.9552308461561239e-07, 1.0948026615203655e-05, 0.0005455229548230231],
+            [5.868620943329696e-19, 1.801205624633501e-12, 5.524693482826219e-08, 4.273257954212357e-06, 0.00028757151408317433],
+        ],
+        [
+            [8.969725180049278e-17, 2.817037966460404e-11, 1.91091685832548e-07, 8.348969178623991e-06, 0.00035417129370940247],
+            [3.81158897543102e-18, 3.763180116600119e-12, 5.56332598526146e-08, 3.3330260316362477e-06, 0.00018871957291550804],
+            [1.5587764675193692e-19, 4.841799870981152e-13, 1.5650499204686052e-08, 1.2903643948136617e-06, 9.80993604132354e-05],
+            [6.151700737174291e-21, 6.015451232869358e-14, 4.2628091766775296e-09, 4.851556497152072e-07, 4.977992214267942e-05],
+            [2.348368622190191e-22, 7.232977183699494e-15, 1.1262171490449883e-09, 1.7739036288844978e-07, 2.4676308573635562e-05],
+        ],
+        [
+            [4.140297340050976e-20, 1.3014917078234836e-13, 4.4313401582745865e-09, 3.8892514340003544e-07, 3.324865740928467e-05],
+            [1.6338296041756928e-21, 1.6156487253446723e-14, 1.2023739541137759e-09, 1.4520271274260813e-07, 1.6671201548290498e-05],
+            [6.236572027499045e-23, 1.9412482388002976e-15, 3.1657788583991335e-10, 5.275465594461566e-08, 8.173537505175624e-06],
+            [2.307528258223776e-24, 2.262029001602178e-16, 8.101015219689602e-11, 1.867370431349269e-08, 3.920708109020839e-06],
+            [8.290924892279883e-26, 2.5606878981440166e-17, 2.01760090462206e-11, 6.447001374439196e-09, 1.8411605647454537e-06],
+        ],
+        [
+            [1.656248709292664e-23, 5.210012970465515e-16, 8.895908251005006e-11, 1.5668677066585087e-08, 2.6950207664510994e-06],
+            [6.127711330704053e-25, 6.067034782376664e-17, 2.2695354692256452e-11, 5.5153514157953956e-09, 1.280388686050818e-06],
+            [2.2015516977103123e-26, 6.864113392339793e-18, 5.6369862781507145e-12, 1.894459491604157e-09, 5.959354272632306e-07],
+            [7.693469277818005e-28, 7.556767969323167e-19, 1.3647957867818307e-12, 6.356042022905719e-10, 2.7187305563496933e-07],
+            [2.6188427249808385e-29, 8.106566000946144e-20, 3.224785708707228e-13, 2.0848279535318521e-10, 1.2163892028582404e-07],
+        ],
+    ],
+}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpot import (
+    AccuracyFailureError,
     AcTail,
     AtomicPart,
     ConvolutionEngine,
@@ -17,7 +18,7 @@ from subpot import (
     u_series,
     u_volterra,
 )
-from subpot import density
+from subpot import convolve, density
 from conftest import delta1_u, random_atomic_model
 
 
@@ -130,6 +131,41 @@ class TestKilledRoutes:
         for x in (0.4, 1.5):
             inv, err = invert_density(model, x, N=4, tol=1e-8)
             assert abs(grid(x) - inv) < grid.err_at(x) + err + 1e-6
+
+
+class TestCrossTermRouting:
+    KILLED_STABLE = LevyModel(drift=1.0, q=0.3, ac=AcTail.stable(0.5, 0.5))
+    KILLED_TEMPERED = LevyModel(drift=1.3, q=0.3, ac=AcTail.tempered(0.7, 0.6, 1.5))
+    ATOM_TEMPERED_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                                     ac=AcTail.tempered(0.7, 0.6, 1.5))
+
+    @pytest.fixture
+    def cross_calls(self, monkeypatch):
+        calls = []
+        quadrature = ConvolutionEngine._cross
+
+        def spy(engine, *args):
+            calls.append(args)
+            return quadrature(engine, *args)
+
+        monkeypatch.setattr(ConvolutionEngine, "_cross", spy)
+        return calls
+
+    def test_atom_free_models_never_enter_the_quadrature(self, cross_calls):
+        for model in (self.KILLED_STABLE, self.KILLED_TEMPERED):
+            u_series(model, np.array([0.01, 0.05]))
+            u_volterra(model, 0.5)
+        assert cross_calls == []
+
+    def test_atoms_with_a_tail_still_use_it(self, cross_calls):
+        u_series(self.ATOM_TEMPERED_KILLED, 0.005)
+        assert cross_calls
+
+    def test_non_finite_series_value_raises(self, monkeypatch):
+        monkeypatch.setattr(convolve, "_hyp1f1", lambda a, c, z: np.full(np.shape(z), np.nan))
+        for x in (0.05, np.array([0.01, 0.05])):
+            with pytest.raises(AccuracyFailureError):
+                u_series(self.KILLED_TEMPERED, x)
 
 
 class TestBvSplit:

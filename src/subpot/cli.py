@@ -151,7 +151,7 @@ def _eval_rows(model, xs, args):
     for k, x in enumerate(xs.tolist()):
         if methods[k] == "inversion":
             u[k], err[k] = invert_density(model, x, N=args.order, lam=args.contour_lambda,
-                                          tol=args.tol, engine=engine, theta_cut=args.theta_cut)
+                                          tol=args.tol, engine=engine)
         du_l = du_r = None
         if fd:
             du_l, du_r = (_fd_or_none(grid, x, side) for side in (Side.LEFT, Side.RIGHT))
@@ -317,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=("auto", "series", "volterra", "inversion"), default="auto")
     p.add_argument("--order", type=int, default=None, help="split order N for the inversion route")
     p.add_argument("--contour-lambda", type=float, default=None)
-    p.add_argument("--theta-cut", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--derivatives", choices=("fd", "inversion"), default="fd")
     p.add_argument("--no-derivatives", action="store_true")
@@ -329,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", choices=("linear", "geometric"), default="linear")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--contour-lambda", type=float, default=None)
-    p.add_argument("--theta-cut", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--derivatives", choices=("fd", "inversion"), default="inversion")
     p.add_argument("--no-derivatives", action="store_true")

@@ -11,13 +11,24 @@ replaces the running convolutions by the powers (tbar+q)^{*n} and drops
 the 1/s factor.  Its two one-sided limits differ only in the n = 1 term,
 -(q + tbar(x-/x+))/d^2, so one contour integral serves both sides.
 
-Both remainders decay along a vertical contour like |theta|^(N*(beta+eps-1))
-(one extra power of decay for the density), where beta is the small-jump
-index.  One driver picks or checks the order N, places the truncation
-point Theta from a conservatively fitted tail constant, and evaluates the
-integral on panels no wider than one half-oscillation of e^{i theta x}
-with 15-point Gauss-Legendre, using Hermitian symmetry to fold onto
-theta >= 0.
+``_split_contour`` picks or checks the order N and places the truncation point
+Theta by a proved bound.  With finitely many atoms, lam >= 0 and theta > 0,
+
+    |T(lam + i theta)| <= tau(theta) = c1/theta + g theta^(abar-1),
+    c1 = q + sum_a m_a (1 + e^{-lam a}),   g = C Gamma(1-alpha),
+
+since |s|, |s + b| >= theta, |1 - e^{-s a}| <= 1 + e^{-lam a} and
+alpha - 1 < 0 (abar = alpha; g = abar = 0 without an AC part).  Past
+theta0, where tau <= d/2, |1 + T/d| >= 1/2 and the remainder is at most
+2 tau^N / (theta^e d^(N+1)), e = 1 for the density's 1/s and 0 for the
+derivative.  Past Theta, tau(theta) <= kappa theta^(abar-1) with
+kappa = c1 Theta^-abar + g, so the tail of the integral is at most
+2 kappa^N Theta^-rho / (rho d^(N+1)), rho = N (1 - abar) + e - 1; the order
+floor, set by the padded decay |theta|^(N*(beta+eps-1)-e) with beta the
+small-jump index, keeps rho > 0.  Theta is the smallest point where
+e^{lam x}/pi times that tail is at most tol/2.  The integral on [0, Theta]
+uses panels no wider than one half-oscillation of e^{i theta x} with
+15-point Gauss-Legendre, using Hermitian symmetry to fold onto theta >= 0.
 
 For killing rate zero and finite mean the derivative pair is valid on the
 imaginary axis itself (lam = 0), which is what makes the derivative's
@@ -98,8 +109,14 @@ def derivative_integrand(model: LevyModel, N: int, s):
 
 
 # ---------------------------------------------------------------------------
-# oscillatory quadrature with analytic tail control
+# oscillatory quadrature with a proved tail bound
 # ---------------------------------------------------------------------------
+
+# panels allowed per integral: a first pass looks for an order that fits
+# comfortably (the extra convolution terms are far cheaper than oscillatory
+# panels); only if none exists is the full budget allowed
+PANEL_BUDGET = 400_000
+_COMFORTABLE_PANELS = 30_000
 
 
 def _panel_width(model: LevyModel, x: float) -> float:
@@ -108,26 +125,19 @@ def _panel_width(model: LevyModel, x: float) -> float:
     return math.pi / max(x, a_max, 1.0)
 
 
-def _panel_edges(theta_lo: float, theta_hi: float, width: float, lam: float) -> np.ndarray:
-    """Panel boundaries on [theta_lo, theta_hi].
+def _panel_counts(theta: float, width: float, lam: float):
+    """Panels on [0, min(4*lam, theta)] (lam/2 wide, none for lam = 0) and on the rest."""
+    fine_end = min(4.0 * lam, theta)
+    n_fine = int(math.ceil(fine_end / min(0.5 * lam, width))) if lam > 0 else 0
+    return n_fine, float(np.ceil((theta - fine_end) / width))
 
-    Near the real axis the integrand varies on the scale of lam, so a fine
-    zone [0, 4*lam] with panels of lam/2 precedes the half-oscillation grid
-    (none for lam = 0).
-    """
-    pieces = []
-    start = theta_lo
-    if theta_lo < 4.0 * lam:
-        fine_end = min(4.0 * lam, theta_hi)
-        fine_w = min(0.5 * lam, width)
-        n = max(1, int(math.ceil((fine_end - start) / fine_w)))
-        pieces.append(np.linspace(start, fine_end, n + 1))
-        start = fine_end
-    if start < theta_hi:
-        n = max(1, int(math.ceil((theta_hi - start) / width)))
-        grid = np.linspace(start, theta_hi, n + 1)
-        pieces.append(grid if not pieces else grid[1:])
-    return np.concatenate(pieces) if pieces else np.array([theta_lo, theta_hi])
+
+def _panel_edges(theta: float, width: float, lam: float) -> np.ndarray:
+    """Panel boundaries on [0, theta]: near the real axis the integrand varies on the scale of lam."""
+    n_fine, n_rest = _panel_counts(theta, width, lam)
+    fine_end = min(4.0 * lam, theta)
+    return np.concatenate([np.linspace(0.0, fine_end, n_fine + 1),
+                           np.linspace(fine_end, theta, int(n_rest) + 1)[1:]])
 
 
 def _oscillatory(fn, x: float, edges: np.ndarray) -> complex:
@@ -140,49 +150,26 @@ def _oscillatory(fn, x: float, edges: np.ndarray) -> complex:
     return complex(np.dot(w, vals))
 
 
-def _truncation(fn, slope: float, tol: float, theta_from: float):
-    """Theta with the analytic tail below tol/2, given decay exponent slope."""
-    # conservative C with |fn| <= C * theta^slope for theta >= theta_from
-    probes = np.geomspace(theta_from, theta_from * 1e3, 24)
-    c = max(2.0 * float(np.max(np.abs(fn(probes)) * probes ** (-slope))), 1e-300)
-    tail = lambda t: c * t ** (slope + 1.0) / (-(slope + 1.0))
-    theta = (tol * 0.5 * (-(slope + 1.0)) / c) ** (1.0 / (slope + 1.0))
-    theta = max(theta, theta_from, 10.0)
-    return theta, tail
+def _smallest_theta(f, level: float, lo: float) -> float:
+    """Smallest theta >= lo with f(theta) <= level, to 1e-9 relative, for decreasing f.
 
-
-def _order_scan(slope, tol: float, width: float, budget: int, fn_factory, n_min: int):
-    """Smallest split order whose truncation point fits the panel budget.
-
-    ``slope(n)`` is the order-n decay exponent.  A first pass looks for an
-    order that fits comfortably (the extra convolution terms are far
-    cheaper than oscillatory panels); only if none exists is the full
-    budget allowed.
+    Returns inf if f stays above level up to 1e300.
     """
-    for allowed in (min(budget, 30_000), budget):
-        for n in range(n_min, 17):
-            theta, tail = _truncation(fn_factory(n), slope(n), tol, 10.0)
-            if 2.0 * theta / width <= allowed:
-                return n, theta, tail
-    raise AccuracyFailureError(
-        "no split order up to 16 meets the tolerance within the panel budget", math.inf, tol
-    )
+    a, b = lo, lo
+    while f(b) > level:
+        if b >= 1e300:
+            return math.inf
+        a, b = b, min(2.0 * b * b / a, 1e300)
+    while b > a * (1.0 + 1e-9):
+        mid = math.sqrt(a * b)
+        a, b = (a, mid) if f(mid) <= level else (mid, b)
+    return b
 
 
 def _contour_integral(fn, x, theta, tail, width, lam):
-    """Folded Bromwich integral with a post-hoc segment check on [Theta, 2*Theta].
-
-    Returns (integral, err) where the integral already includes the check
-    segment; err combines the analytic tail beyond 2*Theta with panel
-    roundoff, inflated if the check segment exceeds its analytic bound.
-    """
-    main = _oscillatory(fn, x, _panel_edges(0.0, theta, width, lam))
-    check = _oscillatory(fn, x, _panel_edges(theta, 2.0 * theta, width, 0.0))
-    integral = (main + check).real / math.pi
-    err = tail(2.0 * theta) / math.pi + 1e-13 * (abs(main) + 1.0)
-    if abs(check) > tail(theta):
-        err = max(err, abs(check))
-    return integral, err
+    """Folded Bromwich integral over [0, Theta], and tail bound plus panel roundoff scale."""
+    main = _oscillatory(fn, x, _panel_edges(theta, width, lam))
+    return main.real / math.pi, tail / math.pi + 1e-13 * (abs(main) + 1.0)
 
 
 def _abscissa(x: float, lam: Optional[float]) -> float:
@@ -196,61 +183,74 @@ def _abscissa(x: float, lam: Optional[float]) -> float:
 
 
 def _split_contour(model: LevyModel, x: float, N: Optional[int], lam: float, tol: float,
-                   theta_cut: Optional[float], panel_budget: int, integrand, extra_decay: float):
+                   integrand, e: int):
     """Split order, truncation and the amplified remainder integral at x.
 
-    ``integrand(model, n, s)`` is the order-n remainder transform, whose
-    magnitude decays like |theta|^(n*(beta+eps-1) - extra_decay).  Orders
-    whose decay is not integrable are refused.  Returns (N, integral, err)
-    with e^{lam x} already applied to both.
+    ``integrand(model, n, s)`` is the order-n remainder transform, with e = 1
+    for a 1/s factor and 0 without.  Orders whose decay is not integrable
+    are refused.  Returns (N, integral, err) with e^{lam x} already applied
+    to both; the truncation leaves at most tol/2 of err.
     """
     beta = model.bg_index()
-    eps = contour_epsilon(beta)
-    slope = lambda n: n * (beta + eps - 1.0) - extra_decay
-    # smallest order with an integrable remainder (slope below -1)
-    n_min = max(1, math.floor((1.0 + 1e-12 - extra_decay) / (1.0 - beta - eps)) + 1)
-    width = _panel_width(model, x)
-    factory = lambda n: (lambda th: integrand(model, n, lam + 1j * th))
+    # smallest order with an integrable remainder
+    n_min = max(1, math.floor((1.0 + 1e-12 - e) / (1.0 - beta - contour_epsilon(beta))) + 1)
+    width, amp, drift = _panel_width(model, x), math.exp(lam * x), model.drift
+    # tau(theta) = c1/theta + g theta^(abar-1) bounds |T| (module docstring)
+    c1 = model.q + sum(m * (1.0 + math.exp(-lam * a)) for a, m in zip(model.atomic.locations, model.atomic.masses))
+    g, abar = (0.0, 0.0) if model.ac.is_none else (model.ac.C * _gamma(1.0 - model.ac.alpha), model.ac.alpha)
+    # at least one panel, so a vanishing tau still integrates theta > 0
+    theta0 = _smallest_theta(lambda t: c1 / t + g * t ** (abar - 1.0), 0.5 * drift, width)
+
+    def truncation(n):
+        rho = n * (1.0 - abar) + e - 1.0
+        tail = lambda t: 2.0 * (c1 * t**-abar + g) ** n * t**-rho / (rho * drift ** (n + 1))
+        theta = _smallest_theta(tail, 0.5 * math.pi * tol / amp, theta0)
+        return theta, tail(theta)
+
+    def scan(n_from):
+        for allowed in (_COMFORTABLE_PANELS, PANEL_BUDGET):
+            for n in range(n_from, 17):
+                theta, tail = truncation(n)
+                if sum(_panel_counts(theta, width, lam)) <= allowed:
+                    return n, theta, tail
+        raise AccuracyFailureError(
+            "no split order up to 16 meets the tolerance within the panel budget", math.inf, tol
+        )
+
     if N is None:
-        N, theta, tail = _order_scan(slope, tol, width, panel_budget, factory, n_min)
+        N, theta, tail = scan(n_min)
     else:
         if N < 1:
             raise ValueError("N must be >= 1")
         if N < n_min:
             raise ContourOrderError(N, n_min)
-        theta, tail = _truncation(factory(N), slope(N), tol, max(10.0, 4.0 * lam))
-        if theta_cut is None and 2.0 * theta / width > panel_budget:
-            n_req, _, _ = _order_scan(slope, tol, width, panel_budget, factory, N + 1)
-            raise ContourOrderError(N, n_req)
-    if theta_cut is not None:
-        theta = float(theta_cut)
-    integral, err = _contour_integral(factory(N), x, theta, tail, width, lam)
-    amp = math.exp(lam * x)
+        theta, tail = truncation(N)
+        if sum(_panel_counts(theta, width, lam)) > PANEL_BUDGET:
+            raise ContourOrderError(N, scan(N + 1)[0])
+    integral, err = _contour_integral(lambda th: integrand(model, N, lam + 1j * th), x, theta, tail,
+                                      width, lam)
     return N, amp * integral, amp * err
 
 
 def invert_density(model: LevyModel, x: float, N: Optional[int] = 3, lam: Optional[float] = None,
-                   tol: float = 1e-8, engine: Optional[ConvolutionEngine] = None,
-                   theta_cut: Optional[float] = None, panel_budget: int = 400_000):
+                   tol: float = 1e-8, engine: Optional[ConvolutionEngine] = None):
     """u^(q)(x) through the order-N split representation.
 
-    Returns (value, err_est); err_est combines the analytic contour tail
-    beyond 2*Theta with the panel roundoff scale.  Any N >= 1 is an
-    identity, but a small N may need a truncation point beyond the panel
-    budget; that raises ContourOrderError citing a workable order.
-    N=None picks the smallest order that fits the budget.
+    Returns (value, err_est); err_est is the proved contour tail bound
+    beyond Theta plus the panel roundoff scale.  Any N >= 1 is an identity,
+    but a small N may need a truncation point beyond the panel budget; that
+    raises ContourOrderError citing a workable order.  N=None picks the
+    smallest order that fits the budget.
     """
     lam = _abscissa(x, lam)
-    N, integral, err = _split_contour(model, x, N, lam, tol, theta_cut, panel_budget,
-                                      density_integrand, 1.0)
+    N, integral, err = _split_contour(model, x, N, lam, tol, density_integrand, 1)
     if engine is None:
         engine = ConvolutionEngine(model, x)
     return engine.alternating_sum(x, 0, N) + integral, err
 
 
-def _derivative_pair(model, x, N, lam, tol, engine, theta_cut, panel_budget):
-    N, integral, err = _split_contour(model, x, N, lam, tol, theta_cut, panel_budget,
-                                      derivative_integrand, 0.0)
+def _derivative_pair(model, x, N, lam, tol, engine):
+    N, integral, err = _split_contour(model, x, N, lam, tol, derivative_integrand, 0)
     if engine is None:
         engine = ConvolutionEngine(model, x)
     # orders n >= 2 are continuous; the n = 1 term carries the atom's jump
@@ -262,8 +262,7 @@ def _derivative_pair(model, x, N, lam, tol, engine, theta_cut, panel_budget):
 
 def invert_derivative_pair(model: LevyModel, x: float, N: Optional[int] = None,
                            lam: Optional[float] = None, tol: float = 1e-8,
-                           engine: Optional[ConvolutionEngine] = None,
-                           theta_cut: Optional[float] = None, panel_budget: int = 400_000):
+                           engine: Optional[ConvolutionEngine] = None):
     """Both one-sided derivatives of u^(q) at x from one contour integral.
 
     The sides differ only in the n = 1 term, -(q + tbar(x-/x+))/drift^2,
@@ -273,21 +272,19 @@ def invert_derivative_pair(model: LevyModel, x: float, N: Optional[int] = None,
     order.  N=None picks the smallest order that fits the panel budget.
     Returns (left, right, err_est); err_est bounds each side.
     """
-    return _derivative_pair(model, x, N, _abscissa(x, lam), tol, engine, theta_cut, panel_budget)
+    return _derivative_pair(model, x, N, _abscissa(x, lam), tol, engine)
 
 
 def invert_derivative(model: LevyModel, x: float, side: Side = Side.RIGHT,
                       N: Optional[int] = None, lam: Optional[float] = None,
-                      tol: float = 1e-8, engine: Optional[ConvolutionEngine] = None,
-                      theta_cut: Optional[float] = None, panel_budget: int = 400_000):
+                      tol: float = 1e-8, engine: Optional[ConvolutionEngine] = None):
     """One side of ``invert_derivative_pair``: returns (value, err_est)."""
-    left, right, err = invert_derivative_pair(model, x, N, lam, tol, engine, theta_cut, panel_budget)
+    left, right, err = invert_derivative_pair(model, x, N, lam, tol, engine)
     return (left if side is Side.LEFT else right), err
 
 
 def derivative_zero_contour(model: LevyModel, x: float, N: Optional[int] = None,
-                            tol: float = 1e-9, engine: Optional[ConvolutionEngine] = None,
-                            panel_budget: int = 400_000):
+                            tol: float = 1e-9, engine: Optional[ConvolutionEngine] = None):
     """u'(x-), u'(x+) on the imaginary axis (q = 0, finite mean).
 
     The derivative pair at lam = 0 avoids the e^{lam x} amplification
@@ -300,4 +297,4 @@ def derivative_zero_contour(model: LevyModel, x: float, N: Optional[int] = None,
         raise PreconditionError("imaginary-axis contour requires q = 0")
     if not math.isfinite(model.mean()):
         raise PreconditionError("imaginary-axis contour requires a finite mean")
-    return _derivative_pair(model, x, N, 0.0, tol, engine, None, panel_budget)
+    return _derivative_pair(model, x, N, 0.0, tol, engine)

@@ -6,12 +6,19 @@ path-counting formula, independent of any library code path:
 
     u(x) = e^{-x} + sum_{i=1..n} (x-i)^i / i! * e^{-(x-i)},  x in [n, n+1)
     u'(x) = -e^{-x} + sum_{i=1..n} [ (x-i)^{i-1}/(i-1)! - (x-i)^i/i! ] e^{-(x-i)}
+
+Models with an AC tail are checked against 30-digit Talbot inversions built
+on the benchmark's reference oracles (``perfbench/oracles.py``), which read
+a model document rather than a library object.
 """
 
 import math
 import os
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -22,6 +29,8 @@ from subpot import AcTail, AtomicPart, LevyModel, u_volterra
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")) if p
 )
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import oracles  # noqa: E402
 
 
 def delta1_u(x: float) -> float:
@@ -43,6 +52,33 @@ def delta1_du(x: float) -> float:
             -(x - i)
         )
     return total
+
+
+def talbot_du(doc: dict, x: float) -> tuple[float, float]:
+    """(u'(x-), u'(x+)) at ``oracles.DPS`` digits for a model document.
+
+    Conditioning on the atom counts n with atom sum s_n < x, as
+    ``oracles.density`` does, each count contributes
+    prod_j m_j^{n_j}/n_j! * N! * f_N'(x - s_n), with f_N the inverse of
+    K^{-(N+1)}, K(s) = q + M + drift s + phi(s).  f_N' is the Talbot inverse
+    of s K^{-(N+1)}, less its limit 1/drift at infinity when N = 0.  At an
+    atom sum only a single atom (N = 1) moves the right limit, by
+    f_1'(0+) = m/drift^2; longer sums start with zero slope.
+    """
+    model = oracles.Model(doc)
+    with mp.workdps(oracles.DPS):
+        rate = model.q + model.mass
+        left = mp.mpf(0)
+        for n, s in oracles._atom_counts(model.atoms, Fraction(x)):
+            big_n = sum(n)
+            weight = mp.fprod(m**k / mp.factorial(k) for k, (_, m) in zip(n, model.atoms))
+            kernel = lambda p, e=big_n + 1: (
+                p * (rate + model.drift * p + model.phi(p)) ** -e - (1 / model.drift if e == 1 else 0)
+            )
+            left += weight * mp.factorial(big_n) * mp.invertlaplace(kernel, mp.mpf(x) - oracles._num(s),
+                                                                     method="talbot")
+        jump = mp.fsum(m for a, m in model.atoms if a == Fraction(x)) / model.drift**2
+        return float(left), float(left + jump)
 
 
 @pytest.fixture(scope="session")

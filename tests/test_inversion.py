@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -18,10 +19,28 @@ from subpot import (
     invert_density,
     invert_derivative,
     invert_derivative_pair,
+    model_from_dict,
     tail_transform,
 )
 from subpot.inversion import contour_epsilon, default_lambda
-from conftest import delta1_du, delta1_u
+from conftest import delta1_du, delta1_u, oracles, talbot_du
+
+# model documents of the fixtures, for the 30-digit oracles that read documents
+DOCS = {
+    "delta1": {"drift": 1.0, "atoms": [{"x": 1, "mass": 1.0}]},
+    "mixed_model": {"drift": 1.0, "atoms": [{"x": 1, "mass": 1.0}],
+                    "ac": {"kind": "stable", "C": 0.2, "alpha": 0.4}},
+    "tempered_model": {"drift": 1.0, "ac": {"kind": "tempered", "C": 1.0, "alpha": 0.5, "b": 1.0}},
+    "killed_atom_tempered": {"drift": 1.3, "q": 0.3, "atoms": [{"x": 0.8, "mass": 0.5}],
+                             "ac": {"kind": "tempered", "C": 0.7, "alpha": 0.6, "b": 1.5}},
+}
+
+
+def du_oracle(name: str, x: float) -> tuple[float, float]:
+    """(u'(x-), u'(x+)): the closed form on the unit atom, Talbot otherwise."""
+    if name == "delta1":
+        return delta1_du(x), delta1_du(x) + (x == 1.0)
+    return talbot_du(DOCS[name], x)
 
 
 class TestTailTransform:
@@ -149,6 +168,7 @@ class TestInvertDerivative:
 
 class TestDerivativePair:
     # (left, right, err) from the earlier code, which ran one contour per side
+    # and fitted its truncation constant from probes
     EARLIER = {
         ("delta1", 1.0): (-0.3678794411714388, 0.6321205588285612, 1.2004662052015771e-09),
         ("delta1", 2.5): (0.03379891869412377, 0.03379891869412377, 6.215861954800897e-10),
@@ -164,10 +184,11 @@ class TestDerivativePair:
             one, one_err = invert_derivative(model, x, side)
             assert value == pytest.approx(one, rel=1e-13, abs=0.0)
             assert err == one_err
-        want_l, want_r, want_err = self.EARLIER[(name, x)]
-        assert left == pytest.approx(want_l, rel=1e-13, abs=0.0)
-        assert right == pytest.approx(want_r, rel=1e-13, abs=0.0)
-        assert err == pytest.approx(want_err, rel=1e-13, abs=0.0)
+        # no slack against the oracle; the earlier values within both bars
+        want_l, want_r = du_oracle(name, x)
+        assert abs(left - want_l) <= err and abs(right - want_r) <= err
+        old_l, old_r, old_err = self.EARLIER[(name, x)]
+        assert abs(left - old_l) <= err + old_err and abs(right - old_r) <= err + old_err
 
     def test_jump_is_atom_mass(self, mixed_model):
         left, right, _ = invert_derivative_pair(mixed_model, 1.0)
@@ -197,13 +218,17 @@ class TestZeroContour:
         _, right, _ = derivative_zero_contour(delta1, 20.0, tol=1e-10)
         assert abs(right) < 1e-6
 
-    @pytest.mark.parametrize("name, x, want", [
+    @pytest.mark.parametrize("name, x, earlier", [
         ("delta1", 20.0, (-3.157462248302692e-14, -3.157462248302692e-14, 1.2857458788385047e-12)),
         ("tempered_model", 5.0, (-8.795968684971456e-05, -8.795968684971456e-05, 5.4450483322970626e-12)),
     ])
-    def test_bits_unchanged(self, request, name, x, want):
-        # recorded from the earlier dedicated imaginary-axis driver
-        assert derivative_zero_contour(request.getfixturevalue(name), x, tol=1e-10) == want
+    def test_against_oracle(self, request, name, x, earlier):
+        # earlier: (left, right, err) from the former dedicated imaginary-axis routine
+        left, right, err = derivative_zero_contour(request.getfixturevalue(name), x, tol=1e-10)
+        want_l, want_r = du_oracle(name, x)
+        assert abs(left - want_l) <= err and abs(right - want_r) <= err
+        assert abs(left - earlier[0]) <= err + earlier[2] and abs(right - earlier[1]) <= err + earlier[2]
+        assert err <= 1e-10
 
     def test_pure_drift_exact_zero(self, pure_drift):
         left, right, _ = derivative_zero_contour(pure_drift, 3.0, N=2)
@@ -225,6 +250,19 @@ class TestZeroContour:
             left, right, _ = derivative_zero_contour(tempered_model, x, tol=1e-10)
             vals.append(max(abs(left), abs(right)))
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestHonestyBattery:
+    """invert_density against the 30-digit oracles, with no additive slack."""
+
+    TOL = 1e-8
+    ROWS = [*itertools.product(DOCS, (0.1, 0.5, 1.3, 2.9, 6.0)), ("delta1", 20.0), ("tempered_model", 20.0)]
+
+    @pytest.mark.parametrize("name, x", ROWS)
+    def test_error_bar_holds(self, name, x):
+        u, err = invert_density(model_from_dict(DOCS[name]), x, N=None, tol=self.TOL)
+        assert abs(u - float(oracles.density(DOCS[name], x))) <= err
+        assert err <= self.TOL
 
 
 class TestDefaults:

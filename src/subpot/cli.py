@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -260,15 +261,24 @@ def _cmd_simulate(args) -> int:
 
     model = load_model(args.model)
     xs = _parse_range(args.x, "linear")
+    bad = [(flag, msg) for flag, ok, msg in (
+        ("--x", np.all(xs > 0), "x must be > 0"),
+        ("--paths", args.paths >= 1, "must be >= 1"),
+        ("--eps", math.isfinite(args.eps) and args.eps >= 0, "must be a finite number >= 0"),
+        ("--q", math.isfinite(args.q) and args.q >= 0, "must be a finite number >= 0"),
+    ) if not ok]
+    if bad:
+        raise ModelValidationError(bad)
+    # one pass over the paths answers every x
+    if args.q > 0:
+        est = creep_prob_killed(model, args.q, xs, args.paths, seed=args.seed, eps=args.eps)
+    else:
+        est = creep_prob(model, xs, args.paths, seed=args.seed, eps=args.eps)
     lines = ["x,q,p_hat,ci95,n_paths,eps,seed"]
-    for x in xs:
-        if args.q > 0:
-            est = creep_prob_killed(model, args.q, float(x), args.paths, seed=args.seed, eps=args.eps)
-        else:
-            est = creep_prob(model, float(x), args.paths, seed=args.seed, eps=args.eps)
+    for x, p_hat, ci95 in zip(est.x, est.p_hat, est.ci95):
         lines.append(
             ",".join(
-                [_fmt(est.x), _fmt(est.q), _fmt(est.p_hat), _fmt(est.ci95),
+                [_fmt(x), _fmt(est.q), _fmt(p_hat), _fmt(ci95),
                  str(est.n_paths), _fmt(est.truncation_eps), str(est.seed)]
             )
         )
@@ -296,8 +306,17 @@ def _cmd_crosscheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that ``main`` reports them as JSON like any other."""
+
+    def error(self, message):
+        # point at the first flag argparse names: bad value, missing or unknown
+        flag = re.search(r"(?:argument |required: |arguments: )([^\s:,]+)", message)
+        raise ModelValidationError([(flag.group(1) if flag else "argv", message)])
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="subpot", description=__doc__,
+    parser = _Parser(prog="subpot", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -381,9 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _threads_cap()
         return args.fn(args)
     except ModelValidationError as exc:

@@ -53,15 +53,18 @@ class BudgetExceededError(PreconditionError):
 
 
 class ContourOrderError(PreconditionError):
-    """The split order N is too small for the requested derivative."""
+    """The split order N is too small.
 
-    def __init__(self, n_given, n_required):
+    Either its remainder is not integrable (a derivative needs a higher
+    order), or its truncation point needs more than ``panel_budget`` panels.
+    """
+
+    def __init__(self, n_given, n_required, panel_budget=None):
         self.n_given = int(n_given)
         self.n_required = int(n_required)
-        super().__init__(
-            f"split order N={n_given} too small; need N >= {n_required} "
-            "for an integrable derivative integrand"
-        )
+        why = ("for an integrable derivative integrand" if panel_budget is None
+               else f"to meet the tolerance within the budget of {panel_budget} panels")
+        super().__init__(f"split order N={n_given} too small; need N >= {n_required} {why}")
 
 
 class IndeterminateIndexError(PreconditionError):

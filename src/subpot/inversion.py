@@ -226,7 +226,7 @@ def _split_contour(model: LevyModel, x: float, N: Optional[int], lam: float, tol
             raise ContourOrderError(N, n_min)
         theta, tail = truncation(N)
         if sum(_panel_counts(theta, width, lam)) > PANEL_BUDGET:
-            raise ContourOrderError(N, scan(N + 1)[0])
+            raise ContourOrderError(N, scan(N + 1)[0], panel_budget=PANEL_BUDGET)
     integral, err = _contour_integral(lambda th: integrand(model, N, lam + 1j * th), x, theta, tail,
                                       width, lam)
     return N, amp * integral, amp * err

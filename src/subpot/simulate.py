@@ -10,7 +10,20 @@ Randomness is counter-based (Philox).  Draw r of purpose p for path i is
 element i of the stream keyed by (seed, p, r), so the estimate depends
 only on (model, x, q, n_paths, seed, eps): any batch split or thread
 schedule reproduces it, and extending n_paths leaves earlier paths
-unchanged.  Small jumps below eps are dropped without drift compensation
+unchanged.
+
+No path's trajectory depends on x, so one pass serves every level.  The
+levels are sorted once, and each path keeps a pointer to the first level
+it has not resolved; it is carried until it has resolved the largest.
+Resolution is monotone in the level: (x - pos)/drift is monotone in x even
+in floating point, so creeping over a level in a round means creeping over
+every lower unresolved one, and a jump to pos resolves every level below
+pos.  Each round thus makes, on the same pos, t, waiting times, jump sizes
+and killing times, exactly the comparisons a separate run per level would
+make, and the estimate at every x is that run's to the bit.  Only counts
+per level are kept, with the killing time compared when the path creeps.
+
+Small jumps below eps are dropped without drift compensation
 (compensating would corrupt the creeping event); the induced bias carries
 a documented bound from perturbing the renewal kernel:
 
@@ -24,6 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Union
+
 import numpy as np
 from numpy.random import Generator, Philox
 
@@ -60,14 +75,17 @@ class PathOutcome:
 
 @dataclass(frozen=True)
 class CreepEstimate:
-    x: float
+    """Creeping frequencies; x, p_hat, ci95 and bias_bound are arrays in the
+    order of an array x, and floats for a scalar x."""
+
+    x: Union[float, np.ndarray]
     q: float
     n_paths: int
-    p_hat: float
-    ci95: float
+    p_hat: Union[float, np.ndarray]
+    ci95: Union[float, np.ndarray]
     truncation_eps: float
     seed: int
-    bias_bound: float
+    bias_bound: Union[float, np.ndarray]
 
     @property
     def sigma(self) -> float:
@@ -78,6 +96,8 @@ class _JumpSampler:
     """Inverse-CDF / rejection sampling from the eps-truncated jump measure."""
 
     def __init__(self, model: LevyModel, eps: float):
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
         self.model = model
         self.eps = float(eps)
         if not model.finite_activity and eps <= 0:
@@ -138,67 +158,81 @@ class _JumpSampler:
         return out
 
 
-def _simulate(model: LevyModel, x: float, n_paths: int, seed: int, eps: float):
-    """Vectorized rounds over all paths; returns (crept, t_passage, overshoot, n_jumps)."""
-    if x <= 0:
-        raise ValueError("x must be > 0")
-    sampler = _JumpSampler(model, eps)
-    delta = model.drift
-    rate = sampler.rate
+def _passage(model: LevyModel, levels: np.ndarray, n_paths: int, seed: int, eps: float,
+             e_q: Optional[np.ndarray] = None):
+    """One round loop over every path and every level.
 
+    ``levels`` is sorted and unique.  Returns (hits, pos, t, jumps): hits[j]
+    counts the paths that creep over levels[j] (by their killing time e_q,
+    when given); pos, t and jumps are each path's state when it resolved
+    the largest level.
+    """
+    sampler = _JumpSampler(model, eps)
+    delta, rate, n_x = model.drift, sampler.rate, levels.size
+    hits = np.zeros(n_x, dtype=np.int64)
     pos = np.zeros(n_paths)
     t = np.zeros(n_paths)
     jumps = np.zeros(n_paths, dtype=np.int64)
-    crept = np.zeros(n_paths, dtype=bool)
-    t_pass = np.full(n_paths, np.nan)
-    over = np.zeros(n_paths)
-    active = np.ones(n_paths, dtype=bool)
-
-    if rate == 0.0:  # pure drift: always creeps
-        return np.ones(n_paths, dtype=bool), np.full(n_paths, x / delta), np.zeros(n_paths), jumps
+    nxt = np.zeros(n_paths, dtype=np.min_scalar_type(n_x))  # first unresolved level per path
 
     for round_idx in range(1, _MAX_ROUNDS + 1):
-        idx = np.nonzero(active)[0]
+        idx = np.nonzero(nxt < n_x)[0]
         if idx.size == 0:
             break
-        u_wait = _stream(seed, _PURPOSE_WAIT, round_idx, n_paths)[idx]
-        tau = -np.log1p(-u_wait) / rate
-        need = (x - pos[idx]) / delta  # drift time to reach x
-        creeps = need < tau
-        ci = idx[creeps]
-        crept[ci] = True
-        t_pass[ci] = t[ci] + need[creeps]
-        active[ci] = False
+        if rate == 0.0:  # pure drift: the first segment creeps over every level
+            tau = np.full(idx.size, np.inf)
+        else:
+            tau = -np.log1p(-_stream(seed, _PURPOSE_WAIT, round_idx, n_paths)[idx]) / rate
+        # the levels a path creeps over this round run upward from nxt
+        at, tau_at = idx, tau
+        while at.size:
+            need = (levels[nxt[at]] - pos[at]) / delta  # drift time to reach the level
+            creeps = need < tau_at
+            at, need, tau_at = at[creeps], need[creeps], tau_at[creeps]
+            crept = nxt[at] if e_q is None else nxt[at][t[at] + need <= e_q[at]]
+            hits += np.bincount(crept, minlength=n_x)
+            nxt[at] += 1
+            more = nxt[at] < n_x
+            at, tau_at = at[more], tau_at[more]
 
-        ji = idx[~creeps]
+        jumping = nxt[idx] < n_x
+        ji, tau_j = idx[jumping], tau[jumping]
         if ji.size:
-            t[ji] += tau[~creeps]
-            pos[ji] += delta * tau[~creeps]
-            sizes = sampler.sample(seed, round_idx, ji, n_paths)
-            pos[ji] += sizes
+            t[ji] += tau_j
+            pos[ji] += delta * tau_j
+            pos[ji] += sampler.sample(seed, round_idx, ji, n_paths)
             jumps[ji] += 1
-            crossed = pos[ji] > x
-            done = ji[crossed]
-            t_pass[done] = t[done]
-            over[done] = pos[done] - x
-            active[done] = False
+            # the jump resolves every level below pos
+            nxt[ji] = np.maximum(nxt[ji], np.searchsorted(levels, pos[ji]))
     else:
         raise PreconditionError(f"simulation exceeded {_MAX_ROUNDS} rounds; eps too small for this x")
-    return crept, t_pass, over, jumps
+    return hits, pos, t, jumps
+
+
+def _check_q(q: float) -> None:
+    if not math.isfinite(q):
+        raise ValueError(f"q must be a finite number, got {q!r}")
 
 
 def first_passage(model: LevyModel, x: float, seed: int, path_id: int = 0,
                   eps: float = 0.0, q: float = 0.0) -> PathOutcome:
     """Outcome of one indexed path (same draws as the batched estimator)."""
-    crept, t_pass, over, jumps = _simulate(model, x, path_id + 1, seed, eps)
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError("x must be a finite number > 0")
+    _check_q(q)
+    _, pos, t, jumps = _passage(model, np.array([float(x)]), path_id + 1, seed, eps)
+    end, t_end = float(pos[path_id]), float(t[path_id])
+    # a path that crept stopped below x; a jump over x ends above it
+    crept = end <= x
+    t_pass = t_end + (x - end) / model.drift if crept else t_end
     killed = False
     if q > 0:
         e_q = -math.log1p(-float(_stream(seed, _PURPOSE_KILL, 0, path_id + 1)[path_id])) / q
-        killed = bool(t_pass[path_id] > e_q)
+        killed = t_pass > e_q
     return PathOutcome(
-        t_passage=float(t_pass[path_id]),
-        overshoot=float(over[path_id]),
-        crept=bool(crept[path_id]),
+        t_passage=t_pass,
+        overshoot=0.0 if crept else end - x,
+        crept=crept,
         killed=killed,
         n_jumps=int(jumps[path_id]),
     )
@@ -212,33 +246,43 @@ def _bias_bound(model: LevyModel, x: float, eps: float) -> float:
     return nu / model.drift * math.exp(m)
 
 
-def creep_prob(model: LevyModel, x: float, n_paths: int, seed: int = 0,
-               eps: float = 0.0) -> CreepEstimate:
-    """Monte Carlo estimate of drift * u(x) as the creeping frequency."""
+def _estimate(model: LevyModel, x, n_paths: int, seed: int, eps: float, q: float) -> CreepEstimate:
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError("x must be a number or a 1-D array")
+    if not np.all(np.isfinite(xs) & (xs > 0)):
+        raise ValueError("x must be a finite number > 0")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    crept, _, _, _ = _simulate(model, x, n_paths, seed, eps)
-    p = float(np.count_nonzero(crept)) / n_paths
-    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-300) / n_paths)
-    return CreepEstimate(x=x, q=0.0, n_paths=n_paths, p_hat=p, ci95=ci,
-                         truncation_eps=eps, seed=seed, bias_bound=_bias_bound(model, x, eps))
+    flat = xs.reshape(-1)
+    levels, where = np.unique(flat, return_inverse=True)
+    e_q = -np.log1p(-_stream(seed, _PURPOSE_KILL, 0, n_paths)) / q if q > 0 else None
+    p = _passage(model, levels, n_paths, seed, eps, e_q)[0][where] / n_paths
+    ci = 1.96 * np.sqrt(np.maximum(p * (1.0 - p), 1e-300) / n_paths)
+    bias = np.array([_bias_bound(model, v, eps) for v in flat.tolist()])
+    if xs.ndim == 0:
+        xs, p, ci, bias = float(xs), float(p[0]), float(ci[0]), float(bias[0])
+    return CreepEstimate(x=xs, q=q, n_paths=n_paths, p_hat=p, ci95=ci,
+                         truncation_eps=eps, seed=seed, bias_bound=bias)
 
 
-def creep_prob_killed(model: LevyModel, q: float, x: float, n_paths: int, seed: int = 0,
+def creep_prob(model: LevyModel, x, n_paths: int, seed: int = 0,
+               eps: float = 0.0) -> CreepEstimate:
+    """Monte Carlo estimate of drift * u(x) as the creeping frequency.
+
+    ``x`` is a number or a 1-D array; one pass over the paths serves every x.
+    """
+    return _estimate(model, x, n_paths, seed, eps, 0.0)
+
+
+def creep_prob_killed(model: LevyModel, q: float, x, n_paths: int, seed: int = 0,
                       eps: float = 0.0) -> CreepEstimate:
     """Creeping before an independent exponential killing time: drift * u^(q)(x).
 
     The kill draw uses a dedicated counter purpose, so the crept set couples
     with the unkilled run under the same seed (killed successes are a subset).
     """
+    _check_q(q)
     if q <= 0:
         raise PreconditionError("killed estimator requires q > 0")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    crept, t_pass, _, _ = _simulate(model, x, n_paths, seed, eps)
-    e_q = -np.log1p(-_stream(seed, _PURPOSE_KILL, 0, n_paths)) / q
-    success = crept & (t_pass <= e_q)
-    p = float(np.count_nonzero(success)) / n_paths
-    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-300) / n_paths)
-    return CreepEstimate(x=x, q=q, n_paths=n_paths, p_hat=p, ci95=ci,
-                         truncation_eps=eps, seed=seed, bias_bound=_bias_bound(model, x, eps))
+    return _estimate(model, x, n_paths, seed, eps, q)

@@ -139,6 +139,43 @@ class TestEval:
         err = json.loads(capsys.readouterr().err)
         assert [v["pointer"] for v in err["violations"]] == ["--x"]
 
+    @pytest.mark.parametrize("extra, pointer", [
+        (["--q", "-0.5"], "--q"),
+        (["--q", "nan"], "--q"),
+        (["--eps", "nan"], "--eps"),
+        (["--eps", "inf"], "--eps"),
+        (["--eps", "-1"], "--eps"),
+        (["--paths", "0"], "--paths"),
+        (["--x", "0"], "--x"),
+    ])
+    def test_simulate_inputs_rejected(self, delta1_path, capsys, monkeypatch, extra, pointer):
+        from subpot import simulate
+
+        monkeypatch.setattr(simulate, "_passage", lambda *a: pytest.fail("a path was simulated"))
+        argv = {"--x": "0.5", "--paths": "10", **dict(zip(extra[::2], extra[1::2]))}
+        assert main(["simulate", "--model", delta1_path, *[v for kv in argv.items() for v in kv]]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert [v["pointer"] for v in err["violations"]] == [pointer]
+
+    @pytest.mark.parametrize("argv, pointer", [
+        (["invert", "--x", "0.5", "--theta-cut", "100"], "--theta-cut"),
+        (["simulate", "--x", "0.5"], "--paths"),
+        (["simulate", "--x", "0.5", "--paths", "abc"], "--paths"),
+    ])
+    def test_usage_errors_are_json(self, delta1_path, capsys, argv, pointer):
+        assert main([argv[0], "--model", delta1_path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "validation"
+        assert [v["pointer"] for v in err["violations"]] == [pointer]
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: subpot simulate")
+
     @pytest.mark.parametrize("extra", [["--route", "series"], ["--route", "series", "--no-derivatives"], []])
     def test_one_series_call_per_eval(self, delta1_path, tmp_path, monkeypatch, extra):
         # all points lie inside the unit atom's series radius 1/2
@@ -202,6 +239,18 @@ class TestSimulate:
         rows = a.read_text().strip().splitlines()[1:]
         p_half = float(rows[0].split(",")[2])
         assert p_half == pytest.approx(math.exp(-0.5), abs=0.02)
+
+    def test_rows_in_input_order(self, delta1_path, capsys):
+        # one pass serves unsorted and repeated x; each row is the row of a
+        # run on that x alone
+        args = ["simulate", "--model", delta1_path, "--paths", "3000", "--seed", "4", "--q", "0.3"]
+        assert main([*args, "--x", "1.5,0.5,1.5,2.5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        alone = []
+        for x in ("1.5", "0.5", "1.5", "2.5"):
+            assert main([*args, "--x", x]) == 0
+            alone.append(capsys.readouterr().out.splitlines()[1])
+        assert rows == alone
 
 
 class TestCrosscheck:

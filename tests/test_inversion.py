@@ -129,6 +129,19 @@ class TestInvertDensity:
             invert_density(stable_half, 1.0, N=2, tol=1e-8)
         assert exc.value.n_required > 2
 
+    def test_order_errors_name_the_failed_limit(self, stable_half):
+        # an integrable order whose truncation point is past the panel budget
+        model = LevyModel(drift=1, ac=AcTail.tempered(1, 0.5, 1))
+        with pytest.raises(ContourOrderError) as exc:
+            invert_density(model, 1.3, N=3, tol=1e-8)
+        assert (exc.value.n_given, exc.value.n_required) == (3, 4)
+        assert "panels" in str(exc.value) and "integrable" not in str(exc.value)
+        # a derivative order whose remainder is not integrable
+        with pytest.raises(ContourOrderError) as exc:
+            invert_derivative(stable_half, 1.0, N=2)
+        assert (exc.value.n_given, exc.value.n_required) == (2, 3)
+        assert "integrable derivative integrand" in str(exc.value) and "panels" not in str(exc.value)
+
     def test_imaginary_part_vanishes(self, delta1):
         # brute two-sided panel integral: the imaginary part cancels
         x, lam, N = 1.3, 1.0, 3

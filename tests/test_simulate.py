@@ -14,8 +14,70 @@ from subpot import (
     first_passage,
     u_volterra,
 )
-from subpot.simulate import _simulate, _stream, _PURPOSE_KILL
+from subpot.simulate import _JumpSampler, _MAX_ROUNDS, _PURPOSE_KILL, _PURPOSE_WAIT, _stream
 from conftest import delta1_u
+
+
+def _simulate(model, x, n_paths, seed, eps):
+    """Reference: the rounds for one level x; returns (crept, t_passage, overshoot, n_jumps).
+
+    The library carries every level in one pass; this per-level loop is the
+    definition that pass must reproduce bit for bit.
+    """
+    if x <= 0:
+        raise ValueError("x must be > 0")
+    sampler = _JumpSampler(model, eps)
+    delta = model.drift
+    rate = sampler.rate
+
+    pos = np.zeros(n_paths)
+    t = np.zeros(n_paths)
+    jumps = np.zeros(n_paths, dtype=np.int64)
+    crept = np.zeros(n_paths, dtype=bool)
+    t_pass = np.full(n_paths, np.nan)
+    over = np.zeros(n_paths)
+    active = np.ones(n_paths, dtype=bool)
+
+    if rate == 0.0:  # pure drift: always creeps
+        return np.ones(n_paths, dtype=bool), np.full(n_paths, x / delta), np.zeros(n_paths), jumps
+
+    for round_idx in range(1, _MAX_ROUNDS + 1):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        u_wait = _stream(seed, _PURPOSE_WAIT, round_idx, n_paths)[idx]
+        tau = -np.log1p(-u_wait) / rate
+        need = (x - pos[idx]) / delta  # drift time to reach x
+        creeps = need < tau
+        ci = idx[creeps]
+        crept[ci] = True
+        t_pass[ci] = t[ci] + need[creeps]
+        active[ci] = False
+
+        ji = idx[~creeps]
+        if ji.size:
+            t[ji] += tau[~creeps]
+            pos[ji] += delta * tau[~creeps]
+            sizes = sampler.sample(seed, round_idx, ji, n_paths)
+            pos[ji] += sizes
+            jumps[ji] += 1
+            crossed = pos[ji] > x
+            done = ji[crossed]
+            t_pass[done] = t[done]
+            over[done] = pos[done] - x
+            active[done] = False
+    else:
+        raise PreconditionError(f"simulation exceeded {_MAX_ROUNDS} rounds; eps too small for this x")
+    return crept, t_pass, over, jumps
+
+
+def _reference_estimate(model, x, n_paths, seed, eps, q=0.0):
+    """(p_hat, ci95) of one level as the per-level estimators computed them."""
+    crept, t_pass, _, _ = _simulate(model, x, n_paths, seed, eps)
+    if q > 0:
+        crept = crept & (t_pass <= -np.log1p(-_stream(seed, _PURPOSE_KILL, 0, n_paths)) / q)
+    p = float(np.count_nonzero(crept)) / n_paths
+    return p, 1.96 * math.sqrt(max(p * (1.0 - p), 1e-300) / n_paths)
 
 
 class TestFirstPassage:
@@ -126,3 +188,59 @@ class TestReproducibility:
     def test_seeds_change_estimates(self, seed):
         a = creep_prob(LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)])), 1.0, 500, seed=seed)
         assert 0.0 <= a.p_hat <= 1.0
+
+
+class TestOnePassForEveryLevel:
+    """One array call equals the per-level reference bit for bit."""
+
+    XS = [1.7, 0.4, 2.5, 0.4, 1.0, 3.2, 0.05]  # unsorted, repeated, an atom location
+
+    @pytest.mark.parametrize("name, n_paths, eps, q", [
+        ("delta1", 4000, 0.0, 0.0),
+        ("two_atoms", 4000, 0.0, 0.4),
+        ("stable_half", 500, 1e-3, 0.0),
+        ("tempered_model", 1000, 1e-4, 0.3),
+        ("pure_drift", 4000, 0.0, 0.5),
+    ])
+    def test_array_call_matches_reference(self, request, name, n_paths, eps, q):
+        if name == "two_atoms":
+            model = LevyModel(drift=1.0, q=0.4, atomic=AtomicPart.from_pairs([(0.7, 0.6), (1.5, 0.8)]))
+        else:
+            model = request.getfixturevalue(name)
+        xs = np.array(self.XS)
+        if q > 0:
+            est = creep_prob_killed(model, q, xs, n_paths, seed=31, eps=eps)
+        else:
+            est = creep_prob(model, xs, n_paths, seed=31, eps=eps)
+        assert est.n_paths == n_paths and est.q == q
+        assert np.array_equal(est.x, xs)
+        for k, x in enumerate(self.XS):
+            p, ci = _reference_estimate(model, x, n_paths, 31, eps, q)
+            assert est.p_hat[k] == p and est.ci95[k] == ci
+            one = (creep_prob_killed(model, q, x, n_paths, seed=31, eps=eps) if q > 0
+                   else creep_prob(model, x, n_paths, seed=31, eps=eps))
+            assert isinstance(one.p_hat, float) and one.p_hat == p and one.ci95 == ci
+            assert one.x == x and est.bias_bound[k] == one.bias_bound
+
+    def test_first_passage_matches_reference(self):
+        model = LevyModel(drift=0.8, atomic=AtomicPart.from_pairs([(0.3, 1.5), (1.1, 0.4)]))
+        crept, t_pass, over, jumps = _simulate(model, 1.9, 40, 5, 0.0)
+        for pid in range(40):
+            out = first_passage(model, 1.9, seed=5, path_id=pid)
+            assert (out.crept, out.t_passage, out.overshoot, out.n_jumps) == (
+                bool(crept[pid]), float(t_pass[pid]), float(over[pid]), int(jumps[pid]))
+
+    @pytest.mark.parametrize("call", [
+        lambda m: creep_prob(m, 1.0, 10, eps=float("nan")),
+        lambda m: creep_prob(m, 1.0, 10, eps=float("inf")),
+        lambda m: creep_prob(m, 1.0, 10, eps=-1.0),
+        lambda m: creep_prob_killed(m, float("nan"), 1.0, 10),
+        lambda m: creep_prob_killed(m, float("inf"), 1.0, 10),
+        lambda m: creep_prob(m, [1.0, float("nan")], 10),
+        lambda m: creep_prob(m, [[1.0]], 10),
+        lambda m: first_passage(m, 1.0, seed=0, q=float("nan")),
+        lambda m: first_passage(m, 1.0, seed=0, eps=float("nan")),
+    ])
+    def test_non_finite_inputs_refused(self, delta1, call):
+        with pytest.raises(ValueError):
+            call(delta1)

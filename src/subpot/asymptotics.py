@@ -162,16 +162,11 @@ def check_du_zero(model: LevyModel, x_grid: Optional[np.ndarray] = None) -> Asym
     n = minimal_tail_order(beta)
     xs = np.geomspace(1e-2, 1e-4, 15) if x_grid is None else np.asarray(x_grid, dtype=float)
     engine = ConvolutionEngine(model, float(xs.max()))
-    delta = model.drift
-    du = np.empty_like(xs)
-    series = np.empty_like(xs)
-    leading = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        lead = (model.q + model.tail(x, Side.RIGHT)) / delta**2
-        tol = max(1e-9, 1e-4 * abs(lead))
-        du[i], _ = invert_derivative(model, x, Side.RIGHT, tol=tol, engine=engine)
-        series[i] = engine.alternating_sum(x, 1, n + 1, Side.RIGHT)
-        leading[i] = lead
+    leading = np.array([model.q + model.tail(x, Side.RIGHT) for x in xs.tolist()]) / model.drift**2
+    # one contour for every x, at the tolerance the smallest leading term asks
+    du, _ = invert_derivative(model, xs, Side.RIGHT, tol=max(1e-9, 1e-4 * float(np.min(np.abs(leading)))),
+                              engine=engine)
+    series = engine.alternating_sum(xs, 1, n + 1, Side.RIGHT)
     residual = np.abs(du - series)
     passed = _monotone_approach(residual) and residual[-1] < 0.01 * abs(leading[-1])
     return AsymptoticCheck("du-zero", xs, du, series, du / (-leading), bool(passed),
@@ -196,9 +191,7 @@ def check_du_infinity(model: LevyModel, x_grid: Optional[np.ndarray] = None) -> 
         x_grid = np.geomspace(x_hi / 8.0, x_hi, 6)
     xs = np.asarray(x_grid, dtype=float)
     engine = ConvolutionEngine(model, float(xs.max()))
-    vals = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        left, right, _ = derivative_zero_contour(model, x, tol=1e-10, engine=engine)
-        vals[i] = max(abs(left), abs(right))
+    left, right, _ = derivative_zero_contour(model, xs, tol=1e-10, engine=engine)
+    vals = np.maximum(np.abs(left), np.abs(right))
     passed = _monotone_approach(vals) and vals[-1] < 1e-3 / model.drift
     return AsymptoticCheck("du-infinity", xs, vals, np.zeros_like(xs), vals * 0, bool(passed))

@@ -148,19 +148,19 @@ def _eval_rows(model, xs, args):
         u[series], err[series], _ = u_series(model, xs[series], tol=args.tol, engine=engine)
     if volterra.any():
         u[volterra], err[volterra] = grid(xs[volterra]), grid.err_at(xs[volterra])
-    rows = []
-    for k, x in enumerate(xs.tolist()):
-        if methods[k] == "inversion":
-            u[k], err[k] = invert_density(model, x, N=args.order, lam=args.contour_lambda,
-                                          tol=args.tol, engine=engine)
-        du_l = du_r = None
-        if fd:
-            du_l, du_r = (_fd_or_none(grid, x, side) for side in (Side.LEFT, Side.RIGHT))
-        elif not args.no_derivatives:
-            du_l, du_r, _ = invert_derivative_pair(model, x, N=args.order, lam=args.contour_lambda,
-                                                   tol=args.tol, engine=engine)
-        rows.append((x, float(u[k]), du_l, du_r, float(err[k]), str(methods[k])))
-    return rows
+    # one contour for all inversion rows, and one for every row's derivative pair
+    inversion = methods == "inversion"
+    if inversion.any():
+        u[inversion], err[inversion] = invert_density(model, xs[inversion], N=args.order,
+                                                      lam=args.contour_lambda, tol=args.tol, engine=engine)
+    du_l = du_r = [None] * xs.size
+    if fd:
+        du_l, du_r = ([_fd_or_none(grid, x, side) for x in xs.tolist()] for side in (Side.LEFT, Side.RIGHT))
+    elif not args.no_derivatives:
+        du_l, du_r, _ = (v.tolist() for v in invert_derivative_pair(
+            model, xs, N=args.order, lam=args.contour_lambda, tol=args.tol, engine=engine))
+    return [(x, float(u[k]), du_l[k], du_r[k], float(err[k]), str(methods[k]))
+            for k, x in enumerate(xs.tolist())]
 
 
 def _cmd_eval(args) -> int:

@@ -16,13 +16,16 @@ class ModelValidationError(SubpotError):
     """One or more model invariants are violated.
 
     ``violations`` is a list of (json_pointer, message) pairs so callers can
-    report exactly which field is bad.
+    report exactly which field is bad.  A pointer may also name a CLI flag
+    (``--x``); when every pointer does, the message says "invalid argument".
     """
 
     def __init__(self, violations):
         self.violations = list(violations)
         lines = "; ".join(f"{ptr}: {msg}" for ptr, msg in self.violations)
-        super().__init__(f"invalid model: {lines}")
+        flags = self.violations and all(ptr.startswith("--") for ptr, _ in self.violations)
+        what = "argument" if flags else "model"
+        super().__init__(f"invalid {what}: {lines}")
 
 
 class PreconditionError(SubpotError):

@@ -30,6 +30,17 @@ e^{lam x}/pi times that tail is at most tol/2.  The integral on [0, Theta]
 uses panels no wider than one half-oscillation of e^{i theta x} with
 15-point Gauss-Legendre, using Hermitian symmetry to fold onto theta >= 0.
 
+One call serves a number or a 1-D array of x with one contour: lam
+(``default_lambda(max x)`` unless given), N, Theta and the panel set,
+width pi/max(x_max, a_max, 1), are chosen once at the largest x, where
+e^{lam x} is largest, and the integrand is evaluated once on that node
+set.  The panels form two uniform runs (a fine one near the real axis and
+the rest), so a node is lo_k + off_j and the phase factors as
+e^{i x lo_k} e^{i x off_j}: per run and x, one (panels x 15) by 15
+product and one dot with e^{i x lo_k}, never a (nodes x xs) array.  Every
+x reports its own e^{lam x} (tail/pi + 1e-13 (|integral| + 1)), at most
+tol/2 plus roundoff.
+
 For killing rate zero and finite mean the derivative pair is valid on the
 imaginary axis itself (lam = 0), which is what makes the derivative's
 decay at infinity computable without e^{lam*x} amplification.
@@ -132,22 +143,39 @@ def _panel_counts(theta: float, width: float, lam: float):
     return n_fine, float(np.ceil((theta - fine_end) / width))
 
 
-def _panel_edges(theta: float, width: float, lam: float) -> np.ndarray:
-    """Panel boundaries on [0, theta]: near the real axis the integrand varies on the scale of lam."""
+def _panel_runs(theta: float, width: float, lam: float):
+    """Panels on [0, theta] as uniform runs (first edge, panel width, count).
+
+    Near the real axis the integrand varies on the scale of lam, so a fine
+    run covers [0, min(4*lam, theta)]; the rest are at most ``width`` wide.
+    """
     n_fine, n_rest = _panel_counts(theta, width, lam)
     fine_end = min(4.0 * lam, theta)
-    return np.concatenate([np.linspace(0.0, fine_end, n_fine + 1),
-                           np.linspace(fine_end, theta, int(n_rest) + 1)[1:]])
+    runs = [(0.0, fine_end, n_fine), (fine_end, theta, int(n_rest))]
+    return [(a, (b - a) / n, n) for a, b, n in runs if n > 0]
 
 
-def _oscillatory(fn, x: float, edges: np.ndarray) -> complex:
-    """int e^{i theta x} fn(theta) dtheta over the paneled range."""
-    lo = edges[:-1]
-    half = 0.5 * np.diff(edges)
-    nodes = (lo[:, None] + half[:, None] * (_GL15_NODES[None, :] + 1.0)).ravel()
-    vals = fn(nodes) * np.exp(1j * x * nodes)
-    w = (half[:, None] * _GL15_WEIGHTS[None, :]).ravel()
-    return complex(np.dot(w, vals))
+def _oscillatory(fn, xs: np.ndarray, runs) -> np.ndarray:
+    """int e^{i theta x} fn(theta) dtheta over the paneled range, for every x in xs.
+
+    fn is evaluated once.  In a run the nodes are lo_k + off_j, so the sum
+    factors as sum_k e^{i x lo_k} (F @ E)[k, x], F[k, j] = fn(lo_k + off_j),
+    E[j, x] = w_j e^{i x off_j}.  It is formed one x at a time, so no
+    array outgrows the nodes (a matrix product over all x would also touch
+    BLAS's level-3 work buffer, which shows in peak memory).
+    """
+    los = [a + h * np.arange(n) for a, h, n in runs]
+    offs = [0.5 * h * (_GL15_NODES + 1.0) for _, h, _ in runs]
+    vals = fn(np.concatenate([(lo[:, None] + off).ravel() for lo, off in zip(los, offs)]))
+    out = np.zeros(xs.size, dtype=complex)
+    at = 0
+    for (_, h, n), lo, off in zip(runs, los, offs):
+        f = vals[at:at + n * off.size].reshape(n, off.size)
+        at += f.size
+        w = 0.5 * h * _GL15_WEIGHTS
+        for i, x in enumerate(xs.tolist()):
+            out[i] += np.exp(1j * x * lo) @ (f @ (w * np.exp(1j * x * off)))
+    return out
 
 
 def _smallest_theta(f, level: float, lo: float) -> float:
@@ -166,35 +194,51 @@ def _smallest_theta(f, level: float, lo: float) -> float:
     return b
 
 
-def _contour_integral(fn, x, theta, tail, width, lam):
-    """Folded Bromwich integral over [0, Theta], and tail bound plus panel roundoff scale."""
-    main = _oscillatory(fn, x, _panel_edges(theta, width, lam))
-    return main.real / math.pi, tail / math.pi + 1e-13 * (abs(main) + 1.0)
+def _contour_integral(fn, xs, theta, tail, width, lam):
+    """Folded Bromwich integral over [0, Theta] at every x, and tail bound plus panel roundoff scale."""
+    main = _oscillatory(fn, xs, _panel_runs(theta, width, lam))
+    return main.real / math.pi, tail / math.pi + 1e-13 * (np.abs(main) + 1.0)
 
 
-def _abscissa(x: float, lam: Optional[float]) -> float:
-    """Validated contour abscissa for x, defaulting to ``default_lambda``."""
-    if not x > 0:
+def _points(x) -> np.ndarray:
+    """x (a number or a 1-D array of numbers > 0) as a 1-D float array."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("x must be a number or a non-empty 1-D array")
+    if not np.all(xs > 0):
         raise ValueError("x must be > 0")
-    lam = default_lambda(x) if lam is None else lam
+    return xs
+
+
+def _abscissa(xs: np.ndarray, lam: Optional[float]) -> float:
+    """Validated contour abscissa, defaulting to ``default_lambda`` at the largest x."""
+    lam = default_lambda(float(xs.max())) if lam is None else lam
     if not lam > 0:
         raise PreconditionError("contour abscissa lam must be > 0")
     return lam
 
 
-def _split_contour(model: LevyModel, x: float, N: Optional[int], lam: float, tol: float,
+def _shaped(x, *arrays):
+    """Floats for a scalar argument x, else the arrays."""
+    return tuple(float(a[0]) for a in arrays) if np.ndim(x) == 0 else arrays
+
+
+def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: float, tol: float,
                    integrand, e: int):
-    """Split order, truncation and the amplified remainder integral at x.
+    """Split order, truncation and the amplified remainder integral at every x.
 
     ``integrand(model, n, s)`` is the order-n remainder transform, with e = 1
     for a 1/s factor and 0 without.  Orders whose decay is not integrable
-    are refused.  Returns (N, integral, err) with e^{lam x} already applied
-    to both; the truncation leaves at most tol/2 of err.
+    are refused.  The order, Theta and the panels are chosen once, at the
+    largest x, where e^{lam x} is largest.  Returns (N, integral, err),
+    arrays over xs with e^{lam x} already applied to both; the truncation
+    leaves at most tol/2 of err at every x.
     """
     beta = model.bg_index()
     # smallest order with an integrable remainder
     n_min = max(1, math.floor((1.0 + 1e-12 - e) / (1.0 - beta - contour_epsilon(beta))) + 1)
-    width, amp, drift = _panel_width(model, x), math.exp(lam * x), model.drift
+    x_max = float(xs.max())
+    width, amp, drift = _panel_width(model, x_max), math.exp(lam * x_max), model.drift
     # tau(theta) = c1/theta + g theta^(abar-1) bounds |T| (module docstring)
     c1 = model.q + sum(m * (1.0 + math.exp(-lam * a)) for a, m in zip(model.atomic.locations, model.atomic.masses))
     g, abar = (0.0, 0.0) if model.ac.is_none else (model.ac.C * _gamma(1.0 - model.ac.alpha), model.ac.alpha)
@@ -227,40 +271,44 @@ def _split_contour(model: LevyModel, x: float, N: Optional[int], lam: float, tol
         theta, tail = truncation(N)
         if sum(_panel_counts(theta, width, lam)) > PANEL_BUDGET:
             raise ContourOrderError(N, scan(N + 1)[0], panel_budget=PANEL_BUDGET)
-    integral, err = _contour_integral(lambda th: integrand(model, N, lam + 1j * th), x, theta, tail,
+    integral, err = _contour_integral(lambda th: integrand(model, N, lam + 1j * th), xs, theta, tail,
                                       width, lam)
-    return N, amp * integral, amp * err
+    amps = np.exp(lam * xs)
+    return N, amps * integral, amps * err
 
 
-def invert_density(model: LevyModel, x: float, N: Optional[int] = 3, lam: Optional[float] = None,
+def invert_density(model: LevyModel, x, N: Optional[int] = 3, lam: Optional[float] = None,
                    tol: float = 1e-8, engine: Optional[ConvolutionEngine] = None):
     """u^(q)(x) through the order-N split representation.
 
-    Returns (value, err_est); err_est is the proved contour tail bound
-    beyond Theta plus the panel roundoff scale.  Any N >= 1 is an identity,
-    but a small N may need a truncation point beyond the panel budget; that
+    x is a number or a 1-D array; one contour serves every x, with lam
+    defaulting to ``default_lambda(max x)``.  Returns (value, err_est),
+    floats for a number and arrays for an array; err_est is the proved
+    contour tail bound beyond Theta plus the panel roundoff scale, each
+    amplified by its own e^{lam x}.  Any N >= 1 is an identity, but a
+    small N may need a truncation point beyond the panel budget; that
     raises ContourOrderError citing a workable order.  N=None picks the
     smallest order that fits the budget.
     """
-    lam = _abscissa(x, lam)
-    N, integral, err = _split_contour(model, x, N, lam, tol, density_integrand, 1)
+    xs = _points(x)
+    N, integral, err = _split_contour(model, xs, N, _abscissa(xs, lam), tol, density_integrand, 1)
     if engine is None:
-        engine = ConvolutionEngine(model, x)
-    return engine.alternating_sum(x, 0, N) + integral, err
+        engine = ConvolutionEngine(model, float(xs.max()))
+    return _shaped(x, engine.alternating_sum(xs, 0, N) + integral, err)
 
 
-def _derivative_pair(model, x, N, lam, tol, engine):
-    N, integral, err = _split_contour(model, x, N, lam, tol, derivative_integrand, 0)
+def _derivative_pair(model, x, xs, N, lam, tol, engine):
+    N, integral, err = _split_contour(model, xs, N, lam, tol, derivative_integrand, 0)
     if engine is None:
-        engine = ConvolutionEngine(model, x)
+        engine = ConvolutionEngine(model, float(xs.max()))
     # orders n >= 2 are continuous; the n = 1 term carries the atom's jump
-    base = engine.alternating_sum(x, 2, N, Side.RIGHT)
-    left, right = (-(model.tail(x, side) + model.q) / model.drift**2 + base + integral
-                   for side in (Side.LEFT, Side.RIGHT))
-    return left, right, err
+    base = engine.alternating_sum(xs, 2, N, Side.RIGHT)
+    left, right = (np.array([-(model.tail(v, side) + model.q) / model.drift**2 for v in xs.tolist()])
+                   + base + integral for side in (Side.LEFT, Side.RIGHT))
+    return _shaped(x, left, right, err)
 
 
-def invert_derivative_pair(model: LevyModel, x: float, N: Optional[int] = None,
+def invert_derivative_pair(model: LevyModel, x, N: Optional[int] = None,
                            lam: Optional[float] = None, tol: float = 1e-8,
                            engine: Optional[ConvolutionEngine] = None):
     """Both one-sided derivatives of u^(q) at x from one contour integral.
@@ -270,12 +318,14 @@ def invert_derivative_pair(model: LevyModel, x: float, N: Optional[int] = None,
     enough that the derivative remainder is integrable (N > 1/(1 - beta));
     a too-small explicit N raises ContourOrderError citing the required
     order.  N=None picks the smallest order that fits the panel budget.
-    Returns (left, right, err_est); err_est bounds each side.
+    x is a number or a 1-D array, as for ``invert_density``.  Returns
+    (left, right, err_est); err_est bounds each side.
     """
-    return _derivative_pair(model, x, N, _abscissa(x, lam), tol, engine)
+    xs = _points(x)
+    return _derivative_pair(model, x, xs, N, _abscissa(xs, lam), tol, engine)
 
 
-def invert_derivative(model: LevyModel, x: float, side: Side = Side.RIGHT,
+def invert_derivative(model: LevyModel, x, side: Side = Side.RIGHT,
                       N: Optional[int] = None, lam: Optional[float] = None,
                       tol: float = 1e-8, engine: Optional[ConvolutionEngine] = None):
     """One side of ``invert_derivative_pair``: returns (value, err_est)."""
@@ -283,18 +333,17 @@ def invert_derivative(model: LevyModel, x: float, side: Side = Side.RIGHT,
     return (left if side is Side.LEFT else right), err
 
 
-def derivative_zero_contour(model: LevyModel, x: float, N: Optional[int] = None,
+def derivative_zero_contour(model: LevyModel, x, N: Optional[int] = None,
                             tol: float = 1e-9, engine: Optional[ConvolutionEngine] = None):
     """u'(x-), u'(x+) on the imaginary axis (q = 0, finite mean).
 
     The derivative pair at lam = 0 avoids the e^{lam x} amplification
     entirely, which is what makes the derivative at large x resolvable.
-    Returns (left, right, err_est).
+    x is a number or a 1-D array.  Returns (left, right, err_est).
     """
-    if not x > 0:
-        raise ValueError("x must be > 0")
+    xs = _points(x)
     if model.q != 0.0:
         raise PreconditionError("imaginary-axis contour requires q = 0")
     if not math.isfinite(model.mean()):
         raise PreconditionError("imaginary-axis contour requires a finite mean")
-    return _derivative_pair(model, x, N, 0.0, tol, engine)
+    return _derivative_pair(model, x, xs, N, 0.0, tol, engine)

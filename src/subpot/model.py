@@ -301,13 +301,17 @@ class AcTail:
         return self.C * _gamma(1.0 - self.alpha) * self.b ** (self.alpha - 1.0)
 
     def small_jump_moment(self, eps: float) -> float:
-        """int_0^eps y Pi2(dy), bounding the mass a simulation drops below eps."""
+        """int_0^eps y Pi2(dy) in closed form: the first moment a simulation drops below eps."""
         if self.is_none or eps <= 0:
             return 0.0
-        # Pi2(dy) = C*(alpha*y^(-1-alpha) + b*y^(-alpha)) e^{-by} dy <= stable bound
-        return self.C * self.alpha * eps ** (1.0 - self.alpha) / (1.0 - self.alpha) + (
-            0.0 if self.kind == "stable" else self.C * self.b * eps ** (2.0 - self.alpha) / (2.0 - self.alpha)
-        )
+        a = self.alpha
+        if self.kind == "stable":
+            return self.C * a * eps ** (1.0 - a) / (1.0 - a)
+        # Pi2(dy) = C (alpha y^(-1-alpha) + b y^(-alpha)) e^{-by} dy, and
+        # int_0^eps y^(s-1) e^{-by} dy = b^-s Gamma(s) P(s, b eps)
+        be = self.b * eps
+        return self.C * self.b ** (a - 1.0) * (a * _gamma(1.0 - a) * _gammainc(1.0 - a, be)
+                                               + _gamma(2.0 - a) * _gammainc(2.0 - a, be))
 
 
 @dataclass(frozen=True)

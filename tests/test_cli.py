@@ -114,16 +114,17 @@ class TestEval:
 
 
     def test_invert_runs_one_contour_per_quantity(self, delta1_path, tmp_path, monkeypatch):
-        # the density and the derivative pair: two contour integrals per x
+        # the density and the derivative pair: two contour integrals per
+        # command, each serving every x
         import subpot.inversion as inversion
 
         calls = []
         integral = inversion._contour_integral
         monkeypatch.setattr(inversion, "_contour_integral",
-                            lambda *a: calls.append(a[1]) or integral(*a))
+                            lambda *a: calls.append(a[1].tolist()) or integral(*a))
         out = tmp_path / "inv.csv"
         assert main(["invert", "--model", delta1_path, "--x", "0.5,1.5,2.5", "--out", str(out)]) == 0
-        assert calls == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]
+        assert calls == [[0.5, 1.5, 2.5], [0.5, 1.5, 2.5]]
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--x", "nan", "--no-derivatives"],
@@ -169,6 +170,23 @@ class TestEval:
         err = json.loads(captured.err)
         assert err["error"] == "validation"
         assert [v["pointer"] for v in err["violations"]] == [pointer]
+
+    @pytest.mark.parametrize("argv, pointer", [
+        (["simulate", "--x", "0.5", "--paths", "abc"], "--paths"),
+        (["eval", "--x", "0.5,abc"], "--x"),
+        (["simulate", "--x", "0", "--paths", "10"], "--x"),
+    ])
+    def test_flag_errors_say_argument(self, delta1_path, capsys, argv, pointer):
+        assert main([argv[0], "--model", delta1_path, *argv[1:]]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert [v["pointer"] for v in err["violations"]] == [pointer]
+        assert err["message"].startswith(f"invalid argument: {pointer}: ")
+
+    def test_model_field_errors_say_model(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text('{"drift": true}')
+        assert main(["validate", "--model", str(p)]) == 2
+        assert json.loads(capsys.readouterr().err)["message"].startswith("invalid model: /drift: ")
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

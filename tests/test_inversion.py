@@ -278,6 +278,67 @@ class TestHonestyBattery:
         assert err <= self.TOL
 
 
+class TestArrayX:
+    """One contour for a whole array of x: one lam = default_lambda(max x), N, Theta and panel set."""
+
+    TOL = 1e-8
+    # x << x_max, where lam = 1/x_max is far from the scalar default 1/x; the
+    # killed model stops at 6 (a scalar call at x = 20 fails there as well)
+    GRIDS = [(name, x_max) for name in DOCS for x_max in (6.0, 20.0)
+             if (name, x_max) != ("killed_atom_tempered", 20.0)]
+
+    @staticmethod
+    def xs(x_max):
+        return np.array([0.02, 0.1, 0.5, 1.0, 1.3, 2.9, x_max])
+
+    @pytest.mark.parametrize("name, x_max", GRIDS)
+    def test_error_bars_hold_without_slack(self, name, x_max):
+        model, xs = model_from_dict(DOCS[name]), self.xs(x_max)
+        u, err = invert_density(model, xs, N=None, tol=self.TOL)
+        left, right, d_err = invert_derivative_pair(model, xs, tol=self.TOL)
+        for k, x in enumerate(xs.tolist()):
+            assert abs(u[k] - float(oracles.density(DOCS[name], x))) <= err[k] <= self.TOL
+            want_l, want_r = du_oracle(name, x)
+            assert max(abs(left[k] - want_l), abs(right[k] - want_r)) <= d_err[k] <= self.TOL
+
+    @pytest.mark.parametrize("name", DOCS)
+    def test_agrees_with_scalar_calls(self, name):
+        model, xs = model_from_dict(DOCS[name]), self.xs(6.0)
+        u, err = invert_density(model, xs, N=None, tol=self.TOL)
+        left, right, d_err = invert_derivative_pair(model, xs, tol=self.TOL)
+        for k, x in enumerate(xs.tolist()):
+            one, one_err = invert_density(model, x, N=None, tol=self.TOL)
+            assert isinstance(one, float) and abs(u[k] - one) <= err[k] + one_err
+            one_l, one_r, one_err = invert_derivative_pair(model, x, tol=self.TOL)
+            assert max(abs(left[k] - one_l), abs(right[k] - one_r)) <= d_err[k] + one_err
+
+    def test_points_do_not_grow_with_the_number_of_x(self, mixed_model, monkeypatch):
+        import subpot.inversion as inversion
+
+        sizes = []
+        for fn in ("density_integrand", "derivative_integrand"):
+            orig = getattr(inversion, fn)
+            monkeypatch.setattr(inversion, fn, lambda m, n, s, f=orig: sizes.append(np.size(s)) or f(m, n, s))
+        counts = []
+        for n_x in (1, 8, 32):
+            xs = np.linspace(2.9, 0.1, n_x)  # the same largest x, 2.9, every time
+            sizes.clear()
+            invert_density(mixed_model, xs, N=None, tol=1e-7)
+            invert_derivative_pair(mixed_model, xs, tol=1e-7)
+            assert len(sizes) == 2
+            counts.append(list(sizes))
+        assert counts[0] == counts[1] == counts[2] and min(counts[0]) > 0
+
+    def test_shapes_and_validation(self, delta1):
+        u, err = invert_density(delta1, [0.5, 1.5], N=3)
+        assert u.shape == err.shape == (2,)
+        left, right, d_err = derivative_zero_contour(delta1, np.array([10.0, 20.0]), tol=1e-10)
+        assert left.shape == right.shape == d_err.shape == (2,)
+        for bad in ([], [0.5, 0.0], [0.5, math.nan], [[0.5]]):
+            with pytest.raises(ValueError):
+                invert_density(delta1, bad)
+
+
 class TestDefaults:
     def test_epsilon_rule(self):
         assert contour_epsilon(0.0) == 0.05

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,3 +268,15 @@ class TestKernelMoments:
         eps = 1e-3
         oracle, _ = quad(lambda y: y * 0.5 * y**-1.5, 0, eps)
         assert stable_half.small_jump_moment(eps) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha, b, eps", [(0.3, 1.5, 1e-4), (0.7, 0.1, 0.1), (0.95, 20.0, 2.0)])
+    def test_tempered_small_jump_moment_exact(self, alpha, b, eps):
+        # int_0^eps y C (alpha y^(-1-alpha) + b y^(-alpha)) e^{-by} dy, with
+        # y = eps u^(1/(1-alpha)) taking out the singularity at 0
+        s = 1 / (1 - mp.mpf(alpha))
+        y = lambda u: eps * u**s
+        with mp.workdps(30):
+            oracle = mp.quad(lambda u: 0.7 * (alpha * y(u) ** -alpha + b * y(u) ** (1 - alpha))
+                             * mp.exp(-b * y(u)) * eps * s * u ** (s - 1), [0, 1])
+        got = AcTail.tempered(0.7, alpha, b).small_jump_moment(eps)
+        assert got == pytest.approx(float(oracle), rel=1e-13)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpot import (
+    AcTail,
     AtomicPart,
     LevyModel,
     PreconditionError,
@@ -15,7 +16,7 @@ from subpot import (
     u_volterra,
 )
 from subpot.simulate import _JumpSampler, _MAX_ROUNDS, _PURPOSE_KILL, _PURPOSE_WAIT, _stream
-from conftest import delta1_u
+from conftest import delta1_u, oracles
 
 
 def _simulate(model, x, n_paths, seed, eps):
@@ -157,6 +158,13 @@ class TestKilled:
     def test_requires_positive_q(self, delta1):
         with pytest.raises(PreconditionError):
             creep_prob_killed(delta1, 0.0, 1.0, 100)
+
+    def test_bias_bound_uses_the_killing_rate(self):
+        # m(x) takes the estimate's rate q, not the model's (here 0)
+        doc = {"drift": 1.0, "ac": {"kind": "tempered", "C": 0.7, "alpha": 0.3, "b": 1.5}}
+        model = LevyModel(drift=1.0, ac=AcTail.tempered(0.7, 0.3, 1.5))
+        est = creep_prob_killed(model, 0.2, 2.0, 10, seed=0, eps=1e-4)
+        assert est.bias_bound == pytest.approx(oracles.creep_bias_bound(dict(doc, q=0.2), 2.0, 1e-4), rel=1e-12)
 
     def test_killed_subset_of_unkilled(self, delta1):
         crept, t_pass, _, _ = _simulate(delta1, 0.8, 30_000, 5, 0.0)

@@ -414,12 +414,15 @@ class ConvolutionEngine:
             if cap < hi:
                 val += self._cross_cell(pp, x, cap, hi, p, b)
             return val
-        # smooth region: geometric splits keep the v^p factor well resolved
+        # smooth region: geometric splits keep the v^p factor well resolved,
+        # and cells at most 8/b wide the exponential
+        mid = hi
         if hi / lo > 8.0:
             mid = lo * 8.0
-            return self._cross_cell(pp, x, lo, mid, p, b) + self._cross_cell(pp, x, mid, hi, p, b)
-        if b > 0.0 and (hi - lo) > 8.0 / b:
+        elif b > 0.0 and (hi - lo) > 8.0 / b:
             mid = lo + 8.0 / b
+        # a split point that rounds onto an end would split the cell into itself
+        if lo < mid < hi:
             return self._cross_cell(pp, x, lo, mid, p, b) + self._cross_cell(pp, x, mid, hi, p, b)
         half = 0.5 * (hi - lo)
         v = lo + half * (_GL_NODES + 1.0)

@@ -30,6 +30,27 @@ e^{lam x}/pi times that tail is at most tol/2.  The integral on [0, Theta]
 uses panels no wider than one half-oscillation of e^{i theta x} with
 15-point Gauss-Legendre, using Hermitian symmetry to fold onto theta >= 0.
 
+Every N is an identity, so with N=None the order only trades panels against
+convolution orders and roundoff, and it is chosen by predicted cost.  For
+each order n <= 16 whose panels fit PANEL_BUDGET, Theta_n and the panel
+count are known before any integrand evaluation.  The predicted cost is 15
+integrand points per panel plus a fixed cost per order of the finite sum
+(``_order_cost``).  The predicted err_est at the largest x is
+e^{lam x} (tail_n/pi + 1e-13 (M_n + 1)), with M_n the integral over
+[0, Theta_n] of a majorant of |remainder|.  As tbar + q >= 0,
+|T(lam + i theta)| <= T(lam), and |T| <= c1/|s| + g |s + b|^(abar-1)
+(b = 0 for the stable tail).  With Phi(s) = s (d + T(s)) the Laplace
+exponent, |1 + T/d| = |Phi(s)|/(d|s|) is at least Phi(lam)/(d|s|), since
+Re Phi(s) >= Phi(lam), and 1 - |T|/d; as every part of T but the atoms'
+part A has Re >= 0 and |A| <= c_atoms/|s|, it is also at least
+1 - c_atoms/(d|s|) and (|T| - 2 c_atoms/|s|)/d.  So M_n bounds the
+integral's magnitude up to the trapezoid rule on 288 points.  On the
+imaginary axis (lam = 0) Phi(0) = 0, and with atoms no bound may be
+positive near theta = 0; then M_n is infinite and so is every predicted
+err_est.  The scan takes the cheapest order whose predicted err_est meets
+tol, else the order with the least, the lowest of equals.  The choice
+depends on the model, the largest x, lam, tol and the quantity only.
+
 One call serves a number or a 1-D array of x with one contour: lam
 (``default_lambda(max x)`` unless given), N, Theta and the panel set,
 width pi/max(x_max, a_max, 1), are chosen once at the largest x, where
@@ -123,11 +144,16 @@ def derivative_integrand(model: LevyModel, N: int, s):
 # oscillatory quadrature with a proved tail bound
 # ---------------------------------------------------------------------------
 
-# panels allowed per integral: a first pass looks for an order that fits
-# comfortably (the extra convolution terms are far cheaper than oscillatory
-# panels); only if none exists is the full budget allowed
+# panels allowed per integral
 PANEL_BUDGET = 400_000
-_COMFORTABLE_PANELS = 30_000
+# predicted cost of a call in integrand points (15 per panel); an order of the
+# finite sum adds a ladder step, a closed-form order, or one cell-quadrature
+# cross term per lower order with atoms and an AC part.  Measured on 8 x: an
+# integrand point takes 0.2-0.35 us (about 1 us with 8 atoms), a ladder step
+# 0.3 ms, a closed-form order 0.05 ms and a cross term 2 ms.
+_LADDER_COST, _CLOSED_COST, _CROSS_COST = 1000.0, 150.0, 6000.0
+# panels per integrand call: bounds the memory of a long contour
+_BLOCK_PANELS = 4096
 
 
 def _panel_width(model: LevyModel, x: float) -> float:
@@ -158,23 +184,31 @@ def _panel_runs(theta: float, width: float, lam: float):
 def _oscillatory(fn, xs: np.ndarray, runs) -> np.ndarray:
     """int e^{i theta x} fn(theta) dtheta over the paneled range, for every x in xs.
 
-    fn is evaluated once.  In a run the nodes are lo_k + off_j, so the sum
-    factors as sum_k e^{i x lo_k} (F @ E)[k, x], F[k, j] = fn(lo_k + off_j),
-    E[j, x] = w_j e^{i x off_j}.  It is formed one x at a time, so no
-    array outgrows the nodes (a matrix product over all x would also touch
-    BLAS's level-3 work buffer, which shows in peak memory).
+    fn is evaluated once on every node, in one call when there are at most
+    ``_BLOCK_PANELS`` panels and one call per block of that many otherwise,
+    so memory does not grow with the panel count.  In a run the nodes are
+    lo_k + off_j, so the sum factors as sum_k e^{i x lo_k} (F @ E)[k, x],
+    F[k, j] = fn(lo_k + off_j), E[j, x] = w_j e^{i x off_j}.  It is formed
+    one x at a time, so no array outgrows the nodes (a matrix product over
+    all x would also touch BLAS's level-3 work buffer, which shows in peak
+    memory).
     """
-    los = [a + h * np.arange(n) for a, h, n in runs]
-    offs = [0.5 * h * (_GL15_NODES + 1.0) for _, h, _ in runs]
-    vals = fn(np.concatenate([(lo[:, None] + off).ravel() for lo, off in zip(los, offs)]))
+    blocks = []  # (panel starts, offsets, E per x) for every block of every run
+    for a, h, n in runs:
+        off = 0.5 * h * (_GL15_NODES + 1.0)
+        phase = [0.5 * h * _GL15_WEIGHTS * np.exp(1j * x * off) for x in xs.tolist()]
+        lo = a + h * np.arange(n)
+        blocks += [(lo[k:k + _BLOCK_PANELS], off, phase) for k in range(0, n, _BLOCK_PANELS)]
+    calls = [blocks] if sum(lo.size for lo, _, _ in blocks) <= _BLOCK_PANELS else [[b] for b in blocks]
     out = np.zeros(xs.size, dtype=complex)
-    at = 0
-    for (_, h, n), lo, off in zip(runs, los, offs):
-        f = vals[at:at + n * off.size].reshape(n, off.size)
-        at += f.size
-        w = 0.5 * h * _GL15_WEIGHTS
-        for i, x in enumerate(xs.tolist()):
-            out[i] += np.exp(1j * x * lo) @ (f @ (w * np.exp(1j * x * off)))
+    for call in calls:
+        vals = fn(np.concatenate([(lo[:, None] + off).ravel() for lo, off, _ in call]))
+        at = 0
+        for lo, off, phase in call:
+            f = vals[at:at + lo.size * off.size].reshape(lo.size, off.size)
+            at += f.size
+            for i, x in enumerate(xs.tolist()):
+                out[i] += np.exp(1j * x * lo) @ (f @ phase[i])
     return out
 
 
@@ -223,6 +257,18 @@ def _shaped(x, *arrays):
     return tuple(float(a[0]) for a in arrays) if np.ndim(x) == 0 else arrays
 
 
+def _no_order(tol: float) -> AccuracyFailureError:
+    return AccuracyFailureError("no split order up to 16 meets the tolerance within the panel budget", math.inf, tol)
+
+
+def _order_cost(model: LevyModel, n: int) -> float:
+    """Predicted cost of order n of the finite sum, in integrand points (``_LADDER_COST``)."""
+    cost = 0.0 if model.atomic.is_empty and model.q == 0.0 else _LADDER_COST
+    if not model.ac.is_none:
+        cost += _CLOSED_COST if model.atomic.is_empty else (n - 1) * _CROSS_COST
+    return cost
+
+
 def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: float, tol: float,
                    integrand, e: int):
     """Split order, truncation and the amplified remainder integral at every x.
@@ -233,6 +279,11 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
     largest x, where e^{lam x} is largest.  Returns (N, integral, err),
     arrays over xs with e^{lam x} already applied to both; the truncation
     leaves at most tol/2 of err at every x.
+
+    N=None takes, among the orders up to 16 within ``PANEL_BUDGET``, the
+    cheapest whose predicted err_est meets tol, else the lowest with the
+    least predicted err_est.  Both predictions come before any integrand
+    evaluation (module docstring).
     """
     beta = model.bg_index()
     # smallest order with an integrable remainder
@@ -240,37 +291,64 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
     x_max = float(xs.max())
     width, amp, drift = _panel_width(model, x_max), math.exp(lam * x_max), model.drift
     # tau(theta) = c1/theta + g theta^(abar-1) bounds |T| (module docstring)
-    c1 = model.q + sum(m * (1.0 + math.exp(-lam * a)) for a, m in zip(model.atomic.locations, model.atomic.masses))
+    c_atoms = sum(m * (1.0 + math.exp(-lam * a)) for a, m in zip(model.atomic.locations, model.atomic.masses))
+    c1 = model.q + c_atoms
     g, abar = (0.0, 0.0) if model.ac.is_none else (model.ac.C * _gamma(1.0 - model.ac.alpha), model.ac.alpha)
+    b = model.ac.b if model.ac.kind == "tempered" else 0.0
     # at least one panel, so a vanishing tau still integrates theta > 0
     theta0 = _smallest_theta(lambda t: c1 / t + g * t ** (abar - 1.0), 0.5 * drift, width)
+    # T(lam) >= |T(lam + i theta)|, and Phi(lam) = lam (d + T(lam)) <= Re Phi(lam + i theta)
+    t_lam = tail_transform(model, lam).real if lam > 0 else model.mean() - drift
+    phi_lam = lam * (drift + t_lam)
 
     def truncation(n):
         rho = n * (1.0 - abar) + e - 1.0
         tail = lambda t: 2.0 * (c1 * t**-abar + g) ** n * t**-rho / (rho * drift ** (n + 1))
         theta = _smallest_theta(tail, 0.5 * math.pi * tol / amp, theta0)
-        return theta, tail(theta)
+        return theta, tail(theta), sum(_panel_counts(theta, width, lam))
 
-    def scan(n_from):
-        for allowed in (_COMFORTABLE_PANELS, PANEL_BUDGET):
-            for n in range(n_from, 17):
-                theta, tail = truncation(n)
-                if sum(_panel_counts(theta, width, lam)) <= allowed:
-                    return n, theta, tail
-        raise AccuracyFailureError(
-            "no split order up to 16 meets the tolerance within the panel budget", math.inf, tol
-        )
+    def magnitude(n, theta):
+        # int_0^theta of max |T/d|^n / (|s|^e d |1 + T/d|) by the trapezoid rule
+        # (module docstring); u bounds |T|/d, w the atoms' part of it
+        edge = min(theta, 4.0 * lam if lam > 0 else 1.0)
+        th = np.concatenate([np.linspace(0.0, edge, 33)[:-1], np.geomspace(edge, theta, 256)])
+        s = np.maximum(np.hypot(lam, th), 1e-300)
+        u = np.minimum(t_lam, c1 / s + g * (np.hypot(lam + b, th) if b else s) ** (abar - 1.0)) / drift
+        w = c_atoms / (drift * s)
+        # a lower bound on |1 + T/d|; where none is positive the magnitude is unbounded
+        den = np.maximum.reduce([phi_lam / (drift * s), 1.0 - u, 1.0 - w, np.zeros_like(s)])
+        with np.errstate(divide="ignore"):
+            # sup of v^n / max(den, v - 2w) over 0 <= v <= u
+            ratio = np.maximum(u**n / np.maximum(den, u - 2.0 * w), np.minimum(u, 2.0 * w + den) ** n / den)
+        return float(np.trapezoid(ratio / (s**e * drift), th))
 
-    if N is None:
-        N, theta, tail = scan(n_min)
-    else:
+    if N is not None:
         if N < 1:
             raise ValueError("N must be >= 1")
         if N < n_min:
             raise ContourOrderError(N, n_min)
-        theta, tail = truncation(N)
-        if sum(_panel_counts(theta, width, lam)) > PANEL_BUDGET:
-            raise ContourOrderError(N, scan(N + 1)[0], panel_budget=PANEL_BUDGET)
+        theta, tail, panels = truncation(N)
+        if panels > PANEL_BUDGET:
+            n_fit = next((n for n in range(N + 1, 17) if truncation(n)[2] <= PANEL_BUDGET), None)
+            if n_fit is None:
+                raise _no_order(tol)
+            raise ContourOrderError(N, n_fit, panel_budget=PANEL_BUDGET)
+    else:
+        best = None  # (misses tol, predicted cost or err_est, n, theta, tail)
+        for n in range(n_min, 17):
+            engine_cost = sum(_order_cost(model, m) for m in range(2 - e, n))
+            if best is not None and not best[0] and engine_cost >= best[1]:
+                break  # the finite sum alone costs more than the best order so far
+            theta, tail, panels = truncation(n)
+            if panels > PANEL_BUDGET:
+                continue
+            err = amp * (tail / math.pi + 1e-13 * (magnitude(n, theta) + 1.0))
+            key = (False, engine_cost + 15.0 * panels) if err <= tol else (True, err)
+            if best is None or key < best[:2]:
+                best = (*key, n, theta, tail)
+        if best is None:
+            raise _no_order(tol)
+        N, theta, tail = best[2:]
     integral, err = _contour_integral(lambda th: integrand(model, N, lam + 1j * th), xs, theta, tail,
                                       width, lam)
     amps = np.exp(lam * xs)
@@ -287,8 +365,8 @@ def invert_density(model: LevyModel, x, N: Optional[int] = 3, lam: Optional[floa
     contour tail bound beyond Theta plus the panel roundoff scale, each
     amplified by its own e^{lam x}.  Any N >= 1 is an identity, but a
     small N may need a truncation point beyond the panel budget; that
-    raises ContourOrderError citing a workable order.  N=None picks the
-    smallest order that fits the budget.
+    raises ContourOrderError citing the smallest order that fits.  N=None
+    picks the cheapest order predicted to meet tol (module docstring).
     """
     xs = _points(x)
     N, integral, err = _split_contour(model, xs, N, _abscissa(xs, lam), tol, density_integrand, 1)
@@ -317,7 +395,7 @@ def invert_derivative_pair(model: LevyModel, x, N: Optional[int] = None,
     so right - left is the atom mass at x over drift^2.  Needs N large
     enough that the derivative remainder is integrable (N > 1/(1 - beta));
     a too-small explicit N raises ContourOrderError citing the required
-    order.  N=None picks the smallest order that fits the panel budget.
+    order.  N=None picks the cheapest order predicted to meet tol.
     x is a number or a 1-D array, as for ``invert_density``.  Returns
     (left, right, err_est); err_est bounds each side.
     """

@@ -126,6 +126,16 @@ class TestEval:
         assert main(["invert", "--model", delta1_path, "--x", "0.5,1.5,2.5", "--out", str(out)]) == 0
         assert calls == [[0.5, 1.5, 2.5], [0.5, 1.5, 2.5]]
 
+    def test_invert_far_out_on_killed_atom_tempered(self, tmp_path):
+        # once a RecursionError in the cross-term cells: exit 1 with a traceback
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"drift": 1.3, "q": 0.3, "atoms": [{"x": 0.8, "mass": 0.5}],
+                                     "ac": {"kind": "tempered", "C": 0.7, "alpha": 0.6, "b": 1.5}}))
+        out = tmp_path / "inv.json"
+        assert main(["invert", "--model", str(model), "--x", "20", "--format", "json", "--out", str(out)]) == 0
+        (row,) = json.loads(out.read_text())
+        assert all(math.isfinite(row[k]) for k in ("u", "du_left", "du_right", "err_est"))
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--x", "nan", "--no-derivatives"],
         ["eval", "--x", "inf"],

@@ -388,6 +388,42 @@ class TestKillingCrossTerms:
         assert np.max(np.abs(got - want) / want) < 1e-12
 
 
+class TestCrossCellSplit:
+    """A smooth cell wider than 8/b by one ulp, whose split point lo + 8/b rounds onto hi.
+
+    It arises in ``running(1, 20)`` on the atom + tempered + killing model:
+    the cell (0, 19.2) loses its Jacobi head [0, 8/b] and is halved twice.
+    """
+
+    MODEL = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                      ac=AcTail.tempered(0.7, 0.6, 1.5))
+    X, LO, HI, B = 20.0, 10.666666666666666, 16.0, 1.5
+
+    def test_split_point_rounds_onto_the_end(self):
+        assert self.HI - self.LO > 8.0 / self.B and self.LO + 8.0 / self.B == self.HI
+
+    def test_cell_against_40_digit_quadrature(self):
+        eng = ConvolutionEngine(self.MODEL, self.X)
+        p = eng._ac_exponents(1)[0]
+        got = eng._cross_cell(eng.pc_running(1), self.X, self.LO, self.HI, p, self.B)
+        with mpmath.workdps(40):
+            # pc = 0.5 [y < 0.8] + 0.3, so its running integral is 0.3 y + 0.5 min(y, 0.8)
+            pc_running = lambda y: mpmath.mpf(0.3) * y + mpmath.mpf(0.5) * min(y, mpmath.mpf(0.8))
+            want = mpmath.quad(lambda v: pc_running(self.X - v) * v**p * mpmath.exp(-self.B * v), [self.LO, self.HI])
+            assert abs((got - want) / want) < 1e-12
+
+    def test_running_at_x20_against_40_digit_quadrature(self):
+        # the cross term pc^{*1} * s^{*1} of running(2, 20), whose cells include the one above
+        eng = ConvolutionEngine(self.MODEL, self.X)
+        p, k = eng._ac_exponents(1)
+        got = eng._cross(eng.pc_running(1), 1, self.X)
+        with mpmath.workdps(40):
+            pc_running = lambda y: mpmath.mpf(0.3) * y + mpmath.mpf(0.5) * min(y, mpmath.mpf(0.8))
+            want = k * mpmath.quad(lambda v: pc_running(self.X - v) * v**p * mpmath.exp(-self.B * v),
+                                   [0, self.X - 0.8, self.X])
+            assert abs((got - want) / want) < 1e-12
+
+
 class TestArrayArguments:
     # atoms, killing and a tempered tail: every kind of term, cross terms too
     MODEL = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),

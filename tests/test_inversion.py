@@ -339,6 +339,79 @@ class TestArrayX:
                 invert_density(delta1, bad)
 
 
+class TestOrderChoice:
+    """N=None takes the cheapest order predicted to meet tol, counted in integrand points, not timed.
+
+    EARLIER_* come from the order scan this replaced, which took the first
+    order whose contour fitted 30 000 panels.
+    """
+
+    XS = np.linspace(0.1, 2.9, 8)  # contour-mc's grid, tol 1e-7; the fixtures sit in its model box
+    # (model, quantity): (earlier order, its integrand points)
+    EARLIER_POINTS = {("delta1", "density"): (2, 98505), ("delta1", "pair"): (3, 128730),
+                      ("mixed_model", "density"): (3, 30390), ("mixed_model", "pair"): (4, 124065)}
+    # (model document, x, tol, earlier err_est rounded down where above tol, density then pair)
+    BATTERY = {
+        "reciprocal family": (
+            {"drift": 2.0, "atom_family": {"kind": "reciprocal-integers", "cap": 8,
+                                           "masses": [j**-1.25 for j in range(1, 9)]}},
+            np.linspace(0.1, 2.0, 8), 1e-8, (None, None)),
+        "atom + tempered + killing": (DOCS["killed_atom_tempered"], TestArrayX.xs(6.0), 1e-8, (None, None)),
+        "stable 0.7": (
+            {"drift": 1.0, "ac": {"kind": "stable", "C": 1.0, "alpha": 0.7}}, np.linspace(0.2, 3.0, 6), 1e-8,
+            ([1.40e-8, 1.89e-8, 2.56e-8, 3.41e-8, 4.47e-8, 5.76e-8],
+             [4.21e-6, 5.61e-6, 7.56e-6, 1.01e-5, 1.35e-5, 1.77e-5])),
+        "tempered 0.7 + killing": (
+            {"drift": 1.0, "q": 0.2, "ac": {"kind": "tempered", "C": 1.0, "alpha": 0.7, "b": 2.0}},
+            np.linspace(0.1, 2.0, 8), 1e-8,
+            (None, [1.17e-8, 1.63e-8, 2.12e-8, 2.57e-8, 2.98e-8, 3.35e-8, 3.72e-8, 4.09e-8])),
+    }
+
+    @staticmethod
+    def points(monkeypatch, call):
+        import subpot.inversion as inversion
+
+        sizes = []
+        for fn in ("density_integrand", "derivative_integrand"):
+            orig = getattr(inversion, fn)
+            monkeypatch.setattr(inversion, fn, lambda m, n, s, f=orig: sizes.append(np.size(s)) or f(m, n, s))
+        call()
+        return sum(sizes)
+
+    def calls(self, model, N=None):
+        return {"density": lambda: invert_density(model, self.XS, N=N, tol=1e-7),
+                "pair": lambda: invert_derivative_pair(model, self.XS, N=N, tol=1e-7)}
+
+    def test_a_tenth_of_the_earlier_points(self, request, monkeypatch):
+        got = {}
+        for (name, quantity), (n_earlier, earlier) in self.EARLIER_POINTS.items():
+            model = request.getfixturevalue(name)
+            # an explicit N keeps its truncation point and panels
+            assert self.points(monkeypatch, self.calls(model, n_earlier)[quantity]) == earlier
+            got[name, quantity] = self.points(monkeypatch, self.calls(model)[quantity])
+        for key in ("delta1", "mixed_model", "density", "pair"):
+            now = sum(v for k, v in got.items() if key in k)
+            assert now <= sum(v[1] for k, v in self.EARLIER_POINTS.items() if key in k) / 10
+
+    @pytest.mark.parametrize("name", BATTERY)
+    def test_err_est_no_worse_than_earlier(self, name):
+        doc, xs, tol, earlier = self.BATTERY[name]
+        model = model_from_dict(doc)
+        errs = (invert_density(model, xs, N=None, tol=tol)[1], invert_derivative_pair(model, xs, tol=tol)[2])
+        for err, old in zip(errs, earlier):
+            assert np.all(err <= np.maximum(tol, 0.0 if old is None else np.array(old)))
+
+
+class TestKilledAtomTemperedFarOut:
+    """x = 20 on the atom + tempered + killing model, whose cross-term cells
+    once included one that split into itself without end (RecursionError)."""
+
+    def test_density_at_x20(self):
+        doc = DOCS["killed_atom_tempered"]
+        u, err = invert_density(model_from_dict(doc), 20.0, N=None, tol=1e-8)
+        assert math.isfinite(u) and abs(u - float(oracles.density(doc, 20.0))) <= err <= 1e-8
+
+
 class TestDefaults:
     def test_epsilon_rule(self):
         assert contour_epsilon(0.0) == 0.05

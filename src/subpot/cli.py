@@ -21,6 +21,7 @@ import os
 import re
 import sys
 import tempfile
+from decimal import ROUND_CEILING, Context, Decimal
 
 import numpy as np
 
@@ -31,13 +32,14 @@ from .errors import (
     AccuracyFailureError,
     ModelValidationError,
     PreconditionError,
-    SubpotError,
 )
 from .inversion import invert_density, invert_derivative_pair
 from .model import Side, load_model
-from .smoothness import classify_point, one_sided_fd
+from .smoothness import classify_point
 
 _FMT = "%.12e"
+# decimal arithmetic that rounds toward +inf, for error bars
+_UP = Context(rounding=ROUND_CEILING)
 
 
 def _fmt(value) -> str:
@@ -121,49 +123,66 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _fd_or_none(grid, x: float, side: Side):
-    # a kink too close to x leaves no clean fit window: report no derivative
-    try:
-        return one_sided_fd(grid, x, 1, side)[0]
-    except SubpotError:
-        return None
+def _require_positive(*named) -> None:
+    """Exit 2, pointing at each flag, unless every given value is a finite number > 0."""
+    bad = [(flag, "must be a finite number > 0") for flag, values in named
+           if not all(math.isfinite(v) and v > 0 for v in values)]
+    if bad:
+        raise ModelValidationError(bad)
 
 
 def _eval_rows(model, xs, args):
-    x_max = float(np.max(xs))
+    # a grid needs a cell wider than its node-merging resolution (1e-13)
+    x_max = max(float(np.max(xs)), 1e-12)
     route = args.route
-    fd = not args.no_derivatives and args.derivatives == "fd"
     # one engine (and so one convolution ladder) serves the radius, the
-    # series values and the Volterra head
-    engine = ConvolutionEngine(model, x_max + 0.5)
+    # series values, the Volterra head and both contours
+    engine = ConvolutionEngine(model, x_max)
     methods = np.full(xs.size, route)
     if route == "auto":
         methods = np.where(xs <= series_radius(model, x_max, engine), "series", "volterra")
-    series, volterra = methods == "series", methods == "volterra"
-    grid = u_volterra(model, x_max + 0.5, tol=args.tol, engine=engine) if fd or volterra.any() else None
+    series, volterra, inversion = (methods == m for m in ("series", "volterra", "inversion"))
     u, err = np.empty(xs.size), np.empty(xs.size)
     if series.any():
         # one call for all series rows; a forced series route with a point
         # outside the radius raises at the first such x (exit 4)
         u[series], err[series], _ = u_series(model, xs[series], tol=args.tol, engine=engine)
     if volterra.any():
+        grid = u_volterra(model, x_max, tol=args.tol, engine=engine)
         u[volterra], err[volterra] = grid(xs[volterra]), grid.err_at(xs[volterra])
     # one contour for all inversion rows, and one for every row's derivative pair
-    inversion = methods == "inversion"
     if inversion.any():
         u[inversion], err[inversion] = invert_density(model, xs[inversion], N=args.order,
                                                       lam=args.contour_lambda, tol=args.tol, engine=engine)
-    du_l = du_r = [None] * xs.size
-    if fd:
-        du_l, du_r = ([_fd_or_none(grid, x, side) for x in xs.tolist()] for side in (Side.LEFT, Side.RIGHT))
-    elif not args.no_derivatives:
-        du_l, du_r, _ = (v.tolist() for v in invert_derivative_pair(
+    du_l = du_r = du_err = [None] * xs.size
+    if not args.no_derivatives:
+        du_l, du_r, du_err = (v.tolist() for v in invert_derivative_pair(
             model, xs, N=args.order, lam=args.contour_lambda, tol=args.tol, engine=engine))
-    return [(x, float(u[k]), du_l[k], du_r[k], float(err[k]), str(methods[k]))
+    return [(x, float(u[k]), du_l[k], du_r[k], float(err[k]), str(methods[k]), du_err[k])
             for k, x in enumerate(xs.tolist())]
 
 
+def _fmt_up(value: Decimal) -> str:
+    """``_FMT`` of a Decimal > 0, rounded up in the last printed digit instead of to nearest."""
+    exp = value.adjusted()
+    mant = value.scaleb(-exp, _UP).quantize(Decimal("1e-12"), context=_UP)
+    if mant == 10:
+        mant, exp = Decimal("1.000000000000"), exp + 1
+    return f"{mant}e{exp:+03d}"
+
+
+def _csv_row(x, u, du_l, du_r, err, method, du_err) -> str:
+    # u is printed to 13 significant digits, so the printed err_est adds
+    # half a unit of u's last digit; a derivative with no sure digit (its
+    # error exceeds its magnitude) has no error column to say so, and
+    # prints as null
+    half_digit = Decimal(5).scaleb(int(_fmt(u).partition("e")[2]) - 13)
+    du_l, du_r = (None if du is None or du_err > abs(du) else du for du in (du_l, du_r))
+    return ",".join([_fmt(x), _fmt(u), _fmt(du_l), _fmt(du_r), _fmt_up(_UP.add(Decimal(err), half_digit)), method])
+
+
 def _cmd_eval(args) -> int:
+    _require_positive(("--tol", [args.tol]))
     model = load_model(args.model)
     xs = _parse_range(args.x, args.spacing)
     if np.any(xs < 0):
@@ -171,17 +190,10 @@ def _cmd_eval(args) -> int:
     xs = np.where(xs == 0.0, 1e-300, xs)
     rows = _eval_rows(model, xs, args)
     if args.format == "json":
-        doc = [
-            {"x": r[0], "u": r[1], "du_left": r[2], "du_right": r[3], "err_est": r[4], "method": r[5]}
-            for r in rows
-        ]
-        _emit(args, json.dumps(doc) + "\n")
+        keys = ("x", "u", "du_left", "du_right", "err_est", "method", "du_err")
+        _emit(args, json.dumps([dict(zip(keys, r)) for r in rows]) + "\n")
     else:
-        lines = ["x,u,du_left,du_right,err_est,method"]
-        for r in rows:
-            lines.append(
-                ",".join([_fmt(r[0]), _fmt(r[1]), _fmt(r[2]), _fmt(r[3]), _fmt(r[4]), r[5]])
-            )
+        lines = ["x,u,du_left,du_right,err_est,method", *(_csv_row(*r) for r in rows)]
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -287,17 +299,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    def number(v):
+        try:
+            return float(v)
+        except ValueError:
+            return math.nan
+
+    lams = [number(v) for v in args.lam.split(",")]
+    _require_positive(("--lambda", lams), ("--tol", [args.tol]),
+                      ("--assert-tol", [] if args.assert_tol is None else [args.assert_tol]))
     model = load_model(args.model)
-    lams = [float(v) for v in args.lam.split(",")]
+    # one grid, long enough for the smallest lambda, serves every lambda
+    results = laplace_crosscheck(model, np.array(lams), tol=args.tol)
     lines = ["lambda,lhs,rhs,abs_diff,tail_bound"]
-    worst = 0.0
-    for lam in lams:
-        res = laplace_crosscheck(model, lam, tol=args.tol)
-        worst = max(worst, res.abs_diff)
-        lines.append(
-            ",".join([_fmt(res.lam), _fmt(res.lhs), _fmt(res.rhs), _fmt(res.abs_diff), _fmt(res.tail_bound)])
-        )
+    lines += [",".join(_fmt(v) for v in (r.lam, r.lhs, r.rhs, r.abs_diff, r.tail_bound)) for r in results]
     _emit(args, "\n".join(lines) + "\n")
+    worst = max(r.abs_diff for r in results)
     if args.assert_tol is not None and worst > args.assert_tol:
         raise AccuracyFailureError("transform crosscheck disagreement", worst, args.assert_tol)
     return 0
@@ -337,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None, help="split order N for the inversion route")
     p.add_argument("--contour-lambda", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--derivatives", choices=("fd", "inversion"), default="fd")
     p.add_argument("--no-derivatives", action="store_true")
     p.set_defaults(fn=_cmd_eval)
 
@@ -348,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--contour-lambda", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--derivatives", choices=("fd", "inversion"), default="inversion")
     p.add_argument("--no-derivatives", action="store_true")
     p.set_defaults(fn=_cmd_eval, route="inversion")
 

@@ -26,7 +26,7 @@ Two routes with certified error control:
 the node estimates.  ``bv_split`` separates the even and odd series terms
 into the two nondecreasing components of the bounded-variation
 decomposition, and ``laplace_crosscheck`` validates the grid against
-1/(q + psi(lambda)).
+1/(q + psi(lambda)), for a number or an array of lambda on one grid.
 """
 
 from __future__ import annotations
@@ -412,38 +412,46 @@ class CrosscheckResult:
     x_max: float
 
 
-def laplace_crosscheck(model: LevyModel, lam: float, tol: float = 1e-6,
-                       grid: Optional[DensityGrid] = None) -> CrosscheckResult:
+def laplace_crosscheck(model: LevyModel, lam, tol: float = 1e-6,
+                       grid: Optional[DensityGrid] = None):
     """Compare int_0^inf e^{-lam x} u^(q)(x) dx against 1/(q + psi(lam)).
 
     The integral over [0, x_max] uses the grid's piecewise-linear density
     against exact exponential cell moments; beyond x_max the tail is bounded
-    by e^{-lam x_max}/(drift*lam) since u <= 1/drift.
+    by e^{-lam x_max}/(drift*lam) since u <= 1/drift.  lam is a number or a
+    1-D array: one grid, long enough for the smallest lam's tail to drop
+    below tol, serves every lam (a longer grid only shrinks the other tail
+    bounds).  Returns a CrosscheckResult, or a list of them for an array.
     """
-    if lam <= 0:
-        raise PreconditionError("crosscheck requires lam > 0")
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lams.ndim != 1 or lams.size == 0:
+        raise ValueError("lam must be a number or a non-empty 1-D array")
+    if not np.all(np.isfinite(lams) & (lams > 0)):
+        raise PreconditionError("crosscheck requires finite lam > 0")
     delta = model.drift
     if grid is None:
-        x_max = math.log(2.0 / (tol * delta * lam)) / lam
-        x_max = min(max(x_max, 1.0), 1e4)
+        x_max = max(min(max(math.log(2.0 / (tol * delta * v)) / v, 1.0), 1e4) for v in lams.tolist())
         grid = u_volterra(model, x_max, tol=min(tol * 0.1, 1e-7))
     x_max = grid.x_max
-    tail_bound = math.exp(-lam * x_max) / (delta * lam)
-    if tail_bound > tol:
-        raise PreconditionError(
-            f"tail bound {tail_bound:.3e} exceeds tolerance at lam={lam}; increase x_max"
-        )
+    tail_bounds = [math.exp(-v * x_max) / (delta * v) for v in lams.tolist()]
+    for v, tail_bound in zip(lams.tolist(), tail_bounds):
+        if tail_bound > tol:
+            raise PreconditionError(
+                f"tail bound {tail_bound:.3e} exceeds tolerance at lam={v}; increase x_max"
+            )
     xs = grid.nodes
     us = grid.u
-    e = np.exp(-lam * xs)
-    # cell integral of e^{-lam x} (a + b x): exact
     h = np.diff(xs)
     ui, uj = us[:-1], us[1:]
-    ei, ej = e[:-1], e[1:]
     slope = (uj - ui) / h
-    # int_{xi}^{xj} e^{-lam x} (ui + slope (x - xi)) dx, exact per cell
-    term = ui * (ei - ej) / lam + slope * ((ei - ej) / lam**2 - h * ej / lam)
-    lhs = float(np.sum(term))
-    rhs = 1.0 / (model.q + model.laplace_exponent(lam))
-    return CrosscheckResult(lam=lam, lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs),
-                            tail_bound=tail_bound, x_max=x_max)
+    results = []
+    for v, tail_bound in zip(lams.tolist(), tail_bounds):
+        e = np.exp(-v * xs)
+        ei, ej = e[:-1], e[1:]
+        # int_{xi}^{xj} e^{-lam x} (ui + slope (x - xi)) dx, exact per cell
+        term = ui * (ei - ej) / v + slope * ((ei - ej) / v**2 - h * ej / v)
+        lhs = float(np.sum(term))
+        rhs = 1.0 / (model.q + model.laplace_exponent(v))
+        results.append(CrosscheckResult(lam=v, lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs),
+                                        tail_bound=tail_bound, x_max=x_max))
+    return results[0] if np.ndim(lam) == 0 else results

@@ -12,8 +12,10 @@ where J_j(x) sums the product of the masses over the ordered j-tuples of
 atoms that add up to x (J_1(x) is the mass at x).  J_j is the ``weight`` of
 x's entry in the atom-sum enumeration, read from it, not recomputed.
 
-Measurements are one-sided polynomial fits on grid windows that never
-straddle a breakpoint, or one-sided limits of the inversion representation.
+The first-derivative jump is measured as the difference of the one-sided
+limits of the inversion representation (``derivative_jump``).  Jumps of
+every order, as ``classify_point`` measures them, are one-sided polynomial
+fits on grid windows that never straddle a breakpoint.
 """
 
 from __future__ import annotations
@@ -182,24 +184,15 @@ def _fit_deriv(t, vals, order, degree, w):
     return float(est), row_norm
 
 
-def derivative_jump(model: LevyModel, x: float, grid: Optional[DensityGrid] = None,
-                    tol: float = 1e-8):
+def derivative_jump(model: LevyModel, x: float, tol: float = 1e-8):
     """Measured vs predicted derivative jump of the density at x.
 
     predicted = (mass at x)/drift^2; measured is the difference of the
-    one-sided inversion derivatives, falling back to grid fits when the
-    contour route is unavailable.  Returns (predicted, measured, stderr).
+    one-sided inversion derivatives.  Returns (predicted, measured, stderr).
     """
     predicted = model.atom_mass_at(x) / model.drift**2
-    try:
-        left, right, err = invert_derivative_pair(model, x, tol=tol)
-        return predicted, right - left, 2.0 * err
-    except PreconditionError:
-        if grid is None:
-            grid = u_volterra(model, x + 1.0, breakpoint_order=2)
-        right, se_r = one_sided_fd(grid, x, 1, Side.RIGHT)
-        left, se_l = one_sided_fd(grid, x, 1, Side.LEFT)
-        return predicted, right - left, math.hypot(se_r, se_l)
+    left, right, err = invert_derivative_pair(model, x, tol=tol)
+    return predicted, right - left, 2.0 * err
 
 
 def conv_jump(model: LevyModel, n: int, b: float):

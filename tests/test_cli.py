@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from subpot.cli import main
-from conftest import delta1_u
+from conftest import delta1_du, delta1_u, talbot_du
 
 DELTA1 = {"drift": 1.0, "q": 0.0, "atoms": [{"x": 1, "mass": 1.0}], "ac": {"kind": "none"}}
 STABLE = {"drift": 1.0, "q": 0.0, "atoms": [], "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5}}
@@ -92,13 +94,14 @@ class TestEval:
             assert float(u) == pytest.approx(delta1_u(float(x)), abs=1e-6)
 
     @pytest.mark.parametrize("extra, grids, method", [
-        ([], 1, "series"),
+        ([], 0, "series"),
         (["--no-derivatives"], 0, "series"),
-        (["--route", "inversion", "--order", "3", "--derivatives", "inversion"], 0, "inversion"),
+        (["--route", "inversion", "--order", "3"], 0, "inversion"),
+        (["--route", "volterra"], 1, "volterra"),
     ])
     def test_one_engine_per_eval(self, delta1_path, tmp_path, monkeypatch, extra, grids, method):
         # every x lies inside the series radius (x <= 1/2 for the unit atom),
-        # so only fd derivatives need a Volterra grid
+        # and derivatives come from the contour, so only volterra rows need a grid
         import subpot.cli as cli
 
         engines, solves = [], []
@@ -235,9 +238,97 @@ class TestEval:
         out = tmp_path / "eval.json"
         assert main(["eval", "--model", delta1_path, "--x", "0.6,1.0,2.5", "--route", "volterra",
                      "--no-derivatives", "--format", "json", "--out", str(out)]) == 0
-        grid = cli.u_volterra(load_model(delta1_path), 3.0, tol=1e-7)
+        grid = cli.u_volterra(load_model(delta1_path), 2.5, tol=1e-7)
         for row in json.loads(out.read_text()):
             assert (row["u"], row["err_est"]) == (float(grid(row["x"])), float(grid.err_at(row["x"])))
+
+
+class TestEvalHonesty:
+    """Printed error bars against independent oracles, with no additive slack."""
+
+    def test_csv_err_est_covers_printed_digits(self, delta1_path, tmp_path):
+        # u is printed to 13 significant digits; far out the grid's own error
+        # is below that rounding, which the printed err_est must count
+        csv, js = tmp_path / "eval.csv", tmp_path / "eval.json"
+        argv = ["eval", "--model", delta1_path, "--x", "0.05:30:300"]
+        assert main([*argv, "--out", str(csv)]) == 0
+        assert main([*argv, "--format", "json", "--out", str(js)]) == 0
+        rows = [line.split(",") for line in csv.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 300
+        under = [x for x, row in zip(np.linspace(0.05, 30, 300).tolist(), rows)
+                 if abs(float(row[1]) - delta1_u(x)) > float(row[4])]
+        assert under == []
+        # a derivative prints as null exactly where its error exceeds its magnitude
+        for row, doc in zip(rows, json.loads(js.read_text())):
+            for col, key in ((2, "du_left"), (3, "du_right")):
+                null = doc["du_err"] > abs(doc[key])
+                assert (row[col] == "nan") == null
+                assert null or float(row[col]) == float("%.12e" % doc[key])
+
+    def test_derivatives_against_closed_form(self, delta1_path, tmp_path):
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", delta1_path, "--x", "0.05:20:200", "--tol", "1e-7",
+                     "--format", "json", "--out", str(out)]) == 0
+        rows = [r for r in json.loads(out.read_text()) if r["x"] != round(r["x"])]
+        assert len(rows) == 199
+        under = [r["x"] for r in rows
+                 if max(abs(r["du_left"] - delta1_du(r["x"])), abs(r["du_right"] - delta1_du(r["x"]))) > r["du_err"]]
+        assert under == []
+
+    @pytest.mark.parametrize("doc", [
+        {"drift": 1.0, "atoms": [{"x": 1, "mass": 1.0}], "ac": {"kind": "stable", "C": 0.2, "alpha": 0.4}},
+        {"drift": 1.0, "ac": {"kind": "tempered", "C": 1.0, "alpha": 0.5, "b": 1.0}},
+        {"drift": 1.0, "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5}},
+    ], ids=["mixed", "tempered", "stable"])
+    def test_derivatives_against_talbot(self, tmp_path, doc):
+        # the inversion route only keeps the density cheap: derivatives come
+        # from the same contour pair on every route; x = 1 is the mixed atom
+        model, out = tmp_path / "m.json", tmp_path / "eval.json"
+        model.write_text(json.dumps(doc))
+        assert main(["eval", "--model", str(model), "--x", "0.25:4:16", "--route", "inversion",
+                     "--tol", "1e-7", "--format", "json", "--out", str(out)]) == 0
+        under = []
+        for r in json.loads(out.read_text()):
+            left, right = talbot_du(doc, r["x"])
+            if max(abs(r["du_left"] - left), abs(r["du_right"] - right)) > r["du_err"]:
+                under.append(r["x"])
+        assert under == []
+
+    def test_no_derivatives_has_no_error_bar(self, delta1_path, tmp_path):
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", delta1_path, "--x", "0.3,2.5", "--no-derivatives",
+                     "--format", "json", "--out", str(out)]) == 0
+        for r in json.loads(out.read_text()):
+            assert r["du_left"] is r["du_right"] is r["du_err"] is None
+
+    def test_pair_errors_set_the_exit_code(self, delta1_path, capsys):
+        # no silent fallback: an order the pair cannot integrate exits 4
+        assert main(["eval", "--model", delta1_path, "--x", "0.3", "--order", "1"]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "precondition"
+
+
+class TestInputsRejectedUpFront:
+    @pytest.mark.parametrize("argv, pointer", [
+        (["eval", "--x", "1", "--tol", "nan"], "--tol"),
+        (["eval", "--x", "1", "--tol", "-1"], "--tol"),
+        (["invert", "--x", "1", "--tol", "inf"], "--tol"),
+        (["invert", "--x", "1", "--tol", "0"], "--tol"),
+        (["crosscheck", "--lambda", "-1"], "--lambda"),
+        (["crosscheck", "--lambda", "1,nan"], "--lambda"),
+        (["crosscheck", "--lambda", "1,abc"], "--lambda"),
+        (["crosscheck", "--lambda", "1", "--tol", "inf"], "--tol"),
+        (["crosscheck", "--lambda", "1", "--assert-tol", "nan"], "--assert-tol"),
+        (["crosscheck", "--lambda", "1", "--assert-tol", "-1e-6"], "--assert-tol"),
+    ])
+    def test_exit_2_before_any_work(self, delta1_path, capsys, monkeypatch, argv, pointer):
+        import subpot.convolve as convolve
+        import subpot.density as density
+
+        monkeypatch.setattr(convolve.ConvolutionEngine, "__init__", lambda *a, **k: pytest.fail("engine built"))
+        monkeypatch.setattr(density, "u_volterra", lambda *a, **k: pytest.fail("grid built"))
+        assert main([argv[0], "--model", delta1_path, *argv[1:]]) == 2
+        err = json.loads(capsys.readouterr().err, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert [v["pointer"] for v in err["violations"]] == [pointer]
 
 
 class TestGk:
@@ -287,6 +378,20 @@ class TestCrosscheck:
         line = capsys.readouterr().out.strip().splitlines()[1]
         diff = float(line.split(",")[3])
         assert diff < 1e-6
+
+    def test_one_grid_for_every_lambda(self, delta1_path, capsys, monkeypatch):
+        import subpot.density as density
+
+        solves = []
+        solve = density.u_volterra
+        monkeypatch.setattr(density, "u_volterra", lambda *a, **k: solves.append(a[1]) or solve(*a, **k))
+        assert main(["crosscheck", "--model", delta1_path, "--lambda", "1,3,10", "--tol", "1e-6"]) == 0
+        assert len(solves) == 1
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [1.0, 3.0, 10.0]
+        for lam, lhs, *_ in rows:
+            lam = float(lam)
+            assert abs(float(lhs) - 1.0 / (lam + 1.0 - math.exp(-lam))) <= 1e-6
 
     def test_assert_tol_exit_code(self, stable_path, capsys):
         assert main([

@@ -182,7 +182,8 @@ def _csv_row(x, u, du_l, du_r, err, method, du_err) -> str:
 
 
 def _cmd_eval(args) -> int:
-    _require_positive(("--tol", [args.tol]))
+    _require_positive(("--tol", [args.tol]),
+                      ("--contour-lambda", [] if args.contour_lambda is None else [args.contour_lambda]))
     model = load_model(args.model)
     xs = _parse_range(args.x, args.spacing)
     if np.any(xs < 0):

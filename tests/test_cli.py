@@ -313,6 +313,8 @@ class TestInputsRejectedUpFront:
         (["eval", "--x", "1", "--tol", "-1"], "--tol"),
         (["invert", "--x", "1", "--tol", "inf"], "--tol"),
         (["invert", "--x", "1", "--tol", "0"], "--tol"),
+        (["eval", "--x", "1", "--contour-lambda", "inf"], "--contour-lambda"),
+        (["invert", "--x", "1", "--contour-lambda", "-1"], "--contour-lambda"),
         (["crosscheck", "--lambda", "-1"], "--lambda"),
         (["crosscheck", "--lambda", "1,nan"], "--lambda"),
         (["crosscheck", "--lambda", "1,abc"], "--lambda"),

@@ -124,15 +124,16 @@ def _cmd_validate(args) -> int:
 
 
 def _require_positive(*named) -> None:
-    """Exit 2, pointing at each flag, unless every given value is a finite number > 0."""
+    """Exit 2, pointing at each flag, unless every given value is unset or a finite number > 0."""
     bad = [(flag, "must be a finite number > 0") for flag, values in named
-           if not all(math.isfinite(v) and v > 0 for v in values)]
+           if not all(v is None or (math.isfinite(v) and v > 0) for v in values)]
     if bad:
         raise ModelValidationError(bad)
 
 
 def _eval_rows(model, xs, args):
-    # a grid needs a cell wider than its node-merging resolution (1e-13)
+    # x = 0 is evaluated at 1e-300, but a grid needs a cell wider than its
+    # node-merging resolution (1e-13)
     x_max = max(float(np.max(xs)), 1e-12)
     route = args.route
     # one engine (and so one convolution ladder) serves the radius, the
@@ -182,8 +183,7 @@ def _csv_row(x, u, du_l, du_r, err, method, du_err) -> str:
 
 
 def _cmd_eval(args) -> int:
-    _require_positive(("--tol", [args.tol]),
-                      ("--contour-lambda", [] if args.contour_lambda is None else [args.contour_lambda]))
+    _require_positive(("--tol", [args.tol]), ("--contour-lambda", [args.contour_lambda]))
     model = load_model(args.model)
     xs = _parse_range(args.x, args.spacing)
     if np.any(xs < 0):
@@ -307,8 +307,7 @@ def _cmd_crosscheck(args) -> int:
             return math.nan
 
     lams = [number(v) for v in args.lam.split(",")]
-    _require_positive(("--lambda", lams), ("--tol", [args.tol]),
-                      ("--assert-tol", [] if args.assert_tol is None else [args.assert_tol]))
+    _require_positive(("--lambda", lams), ("--tol", [args.tol]), ("--assert-tol", [args.assert_tol]))
     model = load_model(args.model)
     # one grid, long enough for the smallest lambda, serves every lambda
     results = laplace_crosscheck(model, np.array(lams), tol=args.tol)

@@ -433,19 +433,18 @@ def laplace_crosscheck(model: LevyModel, lam, tol: float = 1e-6,
         x_max = max(min(max(math.log(2.0 / (tol * delta * v)) / v, 1.0), 1e4) for v in lams.tolist())
         grid = u_volterra(model, x_max, tol=min(tol * 0.1, 1e-7))
     x_max = grid.x_max
-    tail_bounds = [math.exp(-v * x_max) / (delta * v) for v in lams.tolist()]
-    for v, tail_bound in zip(lams.tolist(), tail_bounds):
-        if tail_bound > tol:
-            raise PreconditionError(
-                f"tail bound {tail_bound:.3e} exceeds tolerance at lam={v}; increase x_max"
-            )
     xs = grid.nodes
     us = grid.u
     h = np.diff(xs)
     ui, uj = us[:-1], us[1:]
     slope = (uj - ui) / h
     results = []
-    for v, tail_bound in zip(lams.tolist(), tail_bounds):
+    for v in lams.tolist():
+        tail_bound = math.exp(-v * x_max) / (delta * v)
+        if tail_bound > tol:
+            raise PreconditionError(
+                f"tail bound {tail_bound:.3e} exceeds tolerance at lam={v}; increase x_max"
+            )
         e = np.exp(-v * xs)
         ei, ej = e[:-1], e[1:]
         # int_{xi}^{xj} e^{-lam x} (ui + slope (x - xi)) dx, exact per cell

@@ -4,9 +4,8 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 import numpy as np
+import pytest
 
 from subpot.cli import main
 from conftest import delta1_du, delta1_u, talbot_du
@@ -230,6 +229,15 @@ class TestEval:
         assert main(argv) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "precondition" and "x=0.7:" in err["message"]
+
+    @pytest.mark.parametrize("route", ["auto", "volterra"])
+    def test_only_x_zero(self, delta1_path, tmp_path, route):
+        # the engine and the grid reach the largest x, here 0
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", delta1_path, "--x", "0", "--route", route,
+                     "--format", "json", "--out", str(out)]) == 0
+        (row,) = json.loads(out.read_text())
+        assert abs(row["u"] - 1.0) <= row["err_est"] and abs(row["du_right"] + 1.0) <= row["du_err"]
 
     def test_volterra_rows_read_the_grid(self, delta1_path, tmp_path):
         import subpot.cli as cli

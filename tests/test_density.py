@@ -11,6 +11,7 @@ from subpot import (
     AtomicPart,
     ConvolutionEngine,
     LevyModel,
+    PreconditionError,
     SeriesRadiusError,
     bv_split,
     laplace_crosscheck,
@@ -225,6 +226,19 @@ class TestCrosscheck:
         model = LevyModel(drift=1.0, q=0.5, atomic=AtomicPart.from_pairs([(1, 1.0)]))
         res = laplace_crosscheck(model, 2.0, tol=1e-6)
         assert res.abs_diff < 1e-6
+
+    def test_array_of_lambdas_on_one_grid(self, delta1):
+        # the grid the smallest lambda needs serves them all; each row equals
+        # the scalar call on that grid, and lambda = 1 alone builds the same grid
+        rows = laplace_crosscheck(delta1, np.array([3.0, 1.0, 10.0]), tol=1e-6)
+        alone = laplace_crosscheck(delta1, 1.0, tol=1e-6)
+        assert [r.lam for r in rows] == [3.0, 1.0, 10.0]
+        assert rows[1] == alone
+        grid = u_volterra(delta1, alone.x_max, tol=1e-7)
+        assert rows == [laplace_crosscheck(delta1, lam, tol=1e-6, grid=grid) for lam in (3.0, 1.0, 10.0)]
+        for bad in ([], [1.0, -1.0], [1.0, math.nan], [[1.0]]):
+            with pytest.raises((ValueError, PreconditionError)):
+                laplace_crosscheck(delta1, bad, grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,9 @@ def main(argv=None) -> int:
     except AccuracyFailureError as exc:
         sys.stderr.write(json.dumps({
             "error": "accuracy", "message": str(exc),
-            "achieved": exc.achieved, "target": exc.target,
+            # JSON has no inf or NaN
+            "achieved": exc.achieved if math.isfinite(exc.achieved) else None,
+            "target": exc.target if math.isfinite(exc.target) else None,
         }) + "\n")
         return 3
     except PreconditionError as exc:

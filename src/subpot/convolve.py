@@ -8,14 +8,15 @@ The n-fold convolution expands binomially,
 
 where pc^{*i} is an exact piecewise polynomial (degree i-1, breakpoints on
 the i-fold atom sums) and s^{*j} is closed form (powers and exponentials are
-stable under self-convolution).  Without atoms pc is the constant q, so
-pc^{*i}(y) = q^i y^(i-1)/(i-1)! and every cross term is a Beta function
-times a Kummer function (DLMF 13.4.1), evaluated for all points at once.
-With atoms the cross terms reduce to cell integrals of a polynomial against
-the weight v^{p} e^{-b v}.  Those cells are delimited by the polynomial's
-breakpoints -- integration never crosses a kink -- and are evaluated by
-Gauss-Jacobi (singular first cell) and Gauss-Legendre rules that are exact
-for the polynomial factor.
+stable under self-convolution).  Every model takes the same path: a cross
+term is an integral of pc^{*i}(x - v) against s^{*j}(v) = K v^p e^{-b v},
+split at pc^{*i}'s breakpoints so that integration never crosses a kink.
+On the cell next to v = 0 the polynomial, in that cell's local
+coefficients, meets the singular weight in closed form: a Beta function
+times a Kummer function per monomial (DLMF 13.4.1).  Without atoms that
+cell is all of [0, x].  With atoms the cells further out are smooth and go
+through one batched Gauss-Legendre rule.  Each order is a fixed number of
+array operations, whatever the number of points.
 
 Evaluations are pure; the per-order ladders are memoized with an exclusive
 writer during construction and are safe for concurrent readers afterwards.
@@ -36,7 +37,6 @@ from scipy.special import gamma as _gamma
 from scipy.special import gammainc as _gammainc
 from scipy.special import gammaln as _gammaln
 from scipy.special import hyp1f1 as _hyp1f1
-from scipy.special import roots_jacobi
 
 from .errors import BudgetExceededError
 from .model import AtomicPart, LevyModel, Side
@@ -45,6 +45,7 @@ from .piecewise import PiecewisePoly
 DEFAULT_SUM_BUDGET = 10**7
 _VALUE_TOL = 1e-12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_SERIES_Z = 5.0  # 1F1(a; c; -z) by its positive series below this z
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +193,9 @@ class ConvolutionEngine:
         self._pc_pow = {1: self._pc}
         self._pc_run = {}
         self._sum_sets = {}
-        self._jacobi = {}
         ac = model.ac
-        if ac.is_none:
-            self._A = 0.0
-        else:
-            self._A = ac.C * _gamma(1.0 - ac.alpha)
+        self._A = 0.0 if ac.is_none else ac.C * _gamma(1.0 - ac.alpha)
+        self._b = ac.b if ac.kind == "tempered" else 0.0
 
     # -- public surface ------------------------------------------------------
 
@@ -296,137 +294,125 @@ class ConvolutionEngine:
         return self._pc_run[i]
 
     def _ac_exponents(self, j: int):
+        """(p, log K) of the tail power s^{*j}(v) = K v^p e^{-b v}; j may be an array."""
         alpha = self.model.ac.alpha
-        p = j * (1.0 - alpha) - 1.0
-        log_k = j * math.log(self._A) - _gammaln(j * (1.0 - alpha))
-        return p, math.exp(log_k)
+        return j * (1.0 - alpha) - 1.0, j * math.log(self._A) - _gammaln(j * (1.0 - alpha))
 
     def _binomial(self, n: int, xs: np.ndarray, running: bool) -> np.ndarray:
         """sum_j C(n, j) pc^{*(n-j)} * s^{*j} at the points xs, or its running integral.
 
-        The pure pc term (j = 0) is one ladder lookup for all points.
-        Without atoms pc is the constant q: each cross term (0 < j < n) is
-        one closed-form array (``_killing_cross``), the pure tail term
-        (j = n) is formed point by point, and the terms are added as arrays
-        in order of j.  With atoms the terms with the AC tail are added
-        point by point in scalar floats, the cross terms by cell quadrature.
-        Either way a point's value does not depend on the array it arrives
-        in.
+        The pure pc term (j = 0) is one ladder lookup for all points, the
+        cross terms (0 < j < n) come from one ``_cross`` call, and the pure
+        tail term (j = n) is one closed-form array.  The terms are added as
+        arrays in order of j, and every step works point by point, so a
+        point's value does not depend on the array it arrives in.
         """
         total = np.zeros(xs.shape)
+        ladder = self.pc_running if running else self.pc_power
         if not self._pc_trivial:
-            total += (self.pc_running(n) if running else self.pc_power(n)).eval(xs)
+            total += ladder(n).eval(xs)
         if self.model.ac.is_none:
             return total
-        if self.model.atomic.is_empty:
-            for j in range(1, n + 1):
-                i = n - j
-                if i == 0:
-                    f = self._ac_running if running else self._ac_power
-                    total += np.array([f(j, x) for x in xs.tolist()])
-                elif not self._pc_trivial:
-                    total += math.comb(n, j) * self._killing_cross(i, j, xs, running)
-            return total
-        for k, x in enumerate(xs.tolist()):
-            t = float(total[k])
-            for j in range(1, n + 1):
-                t += math.comb(n, j) * self._ac_term(n - j, j, x, running)
-            total[k] = t
-        return total
+        if not self._pc_trivial:
+            for j, term in enumerate(self._cross([(ladder(n - j), j) for j in range(1, n)], xs), start=1):
+                total += math.comb(n, j) * term
+        return total + self._tail_term(n, xs, running)
 
-    def _ac_term(self, i: int, j: int, x: float, running: bool) -> float:
-        """pc^{*i} * s^{*j} at x (j >= 1), or its running integral, by quadrature for i >= 1."""
-        if i == 0:
-            return self._ac_running(j, x) if running else self._ac_power(j, x)
-        pp = self.pc_running(i) if running else self.pc_power(i)
-        return self._cross(pp, j, x)
-
-    def _killing_cross(self, i: int, j: int, xs: np.ndarray, running: bool) -> np.ndarray:
-        """q^i y^(i-1)/(i-1)! * s^{*j} at the points xs (i >= 1), or its running integral.
-
-        With m = i - 1 (m = i for the running integral, whose pc factor is
-        q^i y^i/i!), int_0^x (x - v)^m v^p e^{-b v} dv
-        = x^(m+p+1) B(m+1, p+1) 1F1(p+1; m+p+2; -b x) (DLMF 13.4.1).
-        The prefactor is formed in logarithms, so a vanishing coefficient
-        and a large power of x cannot meet as 0 * inf.
-        """
+    def _tail_term(self, j: int, xs: np.ndarray, running: bool) -> np.ndarray:
+        """s^{*j} at the points xs, or its running integral."""
         ac = self.model.ac
-        m = i if running else i - 1
-        p, K = self._ac_exponents(j)
-        log_c = math.log(K) + i * math.log(self.model.q) - _gammaln(m + 1.0) + _betaln(m + 1.0, p + 1.0)
-        with np.errstate(divide="ignore"):  # log(0) = -inf gives the running integral's 0 at x = 0
-            out = np.exp(log_c + (m + p + 1.0) * np.log(xs))
+        p, log_k = self._ac_exponents(j)
+        s = j * (1.0 - ac.alpha)
+        if running and ac.kind == "tempered":
+            return math.exp(j * math.log(self._A) - s * math.log(ac.b)) * _gammainc(s, ac.b * xs)
+        if running:
+            return math.exp(log_k) * xs**s / s
+        out = math.exp(log_k) * xs**p
         if ac.kind == "tempered":
-            out *= _hyp1f1(p + 1.0, m + p + 2.0, -ac.b * xs)
+            out *= np.exp(-ac.b * xs)
         return out
 
-    def _ac_power(self, j: int, x: float) -> float:
-        p, K = self._ac_exponents(j)
-        val = K * x**p
-        if self.model.ac.kind == "tempered":
-            val *= math.exp(-self.model.ac.b * x)
-        return val
+    def _cross(self, terms, xs: np.ndarray) -> np.ndarray:
+        """pp * s^{*j} at the points xs for every (pp, j) in terms, one row per term.
 
-    def _ac_running(self, j: int, x: float) -> float:
-        ac = self.model.ac
-        s = j * (1.0 - ac.alpha)
-        if ac.kind == "stable":
-            _, K = self._ac_exponents(j)
-            return K * x**s / s
-        log_a = j * math.log(self._A) - s * math.log(ac.b)
-        return math.exp(log_a) * float(_gammainc(s, ac.b * x))
+        pp is pc^{*i} or its running integral.  The cell of pp holding x,
+        v in [0, c] with c = x - beta_K, is integrated in closed form,
+        sum_m a_m K c^(m+p+1) B(m+1, p+1) 1F1(p+1; m+p+2; -b c) (DLMF 13.4.1),
+        with a_m that cell's local coefficients; zero coefficients are
+        skipped, the prefactor is formed in logarithms (so a vanishing
+        coefficient and a large power of c cannot meet as 0 * inf), and one
+        ``_hyp1f1_neg`` call serves every term.  Without atoms that cell is
+        all of [0, x].  The cells below it, v in [c, x], exist only with
+        atoms and go through ``_far_cells``.
+        """
+        shape = (len(terms), xs.size)
+        a = np.zeros(shape + (max((pp.coeffs.shape[1] for pp, _ in terms), default=0),))
+        c, far = np.zeros(shape), np.zeros(shape)
+        for row, (pp, j) in enumerate(terms):
+            # x on a break takes the cell ending there, x = 0 the first cell
+            cell = np.maximum(np.searchsorted(pp.breaks, xs) - 1, 0)
+            c[row] = xs - pp.breaks[cell]
+            a[row, :, :pp.coeffs.shape[1]] = pp.coeffs[cell]
+            if cell.any():
+                far[row] = self._far_cells(pp, j, xs, cell)
+        row, point, m = np.nonzero(a)  # a point's monomials in ascending m
+        a, c = a[row, point, m], c[row, point]
+        p, log_k = self._ac_exponents(np.array([j for _, j in terms])[row])
+        with np.errstate(divide="ignore"):  # log(0) = -inf gives the running integral's 0 at x = 0
+            val = np.exp(log_k + np.log(np.abs(a)) + _betaln(m + 1.0, p + 1.0) + (m + p + 1.0) * np.log(c))
+        val *= np.sign(a)
+        if self._b > 0.0:
+            val *= _hyp1f1_neg(p + 1.0, m + p + 2.0, self._b * c)
+        return np.bincount(row * xs.size + point, weights=val, minlength=far.size).reshape(shape) + far
 
-    def _jacobi_rule(self, p: float):
-        key = round(p, 12)
-        if key not in self._jacobi:
-            nodes, weights = roots_jacobi(20, 0.0, p)
-            self._jacobi[key] = (nodes, weights)
-        return self._jacobi[key]
+    def _far_cells(self, pp: PiecewisePoly, j: int, xs: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """K int_c^x pp(x - v) v^p e^{-b v} dv at the points xs, c = x - pp.breaks[cell].
 
-    def _cross(self, pp: PiecewisePoly, j: int, x: float) -> float:
-        """int_0^x pp(x - v) * K v^p e^{-b v} dv with cells split at pp's kinks."""
-        ac = self.model.ac
-        p, K = self._ac_exponents(j)
-        b = ac.b if ac.kind == "tempered" else 0.0
-        edges = [0.0, x]
-        for br in pp.breaks:
-            v = x - br
-            if _VALUE_TOL < v < x - _VALUE_TOL:
-                edges.append(v)
-        edges = np.unique(np.asarray(edges))
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            total += self._cross_cell(pp, x, lo, hi, p, b)
-        return K * total
+        The range splits at pp's breaks into cells [x - beta_{k+1}, x - beta_k],
+        k < cell, so integration never crosses a kink, and the cells are cut
+        up front into pieces with hi/lo <= 8 (for v^p) and at most 8/b wide
+        (for the exponential).  All pieces of all points go through one
+        20-point Gauss-Legendre batch, summed per point in a fixed order.
+        """
+        k, owner = np.nonzero(np.arange(cell.max())[:, None] < cell)
+        lo, hi = xs[owner] - pp.breaks[k + 1], xs[owner] - pp.breaks[k]
+        step = 8.0 / self._b if self._b > 0.0 else math.inf
+        ends = [lo]
+        while np.any(ends[-1] < hi):
+            ends.append(np.minimum(np.minimum(8.0 * ends[-1], ends[-1] + step), hi))
+        ends = np.array(ends)
+        keep = ends[1:] > ends[:-1]
+        owner, lo, hi = np.broadcast_to(owner, keep.shape)[keep], ends[:-1][keep], ends[1:][keep]
+        half = 0.5 * (hi - lo)[:, None]
+        v = lo[:, None] + half * (_GL_NODES + 1.0)
+        p, log_k = self._ac_exponents(j)
+        f = pp.eval((xs[owner][:, None] - v).ravel()).reshape(v.shape) * v**p
+        if self._b > 0.0:
+            f *= np.exp(-self._b * v)
+        piece = (half * f * _GL_WEIGHTS).sum(axis=1)
+        return math.exp(log_k) * np.bincount(owner, weights=piece, minlength=xs.size)
 
-    def _cross_cell(self, pp, x, lo, hi, p, b) -> float:
-        if hi - lo <= 0:
-            return 0.0
-        if lo == 0.0:
-            cap = hi if b == 0.0 else min(hi, 8.0 / b)
-            nodes, weights = self._jacobi_rule(p)
-            half = 0.5 * cap
-            v = half * (nodes + 1.0)
-            phi = pp.eval(x - v)
-            if b > 0.0:
-                phi = phi * np.exp(-b * v)
-            val = half ** (p + 1.0) * float(np.dot(weights, phi))
-            if cap < hi:
-                val += self._cross_cell(pp, x, cap, hi, p, b)
-            return val
-        # smooth region: geometric splits keep the v^p factor well resolved,
-        # and cells at most 8/b wide the exponential
-        mid = hi
-        if hi / lo > 8.0:
-            mid = lo * 8.0
-        elif b > 0.0 and (hi - lo) > 8.0 / b:
-            mid = lo + 8.0 / b
-        # a split point that rounds onto an end would split the cell into itself
-        if lo < mid < hi:
-            return self._cross_cell(pp, x, lo, mid, p, b) + self._cross_cell(pp, x, mid, hi, p, b)
-        half = 0.5 * (hi - lo)
-        v = lo + half * (_GL_NODES + 1.0)
-        integrand = pp.eval(x - v) * v**p
-        if b > 0.0:
-            integrand = integrand * np.exp(-b * v)
-        return half * float(np.dot(_GL_WEIGHTS, integrand))
+
+def _hyp1f1_neg(a: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """1F1(a; c; -z) for arrays with z >= 0 and c > c - a >= 1.
+
+    scipy's hyp1f1 is off by up to about 1e-11 relative for z < 5.  There
+    Kummer's transformation 1F1(a; c; -z) = e^{-z} 1F1(c - a; c; z) gives a
+    series of positive terms, the k-th at most z^k/k! (DLMF 13.2.39).  It
+    is summed in order until that bound is below 1e-17 at the largest z,
+    less than half an ulp of a sum >= 1, so the terms a batch adds beyond an
+    entry's own stopping point leave it unchanged.
+    """
+    out = np.empty(z.shape)
+    big = z >= _SERIES_Z
+    out[big] = _hyp1f1(a[big], c[big], -z[big])
+    a, c, z = a[~big], c[~big], z[~big]
+    n, bound, z_max = 1, 1.0, float(z.max(initial=0.0))
+    while bound > 1e-17:
+        bound *= z_max / n
+        n += 1
+    k = np.arange(n - 1.0)[:, None]
+    ratios = np.concatenate([np.ones((1, z.size)), (c - a + k) / (c + k) * z / (k + 1.0)])
+    # cumprod and cumsum accumulate in order, as a loop over k would
+    out[~big] = np.exp(-z) * np.cumsum(np.cumprod(ratios, axis=0), axis=0)[-1]
+    return out

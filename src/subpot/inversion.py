@@ -147,11 +147,14 @@ def derivative_integrand(model: LevyModel, N: int, s):
 # panels allowed per integral
 PANEL_BUDGET = 400_000
 # predicted cost of a call in integrand points (15 per panel); an order of the
-# finite sum adds a ladder step, a closed-form order, or one cell-quadrature
-# cross term per lower order with atoms and an AC part.  Measured on 8 x: an
-# integrand point takes 0.2-0.35 us (about 1 us with 8 atoms), a ladder step
-# 0.3 ms, a closed-form order 0.05 ms and a cross term 2 ms.
-_LADDER_COST, _CLOSED_COST, _CROSS_COST = 1000.0, 150.0, 6000.0
+# finite sum adds a ladder step and, with an AC part, its cross terms: one
+# batched closed form without atoms, and with atoms one Gauss-Legendre batch
+# per lower order on top.  Measured on 8 x on a 2-vCPU host: an integrand
+# point takes 0.17-0.3 us (about 1 us with 8 atoms), an atom-free order's
+# cross terms 0.1-0.15 ms and, with atoms, each cross term 0.17-0.27 ms.  A
+# ladder step took 0.3 ms when its constant was set and 0.1-0.2 ms now; it
+# is kept, so that atom-only models keep their orders.
+_LADDER_COST, _CLOSED_COST, _CROSS_COST = 1000.0, 500.0, 1000.0
 # panels per integrand call: bounds the memory of a long contour
 _BLOCK_PANELS = 4096
 
@@ -223,7 +226,8 @@ def _smallest_theta(f, level: float, lo: float) -> float:
             return math.inf
         a, b = b, min(2.0 * b * b / a, 1e300)
     while b > a * (1.0 + 1e-9):
-        mid = math.sqrt(a * b)
+        # the geometric mean; past 1e154 a * b overflows, so take it in two roots there
+        mid = math.sqrt(a * b) if a * b < math.inf else math.sqrt(a) * math.sqrt(b)
         a, b = (a, mid) if f(mid) <= level else (mid, b)
     return b
 

@@ -38,6 +38,8 @@ def _poly_shift(coeffs: np.ndarray, d) -> np.ndarray:
     order of operations as for a single row.
     """
     c = np.array(np.asarray(coeffs, dtype=float).T, order="C")
+    if not np.any(d):
+        return c.T
     n = c.shape[0]
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):

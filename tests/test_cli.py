@@ -341,6 +341,22 @@ class TestInputsRejectedUpFront:
         assert [v["pointer"] for v in err["violations"]] == [pointer]
 
 
+class TestUnreachableTolerance:
+    """--tol 1e-300 on the unit atom: no split order fits, so invert exits 3."""
+
+    ARGS = ["invert", "--x", "1", "--tol", "1e-300", "--no-derivatives"]
+
+    def test_automatic_order_returns(self, delta1_path):
+        # the bisection for Theta once overflowed a * b to inf and never stopped
+        r = run_cli([self.ARGS[0], "--model", delta1_path, *self.ARGS[1:]], timeout=60)
+        assert r.returncode == 3
+
+    def test_infinite_achieved_is_null_in_strict_json(self, delta1_path, capsys):
+        assert main([self.ARGS[0], "--model", delta1_path, *self.ARGS[1:], "--order", "3"]) == 3
+        err = json.loads(capsys.readouterr().err, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert err["error"] == "accuracy" and err["achieved"] is None and err["target"] == 1e-300
+
+
 class TestGk:
     def test_single_atom(self, delta1_path, capsys):
         assert main(["gk", "--model", delta1_path, "--k", "3", "--xmax", "10"]) == 0

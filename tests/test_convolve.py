@@ -21,6 +21,8 @@ from subpot import (
     atom_sums,
     u_series,
 )
+from subpot import convolve
+from subpot.piecewise import PiecewisePoly
 
 
 def brute_force_sums(locations, k, x_max):
@@ -32,6 +34,49 @@ def brute_force_sums(locations, k, x_max):
             if v <= x_max + 1e-12:
                 found.add(round(v, 10))
     return found
+
+
+def cross_reference(eng, pp, j: int, x: float):
+    """pp * s^{*j} at x by mpmath.quad at 40 digits, s^{*j}(v) = A^j v^(s-1) e^{-bv} / Gamma(s) with
+    s = j (1 - alpha).  The range splits at v = x - breaks, and on each cell pp is its own
+    coefficients' polynomial.  In v = u^4 the factor v^(s-1) dv is 4 u^(4s-1) du with 4s - 1 > 0:
+    no quadrature node sits on a singularity, where rounding the node would cost digits."""
+    ac = eng.model.ac
+    with mpmath.workdps(40):
+        alpha, b, x_mp = mpmath.mpf(ac.alpha), mpmath.mpf(ac.b if ac.kind == "tempered" else 0), mpmath.mpf(x)
+        s = j * (1 - alpha)
+        ends = [float(v) for v in pp.breaks if v < x] + [x]
+        total = mpmath.mpf(0)
+        for cell, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+            poly, origin = [mpmath.mpf(float(a)) for a in pp.coeffs[cell][::-1]], x_mp - mpmath.mpf(lo)
+            f = lambda u: mpmath.polyval(poly, origin - u**4) * 4 * mpmath.exp((4 * s - 1) * mpmath.log(u) - b * u**4)
+            total += mpmath.quad(f, [mpmath.root(x_mp - mpmath.mpf(hi), 4), mpmath.root(origin, 4)])
+        return (ac.C * mpmath.gamma(1 - alpha)) ** j / mpmath.gamma(s) * total
+
+
+def binomial_reference(eng, quantity: str, n: int, x: float):
+    """(tbar + q)^{*n}(x), or its running integral, at 40 digits: the binomial sum over pc's
+    ladders, every cross term by ``cross_reference`` and the pure tail term in closed form."""
+    ac, ladder = eng.model.ac, (eng.pc_running if quantity == "running" else eng.pc_power)
+    with mpmath.workdps(40):
+        cell = int(np.searchsorted(ladder(n).breaks, x)) - 1  # x on a break: the cell ending there
+        poly = [mpmath.mpf(float(a)) for a in ladder(n).coeffs[cell][::-1]]
+        total = mpmath.polyval(poly, mpmath.mpf(x) - mpmath.mpf(float(ladder(n).breaks[cell])))
+        total += sum(math.comb(n, j) * cross_reference(eng, ladder(n - j), j, x) for j in range(1, n))
+        alpha, b, x = mpmath.mpf(ac.alpha), mpmath.mpf(ac.b if ac.kind == "tempered" else 0), mpmath.mpf(x)
+        s = n * (1 - alpha)
+        k = (ac.C * mpmath.gamma(1 - alpha)) ** n / mpmath.gamma(s)
+        if quantity == "power":
+            return total + k * x ** (s - 1) * mpmath.exp(-b * x)
+        return total + k * (mpmath.gammainc(s, 0, b * x) / b**s if b else x**s / s)
+
+
+def worst_rel_error(got, want) -> float:
+    """Largest |got / want - 1| over nested lists of floats and 40-digit references."""
+    if isinstance(want, (list, tuple)):
+        return max(worst_rel_error(g, w) for g, w in zip(got, want))
+    with mpmath.workdps(40):
+        return float(abs((mpmath.mpf(got) - want) / want))
 
 
 class TestAtomSums:
@@ -300,16 +345,10 @@ class TestAlternatingSum:
 
 class TestPinnedValues:
     # recorded before power and running shared one binomial loop; the merge
-    # must not move a single bit
+    # must not move a single bit.  Cases with atoms and an AC tail changed
+    # bits when the batched kernel replaced the per-point cell quadrature,
+    # so those are checked against 40 digits instead.
     CASES = [
-        (LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)),
-         "power", 3, 1.7, 1.806914907454394),
-        (LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)),
-         "running", 3, 1.7, 1.7559757265126106),
-        (LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
-                   ac=AcTail.tempered(0.7, 0.6, 1.5)), "power", 2, 0.8, 3.0843663537962436),
-        (LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
-                   ac=AcTail.tempered(0.7, 0.6, 1.5)), "running", 4, 2.9, 25.852446784686947),
         (LevyModel(drift=1.0, ac=AcTail.tempered(1.0, 0.5, 1.0)), "power", 3, 1.0, 2.3114546995818426),
         (LevyModel(drift=1.0, ac=AcTail.stable(1.0, 0.5)), "running", 2, 0.3, 0.9424777960769377),
         (LevyModel(drift=1.7, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)])),
@@ -317,11 +356,24 @@ class TestPinnedValues:
         (LevyModel(drift=1.7, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)])),
          "running", 5, 1.7, 0.40994454937333324),
     ]
+    ATOMS_WITH_TAIL = [
+        (LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)), "power", 3, 1.7),
+        (LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)), "running", 3, 1.7),
+        (LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                   ac=AcTail.tempered(0.7, 0.6, 1.5)), "power", 2, 0.8),
+        (LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                   ac=AcTail.tempered(0.7, 0.6, 1.5)), "running", 4, 2.9),
+    ]
 
     @pytest.mark.parametrize("model, quantity, n, x, want", CASES)
     def test_bits_unchanged(self, model, quantity, n, x, want):
         eng = ConvolutionEngine(model, 3.0)
         assert getattr(eng, quantity)(n, x) == want
+
+    @pytest.mark.parametrize("model, quantity, n, x", ATOMS_WITH_TAIL)
+    def test_atoms_with_a_tail_within_1e12_of_40_digits(self, model, quantity, n, x):
+        eng = ConvolutionEngine(model, 3.0)
+        assert worst_rel_error(getattr(eng, quantity)(n, x), binomial_reference(eng, quantity, n, x)) < 1e-12
 
 
 class TestKillingCrossTerms:
@@ -363,14 +415,11 @@ class TestKillingCrossTerms:
 
     def closed_form(self, model, quantity):
         eng = ConvolutionEngine(self.MODELS[model], 2.0)
-        xs = np.array(self.XS)
-        return [[eng._killing_cross(i, j, xs, quantity == "running").tolist() for j in range(1, 6)] for i in range(1, 8)]
+        ladder = eng.pc_running if quantity == "running" else eng.pc_power
+        got = eng._cross([(ladder(i), j) for i in range(1, 8) for j in range(1, 6)], np.array(self.XS))
+        return got.reshape(7, 5, len(self.XS)).tolist()
 
-    @staticmethod
-    def worst_rel_error(got, want) -> float:
-        with mpmath.workdps(40):
-            return max(float(abs((mpmath.mpf(g) - w) / w))
-                       for g_i, w_i in zip(got, want) for g_ij, w_ij in zip(g_i, w_i) for g, w in zip(g_ij, w_ij))
+    worst_rel_error = staticmethod(worst_rel_error)
 
     @pytest.mark.parametrize("model, quantity", PROBES)
     def test_within_1e12_of_40_digit_reference(self, model, quantity):
@@ -391,8 +440,9 @@ class TestKillingCrossTerms:
 class TestCrossCellSplit:
     """A smooth cell wider than 8/b by one ulp, whose split point lo + 8/b rounds onto hi.
 
-    It arises in ``running(1, 20)`` on the atom + tempered + killing model:
-    the cell (0, 19.2) loses its Jacobi head [0, 8/b] and is halved twice.
+    It once arose in ``running(1, 20)`` on the atom + tempered + killing
+    model, where a recursive split of the cell (10.67, 16) into itself
+    never ended.
     """
 
     MODEL = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
@@ -403,25 +453,118 @@ class TestCrossCellSplit:
         assert self.HI - self.LO > 8.0 / self.B and self.LO + 8.0 / self.B == self.HI
 
     def test_cell_against_40_digit_quadrature(self):
+        # the indicator of y in [X - HI, X - LO] makes (LO, HI) the one far cell with a nonzero integrand
         eng = ConvolutionEngine(self.MODEL, self.X)
-        p = eng._ac_exponents(1)[0]
-        got = eng._cross_cell(eng.pc_running(1), self.X, self.LO, self.HI, p, self.B)
+        pp = PiecewisePoly([0.0, self.X - self.HI, self.X - self.LO], [[0.0], [1.0], [0.0]])
+        got = eng._cross([(pp, 1)], np.array([self.X]))[0, 0]
         with mpmath.workdps(40):
-            # pc = 0.5 [y < 0.8] + 0.3, so its running integral is 0.3 y + 0.5 min(y, 0.8)
-            pc_running = lambda y: mpmath.mpf(0.3) * y + mpmath.mpf(0.5) * min(y, mpmath.mpf(0.8))
-            want = mpmath.quad(lambda v: pc_running(self.X - v) * v**p * mpmath.exp(-self.B * v), [self.LO, self.HI])
+            # s^{*1} is the AC tail itself, 0.7 v^-0.6 e^{-1.5 v}
+            want = 0.7 * mpmath.quad(lambda v: v ** mpmath.mpf(-0.6) * mpmath.exp(-self.B * v), [self.LO, self.HI])
             assert abs((got - want) / want) < 1e-12
 
     def test_running_at_x20_against_40_digit_quadrature(self):
-        # the cross term pc^{*1} * s^{*1} of running(2, 20), whose cells include the one above
+        # the cross term pc^{*1} * s^{*1} of running(2, 20): a closed-form cell and one far cell
         eng = ConvolutionEngine(self.MODEL, self.X)
-        p, k = eng._ac_exponents(1)
-        got = eng._cross(eng.pc_running(1), 1, self.X)
+        got = eng._cross([(eng.pc_running(1), 1)], np.array([self.X]))[0, 0]
         with mpmath.workdps(40):
+            # pc = 0.5 [y < 0.8] + 0.3, so its running integral is 0.3 y + 0.5 min(y, 0.8)
             pc_running = lambda y: mpmath.mpf(0.3) * y + mpmath.mpf(0.5) * min(y, mpmath.mpf(0.8))
-            want = k * mpmath.quad(lambda v: pc_running(self.X - v) * v**p * mpmath.exp(-self.B * v),
-                                   [0, self.X - 0.8, self.X])
+            want = 0.7 * mpmath.quad(lambda v: pc_running(self.X - v) * v ** mpmath.mpf(-0.6) * mpmath.exp(-self.B * v),
+                                     [0, self.X - 0.8, self.X])
             assert abs((got - want) / want) < 1e-12
+
+
+class TestAtomCrossTerms:
+    """Atoms with an AC tail: pc^{*i} * s^{*j} from ``_cross`` for i <= 6, j <= 4 and six x
+    (near 0, on a break, 1e-9 past it, 1.7, 2.9 and 20), for power and running, against
+    ``cross_reference`` at 40 digits and against the per-point cell quadrature's values
+    (``ATOM_QUADRATURE`` at the end of this file)."""
+
+    MODELS = {
+        "mixed": (LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)), 1.0),
+        "atom-tempered-killed": (LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                                           ac=AcTail.tempered(0.7, 0.6, 1.5)), 0.8),
+        "alternating": (TestAlternatingSum.MODEL, 1.4),
+    }
+    PROBES = [(model, quantity) for model in MODELS for quantity in ("power", "running")]
+
+    @classmethod
+    def setup(cls, model, quantity):
+        model, brk = cls.MODELS[model]
+        eng = ConvolutionEngine(model, 20.0)
+        ladder = eng.pc_running if quantity == "running" else eng.pc_power
+        return eng, [(ladder(i), j) for i in range(1, 7) for j in range(1, 5)], [1e-3, brk, brk + 1e-9, 1.7, 2.9, 20.0]
+
+    @classmethod
+    @cache
+    def reference(cls, model, quantity):
+        eng, terms, xs = cls.setup(model, quantity)
+        return [[cross_reference(eng, pp, j, x) for x in xs] for pp, j in terms]
+
+    def kernel(self, model, quantity):
+        eng, terms, xs = self.setup(model, quantity)
+        return eng._cross(terms, np.array(xs)).tolist()
+
+    @pytest.mark.parametrize("model, quantity", PROBES)
+    def test_within_1e12_of_40_digits_and_no_worse_than_the_quadrature(self, model, quantity):
+        want = self.reference(model, quantity)
+        quadrature = [row for i_rows in ATOM_QUADRATURE[model, quantity] for row in i_rows]
+        worst = worst_rel_error(self.kernel(model, quantity), want)
+        assert worst < 1e-12 and worst <= worst_rel_error(quadrature, want)
+
+    def test_eval_calls_do_not_grow_with_the_points(self, monkeypatch):
+        calls = []
+        eval_ = PiecewisePoly.eval
+        monkeypatch.setattr(PiecewisePoly, "eval", lambda pp, *a: calls.append(1) or eval_(pp, *a))
+        counts = []
+        for size in (1, 8, 64):
+            eng = ConvolutionEngine(self.MODELS["atom-tempered-killed"][0], 3.0)
+            eng.running(4, 2.9)  # builds the ladders
+            calls.clear()
+            eng.running(4, np.linspace(2.9, 0.05, size))
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 3 and counts[0] <= 4  # the j = 0 ladder and one per cross term
+
+
+class TestKummerSeries:
+    """1F1(a; c; -z) = 1F1(p + 1; m + p + 2; -z) as ``_cross`` calls it: a positive series below z = 5.
+
+    scipy's hyp1f1 was 1.25e-10 off, relative, at the point below, and so
+    were two cross terms of ``TestKillingCrossTerms``' tempered model there."""
+
+    A, C, Z = 0.4, 4.4, 1.2320401337792644
+    X = 0.8213600891861762  # Z / b on the tempered model
+
+    def test_found_point_at_40_digits(self):
+        got = convolve._hyp1f1_neg(np.array([self.A]), np.array([self.C]), np.array([self.Z]))[0]
+        with mpmath.workdps(40):
+            want = mpmath.hyp1f1(self.A, self.C, -mpmath.mpf(self.Z))
+            assert abs((got - want) / want) < 1e-14
+
+    @pytest.mark.parametrize("quantity, i", [("power", 4), ("running", 3)])
+    def test_cross_terms_at_the_found_point(self, quantity, i):
+        # m = 3 in both: pc^{*4}(y) = q^4 y^3/3! and the running integral of pc^{*3}, q^3 y^3/3!
+        model = TestKillingCrossTerms.MODELS["tempered"]
+        eng = ConvolutionEngine(model, 2.0)
+        pp = eng.pc_running(i) if quantity == "running" else eng.pc_power(i)
+        got = eng._cross([(pp, 1)], np.array([self.X]))[0, 0]
+        with mpmath.workdps(40):
+            want = mpmath.mpf(model.q) ** i / 6 * TestKillingCrossTerms._integral("tempered", 3, 1, self.X)
+        assert worst_rel_error(got, want) < 1e-12
+
+    def test_survey_below_z5(self):
+        rng = np.random.default_rng(12)
+        p, m, z = rng.uniform(-0.9, 1.5, 300), rng.integers(0, 16, 300), rng.uniform(0.0, 5.0, 300)
+        got = convolve._hyp1f1_neg(p + 1.0, m + p + 2.0, z)
+        with mpmath.workdps(40):
+            want = [mpmath.hyp1f1(mpmath.mpf(pk) + 1, mpmath.mpf(float(mk + pk + 2.0)), -mpmath.mpf(zk))
+                    for pk, mk, zk in zip(p, m, z)]
+        assert worst_rel_error(got.tolist(), want) < 1e-14
+
+    def test_an_entry_is_the_same_in_any_batch(self):
+        a, c, z = np.array([0.4, 0.7, 0.4]), np.array([4.4, 1.9, 2.4]), np.array([0.01, 4.99, 2.0])
+        batch = convolve._hyp1f1_neg(a, c, z)
+        assert batch.tolist() == [convolve._hyp1f1_neg(a[k:k + 1], c[k:k + 1], z[k:k + 1])[0] for k in range(3)]
 
 
 class TestArrayArguments:
@@ -785,6 +928,240 @@ QUADRATURE = {
             [2.2015516977103123e-26, 6.864113392339793e-18, 5.6369862781507145e-12, 1.894459491604157e-09, 5.959354272632306e-07],
             [7.693469277818005e-28, 7.556767969323167e-19, 1.3647957867818307e-12, 6.356042022905719e-10, 2.7187305563496933e-07],
             [2.6188427249808385e-29, 8.106566000946144e-20, 3.224785708707228e-13, 2.0848279535318521e-10, 1.2163892028582404e-07],
+        ],
+    ],
+}
+
+
+# The per-point cell quadrature's values on TestAtomCrossTerms' probes, recorded
+# before the batched kernel replaced it: [model, quantity][i - 1][j - 1][x index].
+ATOM_QUADRATURE = {
+    ("mixed", "power"): [
+        [
+            [0.005282977308203711, 0.33333333333333326, 0.3333320065093639, 0.18918335181462784, 0.1414923799387113, 0.06095969804531544],
+            [2.0223567811688885e-05, 0.08051147360008239, 0.08051147369542015, 0.09971585571520548, 0.11496687131970178, 0.17500011271081378],
+            [6.27395091827396e-08, 0.01575945218356941, 0.015759452211936427, 0.0326658708912697, 0.05707905108890739, 0.3053751519787505],
+            [1.6654477115648153e-10, 0.0026395567404590143, 0.00263955674679395, 0.008310685528798344, 0.021666931458616923, 0.40533802720390155],
+        ],
+        [
+            [3.301860817627275e-06, 0.2083333333333304, 0.20833333366666318, 0.2514663347684998, 0.15688512208251226, 0.06160057066717514],
+            [9.192530823494964e-09, 0.03659612436367388, 0.03659612444418532, 0.08420922163422431, 0.10942084776853138, 0.17408994723166357],
+            [2.240696756526413e-11, 0.005628375779846215, 0.005628375795605677, 0.02072139801739515, 0.047224496566090075, 0.29908901197549953],
+            [4.898375622249447e-14, 0.0007763402177820613, 0.0007763402204216213, 0.004254291132455267, 0.01576257115614223, 0.390888980981675],
+        ],
+        [
+            [1.2699464683181687e-09, 0.08012820512820312, 0.08012820533653753, 0.2232891565198705, 0.18382417607633536, 0.062265895136912726],
+            [2.8726658823421817e-12, 0.011436288863648109, 0.011436288900244196, 0.05151949791377549, 0.10204259537638632, 0.17316015565058263],
+            [5.896570411911613e-15, 0.0014811515210121618, 0.00148115152664054, 0.009979378523925081, 0.03671272753480088, 0.29276935405565085],
+            [1.1132671868748741e-17, 0.0001764409585868321, 0.00017644095936317303, 0.0017119177973357784, 0.010520748883814808, 0.37659235012819064],
+        ],
+        [
+            [3.527629078661546e-13, 0.02225783475783399, 0.02225783483796265, 0.12569399607938556, 0.22213776633824486, 0.06295733240420685],
+            [6.839680672243301e-16, 0.002722925919916221, 0.002722925931352495, 0.022853348379413923, 0.08740226476585419, 0.17220974949151346],
+            [1.2284521691482523e-18, 0.0003085732335442003, 0.0003085732350253523, 0.003717366408556255, 0.02538885980221599, 0.2864150655296782],
+            [2.061605901620137e-21, 3.267425159015408e-05, 3.2674251766595154e-05, 0.0005545816986561024, 0.006187707346113675, 0.3624506360356987],
+        ],
+        [
+            [7.668758866655472e-17, 0.00483865972996387, 0.004838659752221837, 0.050873856399812664, 0.21466559627955792, 0.06367670969587685],
+            [1.3153232062006368e-19, 0.0005236395999838893, 0.0005236396027068115, 0.00785761675339252, 0.06221143744146005, 0.17123765975069552],
+            [2.11802098129009e-22, 5.3202281645551746e-05, 5.320228195412506e-05, 0.0011212623692903826, 0.014858059241289774, 0.2800249633239113],
+            [3.221259221281463e-25, 5.105351810961575e-06, 5.105351843635843e-06, 0.0001497658628261318, 0.0031227008313939194, 0.3484664538250757],
+        ],
+        [
+            [1.369421226188466e-20, 0.0008640463803506841, 0.0008640463851893727, 0.016164054865743835, 0.1542230994723077, 0.06442604296818469],
+            [2.121489042259095e-23, 8.445799999740161e-05, 8.445800052104054e-05, 0.002211343237241573, 0.03571291856431789, 0.17024272762179807],
+            [3.1147367371913087e-26, 7.823864947875258e-06, 7.823865001077545e-06, 0.0002845662725310376, 0.007274289456428304, 0.2735977872376907],
+            [4.3530530017317073e-29, 6.899124068866993e-07, 6.899124119920532e-07, 3.47082857824578e-05, 0.0013483830927548146, 0.3346425410903742],
+        ],
+    ],
+    ("mixed", "running"): [
+        [
+            [3.301860817627275e-06, 0.2083333333333304, 0.20833333366666404, 0.3692040561878956, 0.562658983429271, 1.9810164844016962],
+            [9.192530823494964e-09, 0.03659612436367388, 0.03659612444418532, 0.10090669590030149, 0.2306040730694382, 2.843876489495113],
+            [2.240696756526413e-11, 0.005628375779846215, 0.005628375795605677, 0.022794676295351743, 0.07698820645186827, 3.3088108422121496],
+            [4.898375622249447e-14, 0.0007763402177820613, 0.0007763402204216213, 0.004485170657919479, 0.022103554552526064, 3.294381851129006],
+        ],
+        [
+            [1.2699464683181687e-09, 0.08012820512820312, 0.08012820533653753, 0.2549877738250922, 0.48712099105107814, 1.9503243233894403],
+            [2.8726658823421817e-12, 0.011436288863648109, 0.011436288900244196, 0.05517207040947989, 0.17490215910329832, 2.7566787591125532],
+            [5.896570411911613e-15, 0.0014811515210121618, 0.00148115152664054, 0.010361298206706556, 0.051704857845583575, 3.158216815785076],
+            [1.1132671868748741e-17, 0.0001764409585868321, 0.00017644095936317303, 0.0017486486309323578, 0.013271232533086394, 3.096537581801855],
+        ],
+        [
+            [3.527629078661546e-13, 0.02225783475783399, 0.02225783483796265, 0.1318576161109564, 0.40082793209600004, 1.9193036631932878],
+            [6.839680672243301e-16, 0.002722925919916221, 0.002722925931352495, 0.02346211046203132, 0.12250052804101341, 2.6699426008089437],
+            [1.2284521691482523e-18, 0.0003085732335442003, 0.0003085732350253523, 0.0037730630289618877, 0.031550687663181386, 3.010776972146103],
+            [2.061605901620137e-21, 3.267425159015408e-05, 3.2674251766595154e-05, 0.0005593431030112146, 0.007178078279792167, 2.9058671662194087],
+        ],
+        [
+            [7.668758866655472e-17, 0.00483865972996387, 0.004838659752221837, 0.05181179857852993, 0.2954261272634628, 1.8879417328783616],
+            [1.3153232062006368e-19, 0.0005236395999838893, 0.0005236396027068115, 0.007939565495283322, 0.07574223479261809, 2.5836781529038446],
+            [2.11802098129009e-22, 5.3202281645551746e-05, 5.320228195412506e-05, 0.0011279843752014071, 0.016943966356946196, 2.866508437424011],
+            [3.221259221281463e-25, 5.105351810961575e-06, 5.105351843635843e-06, 0.0001502866414274722, 0.003422786724756815, 2.7222935689763776],
+        ],
+        [
+            [1.369421226188466e-20, 0.0008640463803506841, 0.0008640463851893727, 0.0162812976380835, 0.18327372930897146, 1.85622487675535],
+            [2.121489042259095e-23, 8.445799999740161e-05, 8.445800052104054e-05, 0.002220595514551825, 0.04001083150581039, 2.4978960743192995],
+            [3.1147367371913087e-26, 7.823864947875258e-06, 7.823865001077545e-06, 0.0002852582437277607, 0.007870280496768006, 2.7254289172027537],
+            [4.3530530017317073e-29, 6.899124068866993e-07, 6.899124119920532e-07, 3.4757548623125126e-05, 0.0014265218753860597, 2.5457384665213545],
+        ],
+        [
+            [2.074880645740085e-24, 0.0001309161182349512, 0.00013091611909900268, 0.004270053016030661, 0.09417435871055656, 1.8241384639525284],
+            [2.9465125586931917e-27, 1.1730277777416909e-05, 1.1730277861874796e-05, 0.0005298329398850262, 0.017965964095205136, 2.412607587864024],
+            [3.993252227168341e-30, 1.0030596087019557e-06, 1.0030596165258218e-06, 6.255313980552598e-05, 0.0031629981622667046, 2.5875567339159224],
+            [5.182205954442511e-33, 8.213242939127377e-08, 8.213243008118634e-08, 7.059483675497885e-06, 0.0005213266267590992, 2.376122187427782],
+        ],
+    ],
+    ("atom-tempered-killed", "power"): [
+        [
+            [0.08829618734334456, 0.960090091770081, 0.9598703019027423, 0.4274312793436566, 0.3993453673873263, 0.3960733039767239],
+            [0.008238601078316213, 1.0804375211262145, 1.0804374399854064, 0.6160941783657651, 0.536090087662798, 0.5229135404103034],
+            [0.0006821869439994795, 1.1431079158428556, 1.1431079167554472, 0.870723672171368, 0.7253736756493947, 0.6903736454819813],
+            [5.150274920297861e-05, 1.1420591851842807, 1.1420591865553185, 1.1837645232060565, 0.9858678097273966, 0.9114619024832946],
+        ],
+        [
+            [5.046397230755114e-05, 0.4919137196272011, 0.49191372039503495, 0.5197546313082556, 0.6321343371531601, 2.6616126027235394],
+            [3.6624722506175967e-06, 0.4531062172876683, 0.4531062181520175, 0.6672553635696897, 0.7978116891004825, 3.4721459083240394],
+            [2.4813140816546943e-07, 0.40086051261830546, 0.40086051353279023, 0.8202138590800665, 1.0055820365647903, 4.528851114359433],
+            [1.585106339371386e-08, 0.3413401153241627, 0.3413401162378104, 0.9630942242958177, 1.2621882917546683, 5.906273128079603],
+        ],
+        [
+            [1.682256068350902e-08, 0.13761997728196948, 0.13761997767550613, 0.41410938848791506, 0.637243139131943, 9.890425688263369],
+            [1.0465386445927513e-09, 0.11189767550618031, 0.11189767586866503, 0.46304380657945143, 0.7667209999339036, 12.765783679327168],
+            [6.20411594133585e-11, 0.08819428093896653, 0.08819428125965437, 0.4967317909816521, 0.9165904799264714, 16.47286748010718],
+            [3.522969017970478e-12, 0.06747779121709635, 0.06747779149016848, 0.5131647991178382, 1.0855283191727727, 21.250916548731325],
+        ],
+        [
+            [3.958408292198008e-12, 0.026609921390762147, 0.02660992150085958, 0.2167083664112897, 0.496160120013515, 26.64101844224358],
+            [2.2033841800230662e-13, 0.019724746356305625, 0.01972474644582371, 0.2149377363718805, 0.5706715048426285, 34.05400387364378],
+            [1.1818337555339702e-14, 0.014251051768494762, 0.014251051839050064, 0.20666287201235595, 0.6488008581822895, 43.51470375981596],
+            [6.127473429898435e-16, 0.01004639553536582, 0.01004639558934806, 0.19314698986252293, 0.7273774617225652, 55.58418432598419],
+        ],
+        [
+            [7.197287696068344e-16, 0.003937994453437592, 0.003937994474725787, 0.07994077264962594, 0.3175854266377148, 57.82028307797633],
+            [3.672465232522586e-17, 0.0027106895730081002, 0.0027106895887878905, 0.0723844360089266, 0.34756455303382683, 73.24604609068349],
+            [1.8183072790867777e-18, 0.0018254912660605903, 0.0018254912774614133, 0.06400296748804328, 0.37444566308764354, 92.74826220383486],
+            [8.754101834466937e-20, 0.0012037388744930446, 0.001203738882530163, 0.05535388938070078, 0.39670894043448457, 117.39277902582397],
+        ],
+        [
+            [1.0662833522083869e-19, 0.0004724018601693012, 0.0004724018633197321, 0.022539104716600342, 0.1692979796422916, 106.88031408253862],
+            [5.065623386560983e-21, 0.0003056378885553527, 0.0003056378907239034, 0.019014660603514522, 0.17541187373681758, 134.2524593367598],
+            [2.3462975351082115e-22, 0.00019399552721005881, 0.00019399552867044954, 0.015738050151491448, 0.1786816762062449, 168.5526640607884],
+            [1.0611540185914656e-23, 0.00012087915678557033, 0.00012087915774856164, 0.012793250246370893, 0.17893884805882737, 211.51143212966628],
+        ],
+    ],
+    ("atom-tempered-killed", "running"): [
+        [
+            [6.307996538443892e-05, 0.6148921495340014, 0.6148921504939507, 1.0793927740036615, 1.569190898256995, 8.343944270442826],
+            [4.578090313271997e-06, 0.5663827716095853, 0.5663827726900219, 1.2502977663391286, 1.9264083681328321, 10.876601640532988],
+            [3.1016426020683683e-07, 0.5010756407728817, 0.5010756419159879, 1.4098202504807882, 2.3457404429200484, 14.17567218722165],
+            [1.9813829242142324e-08, 0.42667514415520336, 0.426675145297263, 1.5449457619817912, 2.8280729064626193, 18.47229455695181],
+        ],
+        [
+            [2.102820085438627e-08, 0.1720249716024618, 0.17202497209438272, 0.6572935175929228, 1.3401122663910217, 29.482640552549437],
+            [1.3081733057409396e-09, 0.13987209438272544, 0.13987209483583124, 0.6968921986180762, 1.5636965867316412, 38.0067505531241],
+            [7.755144926669813e-11, 0.11024285117370818, 0.11024285157456801, 0.7176580380653169, 1.8058934500769053, 48.981549897821466],
+            [4.403711272463097e-12, 0.08434723902137044, 0.08434723936271063, 0.7184222169684523, 2.061230035993479, 63.107191562727216],
+        ],
+        [
+            [4.948010365247507e-12, 0.0332624017384527, 0.03326240187607447, 0.3015337042336395, 0.9195477741726001, 76.06229752606016],
+            [2.754230225028833e-13, 0.02465593294538203, 0.024655933057279637, 0.2922688294929044, 1.0241548561204261, 97.07461785831049],
+            [1.4772921944174624e-14, 0.01781381471061844, 0.017813814798812583, 0.27605004918314785, 1.126631579661388, 123.84515253485624],
+            [7.659341787373044e-16, 0.012557994419207272, 0.012557994486685079, 0.25443021997063786, 1.22276779754154, 157.9377295715377],
+        ],
+        [
+            [8.996609620085431e-16, 0.00492249306679699, 0.004922493093407233, 0.10504289598233944, 0.5283886498252157, 158.93500770625002],
+            [4.590581540653232e-17, 0.0033883619662601265, 0.0033883619859848635, 0.09414219344023264, 0.5616843295511761, 200.97286530354125],
+            [2.2728840988584715e-18, 0.0022818640825757385, 0.0022818640968267673, 0.08256923686670932, 0.5887114826925933, 254.01463725012428],
+            [1.0942627293083672e-19, 0.0015046735931163063, 0.0015046736031627042, 0.0709536656280474, 0.6080431965173455, 320.9072655135406],
+        ],
+        [
+            [1.3328541902604835e-19, 0.0005905023252116264, 0.0005905023291496649, 0.02886542912931891, 0.25801453726773677, 283.96449345440084],
+            [6.3320292332012295e-21, 0.00038204736069419093, 0.0003820473634048793, 0.02423391769706572, 0.2614065640515972, 355.9771335917644],
+            [2.9328719188852646e-22, 0.0002424944090125734, 0.00024249441083806192, 0.019980279938456212, 0.2609415279557046, 446.0202356636702],
+            [1.3264425232393322e-23, 0.0001510989459819629, 0.0001510989471857021, 0.01619132740537751, 0.2566226360178747, 558.5436340707562],
+        ],
+        [
+            [1.6660888418050767e-23, 5.958095972099542e-05, 5.958096019340225e-05, 0.006513097164253547, 0.10754183069845223, 448.31045306989455],
+            [7.449614674246469e-25, 3.654522659672909e-05, 3.6545226902366874e-05, 0.005176840810410286, 0.10385581146159936, 557.4177237320574],
+            [3.258845917770514e-26, 2.2037419358720664e-05, 2.2037419552715895e-05, 0.004051396406164643, 0.09885154195236229, 692.6777941988603],
+            [1.3963065530665996e-27, 1.3071714781496477e-05, 1.3071714902375668e-05, 0.0031237426793306695, 0.09275461029087322, 860.2521218881444],
+        ],
+    ],
+    ("alternating", "power"): [
+        [
+            [0.01267914553968891, 0.5853538491759872, 0.5853528540323586, 0.5020334171905905, 0.45481336211697604, 0.7168680336870273],
+            [7.280484412207999e-05, 0.3092884684953842, 0.30928846867886584, 0.34374863985904597, 0.44971961924223197, 1.8073013217394613],
+            [3.387933495867938e-07, 0.12390819919021992, 0.12390819931863996, 0.16130515838362625, 0.308883022777738, 3.6138411806334965],
+            [1.3490126463675005e-09, 0.04090308438730248, 0.04090308444837101, 0.06091097915231178, 0.1688237919332394, 6.083131574914787],
+        ],
+        [
+            [1.2679145539688738e-05, 0.760047815651964, 0.7600478161129456, 0.8322532053735064, 0.857337684583631, 3.123464933482652],
+            [5.2948977543330994e-08, 0.2987021286950876, 0.2987021290116417, 0.3901308508558933, 0.6633734014444181, 6.16924727322889],
+            [1.9359619976388219e-10, 0.09563529606272088, 0.09563529621209632, 0.1445831846034418, 0.38118239865210884, 10.413963843631636],
+            [6.348294806435284e-13, 0.026298732261927197, 0.026298732316336042, 0.045665599633122285, 0.1803550352743875, 15.448119597928137],
+        ],
+        [
+            [7.80255110134683e-09, 0.7228324036476408, 0.722832404421572, 0.9486722468550963, 1.4077741854309782, 10.572244592896045],
+            [2.6474488771665545e-11, 0.2228327468215429, 0.22283274718953636, 0.3432961295265233, 0.8624624944277058, 17.86292027711744],
+            [8.151418937426615e-14, 0.05878370666781143, 0.058783706797940365, 0.10535859338111468, 0.4174341418246351, 26.71892787490187],
+            [2.308470838703738e-16, 0.01377004339568789, 0.013770043433568288, 0.028539954760537663, 0.17195335996168273, 35.96597970879541],
+        ],
+        [
+            [3.4678004894874473e-12, 0.5154980218686394, 0.5154980227885211, 0.8148306461517021, 1.9586319321284695, 30.70186034856173],
+            [1.0085519532063081e-14, 0.12968196702424284, 0.1296819673352564, 0.24190790672649573, 0.9714518361851223, 46.2312317843384],
+            [2.717139645808871e-17, 0.029062377101523113, 0.02906237718775315, 0.0633236731358029, 0.4013942737427874, 62.91123930197964],
+            [6.839913596159225e-20, 0.005939591522123074, 0.0059395915429262475, 0.01499740506720898, 0.14538017852346372, 78.21921080247148],
+        ],
+        [
+            [1.206191474604319e-15, 0.281230586043001, 0.28123058678095614, 0.5515714151060018, 2.276104128893576, 80.04286880631732],
+            [3.1032367790963383e-18, 0.060189463393245185, 0.060189463586675325, 0.13904200768862748, 0.9408903584383113, 109.96931795736323],
+            [7.495557643610675e-21, 0.011803008945862389, 0.011803008990263616, 0.0317705370850879, 0.3377117343213339, 138.39806764238287],
+            [1.709978399039806e-23, 0.0021518650642275965, 0.0021518650734389114, 0.006695582051238223, 0.10886480780903138, 160.82731252344917],
+        ],
+        [
+            [3.446261356012314e-19, 0.12208680509946682, 0.12208680552501283, 0.30141727920616557, 2.214606842363387, 192.14947266392073],
+            [8.008352978313146e-22, 0.022979689526992655, 0.022979689619818677, 0.06634432729696821, 0.7854335316317159, 244.52567540138182],
+            [1.7636606220260418e-24, 0.00403818726595651, 0.004038187284377264, 0.013508115509026627, 0.24929321025877765, 287.8063758014842],
+            [3.697250592518501e-27, 0.0006687545276587851, 0.0006687545310433123, 0.0025743055819935985, 0.0724110599498054, 315.2265313147842],
+        ],
+    ],
+    ("alternating", "running"): [
+        [
+            [7.92446596230546e-06, 0.6597884980113291, 0.6597884985966822, 0.8183154754396605, 1.381499237064329, 11.224411786666987],
+            [3.309311096458188e-08, 0.23083876325439012, 0.23083876356367855, 0.329067254965547, 0.8073788214071601, 19.914578869195076],
+            [1.2099762485242631e-10, 0.06881865791545098, 0.06881865803935922, 0.11163531119758437, 0.3934392915238608, 30.51042156967589],
+            [3.967684254022052e-13, 0.018084747555597133, 0.018084747596500226, 0.03327625989494671, 0.16694279502801676, 41.46291378397602],
+        ],
+        [
+            [4.876594438341768e-09, 0.5456936458892875, 0.5456936466493334, 0.7867552001963553, 1.8007586583217086, 34.02349412320525],
+            [1.654655548229097e-11, 0.15717214099607701, 0.15717214129477916, 0.2607282364258903, 0.9024528002651778, 52.559717468838855],
+            [5.0946368358916336e-14, 0.03980496905531844, 0.039804969150953745, 0.07564911060580823, 0.38654958096251196, 72.3490815937612],
+            [1.4427942741898367e-16, 0.009086923127075442, 0.009086923153374175, 0.019728894038208215, 0.1466189697539636, 90.19430563506509],
+        ],
+        [
+            [2.1673753059296544e-12, 0.3562402051950251, 0.35624020591785616, 0.6075345536830457, 2.0786100006529797, 90.60373285912905],
+            [6.303449707539426e-15, 0.0865530160333535, 0.08655301625618625, 0.17101077697955913, 0.8985992594180561, 126.12433285053058],
+            [1.6982122786305446e-17, 0.018984339210873443, 0.018984339269657157, 0.043227465293084064, 0.34012495309596624, 159.4096859344719],
+            [4.274945997599515e-20, 0.0038263557866115025, 0.0038263558003815475, 0.00999610201699845, 0.11589099298174085, 184.96745691514823],
+        ],
+        [
+            [7.538696716276993e-16, 0.18531834045222959, 0.18531834096772698, 0.3837869500177939, 2.0984830022347656, 219.7440009324139],
+            [1.9395229869352115e-18, 0.03897723356612202, 0.038977233695803984, 0.09376951468777397, 0.7910568600805066, 281.25226106074774],
+            [4.684723527256673e-21, 0.007558187149694982, 0.007558187178757363, 0.020980688981104435, 0.2668349227033198, 330.96599212691973],
+            [1.0687364993998788e-23, 0.001367752296635171, 0.0013677523025747626, 0.00435757431871023, 0.08224358308117972, 360.9950041937601],
+        ],
+        [
+            [2.153913347507696e-19, 0.07849269580391069, 0.07849269608514105, 0.2009836970421616, 1.844327424902759, 495.5244464922091],
+            [5.005220611445715e-22, 0.014643158014224736, 0.014643158074414204, 0.0434465412878969, 0.6145362306395986, 590.859499804354],
+            [1.1022878887662759e-24, 0.0025580123536994262, 0.0025580123655024353, 0.008736439958123723, 0.18660091044480792, 653.6042160476854],
+            [2.3107816203240628e-27, 0.0004219225569033332, 0.00042192255905519843, 0.0016503044102488787, 0.052436872697158944, 674.9645615884367],
+        ],
+        [
+            [5.2216081151701345e-23, 0.027807114638136104, 0.027807114760222847, 0.0886381442218542, 1.41488993673642, 1052.7349394333821],
+            [1.1122712469879385e-25, 0.00469295461146537, 0.004692954634445058, 0.01725008280266381, 0.42250131932143, 1180.2748088363405],
+            [2.2611033615718475e-28, 0.0007500178425903037, 0.0007500178466284914, 0.0031611102037236273, 0.11665040405587217, 1235.9448708049626],
+            [4.401488800617264e-31, 0.00011416832939450857, 0.00011416833006326317, 0.0005493553182345587, 0.03011923163358867, 1214.9491630177079],
         ],
     ],
 }

@@ -141,29 +141,32 @@ class TestCrossTermRouting:
                                      ac=AcTail.tempered(0.7, 0.6, 1.5))
 
     @pytest.fixture
-    def cross_calls(self, monkeypatch):
+    def far_cell_calls(self, monkeypatch):
         calls = []
-        quadrature = ConvolutionEngine._cross
+        quadrature = ConvolutionEngine._far_cells
 
         def spy(engine, *args):
             calls.append(args)
             return quadrature(engine, *args)
 
-        monkeypatch.setattr(ConvolutionEngine, "_cross", spy)
+        monkeypatch.setattr(ConvolutionEngine, "_far_cells", spy)
         return calls
 
-    def test_atom_free_models_never_enter_the_quadrature(self, cross_calls):
+    def test_atom_free_models_never_enter_the_quadrature(self, far_cell_calls):
         for model in (self.KILLED_STABLE, self.KILLED_TEMPERED):
             u_series(model, np.array([0.01, 0.05]))
             u_volterra(model, 0.5)
-        assert cross_calls == []
+        assert far_cell_calls == []
 
-    def test_atoms_with_a_tail_still_use_it(self, cross_calls):
-        u_series(self.ATOM_TEMPERED_KILLED, 0.005)
-        assert cross_calls
+    def test_atoms_with_a_tail_use_it_past_the_atom(self, far_cell_calls):
+        engine = ConvolutionEngine(self.ATOM_TEMPERED_KILLED, 2.0)
+        engine.running(3, 0.5)
+        assert far_cell_calls == []  # below the atom the closed-form cell is all of [0, x]
+        engine.running(3, 1.7)
+        assert far_cell_calls
 
     def test_non_finite_series_value_raises(self, monkeypatch):
-        monkeypatch.setattr(convolve, "_hyp1f1", lambda a, c, z: np.full(np.shape(z), np.nan))
+        monkeypatch.setattr(convolve, "_hyp1f1_neg", lambda a, c, z: np.full(np.shape(z), np.nan))
         for x in (0.05, np.array([0.01, 0.05])):
             with pytest.raises(AccuracyFailureError):
                 u_series(self.KILLED_TEMPERED, x)

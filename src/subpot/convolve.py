@@ -376,7 +376,8 @@ class ConvolutionEngine:
         """
         k, owner = np.nonzero(np.arange(cell.max())[:, None] < cell)
         lo, hi = xs[owner] - pp.breaks[k + 1], xs[owner] - pp.breaks[k]
-        step = 8.0 / self._b if self._b > 0.0 else math.inf
+        step, stop = (8.0 / self._b, 750.0 / self._b) if self._b > 0.0 else (math.inf, math.inf)
+        hi = np.minimum(hi, stop)  # e^{-b v} is exactly 0 in floats past v = 750/b
         ends = [lo]
         while np.any(ends[-1] < hi):
             ends.append(np.minimum(np.minimum(8.0 * ends[-1], ends[-1] + step), hi))

@@ -462,6 +462,18 @@ class TestCrossCellSplit:
             want = 0.7 * mpmath.quad(lambda v: v ** mpmath.mpf(-0.6) * mpmath.exp(-self.B * v), [self.LO, self.HI])
             assert abs((got - want) / want) < 1e-12
 
+    def test_steep_tail_stops_where_the_exponential_underflows(self, monkeypatch):
+        # b = 1e4: pieces at most 8/b wide over every far cell would be 880 122 evaluation points
+        model = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                          ac=AcTail.tempered(0.7, 0.6, 1e4))
+        eng = ConvolutionEngine(model, self.X)
+        want = [eng.running(9, 0.81), eng.running(9, self.X)]
+        points = []
+        eval_ = PiecewisePoly.eval
+        monkeypatch.setattr(PiecewisePoly, "eval", lambda pp, x, *a: points.append(np.size(x)) or eval_(pp, x, *a))
+        assert eng.running(9, np.array([0.81, self.X])).tolist() == want
+        assert sum(points) <= 20_000  # the far cells stop at v = 750/b
+
     def test_running_at_x20_against_40_digit_quadrature(self):
         # the cross term pc^{*1} * s^{*1} of running(2, 20): a closed-form cell and one far cell
         eng = ConvolutionEngine(self.MODEL, self.X)

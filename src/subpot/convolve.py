@@ -209,8 +209,11 @@ class ConvolutionEngine:
             raise ValueError("n must be >= 1")
         xs = self._check_x(x, allow_zero=False)
         if n == 1:
-            tail, q = self.model.tail, self.model.q
-            out = np.array([tail(float(v), side) + q for v in xs])
+            # model.tail(x, side) + q, in the same order of additions
+            out = self.model.atomic.tail(xs, side)
+            if self.model.has_ac:
+                out = out + self.model.ac.tail(xs)
+            out = out + self.model.q
         else:
             out = self._binomial(n, xs, running=False)
         return _unwrap(out, x)

@@ -9,18 +9,15 @@ Two routes with certified error control:
   * ``u_volterra`` marches the renewal equation
     drift*u(x) = 1 - int_0^x u(x-y)(tbar(y)+q) dy by product integration:
     the unknown is piecewise linear on a breakpoint-aligned grid while the
-    kernel is integrated exactly through its closed-form moments, so atoms
-    and the integrable power singularity at zero cost no order of accuracy.
-    Rows are solved in blocks: one broadcast of the kernel moments over the
-    block's column window, one matrix-vector product for the columns solved
-    before it, and forward substitution inside it.  Without an AC part
-    tbar vanishes beyond the largest atom a_max, so only a window of about
-    a_max/h columns sees tbar and q times a running trapezoid integral of u
-    covers the older cells: the march costs O(n * a_max / h), not O(n^2).
-    The head of the grid (inside the series radius) is filled with certified
-    series values from one ``u_series`` call per grid, which also pins down
-    the singular slope of u at 0+ for models with an absolutely continuous
-    part.
+    kernel is integrated exactly, so atoms and the integrable power
+    singularity at zero cost no order of accuracy.  Atoms and q act through
+    the running integral U of u (an atom of mass m at a adds
+    m (U(x) - U(x - a))), so an atom-only march costs O(n * atoms); an AC
+    tail adds its closed-form moments, one broadcast over the history per
+    block of rows.  The head of the grid (inside the series radius) is
+    filled with certified series values from one ``u_series`` call per
+    grid, which also pins down the singular slope of u at 0+ for models
+    with an absolutely continuous part.
 
 ``DensityGrid.err_at`` adds the linear-interpolation error of the cell to
 the node estimates.  ``bv_split`` separates the even and odd series terms
@@ -200,67 +197,97 @@ def _grid_nodes(model, engine, x_max, h, breakpoint_order, head_end):
     return arr[keep], breaks
 
 
-# Rows per block are chosen so that each (rows, columns[, atoms]) temporary
-# of the march holds at most this many floats (128 KB).
+# Rows per block of an AC march are chosen so that each (rows, columns)
+# temporary of the tail-moment broadcast holds at most this many floats
+# (128 KB).
 _BLOCK_FLOATS = 1 << 14
 
 
 def _march(model: LevyModel, nodes: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Product-integration march: exact kernel moments, piecewise-linear u.
+    """Product-integration march: exact kernel, piecewise-linear u.
 
-    Row i solves drift*u_i + sum_c G[i, c] u_c = 1, where G[i, c] collects
-    the exact moments of the kernel against the two hat functions of the
-    cells next to node c.  Rows are solved in blocks: one broadcast builds
-    w = x_r - x_c over the block's column window and the kernel moments on
-    it, one matrix-vector product applies the columns solved before the
-    block, and forward substitution solves the block's lower-triangular
-    rest.  Without an AC part tbar vanishes beyond the largest atom, so a
-    cell whose lags all reach past it carries only q: there the window is
-    cut, and q times the running trapezoid integral of u stands in for the
-    cells left of it.  The cost is then O(n * a_max / h) instead of O(n^2).
-    With an AC part the window is the whole history (the tempered tail
-    decays but never vanishes, and a cut-off would not be exact).
+    Row r solves drift*u_r + int_0^{x_r} u(x_r - y)(tbar(y) + q) dy = 1 for
+    the interpolant u.  With U the running integral of u, q contributes
+    q U(x_r) and an atom of mass m at a contributes m (U(x_r) - U(x_r - a)):
+    its kernel is the step 1{y < a}.  U is kept at the nodes as a
+    compensated (hi, lo) pair, so a lag term far from 0 keeps the digits
+    that U itself would lose.  A block of rows starts after node i-1 and
+    ends where its lags x_r - a pass x_{i-1}; each row then adds its
+    block's own partial integral P_r = U(x_r) - U(x_{i-1}) to the known
+    differences U(x_{i-1}) - U(x_r - a).  An atom shorter than a cell makes
+    one-row blocks, whose in-cell part of U(x_r - a) is linear in u_r and
+    joins the divisor.  Atom-only marches cost O(n * atoms).  An AC tail
+    adds its exact moments against the two hat functions of every cell:
+    one broadcast over the block's whole history, one matrix-vector product
+    for the columns solved before it and forward substitution inside it,
+    with rows capped by ``_BLOCK_FLOATS``.
     """
-    delta = model.drift
-    q = model.q
-    u = np.array(known, dtype=float)
+    delta, q, has_ac = model.drift, model.q, model.has_ac
+    locs = np.asarray(model.atomic.locations, dtype=float)
+    masses = np.asarray(model.atomic.masses, dtype=float)
+    weight = q + math.fsum(model.atomic.masses)  # of P_r: q and every atom
     n = nodes.size
     h = np.diff(nodes)
-    reach = math.inf if model.has_ac else max(model.atomic.locations, default=0.0)
-    cap = _BLOCK_FLOATS // max(1, len(model.atomic.locations))
-    trap = np.zeros(n)  # trap[c]: the trapezoid integral of u over [0, x_c]
+    u = np.where(np.isnan(known), 0.0, known)  # unsolved nodes read as 0
+    hi = np.zeros(n)
+    lo = np.zeros(n)
 
-    def extend_trap(lo, hi):
-        lo = max(lo, 1)
-        if lo < hi:
-            trap[lo:hi] = trap[lo - 1] + np.cumsum(h[lo - 1 : hi - 1] * (u[lo - 1 : hi - 1] + u[lo:hi]) / 2.0)
+    def integrate(i, end):
+        """(hi, lo) of U at nodes i..end-1: the block's partial sums added to U(x_{i-1}) by TwoSum."""
+        p = np.cumsum(h[i - 1 : end - 1] * (u[i - 1 : end - 1] + u[i:end]) / 2.0)
+        s = hi[i - 1] + p
+        t = s - hi[i - 1]
+        lo[i:end] = lo[i - 1] + ((hi[i - 1] - (s - t)) + (p - t))
+        hi[i:end] = s
 
     i = int(np.sum(~np.isnan(known)))
-    extend_trap(1, i)
+    integrate(1, i)
     while i < n:
-        # c0: the last node whose lag from x_i (and so from every later row)
-        # reaches past the kernel's support
-        c0 = int(np.searchsorted(nodes, nodes[i] - reach, side="right")) - 1
-        while c0 >= 0 and nodes[i] - nodes[c0] < reach:
-            c0 -= 1
-        c0 = max(0, min(c0, i - 1))
-        hist = i - c0
-        rows = max(1, int((math.sqrt(hist * hist + 4 * cap) - hist) / 2))
-        end = min(n, i + rows)
-        w = np.maximum(nodes[i:end, None] - nodes[None, c0:end], 0.0)  # 0 on and above the diagonal
-        f0 = model.tail_antiderivative(w) + q * w
-        f1 = model.tail_first_moment(w) + q * w**2 / 2.0
-        m0 = f0[:, :-1] - f0[:, 1:]  # cell c: lags [w_{c+1}, w_c]
-        m1 = f1[:, :-1] - f1[:, 1:]
-        hc = h[c0 : end - 1]
-        g = np.zeros_like(w)
-        g[:, :-1] = (m1 - w[:, 1:] * m0) / hc   # hat function of the cell's left node
-        g[:, 1:] += (w[:, :-1] * m0 - m1) / hc  # ... and of its right node
-        rhs = 1.0 - g[:, :hist] @ u[c0:i] - q * trap[c0]
-        block = g[:, hist:]
-        for r in range(end - i):
-            u[i + r] = (rhs[r] - block[r, :r] @ u[i : i + r]) / (delta + block[r, r])
-        extend_trap(i, end)
+        last = nodes[i - 1]
+        end = n
+        if locs.size:
+            # rows whose lags x_r - a all lie at or before x_{i-1}, tested with
+            # the subtraction the lags use: adding a can land one ulp off
+            end = int(np.searchsorted(nodes, last + locs[0], side="right"))
+            while end > i and nodes[end - 1] - locs[0] > last:
+                end -= 1
+            while end < n and nodes[end] - locs[0] <= last:
+                end += 1
+            end = max(end, i + 1)
+        if has_ac:
+            end = min(end, i + max(1, int((math.sqrt(i * i + 4 * _BLOCK_FLOATS) - i) / 2)))
+        half = h[i - 1 : end - 1] / 2.0
+        div = delta + weight * half
+        rhs = np.full(end - i, 1.0 - q * (hi[i - 1] + lo[i - 1]))
+        if locs.size:
+            t = np.maximum(nodes[i:end, None] - locs, 0.0)
+            c = np.searchsorted(nodes, t, side="right") - 1  # at most i - 1
+            s = t - nodes[c]
+            ramp = s * s / (2.0 * h[c])
+            # U(x_{i-1}) - U(x_r - a); in cell i - 1, u_r's share joins div
+            lag = (hi[i - 1] - hi[c]) + (lo[i - 1] - lo[c]) - (s * u[c] + ramp * (u[c + 1] - u[c]))
+            rhs -= lag @ masses
+            div -= np.where(c == i - 1, ramp, 0.0) @ masses
+        if has_ac:
+            w = np.maximum(nodes[i:end, None] - nodes[None, :end], 0.0)  # 0 on and above the diagonal
+            f0 = model.ac.antiderivative(w)
+            f1 = model.ac.first_moment(w)
+            m0 = f0[:, :-1] - f0[:, 1:]  # cell c: lags [w_{c+1}, w_c]
+            m1 = f1[:, :-1] - f1[:, 1:]
+            g = np.zeros_like(w)
+            g[:, :-1] = (m1 - w[:, 1:] * m0) / h[: end - 1]   # hat function of the cell's left node
+            g[:, 1:] += (w[:, :-1] * m0 - m1) / h[: end - 1]  # ... and of its right node
+            rhs -= g[:, :i] @ u[:i]
+            block = g[:, i:]
+            div += np.diagonal(block)
+        p, before = 0.0, float(u[i - 1])
+        for r, (b, hr, d) in enumerate(zip(rhs.tolist(), half.tolist(), div.tolist())):
+            if has_ac:
+                b -= block[r, :r] @ u[i : i + r]
+            u[i + r] = now = (b - weight * (p + hr * before)) / d
+            p += hr * (before + now)
+            before = now
+        integrate(i, end)
         i = end
     return u
 

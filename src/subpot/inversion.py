@@ -385,8 +385,7 @@ def _derivative_pair(model, x, xs, N, lam, tol, engine):
         engine = ConvolutionEngine(model, float(xs.max()))
     # orders n >= 2 are continuous; the n = 1 term carries the atom's jump
     base = engine.alternating_sum(xs, 2, N, Side.RIGHT)
-    left, right = (np.array([-(model.tail(v, side) + model.q) / model.drift**2 for v in xs.tolist()])
-                   + base + integral for side in (Side.LEFT, Side.RIGHT))
+    left, right = (-engine.power(1, xs, side) / model.drift**2 + base + integral for side in (Side.LEFT, Side.RIGHT))
     return _shaped(x, left, right, err)
 
 

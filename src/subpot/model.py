@@ -29,6 +29,7 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,11 +179,25 @@ class AtomicPart:
                 return m
         return 0.0
 
-    def tail(self, y: float, side: Side = Side.LEFT) -> float:
-        """Sum of masses at locations >= y (left) or > y (right)."""
+    @cached_property
+    def _suffix_mass(self) -> np.ndarray:
+        """fsum of the masses from atom k on, for k = 0..len (the last is 0)."""
+        return np.array([math.fsum(self.masses[k:]) for k in range(len(self.masses) + 1)])
+
+    def tail(self, y, side: Side = Side.LEFT):
+        """Sum of masses at locations >= y (left) or > y (right); y may be an array.
+
+        Locations within the relative tolerance of y count as at y.  The
+        atoms counted are a suffix, since locations increase.
+        """
+        y_arr = np.asarray(y, dtype=float)
+        slack = _LOCATION_TOL * np.maximum(1.0, np.abs(y_arr))
         if side is Side.LEFT:
-            return float(math.fsum(m for a, m in zip(self.locations, self.masses) if a >= y - _LOCATION_TOL * max(1.0, abs(y))))
-        return float(math.fsum(m for a, m in zip(self.locations, self.masses) if a > y + _LOCATION_TOL * max(1.0, abs(y))))
+            first = np.searchsorted(self.locations, y_arr - slack, side="left")
+        else:
+            first = np.searchsorted(self.locations, y_arr + slack, side="right")
+        out = self._suffix_mass[first]
+        return out if np.ndim(y) else float(out)
 
 
 def _power_fit(terms: np.ndarray):

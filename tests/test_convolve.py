@@ -594,6 +594,18 @@ class TestArrayArguments:
         got = getattr(eng, quantity)(n, self.XS)
         assert got.tolist() == [getattr(eng, quantity)(n, float(x)) for x in self.XS]
 
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_order_one_equals_the_model_tail(self, side):
+        # on the atom, inside and just outside model.tail's 1e-12 location
+        # tolerance on either side, and away from it
+        eng = ConvolutionEngine(self.MODEL, 3.0)
+        near = [0.8 + d for d in (0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, 1e-9, -1e-9)]
+        xs = np.array([*near, np.nextafter(0.8, 0.0), np.nextafter(0.8, 1.0), *self.XS])
+        want = [self.MODEL.tail(float(x), side) + self.MODEL.q for x in xs]
+        assert eng.power(1, xs, side).tolist() == want
+        counted = {self.MODEL.atomic.tail(float(x), side) > 0 for x in near}
+        assert counted == {True, False}
+
     ATOM_FREE = [LevyModel(drift=1.0, q=0.3, ac=AcTail.stable(0.5, 0.5)),
                  LevyModel(drift=1.3, q=0.3, ac=AcTail.tempered(0.7, 0.6, 1.5))]
 

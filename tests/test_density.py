@@ -264,12 +264,35 @@ def reference_march(model, nodes, known):
     return u
 
 
+def extended_march(model, nodes, known):
+    """``reference_march`` in np.longdouble, for atoms, q and a stable tail."""
+    ld = np.longdouble
+    x = nodes.astype(ld)
+    locs = np.array(model.atomic.locations, dtype=ld)
+    masses = np.array(model.atomic.masses, dtype=ld)
+    c, s, q = ld(model.ac.C), 1 - ld(model.ac.alpha), ld(model.q)
+    u = np.array(known, dtype=ld)
+    h = np.diff(x)
+    for i in range(int(np.sum(~np.isnan(known))), x.size):
+        w = x[i] - x[: i + 1]
+        clip = np.minimum(w[:, None], locs)
+        f0 = clip @ masses + c * w**s / s + q * w
+        f1 = clip**2 @ masses / 2 + c * w ** (s + 1) / (s + 1) + q * w**2 / 2
+        m0, m1 = f0[:-1] - f0[1:], f1[:-1] - f1[1:]
+        a = (m1 - w[1:] * m0) / h[:i]
+        b = (w[:-1] * m0 - m1) / h[:i]
+        u[i] = (1 - a @ u[:i] - b[:-1] @ u[1:i]) / (ld(model.drift) + b[-1])
+    return u
+
+
 UNIT_ATOM = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))
 TWO_ATOMS_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)]))
 ATOM_STABLE = LevyModel(drift=1.4, atomic=AtomicPart.from_pairs([(0.7, 0.6)]), ac=AcTail.stable(0.3, 0.5))
 TEMPERED_ATOM_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
                                  ac=AcTail.tempered(0.7, 0.6, 1.5))
 KILLED_DRIFT = LevyModel(drift=1.0, q=1.0)
+# the atom at 0.003 is shorter than the 0.01 cells of TestBlockedMarch.grid
+SHORT_ATOM = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(0.003, 1.0), (1.0, 0.5)]))
 
 
 class TestBlockedMarch:
@@ -281,6 +304,7 @@ class TestBlockedMarch:
         (ATOM_STABLE, 1e-12),
         (TEMPERED_ATOM_KILLED, 1e-12),
         (KILLED_DRIFT, 1e-12),
+        (SHORT_ATOM, 1e-12),
     ]
 
     @staticmethod
@@ -301,24 +325,34 @@ class TestBlockedMarch:
         assert np.all(got[~np.isnan(known)] == known[~np.isnan(known)])
         assert np.max(np.abs(got - want) / np.abs(want)) <= limit
 
+    def test_unit_atom_far_out(self):
+        # the lag terms U(x) - U(x - 1) of the unit atom subtract running
+        # integrals near x/2; a plain running sum leaves 1.8e-13 here
+        grid = u_volterra(UNIT_ATOM, 30.0, tol=1e-7)
+        xs = np.linspace(0.05, 30.0, 300)
+        far = xs[xs > 14.0]
+        assert np.max(np.abs(grid(far) - np.array([delta1_u(x) for x in far]))) <= 3e-14
+
     def test_first_block_spans_head_end_and_breakpoints(self, monkeypatch):
+        # only an AC tail takes kernel moments; atoms and q act through the
+        # running integral of u
         shapes = []
-        moment = LevyModel.tail_antiderivative
+        moment = AcTail.antiderivative
 
         def spy(self, t):
             shapes.append(np.shape(t))
             return moment(self, t)
 
-        monkeypatch.setattr(LevyModel, "tail_antiderivative", spy)
-        nodes, known = self.grid(TWO_ATOMS_KILLED)
-        got = density._march(TWO_ATOMS_KILLED, nodes, known)
+        monkeypatch.setattr(AcTail, "antiderivative", spy)
+        nodes, known = self.grid(TEMPERED_ATOM_KILLED)
+        got = density._march(TEMPERED_ATOM_KILLED, nodes, known)
         first = int(np.sum(~np.isnan(known)))
         rows = shapes[0][0]
         # the first block starts right after the head and runs past the
-        # breakpoints 0.6 + 0.6 and 1.4
+        # breakpoint 0.8 and on past 1.4
         assert nodes[first - 1] <= 0.93 < nodes[first]
         assert nodes[first + rows - 1] > 1.4
-        want = reference_march(TWO_ATOMS_KILLED, nodes, known)
+        want = reference_march(TEMPERED_ATOM_KILLED, nodes, known)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
@@ -336,15 +370,14 @@ class TestParentValues:
     SOLVED = {
         "tempered": (1.5, [0.5965674447658658, 0.46069787198139855, 0.41523063984553726, 0.39339805428614577,
                            0.38137494818252454, 0.37423323510047396, 0.36977935711419596]),
-        "mixed": (1.5, [0.8352132490216145, 0.6160041163710157, 0.46938050885153476, 0.3639186421335169,
-                        0.31635159748943, 0.3981339314141057, 0.41957583572185614]),
         "pure_drift": (3.0, [0.5] * 7),
         "two_atoms_killed": (4.0, [0.6749386404782487, 0.3541323795554947, 0.2786373197115577,
                                    0.29562051752430185, 0.27273390633040995, 0.25215841443756687,
                                    0.23428624469654255]),
-        "atom_stable": (1.5, [0.6017631784483729, 0.4971148298884301, 0.42766528352692246, 0.39899587919253354,
-                              0.39651512399190536, 0.38827144747123227, 0.37769206974033054]),
     }
+    # worst relative distance of the grid from an extended-precision march on
+    # its own nodes and head values, as the blocked moment march left it
+    EXTENDED = {"mixed": 1.47e-11, "atom_stable": 1.42e-10}
 
     @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_fixture_grids(self, name, request):
@@ -355,12 +388,20 @@ class TestParentValues:
         assert np.max(np.abs(got / self.RECORDED[name] - 1.0)) <= limit
 
     @pytest.mark.parametrize("name", sorted(SOLVED))
-    def test_solved_grids(self, name, tempered_model, mixed_model, pure_drift):
-        model = {"tempered": tempered_model, "mixed": mixed_model, "pure_drift": pure_drift,
-                 "two_atoms_killed": TWO_ATOMS_KILLED, "atom_stable": ATOM_STABLE}[name]
+    def test_solved_grids(self, name, tempered_model, pure_drift):
+        model = {"tempered": tempered_model, "pure_drift": pure_drift, "two_atoms_killed": TWO_ATOMS_KILLED}[name]
         x_max, want = self.SOLVED[name]
         got = u_volterra(model, x_max)(np.linspace(0.1, x_max, 7))
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(EXTENDED))
+    def test_atoms_with_a_stable_tail_against_extended_precision(self, name, mixed_model):
+        # the march's rounding, not its discretisation: both sides solve the
+        # same grid from the same series head
+        model = {"mixed": mixed_model, "atom_stable": ATOM_STABLE}[name]
+        grid = u_volterra(model, 1.5)
+        want = extended_march(model, grid.nodes, np.where(grid.method == "series", grid.u, np.nan))
+        assert np.max(np.abs(grid.u / want - 1.0)) <= self.EXTENDED[name]
 
 
 class TestSeriesArrays:

@@ -203,6 +203,12 @@ def _grid_nodes(model, engine, x_max, h, breakpoint_order, head_end):
 _BLOCK_FLOATS = 1 << 14
 
 
+def _sum_error(a, b, s):
+    """a + b - s exactly, for s the rounded a + b (Knuth's TwoSum)."""
+    t = s - a
+    return (a - (s - t)) + (b - t)
+
+
 def _march(model: LevyModel, nodes: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Product-integration march: exact kernel, piecewise-linear u.
 
@@ -233,11 +239,12 @@ def _march(model: LevyModel, nodes: np.ndarray, known: np.ndarray) -> np.ndarray
     lo = np.zeros(n)
 
     def integrate(i, end):
-        """(hi, lo) of U at nodes i..end-1: the block's partial sums added to U(x_{i-1}) by TwoSum."""
-        p = np.cumsum(h[i - 1 : end - 1] * (u[i - 1 : end - 1] + u[i:end]) / 2.0)
+        """U at nodes i..end-1: U(x_{i-1}) plus the trapezoids' running sum, every rounding kept in lo."""
+        d = h[i - 1 : end - 1] * (u[i - 1 : end - 1] + u[i:end]) / 2.0
+        p = np.cumsum(d)  # sequential, so step k rounds p[k - 1] + d[k]
+        lost = np.cumsum(_sum_error(np.concatenate(([0.0], p[:-1])), d, p))
         s = hi[i - 1] + p
-        t = s - hi[i - 1]
-        lo[i:end] = lo[i - 1] + ((hi[i - 1] - (s - t)) + (p - t))
+        lo[i:end] = lo[i - 1] + _sum_error(hi[i - 1], p, s) + lost
         hi[i:end] = s
 
     i = int(np.sum(~np.isnan(known)))
@@ -260,9 +267,10 @@ def _march(model: LevyModel, nodes: np.ndarray, known: np.ndarray) -> np.ndarray
         div = delta + weight * half
         rhs = np.full(end - i, 1.0 - q * (hi[i - 1] + lo[i - 1]))
         if locs.size:
-            t = np.maximum(nodes[i:end, None] - locs, 0.0)
-            c = np.searchsorted(nodes, t, side="right") - 1  # at most i - 1
-            s = t - nodes[c]
+            c = np.searchsorted(nodes, np.maximum(nodes[i:end, None] - locs, 0.0), side="right") - 1
+            # x_r - a - x_c in lag space, where x_r - x_c is exact far out:
+            # rounding x_r - a itself would shift the atom by ulp(x_r)
+            s = np.maximum(nodes[i:end, None] - nodes[c] - locs, 0.0)
             ramp = s * s / (2.0 * h[c])
             # U(x_{i-1}) - U(x_r - a); in cell i - 1, u_r's share joins div
             lag = (hi[i - 1] - hi[c]) + (lo[i - 1] - lo[c]) - (s * u[c] + ramp * (u[c + 1] - u[c]))
@@ -280,13 +288,18 @@ def _march(model: LevyModel, nodes: np.ndarray, known: np.ndarray) -> np.ndarray
             rhs -= g[:, :i] @ u[:i]
             block = g[:, i:]
             div += np.diagonal(block)
-        p, before = 0.0, float(u[i - 1])
+        # P_r = p + carry, a compensated sum: its roundings would add up
+        # over the block's rows
+        p, carry, before = 0.0, 0.0, float(u[i - 1])
         for r, (b, hr, d) in enumerate(zip(rhs.tolist(), half.tolist(), div.tolist())):
             if has_ac:
                 b -= block[r, :r] @ u[i : i + r]
-            u[i + r] = now = (b - weight * (p + hr * before)) / d
-            p += hr * (before + now)
-            before = now
+            u[i + r] = now = (b - weight * ((p + carry) + hr * before)) / d
+            step = hr * (before + now)
+            total = p + step
+            t = total - p
+            carry += (p - (total - t)) + (step - t)  # _sum_error, inline
+            p, before = total, now
         integrate(i, end)
         i = end
     return u

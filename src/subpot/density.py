@@ -219,14 +219,15 @@ def _march(model: LevyModel, nodes: np.ndarray, known: np.ndarray) -> np.ndarray
     compensated (hi, lo) pair, so a lag term far from 0 keeps the digits
     that U itself would lose.  A block of rows starts after node i-1 and
     ends where its lags x_r - a pass x_{i-1}; each row then adds its
-    block's own partial integral P_r = U(x_r) - U(x_{i-1}) to the known
-    differences U(x_{i-1}) - U(x_r - a).  An atom shorter than a cell makes
-    one-row blocks, whose in-cell part of U(x_r - a) is linear in u_r and
-    joins the divisor.  Atom-only marches cost O(n * atoms).  An AC tail
-    adds its exact moments against the two hat functions of every cell:
-    one broadcast over the block's whole history, one matrix-vector product
-    for the columns solved before it and forward substitution inside it,
-    with rows capped by ``_BLOCK_FLOATS``.
+    block's own partial integral P_r = U(x_r) - U(x_{i-1}), also a
+    compensated sum, to the known differences U(x_{i-1}) - U(x_r - a).
+    An atom shorter than a cell makes one-row blocks, whose in-cell part
+    of U(x_r - a) is linear in u_r and joins the divisor.  Atom-only
+    marches cost O(n * atoms).  An AC tail adds its exact moments against
+    the two hat functions of every cell: one broadcast over the block's
+    whole history, one matrix-vector product for the columns solved before
+    it and forward substitution inside it, with rows capped by
+    ``_BLOCK_FLOATS``.
     """
     delta, q, has_ac = model.drift, model.q, model.has_ac
     locs = np.asarray(model.atomic.locations, dtype=float)

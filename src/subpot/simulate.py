@@ -10,7 +10,10 @@ Randomness is counter-based (Philox).  Draw r of purpose p for path i is
 element i of the stream keyed by (seed, p, r), so the estimate depends
 only on (model, x, q, n_paths, seed, eps): any batch split or thread
 schedule reproduces it, and extending n_paths leaves earlier paths
-unchanged.
+unchanged.  There are three purposes, one uniform each per path and round:
+the waiting time, the jump and (round 0 only) the killing time.  The jump
+uniform picks an atom or the AC tail and, rescaled, inverts that tail
+exactly; a tempered tail is inverted by Newton, not by rejection.
 
 No path's trajectory depends on x, so one pass serves every level.  The
 levels are sorted once, and each path keeps a pointer to the first level
@@ -50,7 +53,6 @@ _KEY_SALT = np.uint64(0x9E3779B97F4A7C15)
 _PURPOSE_WAIT = 0
 _PURPOSE_JUMP = 1
 _PURPOSE_KILL = 2
-_PURPOSE_REJECT = 3
 
 _MAX_ROUNDS = 100_000
 
@@ -93,7 +95,7 @@ class CreepEstimate:
 
 
 class _JumpSampler:
-    """Inverse-CDF / rejection sampling from the eps-truncated jump measure."""
+    """Inverse-CDF sampling from the eps-truncated jump measure, one uniform per jump."""
 
     def __init__(self, model: LevyModel, eps: float):
         if not (math.isfinite(eps) and eps >= 0):
@@ -114,10 +116,6 @@ class _JumpSampler:
         if not ac.is_none and eps <= 0:
             raise PreconditionError("AC tail requires eps > 0")
         self.rate = self.w_atoms + self.w_ac
-        if ac.kind == "tempered":
-            # envelope for accept ratio (1 + (b/alpha) y) e^{-b y} on [eps, inf)
-            y_star = max((1.0 - ac.alpha) / ac.b, eps)
-            self.env = (1.0 + ac.b / ac.alpha * y_star) * math.exp(-ac.b * y_star)
 
     def sample(self, seed: int, round_idx: int, idx: np.ndarray, n_total: int) -> np.ndarray:
         u = _stream(seed, _PURPOSE_JUMP, round_idx, n_total)[idx]
@@ -127,35 +125,30 @@ class _JumpSampler:
         if np.any(is_atom):
             k = np.searchsorted(self.cum_atoms, pick[is_atom], side="right")
             out[is_atom] = self.atom_locs[np.minimum(k, self.atom_locs.size - 1)]
-        n_ac = int(np.sum(~is_atom))
-        if n_ac:
-            # residual uniform, rescaled from the component selector
-            v = (pick[~is_atom] - self.w_atoms) / self.w_ac
-            out[~is_atom] = self._sample_ac(v, seed, round_idx, idx[~is_atom], n_total)
+        if not np.all(is_atom):
+            # residual uniform, rescaled from the component selector; rounding
+            # can make it 1, the one value with an infinite jump
+            v = np.minimum((pick[~is_atom] - self.w_atoms) / self.w_ac, np.nextafter(1.0, 0.0))
+            out[~is_atom] = self._sample_ac(v)
         return out
 
-    def _sample_ac(self, v: np.ndarray, seed: int, round_idx: int, idx: np.ndarray, n_total: int) -> np.ndarray:
-        ac = self.model.ac
-        eps = self.eps
-        draw = eps * (1.0 - v) ** (-1.0 / ac.alpha)  # stable inverse CDF on [eps, inf)
+    def _sample_ac(self, v: np.ndarray) -> np.ndarray:
+        """The jump y >= eps whose normalised tail tbar2(y)/tbar2(eps) is 1 - v."""
+        ac, eps = self.model.ac, self.eps
         if ac.kind == "stable":
-            return draw
-        # tempered: rejection against the stable proposal, fresh counter rows
-        out = draw
-        pending = np.ones(out.size, dtype=bool)
-        attempt = 0
-        while np.any(pending):
-            attempt += 1
-            if attempt > 10_000:
-                raise PreconditionError("tempered rejection sampler failed to terminate")
-            ratio = (1.0 + ac.b / ac.alpha * out) * np.exp(-ac.b * out) / self.env
-            u_acc = _stream(seed, _PURPOSE_REJECT, (round_idx << 16) + 2 * attempt, n_total)[idx]
-            accept = pending & (u_acc <= ratio)
-            pending &= ~accept
-            if np.any(pending):
-                u_new = _stream(seed, _PURPOSE_REJECT, (round_idx << 16) + 2 * attempt + 1, n_total)[idx]
-                out = np.where(pending, eps * (1.0 - u_new) ** (-1.0 / ac.alpha), out)
-        return out
+            return eps * (1.0 - v) ** (-1.0 / ac.alpha)
+        # tempered: alpha ln y + b y = L, by Newton in w = ln y; g(w) = alpha w
+        # + b e^w - L is increasing and convex and >= 0 at both starts, so the
+        # iterates fall monotonically to the root until rounding stops them
+        a, b, e = ac.alpha, ac.b, -np.log1p(-v)
+        target = a * math.log(eps) + b * eps + e
+        w = np.minimum(math.log(eps) + e / a, np.log(eps + e / b))
+        while True:
+            y = np.exp(w)
+            w_new = np.minimum(w, w - (a * w + b * y - target) / (a + b * y))
+            if not np.any(w_new < w):
+                return np.maximum(y, eps)
+            w = w_new
 
 
 def _passage(model: LevyModel, levels: np.ndarray, n_paths: int, seed: int, eps: float,

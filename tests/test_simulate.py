@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from subpot import (
     first_passage,
     u_volterra,
 )
-from subpot.simulate import _JumpSampler, _MAX_ROUNDS, _PURPOSE_KILL, _PURPOSE_WAIT, _stream
+from subpot import simulate
+from subpot.simulate import _JumpSampler, _MAX_ROUNDS, _PURPOSE_JUMP, _PURPOSE_KILL, _PURPOSE_WAIT, _stream
 from conftest import delta1_u, oracles
 
 
@@ -166,11 +168,59 @@ class TestKilled:
         est = creep_prob_killed(model, 0.2, 2.0, 10, seed=0, eps=1e-4)
         assert est.bias_bound == pytest.approx(oracles.creep_bias_bound(dict(doc, q=0.2), 2.0, 1e-4), rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [1930549411, 1])
+    def test_tempered_matches_the_oracle(self, seed):
+        # the tempered model, levels, q and eps of the contour-mc workload at seed 1
+        doc = {"drift": 1.0, "ac": {"kind": "tempered", "C": 0.7528, "alpha": 0.2902, "b": 1.4954}}
+        model = LevyModel(drift=1.0, ac=AcTail.tempered(0.7528, 0.2902, 1.4954))
+        q, xs = 0.2604, [0.5582, 1.051, 1.4457, 1.6882]
+        est = creep_prob_killed(model, q, np.array(xs), 20_000, seed=seed, eps=1e-4)
+        want = np.array([float(oracles.density(dict(doc, q=q), x)) for x in xs])  # drift 1
+        assert np.all(np.abs(est.p_hat - want) <= 5 * est.sigma + est.bias_bound)
+
     def test_killed_subset_of_unkilled(self, delta1):
         crept, t_pass, _, _ = _simulate(delta1, 0.8, 30_000, 5, 0.0)
         e_q = -np.log1p(-_stream(5, _PURPOSE_KILL, 0, 30_000)) / 0.7
         killed_success = crept & (t_pass <= e_q)
         assert np.all(killed_success <= crept)
+
+
+class TestJumpDraws:
+    """One uniform per jump; a tempered jump inverts the normalised tail."""
+
+    @pytest.mark.parametrize("ac", [AcTail.stable(0.2, 0.4), AcTail.tempered(0.2, 0.4, 1.0)], ids=["stable", "tempered"])
+    def test_residual_uniform_of_one_gives_a_finite_jump(self, monkeypatch, ac):
+        model = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1.0, 0.7)]), ac=ac)
+        sampler = _JumpSampler(model, 1e-3)
+        u = 1.0 - 2.0**-53
+        # the component selector rounds the residual uniform up to 1 here
+        assert (u * sampler.rate - sampler.w_atoms) / sampler.w_ac == 1.0
+        monkeypatch.setattr(simulate, "_stream", lambda seed, purpose, round_idx, n: np.full(n, u))
+        y = sampler.sample(0, 1, np.arange(3), 3)
+        assert np.all(np.isfinite(y) & (y >= 1e-3))
+
+    def test_tempered_draw_inverts_the_tail(self):
+        # alpha ln y + b y = alpha ln eps + b eps - log1p(-v): tbar2(y)/tbar2(eps) = 1 - v
+        v = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+        for alpha, b, eps in itertools.product((0.01, 0.3, 0.99), (1e-3, 1.0, 1e3), (1e-9, 1e-3, 0.5)):
+            y = _JumpSampler(LevyModel(drift=1.0, ac=AcTail.tempered(1.0, alpha, b)), eps)._sample_ac(v)
+            target = alpha * math.log(eps) + b * eps - np.log1p(-v)
+            assert np.all(np.isfinite(y) & (y >= eps)), (alpha, b, eps, y)
+            resid = np.abs(alpha * np.log(y) + b * y - target)
+            assert np.all(resid <= 8 * np.finfo(float).eps * np.maximum(np.abs(target), 1.0)), (alpha, b, eps, resid)
+
+    def test_one_jump_uniform_per_round(self, monkeypatch, tempered_model):
+        seen = []
+
+        def spy(seed, purpose, round_idx, n):
+            seen.append((purpose, round_idx))
+            return _stream(seed, purpose, round_idx, n)
+
+        monkeypatch.setattr(simulate, "_stream", spy)
+        creep_prob_killed(tempered_model, 0.3, np.array([0.4, 1.7]), 2000, seed=5, eps=1e-4)
+        assert (_PURPOSE_JUMP, 1) in seen
+        assert {purpose for purpose, _ in seen} <= {_PURPOSE_WAIT, _PURPOSE_JUMP, _PURPOSE_KILL}
+        assert len(seen) == len(set(seen))
 
 
 class TestReproducibility:

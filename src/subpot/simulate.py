@@ -13,7 +13,7 @@ schedule reproduces it, and extending n_paths leaves earlier paths
 unchanged.  There are three purposes, one uniform each per path and round:
 the waiting time, the jump and (round 0 only) the killing time.  The jump
 uniform picks an atom or the AC tail and, rescaled, inverts that tail
-exactly; a tempered tail is inverted by Newton, not by rejection.
+exactly; a tempered tail is inverted by Newton on alpha ln y + b y.
 
 No path's trajectory depends on x, so one pass serves every level.  The
 levels are sorted once, and each path keeps a pointer to the first level

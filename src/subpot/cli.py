@@ -200,6 +200,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gk(args) -> int:
+    _require_positive(("--xmax", [args.xmax]))
     model = load_model(args.model)
     sums = atom_sums(model.atomic, args.k, args.xmax)
     if args.format == "json":
@@ -217,6 +218,7 @@ def _cmd_gk(args) -> int:
 
 
 def _cmd_conv(args) -> int:
+    _require_positive(("--xmax", [args.xmax]), ("--steps", [args.steps]))
     model = load_model(args.model)
     engine = ConvolutionEngine(model, args.xmax)
     kinks = [float(v) for v in engine.kinks(args.n) if v < args.xmax]

@@ -27,25 +27,26 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.special import betaln as _betaln
-from scipy.special import gamma as _gamma
-from scipy.special import gammainc as _gammainc
-from scipy.special import gammaln as _gammaln
-from scipy.special import hyp1f1 as _hyp1f1
 
+from . import _special
 from .errors import BudgetExceededError
 from .model import AtomicPart, LevyModel, Side
 from .piecewise import PiecewisePoly
 
 DEFAULT_SUM_BUDGET = 10**7
 _VALUE_TOL = 1e-12
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _SERIES_Z = 5.0  # 1F1(a; c; -z) by its positive series below this z
+
+
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,7 @@ class ConvolutionEngine:
         self._pc_run = {}
         self._sum_sets = {}
         ac = model.ac
-        self._A = 0.0 if ac.is_none else ac.C * _gamma(1.0 - ac.alpha)
+        self._A = 0.0 if ac.is_none else ac.C * _special.gamma(1.0 - ac.alpha)
         self._b = ac.b if ac.kind == "tempered" else 0.0
 
     # -- public surface ------------------------------------------------------
@@ -299,7 +300,7 @@ class ConvolutionEngine:
     def _ac_exponents(self, j: int):
         """(p, log K) of the tail power s^{*j}(v) = K v^p e^{-b v}; j may be an array."""
         alpha = self.model.ac.alpha
-        return j * (1.0 - alpha) - 1.0, j * math.log(self._A) - _gammaln(j * (1.0 - alpha))
+        return j * (1.0 - alpha) - 1.0, j * math.log(self._A) - _special.gammaln(j * (1.0 - alpha))
 
     def _binomial(self, n: int, xs: np.ndarray, running: bool) -> np.ndarray:
         """sum_j C(n, j) pc^{*(n-j)} * s^{*j} at the points xs, or its running integral.
@@ -327,7 +328,7 @@ class ConvolutionEngine:
         p, log_k = self._ac_exponents(j)
         s = j * (1.0 - ac.alpha)
         if running and ac.kind == "tempered":
-            return math.exp(j * math.log(self._A) - s * math.log(ac.b)) * _gammainc(s, ac.b * xs)
+            return math.exp(j * math.log(self._A) - s * math.log(ac.b)) * _special.gammainc(s, ac.b * xs)
         if running:
             return math.exp(log_k) * xs**s / s
         out = math.exp(log_k) * xs**p
@@ -362,7 +363,7 @@ class ConvolutionEngine:
         a, c = a[row, point, m], c[row, point]
         p, log_k = self._ac_exponents(np.array([j for _, j in terms])[row])
         with np.errstate(divide="ignore"):  # log(0) = -inf gives the running integral's 0 at x = 0
-            val = np.exp(log_k + np.log(np.abs(a)) + _betaln(m + 1.0, p + 1.0) + (m + p + 1.0) * np.log(c))
+            val = np.exp(log_k + np.log(np.abs(a)) + _special.betaln(m + 1.0, p + 1.0) + (m + p + 1.0) * np.log(c))
         val *= np.sign(a)
         if self._b > 0.0:
             val *= _hyp1f1_neg(p + 1.0, m + p + 2.0, self._b * c)
@@ -388,12 +389,13 @@ class ConvolutionEngine:
         keep = ends[1:] > ends[:-1]
         owner, lo, hi = np.broadcast_to(owner, keep.shape)[keep], ends[:-1][keep], ends[1:][keep]
         half = 0.5 * (hi - lo)[:, None]
-        v = lo[:, None] + half * (_GL_NODES + 1.0)
+        nodes, weights = _gauss_legendre(20)
+        v = lo[:, None] + half * (nodes + 1.0)
         p, log_k = self._ac_exponents(j)
         f = pp.eval((xs[owner][:, None] - v).ravel()).reshape(v.shape) * v**p
         if self._b > 0.0:
             f *= np.exp(-self._b * v)
-        piece = (half * f * _GL_WEIGHTS).sum(axis=1)
+        piece = (half * f * weights).sum(axis=1)
         return math.exp(log_k) * np.bincount(owner, weights=piece, minlength=xs.size)
 
 
@@ -409,7 +411,7 @@ def _hyp1f1_neg(a: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     out = np.empty(z.shape)
     big = z >= _SERIES_Z
-    out[big] = _hyp1f1(a[big], c[big], -z[big])
+    out[big] = _special.hyp1f1(a[big], c[big], -z[big])
     a, c, z = a[~big], c[~big], z[~big]
     n, bound, z_max = 1, 1.0, float(z.max(initial=0.0))
     while bound > 1e-17:

@@ -321,8 +321,11 @@ def u_volterra(
     final step-halving comparison; a disagreement above 10*tol after
     ``max_refine`` halvings raises AccuracyFailureError.
     """
-    if x_max <= 0:
-        raise ValueError("x_max must be > 0")
+    for name, value in (("x_max", x_max), ("h_target", h_target), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    if max_refine < 1:
+        raise ValueError(f"max_refine must be >= 1, got {max_refine!r}")
     if engine is None:
         engine = ConvolutionEngine(model, x_max)
     # with atoms and an AC tail the march needs fewer nodes after a shorter

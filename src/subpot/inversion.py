@@ -73,13 +73,12 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
-from .convolve import ConvolutionEngine
+from . import _special
+from .convolve import ConvolutionEngine, _gauss_legendre
 from .errors import AccuracyFailureError, ContourOrderError, ModelValidationError, PreconditionError
 from .model import LevyModel, Side
 
-_GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
 DENOM_FLOOR = 1e-10
 
 
@@ -109,7 +108,7 @@ def tail_transform(model: LevyModel, s):
         out += m * (-np.expm1(-s_arr * a)) / s_arr
     ac = model.ac
     if not ac.is_none:
-        g = ac.C * _gamma(1.0 - ac.alpha)
+        g = ac.C * _special.gamma(1.0 - ac.alpha)
         base = s_arr if ac.kind == "stable" else s_arr + ac.b
         out += g * np.exp((ac.alpha - 1.0) * np.log(base))
     if model.q:
@@ -196,10 +195,11 @@ def _oscillatory(fn, xs: np.ndarray, runs) -> np.ndarray:
     all x would also touch BLAS's level-3 work buffer, which shows in peak
     memory).
     """
+    nodes, weights = _gauss_legendre(15)
     blocks = []  # (panel starts, offsets, E per x) for every block of every run
     for a, h, n in runs:
-        off = 0.5 * h * (_GL15_NODES + 1.0)
-        phase = [0.5 * h * _GL15_WEIGHTS * np.exp(1j * x * off) for x in xs.tolist()]
+        off = 0.5 * h * (nodes + 1.0)
+        phase = [0.5 * h * weights * np.exp(1j * x * off) for x in xs.tolist()]
         lo = a + h * np.arange(n)
         blocks += [(lo[k:k + _BLOCK_PANELS], off, phase) for k in range(0, n, _BLOCK_PANELS)]
     calls = [blocks] if sum(lo.size for lo, _, _ in blocks) <= _BLOCK_PANELS else [[b] for b in blocks]
@@ -297,7 +297,7 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
     # tau(theta) = c1/theta + g theta^(abar-1) bounds |T| (module docstring)
     c_atoms = sum(m * (1.0 + math.exp(-lam * a)) for a, m in zip(model.atomic.locations, model.atomic.masses))
     c1 = model.q + c_atoms
-    g, abar = (0.0, 0.0) if model.ac.is_none else (model.ac.C * _gamma(1.0 - model.ac.alpha), model.ac.alpha)
+    g, abar = (0.0, 0.0) if model.ac.is_none else (model.ac.C * _special.gamma(1.0 - model.ac.alpha), model.ac.alpha)
     b = model.ac.b if model.ac.kind == "tempered" else 0.0
     # at least one panel, so a vanishing tau still integrates theta > 0
     theta0 = _smallest_theta(lambda t: c1 / t + g * t ** (abar - 1.0), 0.5 * drift, width)

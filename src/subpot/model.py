@@ -33,9 +33,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import gammainc as _gammainc
 
+from . import _special
 from .errors import IndeterminateIndexError, ModelValidationError
 
 _LOCATION_TOL = 1e-12
@@ -292,7 +291,7 @@ class AcTail:
             out = self.C * t_arr ** (1.0 - self.alpha) / (1.0 - self.alpha)
         else:
             s = 1.0 - self.alpha
-            out = self.C * self.b ** (-s) * _gamma(s) * _gammainc(s, self.b * t_arr)
+            out = self.C * self.b ** (-s) * _special.gamma(s) * _special.gammainc(s, self.b * t_arr)
         return out if np.ndim(t) else float(out)
 
     def first_moment(self, t):
@@ -304,7 +303,7 @@ class AcTail:
             out = self.C * t_arr ** (2.0 - self.alpha) / (2.0 - self.alpha)
         else:
             s = 2.0 - self.alpha
-            out = self.C * self.b ** (-s) * _gamma(s) * _gammainc(s, self.b * t_arr)
+            out = self.C * self.b ** (-s) * _special.gamma(s) * _special.gammainc(s, self.b * t_arr)
         return out if np.ndim(t) else float(out)
 
     def total_integral(self) -> float:
@@ -313,7 +312,7 @@ class AcTail:
             return 0.0
         if self.kind == "stable":
             return math.inf
-        return self.C * _gamma(1.0 - self.alpha) * self.b ** (self.alpha - 1.0)
+        return self.C * _special.gamma(1.0 - self.alpha) * self.b ** (self.alpha - 1.0)
 
     def small_jump_moment(self, eps: float) -> float:
         """int_0^eps y Pi2(dy) in closed form: the first moment a simulation drops below eps."""
@@ -325,8 +324,8 @@ class AcTail:
         # Pi2(dy) = C (alpha y^(-1-alpha) + b y^(-alpha)) e^{-by} dy, and
         # int_0^eps y^(s-1) e^{-by} dy = b^-s Gamma(s) P(s, b eps)
         be = self.b * eps
-        return self.C * self.b ** (a - 1.0) * (a * _gamma(1.0 - a) * _gammainc(1.0 - a, be)
-                                               + _gamma(2.0 - a) * _gammainc(2.0 - a, be))
+        return self.C * self.b ** (a - 1.0) * (a * _special.gamma(1.0 - a) * _special.gammainc(1.0 - a, be)
+                                               + _special.gamma(2.0 - a) * _special.gammainc(2.0 - a, be))
 
 
 @dataclass(frozen=True)
@@ -440,7 +439,7 @@ class LevyModel:
         psi = self.drift * lam
         psi += math.fsum(m * -math.expm1(-lam * a) for a, m in zip(self.atomic.locations, self.atomic.masses))
         if self.has_ac:
-            g = self.ac.C * _gamma(1.0 - self.ac.alpha)
+            g = self.ac.C * _special.gamma(1.0 - self.ac.alpha)
             if self.ac.kind == "stable":
                 psi += g * lam ** self.ac.alpha
             else:

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import PreconditionError
 from .model import LevyModel
@@ -59,6 +58,8 @@ _MAX_ROUNDS = 100_000
 
 def _stream(seed: int, purpose: int, round_idx: int, n: int) -> np.ndarray:
     """Uniforms in [0,1) for all paths: counter-indexed, prefix-stable in n."""
+    from numpy.random import Generator, Philox  # here, so a process that never simulates never loads it
+
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _KEY_SALT], dtype=np.uint64)
     counter = np.array([0, 0, round_idx, purpose], dtype=np.uint64)
     return Generator(Philox(counter=counter, key=key)).random(n)

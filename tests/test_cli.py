@@ -329,6 +329,12 @@ class TestInputsRejectedUpFront:
         (["crosscheck", "--lambda", "1", "--tol", "inf"], "--tol"),
         (["crosscheck", "--lambda", "1", "--assert-tol", "nan"], "--assert-tol"),
         (["crosscheck", "--lambda", "1", "--assert-tol", "-1e-6"], "--assert-tol"),
+        (["gk", "--k", "3", "--xmax", "inf"], "--xmax"),
+        (["gk", "--k", "3", "--xmax", "nan"], "--xmax"),
+        (["gk", "--k", "3", "--xmax", "0"], "--xmax"),
+        (["conv", "--n", "2", "--xmax", "-1"], "--xmax"),
+        (["conv", "--n", "2", "--xmax", "4", "--steps", "0"], "--steps"),
+        (["conv", "--n", "2", "--xmax", "4", "--steps", "-5"], "--steps"),
     ])
     def test_exit_2_before_any_work(self, delta1_path, capsys, monkeypatch, argv, pointer):
         import subpot.convolve as convolve

@@ -111,6 +111,20 @@ class TestVolterra:
             v, err, _ = u_series(delta1, x, tol=1e-10)
             assert abs(v - delta1_grid(x)) <= err + delta1_grid.err_at(x) + 1e-7
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"max_refine": 0}, "max_refine"),  # the refinement loop would never run
+        ({"max_refine": -1}, "max_refine"),
+        ({"h_target": 0.0}, "h_target"),
+        ({"h_target": math.nan}, "h_target"),
+        ({"h_target": math.inf}, "h_target"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": -1e-7}, "tol"),
+        ({"x_max": math.nan}, "x_max"),
+    ])
+    def test_bad_arguments_raise_value_error(self, delta1, kwargs, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            u_volterra(delta1, **{"x_max": 2.0, **kwargs})
+
 
 class TestKilledRoutes:
     def test_killed_atomic_three_routes(self):

@@ -319,7 +319,9 @@ def u_volterra(
 
     The returned grid carries an error estimate per node taken from the
     final step-halving comparison; a disagreement above 10*tol after
-    ``max_refine`` halvings raises AccuracyFailureError.
+    ``max_refine`` halvings raises AccuracyFailureError.  x_max, h_target
+    and tol must be finite and > 0 and max_refine >= 1, else ValueError
+    names the argument.
     """
     for name, value in (("x_max", x_max), ("h_target", h_target), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):

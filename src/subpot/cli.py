@@ -22,12 +22,13 @@ import re
 import sys
 import tempfile
 from decimal import ROUND_CEILING, Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 
 from .asymptotics import check_du_infinity, check_du_zero, check_linear_zero, check_zero_series
 from .convolve import ConvolutionEngine, atom_sums
-from .density import laplace_crosscheck, series_radius, u_series, u_volterra
+from .density import laplace_crosscheck, series_radius, u_series
 from .errors import (
     AccuracyFailureError,
     ModelValidationError,
@@ -132,25 +133,19 @@ def _require_positive(*named) -> None:
 
 
 def _eval_rows(model, xs, args):
-    # x = 0 is evaluated at 1e-300, but a grid needs a cell wider than its
-    # node-merging resolution (1e-13)
-    x_max = max(float(np.max(xs)), 1e-12)
-    route = args.route
+    x_max = float(np.max(xs))
     # one engine (and so one convolution ladder) serves the radius, the
-    # series values, the Volterra head and both contours
+    # series values and both contours
     engine = ConvolutionEngine(model, x_max)
-    methods = np.full(xs.size, route)
-    if route == "auto":
-        methods = np.where(xs <= series_radius(model, x_max, engine), "series", "volterra")
-    series, volterra, inversion = (methods == m for m in ("series", "volterra", "inversion"))
+    series = np.full(xs.size, args.route == "series")
+    if args.route == "auto":
+        series = xs <= series_radius(model, x_max, engine)
+    inversion = ~series
     u, err = np.empty(xs.size), np.empty(xs.size)
     if series.any():
         # one call for all series rows; a forced series route with a point
         # outside the radius raises at the first such x (exit 4)
         u[series], err[series], _ = u_series(model, xs[series], tol=args.tol, engine=engine)
-    if volterra.any():
-        grid = u_volterra(model, x_max, tol=args.tol, engine=engine)
-        u[volterra], err[volterra] = grid(xs[volterra]), grid.err_at(xs[volterra])
     # one contour for all inversion rows, and one for every row's derivative pair
     if inversion.any():
         u[inversion], err[inversion] = invert_density(model, xs[inversion], N=args.order,
@@ -159,7 +154,7 @@ def _eval_rows(model, xs, args):
     if not args.no_derivatives:
         du_l, du_r, du_err = (v.tolist() for v in invert_derivative_pair(
             model, xs, N=args.order, lam=args.contour_lambda, tol=args.tol, engine=engine))
-    return [(x, float(u[k]), du_l[k], du_r[k], float(err[k]), str(methods[k]), du_err[k])
+    return [(x, float(u[k]), du_l[k], du_r[k], float(err[k]), "series" if series[k] else "inversion", du_err[k])
             for k, x in enumerate(xs.tolist())]
 
 
@@ -183,7 +178,7 @@ def _csv_row(x, u, du_l, du_r, err, method, du_err) -> str:
 
 
 def _cmd_eval(args) -> int:
-    _require_positive(("--tol", [args.tol]), ("--contour-lambda", [args.contour_lambda]))
+    _require_positive(("--tol", [args.tol]), ("--contour-lambda", [args.contour_lambda]), ("--order", [args.order]))
     model = load_model(args.model)
     xs = _parse_range(args.x, args.spacing)
     if np.any(xs < 0):
@@ -200,7 +195,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gk(args) -> int:
-    _require_positive(("--xmax", [args.xmax]))
+    _require_positive(("--k", [args.k]), ("--xmax", [args.xmax]))
     model = load_model(args.model)
     sums = atom_sums(model.atomic, args.k, args.xmax)
     if args.format == "json":
@@ -218,7 +213,7 @@ def _cmd_gk(args) -> int:
 
 
 def _cmd_conv(args) -> int:
-    _require_positive(("--xmax", [args.xmax]), ("--steps", [args.steps]))
+    _require_positive(("--n", [args.n]), ("--xmax", [args.xmax]), ("--steps", [args.steps]))
     model = load_model(args.model)
     engine = ConvolutionEngine(model, args.xmax)
     kinks = [float(v) for v in engine.kinks(args.n) if v < args.xmax]
@@ -233,13 +228,24 @@ def _cmd_conv(args) -> int:
 
 
 def _cmd_smoothness(args) -> int:
+    _require_positive(("--kmax", [args.kmax]))
+    # a rational or decimal literal, finite and > 0 as a double
+    try:
+        x = Fraction(args.x)
+        ok = 0 < float(x) < math.inf
+    except (ValueError, ZeroDivisionError, OverflowError):
+        ok = False
+    if not ok:
+        raise ModelValidationError([("--x", f"expected a finite rational or decimal > 0, got {args.x!r}")])
     model = load_model(args.model)
-    report = classify_point(model, args.x, k_max=args.kmax, measure=args.measure)
+    report = classify_point(model, x, k_max=args.kmax, measure=args.measure)
     _emit(args, report.to_json() + "\n")
     return 0
 
 
 def _cmd_asymptotics(args) -> int:
+    if args.n < 0:
+        raise ModelValidationError([("--n", "must be >= 0")])
     model = load_model(args.model)
     if args.law == "zero-series":
         check = check_zero_series(model, args.n)
@@ -348,26 +354,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("eval", help="density (and derivative) on an x grid")
-    common(p)
-    p.add_argument("--x", required=True, help="min:max:steps or comma list")
-    p.add_argument("--spacing", choices=("linear", "geometric"), default="linear")
-    p.add_argument("--route", choices=("auto", "series", "volterra", "inversion"), default="auto")
-    p.add_argument("--order", type=int, default=None, help="split order N for the inversion route")
-    p.add_argument("--contour-lambda", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--no-derivatives", action="store_true")
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("invert", help="density via the Bromwich route only")
-    common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--spacing", choices=("linear", "geometric"), default="linear")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--contour-lambda", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--no-derivatives", action="store_true")
-    p.set_defaults(fn=_cmd_eval, route="inversion")
+    evaluate = sub.add_parser("eval", help="density (and derivative) on an x grid")
+    invert = sub.add_parser("invert", help="density via the Bromwich route only")
+    evaluate.add_argument("--route", choices=("auto", "series", "inversion"), default="auto")
+    invert.set_defaults(route="inversion")
+    for p in (evaluate, invert):
+        common(p)
+        p.add_argument("--x", required=True, help="min:max:steps or comma list")
+        p.add_argument("--spacing", choices=("linear", "geometric"), default="linear")
+        p.add_argument("--order", type=int, default=None, help="split order N for the inversion route")
+        p.add_argument("--contour-lambda", type=float, default=None)
+        p.add_argument("--tol", type=float, default=1e-7)
+        p.add_argument("--no-derivatives", action="store_true")
+        p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("gk", help="atom-sum sets up to k jumps")
     common(p)

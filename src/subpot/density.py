@@ -59,8 +59,8 @@ def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[Convoluti
     order, terms_used is the total over the points, and every entry equals
     the scalar call bit for bit.  Raises SeriesRadiusError when m(x) > 1/2
     at any point, where the geometric tail bound is unavailable; the
-    Volterra solver covers that regime.  Raises AccuracyFailureError when a
-    value or bound would be NaN or infinite.
+    contour covers that regime (``invert_density``, ``eval --route auto``).
+    Raises AccuracyFailureError when a value or bound would be NaN or infinite.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(xs >= 0):
@@ -313,23 +313,22 @@ def u_volterra(
     tol: float = 1e-7,
     breakpoint_order: int = 2,
     max_refine: int = 3,
-    engine: Optional[ConvolutionEngine] = None,
 ) -> DensityGrid:
     """Solve the renewal equation on [0, x_max] with step-halving control.
 
     The returned grid carries an error estimate per node taken from the
     final step-halving comparison; a disagreement above 10*tol after
     ``max_refine`` halvings raises AccuracyFailureError.  x_max, h_target
-    and tol must be finite and > 0 and max_refine >= 1, else ValueError
-    names the argument.
+    and tol must be finite and > 0, and max_refine and breakpoint_order
+    >= 1, else ValueError names the argument.
     """
     for name, value in (("x_max", x_max), ("h_target", h_target), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-    if max_refine < 1:
-        raise ValueError(f"max_refine must be >= 1, got {max_refine!r}")
-    if engine is None:
-        engine = ConvolutionEngine(model, x_max)
+    for name, value in (("max_refine", max_refine), ("breakpoint_order", breakpoint_order)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    engine = ConvolutionEngine(model, x_max)
     # with atoms and an AC tail the march needs fewer nodes after a shorter
     # head: on a 2-vCPU host, the unit atom plus stable (0.2, 0.4) to 1.5
     # solves in 0.23 s at level 0.2 and in 0.72 s at 0.45

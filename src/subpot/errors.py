@@ -40,7 +40,7 @@ class SeriesRadiusError(PreconditionError):
         self.m = float(m)
         super().__init__(
             f"series bound unavailable at x={x!r}: m(x)={m:.6g} > 1/2; "
-            "use the Volterra solver here"
+            "use --route auto or invert (the contour) here"
         )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from subpot.cli import main
-from conftest import delta1_du, delta1_u, talbot_du
+from conftest import delta1_du, delta1_u, oracles, talbot_du
 
 DELTA1 = {"drift": 1.0, "q": 0.0, "atoms": [{"x": 1, "mass": 1.0}], "ac": {"kind": "none"}}
 STABLE = {"drift": 1.0, "q": 0.0, "atoms": [], "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5}}
@@ -78,7 +78,7 @@ class TestEval:
         for line in lines[1:]:
             x, u, dul, dur, err, method = line.split(",")
             assert float(u) == pytest.approx(delta1_u(float(x)), abs=5e-6)
-            assert method in ("series", "volterra", "inversion")
+            assert method in ("series", "inversion")
 
     def test_inversion_route(self, delta1_path, tmp_path):
         out = tmp_path / "inv.csv"
@@ -92,27 +92,45 @@ class TestEval:
             assert method == "inversion"
             assert float(u) == pytest.approx(delta1_u(float(x)), abs=1e-6)
 
-    @pytest.mark.parametrize("extra, grids, method", [
-        ([], 0, "series"),
-        (["--no-derivatives"], 0, "series"),
-        (["--route", "inversion", "--order", "3"], 0, "inversion"),
-        (["--route", "volterra"], 1, "volterra"),
+    @pytest.mark.parametrize("extra, method", [
+        ([], "series"),
+        (["--no-derivatives"], "series"),
+        (["--route", "inversion", "--order", "3"], "inversion"),
     ])
-    def test_one_engine_per_eval(self, delta1_path, tmp_path, monkeypatch, extra, grids, method):
+    def test_one_engine_per_eval(self, delta1_path, tmp_path, monkeypatch, extra, method):
         # every x lies inside the series radius (x <= 1/2 for the unit atom),
-        # and derivatives come from the contour, so only volterra rows need a grid
+        # and derivatives come from the contour, so no row needs a grid
         import subpot.cli as cli
+        import subpot.density as density
 
         engines, solves = [], []
         init = cli.ConvolutionEngine.__init__
-        solve = cli.u_volterra
+        solve = density.u_volterra
         monkeypatch.setattr(cli.ConvolutionEngine, "__init__",
                             lambda self, *a, **k: engines.append(a) or init(self, *a, **k))
-        monkeypatch.setattr(cli, "u_volterra", lambda *a, **k: solves.append(a) or solve(*a, **k))
+        monkeypatch.setattr(density, "u_volterra", lambda *a, **k: solves.append(a) or solve(*a, **k))
         out = tmp_path / "eval.csv"
         assert main(["eval", "--model", delta1_path, "--x", "0.1:0.45:4", *extra, "--out", str(out)]) == 0
-        assert len(engines) == 1 and len(solves) == grids
+        assert len(engines) == 1 and len(solves) == 0
         assert all(row.endswith("," + method) for row in out.read_text().strip().splitlines()[1:])
+
+    @pytest.mark.parametrize("route, xs, methods", [
+        ("auto", "0.1:3:6", {"series", "inversion"}),
+        ("series", "0.1:0.45:4", {"series"}),
+        ("inversion", "0.1:3:6", {"inversion"}),
+    ])
+    def test_eval_builds_no_grid(self, delta1_path, tmp_path, monkeypatch, route, xs, methods):
+        # rows past the series radius go to the contour: no route of eval
+        # reaches the Volterra march, whatever name it is called by
+        import subpot.cli as cli
+        import subpot.density as density
+
+        assert not hasattr(cli, "u_volterra")
+        monkeypatch.setattr(density, "u_volterra", lambda *a, **k: pytest.fail("grid built"))
+        monkeypatch.setattr(density, "_march", lambda *a, **k: pytest.fail("march run"))
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--model", delta1_path, "--x", xs, "--route", route, "--out", str(out)]) == 0
+        assert {row.rsplit(",", 1)[1] for row in out.read_text().strip().splitlines()[1:]} == methods
 
 
     def test_invert_runs_one_contour_per_quantity(self, delta1_path, tmp_path, monkeypatch):
@@ -230,25 +248,14 @@ class TestEval:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "precondition" and "x=0.7:" in err["message"]
 
-    @pytest.mark.parametrize("route", ["auto", "volterra"])
+    @pytest.mark.parametrize("route", ["auto"])
     def test_only_x_zero(self, delta1_path, tmp_path, route):
-        # the engine and the grid reach the largest x, here 0
+        # the engine reaches the largest x, here 0
         out = tmp_path / "eval.json"
         assert main(["eval", "--model", delta1_path, "--x", "0", "--route", route,
                      "--format", "json", "--out", str(out)]) == 0
         (row,) = json.loads(out.read_text())
         assert abs(row["u"] - 1.0) <= row["err_est"] and abs(row["du_right"] + 1.0) <= row["du_err"]
-
-    def test_volterra_rows_read_the_grid(self, delta1_path, tmp_path):
-        import subpot.cli as cli
-        from subpot import load_model
-
-        out = tmp_path / "eval.json"
-        assert main(["eval", "--model", delta1_path, "--x", "0.6,1.0,2.5", "--route", "volterra",
-                     "--no-derivatives", "--format", "json", "--out", str(out)]) == 0
-        grid = cli.u_volterra(load_model(delta1_path), 2.5, tol=1e-7)
-        for row in json.loads(out.read_text()):
-            assert (row["u"], row["err_est"]) == (float(grid(row["x"])), float(grid.err_at(row["x"])))
 
 
 class TestEvalHonesty:
@@ -302,6 +309,33 @@ class TestEvalHonesty:
                 under.append(r["x"])
         assert under == []
 
+    @pytest.mark.parametrize("doc, xs", [
+        ({"drift": 1.0, "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5}}, "0.05:20:10"),
+        ({"drift": 1.0, "q": 0.2, "ac": {"kind": "stable", "C": 1.0, "alpha": 0.7}}, "0.5:20:10"),
+        ({"drift": 1.0, "atoms": [{"x": 1, "mass": 0.5}], "ac": {"kind": "stable", "C": 0.3, "alpha": 0.5}},
+         "0.05:5:10"),
+        ({"drift": 1.3, "q": 0.3, "atoms": [{"x": 0.8, "mass": 0.5}],
+          "ac": {"kind": "tempered", "C": 0.7, "alpha": 0.6, "b": 1.5}}, "0.05:3:10"),
+        ({"drift": 1.0, "q": 0.2, "ac": {"kind": "tempered", "C": 1.0, "alpha": 0.7, "b": 2.0}}, "0.02:1:10"),
+        (DELTA1, "0.05:30:10"),
+    ], ids=["stable", "stable-0.7-killed", "atom-stable", "atom-tempered-killed", "tempered-killed", "unit-atom"])
+    def test_default_route_against_oracle(self, tmp_path, doc, xs):
+        # the default route on each side of the series radius; the floor
+        # counts only the oracle's own accuracy and the double nearest it
+        model, out = tmp_path / "m.json", tmp_path / "eval.json"
+        model.write_text(json.dumps(doc))
+        assert main(["eval", "--model", str(model), "--x", xs, "--tol", "1e-7", "--no-derivatives",
+                     "--format", "json", "--out", str(out)]) == 0
+        under, over_tol = [], []
+        for r in json.loads(out.read_text()):
+            exact = oracles.density(doc, r["x"])
+            err = abs(r["u"] - float(exact))
+            if err > r["err_est"] + oracles.ulp_floor(exact):
+                under.append(r["x"])
+            if r["err_est"] <= 1e-7 < err:
+                over_tol.append(r["x"])
+        assert under == [] and over_tol == []
+
     def test_no_derivatives_has_no_error_bar(self, delta1_path, tmp_path):
         out = tmp_path / "eval.json"
         assert main(["eval", "--model", delta1_path, "--x", "0.3,2.5", "--no-derivatives",
@@ -335,6 +369,22 @@ class TestInputsRejectedUpFront:
         (["conv", "--n", "2", "--xmax", "-1"], "--xmax"),
         (["conv", "--n", "2", "--xmax", "4", "--steps", "0"], "--steps"),
         (["conv", "--n", "2", "--xmax", "4", "--steps", "-5"], "--steps"),
+        (["conv", "--n", "0", "--xmax", "4"], "--n"),
+        (["gk", "--k", "0", "--xmax", "3"], "--k"),
+        (["smoothness", "--x", "2", "--kmax", "-1"], "--kmax"),
+        (["smoothness", "--x", "2", "--kmax", "0"], "--kmax"),
+        (["asymptotics", "--law", "zero-series", "--n", "-1"], "--n"),
+        (["eval", "--x", "1", "--order", "0"], "--order"),
+        (["invert", "--x", "1", "--order", "-2"], "--order"),
+        (["eval", "--x", "1", "--route", "volterra"], "--route"),
+        (["smoothness", "--x", "1/0"], "--x"),
+        (["smoothness", "--x", "abc"], "--x"),
+        (["smoothness", "--x", "inf"], "--x"),
+        (["smoothness", "--x", "nan"], "--x"),
+        (["smoothness", "--x", "0"], "--x"),
+        (["smoothness", "--x=-1/2"], "--x"),
+        (["smoothness", "--x", "1e400"], "--x"),
+        (["smoothness", "--x", "1e-400"], "--x"),
     ])
     def test_exit_2_before_any_work(self, delta1_path, capsys, monkeypatch, argv, pointer):
         import subpot.convolve as convolve
@@ -377,6 +427,13 @@ class TestSmoothness:
         doc = json.loads(capsys.readouterr().out)
         assert doc["min_k"] == 2
         assert doc["verdicts"][0] == {"k": 1, "differentiable": True}
+
+    @pytest.mark.parametrize("x", ["2/1", "2.0", "2e0", " 4/2 "])
+    def test_rational_and_decimal_x(self, delta1_path, capsys, x):
+        assert main(["smoothness", "--model", delta1_path, "--x", "2", "--kmax", "3"]) == 0
+        want = capsys.readouterr().out
+        assert main(["smoothness", "--model", delta1_path, "--x", x, "--kmax", "3"]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestSimulate:

@@ -114,6 +114,7 @@ class TestVolterra:
     @pytest.mark.parametrize("kwargs, name", [
         ({"max_refine": 0}, "max_refine"),  # the refinement loop would never run
         ({"max_refine": -1}, "max_refine"),
+        ({"breakpoint_order": 0}, "breakpoint_order"),
         ({"h_target": 0.0}, "h_target"),
         ({"h_target": math.nan}, "h_target"),
         ({"h_target": math.inf}, "h_target"),

@@ -2,7 +2,11 @@
 
 One process per run; outputs are written atomically (temp file + rename)
 with fixed %.12e float formatting so identical configurations produce
-byte-identical artifacts.  Exit codes: 0 success, 2 model/argument
+byte-identical artifacts.  The commands that print a table (eval, invert,
+gk, conv, asymptotics, simulate, crosscheck) take --format csv|json: CSV
+under a header row, or a JSON list of objects with the header's keys
+(asymptotics puts them under "rows" of its verdict object).  validate and
+smoothness print one JSON object and take no --format.  Exit codes: 0 success, 2 model/argument
 validation, 3 numerical-accuracy failure (the achieved error is printed),
 4 precondition failure (wrong regime, budget, infinite mean).  Errors are
 emitted as a single JSON object on stderr.
@@ -28,7 +32,7 @@ import numpy as np
 
 from .asymptotics import check_du_infinity, check_du_zero, check_linear_zero, check_zero_series
 from .convolve import ConvolutionEngine, atom_sums
-from .density import laplace_crosscheck, series_radius, u_series
+from .density import laplace_crosscheck, u_series
 from .errors import (
     AccuracyFailureError,
     ModelValidationError,
@@ -67,6 +71,17 @@ def _emit(args, text: str) -> None:
         _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_table(args, keys, rows) -> None:
+    """Rows as CSV under a header of keys (floats in ``_FMT``, ints and
+    strings as they are), or under ``--format json`` as a list of objects
+    with those keys."""
+    if args.format == "json":
+        _emit(args, json.dumps([dict(zip(keys, r)) for r in rows]) + "\n")
+        return
+    lines = [",".join(keys), *(",".join(_FMT % v if isinstance(v, float) else str(v) for v in r) for r in rows)]
+    _emit(args, "\n".join(lines) + "\n")
 
 
 def _parse_range(spec: str, spacing: str) -> np.ndarray:
@@ -134,12 +149,13 @@ def _require_positive(*named) -> None:
 
 def _eval_rows(model, xs, args):
     x_max = float(np.max(xs))
-    # one engine (and so one convolution ladder) serves the radius, the
-    # series values and both contours
+    # one engine (and so one convolution ladder) serves the series test,
+    # the series values and both contours
     engine = ConvolutionEngine(model, x_max)
     series = np.full(xs.size, args.route == "series")
     if args.route == "auto":
-        series = xs <= series_radius(model, x_max, engine)
+        # the rule u_series certifies its bound by
+        series = engine.mass_scale(xs) <= 0.5
     inversion = ~series
     u, err = np.empty(xs.size), np.empty(xs.size)
     if series.any():
@@ -198,17 +214,8 @@ def _cmd_gk(args) -> int:
     _require_positive(("--k", [args.k]), ("--xmax", [args.xmax]))
     model = load_model(args.model)
     sums = atom_sums(model.atomic, args.k, args.xmax)
-    if args.format == "json":
-        doc = [
-            {"value": e.value, "min_jumps": e.min_jumps, "representations": e.representations}
-            for e in sums.entries
-        ]
-        _emit(args, json.dumps(doc) + "\n")
-    else:
-        lines = ["value,min_jumps,representations"]
-        for e in sums.entries:
-            lines.append(f"{_fmt(e.value)},{e.min_jumps},{e.representations}")
-        _emit(args, "\n".join(lines) + "\n")
+    _emit_table(args, ("value", "min_jumps", "representations"),
+                [(e.value, e.min_jumps, e.representations) for e in sums.entries])
     return 0
 
 
@@ -217,13 +224,10 @@ def _cmd_conv(args) -> int:
     model = load_model(args.model)
     engine = ConvolutionEngine(model, args.xmax)
     kinks = [float(v) for v in engine.kinks(args.n) if v < args.xmax]
-    xs = sorted(set(np.linspace(args.xmax / args.steps, args.xmax, args.steps).tolist() + kinks))
-    lines = ["x,n,value_left,value_right"]
-    for x in xs:
-        left = engine.power(args.n, x, Side.LEFT)
-        right = engine.power(args.n, x, Side.RIGHT)
-        lines.append(",".join([_fmt(x), str(args.n), _fmt(left), _fmt(right)]))
-    _emit(args, "\n".join(lines) + "\n")
+    xs = np.array(sorted(set(np.linspace(args.xmax / args.steps, args.xmax, args.steps).tolist() + kinks)))
+    left, right = (engine.power(args.n, xs, side).tolist() for side in (Side.LEFT, Side.RIGHT))
+    _emit_table(args, ("x", "n", "value_left", "value_right"),
+                [(x, args.n, l, r) for x, l, r in zip(xs.tolist(), left, right)])
     return 0
 
 
@@ -262,17 +266,13 @@ def _cmd_asymptotics(args) -> int:
         "fitted_slope": check.fitted_slope,
         "notes": check.notes,
     }
+    keys = ("x", "lhs", "rhs", "ratio")
+    rows = list(zip(*(v.tolist() for v in (check.xs, check.lhs, check.rhs, check.ratio))))
     if args.format == "json":
-        verdict["rows"] = [
-            {"x": float(x), "lhs": float(l), "rhs": float(r), "ratio": float(q)}
-            for x, l, r, q in zip(check.xs, check.lhs, check.rhs, check.ratio)
-        ]
+        verdict["rows"] = [dict(zip(keys, r)) for r in rows]
         _emit(args, json.dumps(verdict) + "\n")
     else:
-        lines = ["x,lhs,rhs,ratio"]
-        for x, l, r, q in zip(check.xs, check.lhs, check.rhs, check.ratio):
-            lines.append(",".join([_fmt(x), _fmt(l), _fmt(r), _fmt(q)]))
-        _emit(args, "\n".join(lines) + "\n")
+        _emit_table(args, keys, rows)
         sys.stdout.write(json.dumps(verdict) + "\n")
     return 0
 
@@ -295,15 +295,9 @@ def _cmd_simulate(args) -> int:
         est = creep_prob_killed(model, args.q, xs, args.paths, seed=args.seed, eps=args.eps)
     else:
         est = creep_prob(model, xs, args.paths, seed=args.seed, eps=args.eps)
-    lines = ["x,q,p_hat,ci95,n_paths,eps,seed"]
-    for x, p_hat, ci95 in zip(est.x, est.p_hat, est.ci95):
-        lines.append(
-            ",".join(
-                [_fmt(x), _fmt(est.q), _fmt(p_hat), _fmt(ci95),
-                 str(est.n_paths), _fmt(est.truncation_eps), str(est.seed)]
-            )
-        )
-    _emit(args, "\n".join(lines) + "\n")
+    _emit_table(args, ("x", "q", "p_hat", "ci95", "n_paths", "eps", "seed"),
+                [(x, est.q, p, ci, est.n_paths, est.truncation_eps, est.seed)
+                 for x, p, ci in zip(est.x.tolist(), est.p_hat.tolist(), est.ci95.tolist())])
     return 0
 
 
@@ -319,9 +313,8 @@ def _cmd_crosscheck(args) -> int:
     model = load_model(args.model)
     # one grid, long enough for the smallest lambda, serves every lambda
     results = laplace_crosscheck(model, np.array(lams), tol=args.tol)
-    lines = ["lambda,lhs,rhs,abs_diff,tail_bound"]
-    lines += [",".join(_fmt(v) for v in (r.lam, r.lhs, r.rhs, r.abs_diff, r.tail_bound)) for r in results]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit_table(args, ("lambda", "lhs", "rhs", "abs_diff", "tail_bound"),
+                [(r.lam, r.lhs, r.rhs, r.abs_diff, r.tail_bound) for r in results])
     worst = max(r.abs_diff for r in results)
     if args.assert_tol is not None and worst > args.assert_tol:
         raise AccuracyFailureError("transform crosscheck disagreement", worst, args.assert_tol)
@@ -345,13 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, table=True):
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if table:  # validate and smoothness print one JSON object
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("validate", help="parse and validate a model file")
-    common(p)
+    common(p, table=False)
     p.set_defaults(fn=_cmd_validate)
 
     evaluate = sub.add_parser("eval", help="density (and derivative) on an x grid")
@@ -382,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_conv)
 
     p = sub.add_parser("smoothness", help="differentiability report at a point")
-    common(p)
+    common(p, table=False)
     p.add_argument("--x", required=True, help="point (rational strings allowed)")
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--measure", action="store_true", help="also measure derivative jumps")

@@ -407,7 +407,8 @@ def bv_split(model: LevyModel, x_max: float, tol: float = 1e-8, n_nodes: int = 1
     """Even/odd-order partial sums of the series as the increasing components.
 
     Inside the series radius the truncation is certified by the geometric
-    bound; beyond it, terms are added until the newest term at x_max drops
+    bound, and a tol that bound cannot meet within 400 terms raises
+    AccuracyFailureError, as in ``u_series``; beyond the radius, terms are added until the newest term at x_max drops
     below tol (the series converges everywhere; the documented tolerance for
     this extension is ``tol`` against the Volterra-validated density).
     """
@@ -417,9 +418,8 @@ def bv_split(model: LevyModel, x_max: float, tol: float = 1e-8, n_nodes: int = 1
     nodes = np.linspace(0.0, x_max, n_nodes)
     m_end = engine.mass_scale(x_max)
     if m_end <= 0.5:
-        n_terms = 1
-        while m_end ** (n_terms + 1) / (delta * (1 - m_end)) >= tol and n_terms < _MAX_SERIES_TERMS:
-            n_terms += 1
+        # orders 0..n_terms: the terms u_series would sum, and at least two
+        n_terms = max(1, _truncation(m_end, delta, tol)[1] - 1)
     else:
         n_terms = 1
         prev = math.inf

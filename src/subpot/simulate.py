@@ -232,15 +232,6 @@ def first_passage(model: LevyModel, x: float, seed: int, path_id: int = 0,
     )
 
 
-def _bias_bound(model: LevyModel, x: float, eps: float, q: float) -> float:
-    if eps <= 0:
-        return 0.0
-    nu = model.small_jump_moment(eps)
-    # the series contraction factor m(x), with the estimate's killing rate q
-    m = (model.tail_antiderivative(x) + q * x) / model.drift
-    return nu / model.drift * math.exp(m)
-
-
 def _estimate(model: LevyModel, x, n_paths: int, seed: int, eps: float, q: float) -> CreepEstimate:
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
@@ -254,7 +245,11 @@ def _estimate(model: LevyModel, x, n_paths: int, seed: int, eps: float, q: float
     e_q = -np.log1p(-_stream(seed, _PURPOSE_KILL, 0, n_paths)) / q if q > 0 else None
     p = _passage(model, levels, n_paths, seed, eps, e_q)[0][where] / n_paths
     ci = 1.96 * np.sqrt(np.maximum(p * (1.0 - p), 1e-300) / n_paths)
-    bias = np.array([_bias_bound(model, v, eps, q) for v in flat.tolist()])
+    bias = np.zeros(flat.shape)
+    if eps > 0:
+        # the series contraction factor m(x), with the estimate's killing rate q
+        m = (model.tail_antiderivative(flat) + q * flat) / model.drift
+        bias = model.small_jump_moment(eps) / model.drift * np.exp(m)
     if xs.ndim == 0:
         xs, p, ci, bias = float(xs), float(p[0]), float(ci[0]), float(bias[0])
     return CreepEstimate(x=xs, q=q, n_paths=n_paths, p_hat=p, ci95=ci,

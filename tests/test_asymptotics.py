@@ -15,6 +15,27 @@ from subpot import (
     u_series,
 )
 from subpot.asymptotics import minimal_tail_order
+from subpot.convolve import ConvolutionEngine
+from subpot.model import Side
+
+ATOM_TEMPERED_KILLED = LevyModel(drift=1.0, q=0.3, atomic=AtomicPart.from_pairs([(0.5, 0.7)]),
+                                 ac=AcTail.tempered(0.4, 0.3, 1.5))
+
+
+def _zero_series_ratios(model, n, xs):
+    """The remainder/term ratios as a loop over the points, one order at a time."""
+    engine = ConvolutionEngine(model, float(xs.max()))
+    delta, out = model.drift, []
+    for x in xs.tolist():
+        t_first = engine.running(n + 1, x) / delta ** (n + 2)
+        total = 0.0
+        for k in range(n + 1, n + 202):
+            term = engine.running(k, x) / delta ** (k + 1)
+            total += (-1.0) ** (k - n - 1) * term
+            if term < 1e-14 * t_first:
+                break
+        out.append(abs(total) / t_first)
+    return np.array(out)
 
 
 class TestZeroSeries:
@@ -42,6 +63,21 @@ class TestZeroSeries:
     def test_grid_validation(self, delta1):
         with pytest.raises(ValueError):
             check_zero_series(delta1, 0, x_grid=np.array([0.1, 0.2, 0.3, 0.4]))
+
+    @pytest.mark.parametrize("name", ["delta1", "stable_half", "atom_tempered_killed"])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_ratios_bit_equal_to_pointwise(self, request, name, n):
+        model = ATOM_TEMPERED_KILLED if name == "atom_tempered_killed" else request.getfixturevalue(name)
+        check = check_zero_series(model, n)
+        assert np.array_equal(check.ratio, _zero_series_ratios(model, n, check.xs))
+
+    @pytest.mark.parametrize("n, grid, message", [
+        (0, [0.8, 0.6, 0.4, 0.2], "x=0.8 outside the series radius"),
+        (30, [0.1, 1e-9, 1e-10, 1e-11], "denominator underflow at x=1e-09"),
+    ])
+    def test_first_offending_x_is_cited(self, delta1, n, grid, message):
+        with pytest.raises(PreconditionError, match=message):
+            check_zero_series(delta1, n, x_grid=np.array(grid))
 
 
 class TestLinearZero:
@@ -92,6 +128,13 @@ class TestDuZero:
         check = check_du_zero(stable_half)
         assert check.passed
         assert "n=2" in check.notes
+
+    @pytest.mark.parametrize("name", ["delta1", "stable_half", "atom_tempered_killed"])
+    def test_ratio_bit_equal_to_pointwise_leading_term(self, request, name):
+        model = ATOM_TEMPERED_KILLED if name == "atom_tempered_killed" else request.getfixturevalue(name)
+        check = check_du_zero(model)
+        leading = np.array([model.q + model.tail(x, Side.RIGHT) for x in check.xs.tolist()]) / model.drift**2
+        assert np.array_equal(check.ratio, check.lhs / (-leading))
 
 
 class TestDuInfinity:

@@ -80,6 +80,15 @@ class TestEval:
             assert float(u) == pytest.approx(delta1_u(float(x)), abs=5e-6)
             assert method in ("series", "inversion")
 
+    def test_geometric_spacing(self, delta1_path, tmp_path, capsys):
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", delta1_path, "--x", "0.1:4:5", "--spacing", "geometric",
+                     "--no-derivatives", "--format", "json", "--out", str(out)]) == 0
+        assert [row["x"] for row in json.loads(out.read_text())] == np.geomspace(0.1, 4.0, 5).tolist()
+        assert main(["eval", "--model", delta1_path, "--x", "0:10:5", "--spacing", "geometric"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert [v["pointer"] for v in err["violations"]] == ["--x"]
+
     def test_inversion_route(self, delta1_path, tmp_path):
         out = tmp_path / "inv.csv"
         assert main([
@@ -192,6 +201,9 @@ class TestEval:
         (["invert", "--x", "0.5", "--theta-cut", "100"], "--theta-cut"),
         (["simulate", "--x", "0.5"], "--paths"),
         (["simulate", "--x", "0.5", "--paths", "abc"], "--paths"),
+        # validate and smoothness print one JSON object, so they take no --format
+        (["validate", "--format", "json"], "--format"),
+        (["smoothness", "--x", "2", "--format", "csv"], "--format"),
     ])
     def test_usage_errors_are_json(self, delta1_path, capsys, argv, pointer):
         assert main([argv[0], "--model", delta1_path, *argv[1:]]) == 2
@@ -505,6 +517,26 @@ class TestAsymptoticsCommand:
         assert header == "x,lhs,rhs,ratio"
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["passed"]
+
+
+class TestTableFormats:
+    @pytest.mark.parametrize("argv", [
+        ["gk", "--k", "3", "--xmax", "10"],
+        ["conv", "--n", "2", "--xmax", "3", "--steps", "6"],
+        ["simulate", "--x", "0.5,1.5", "--paths", "2000", "--seed", "3", "--q", "0.2"],
+        ["crosscheck", "--lambda", "3,10", "--tol", "1e-6"],
+    ])
+    def test_json_rows_match_csv(self, delta1_path, capsys, argv):
+        # the same keys as the CSV header, and values that the CSV prints
+        # as %.12e (floats) or as they are (ints)
+        assert main([argv[0], "--model", delta1_path, *argv[1:]]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert main([argv[0], "--model", delta1_path, *argv[1:], "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == len(lines) > 0
+        for row, line in zip(rows, lines):
+            assert ",".join(row) == header
+            assert [("%.12e" % v if isinstance(v, float) else str(v)) for v in row.values()] == line.split(",")
 
 
 class TestDeterminismAcrossThreadCaps:

@@ -207,6 +207,19 @@ class TestBvSplit:
         assert np.all(np.diff(split.u1) >= -1e-12)
         assert np.all(np.diff(split.u2) >= -1e-12)
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12, 1e-16, 1e-100])
+    def test_term_count_from_the_geometric_bound(self, delta1, tol):
+        # orders 0..n with n the smallest >= 1 where m^(n+1)/(drift (1 - m)) < tol
+        m, n = ConvolutionEngine(delta1, 0.4).mass_scale(0.4), 1
+        while m ** (n + 1) / (1.0 - m) >= tol:
+            n += 1
+        assert bv_split(delta1, 0.4, tol=tol, n_nodes=5).terms_used == n + 1
+
+    def test_uncertifiable_tol_raises(self, delta1):
+        # 0.4^401 / 0.6 is about 1e-160: no 400-term sum meets 1e-300
+        with pytest.raises(AccuracyFailureError, match="truncation"):
+            bv_split(delta1, 0.4, tol=1e-300)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=8, deadline=None)
     def test_monotone_on_random_models(self, seed):

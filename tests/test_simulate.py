@@ -168,6 +168,17 @@ class TestKilled:
         est = creep_prob_killed(model, 0.2, 2.0, 10, seed=0, eps=1e-4)
         assert est.bias_bound == pytest.approx(oracles.creep_bias_bound(dict(doc, q=0.2), 2.0, 1e-4), rel=1e-12)
 
+    def test_bias_bounds_match_the_pointwise_formula(self):
+        # one array call builds every bound; np.exp and math.exp may differ
+        # by an ulp each, so the loop agrees to a few ulp
+        model = LevyModel(drift=1.3, atomic=AtomicPart.from_pairs([(0.005, 0.2), (0.8, 0.5)]),
+                          ac=AcTail.tempered(0.7, 0.3, 1.5))
+        xs, q, eps = np.array([0.3, 2.0, 0.9, 5.0]), 0.2, 1e-2
+        est = creep_prob_killed(model, q, xs, 10, seed=0, eps=eps)
+        nu = model.small_jump_moment(eps)
+        want = [nu / model.drift * math.exp((model.tail_antiderivative(x) + q * x) / model.drift) for x in xs.tolist()]
+        assert est.bias_bound.tolist() == pytest.approx(want, rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("seed", [1930549411, 1])
     def test_tempered_matches_the_oracle(self, seed):
         # the tempered model, levels, q and eps of the contour-mc workload at seed 1

@@ -76,16 +76,17 @@ def check_zero_series(model: LevyModel, n: int, x_grid: Optional[np.ndarray] = N
         return AsymptoticCheck("zero-series", xs, z, z, np.ones_like(xs), True, degenerate=True,
                                notes="pure drift: remainder identically zero")
 
+    # m and the first term grow with x, so on the decreasing grid the points
+    # outside the radius come first and the underflowing ones last
+    outside = engine.mass_scale(xs) > 0.5
+    if np.any(outside):
+        raise PreconditionError(f"x={xs[np.argmax(outside)]} outside the series radius; shrink the grid")
+    t_first = engine.running(n + 1, xs) / delta ** (n + 2)
+    if np.any(t_first < 1e-280):
+        raise PreconditionError(f"denominator underflow at x={xs[np.argmax(t_first < 1e-280)]}; "
+                                "shrink the grid toward larger x")
     # one array call per order; a point stops once its newest term is
     # below 1e-14 of its first, as a loop over the points would
-    m = engine.mass_scale(xs)
-    t_first = engine.running(n + 1, xs) / delta ** (n + 2)
-    bad = (m > 0.5) | (t_first < 1e-280)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        if m[i] > 0.5:
-            raise PreconditionError(f"x={xs[i]} outside the series radius; shrink the grid")
-        raise PreconditionError(f"denominator underflow at x={xs[i]}; shrink the grid toward larger x")
     total = np.zeros_like(xs)
     live = np.arange(xs.size)
     term = t_first

@@ -5,7 +5,8 @@ with fixed %.12e float formatting so identical configurations produce
 byte-identical artifacts.  The commands that print a table (eval, invert,
 gk, conv, asymptotics, simulate, crosscheck) take --format csv|json: CSV
 under a header row, or a JSON list of objects with the header's keys
-(asymptotics puts them under "rows" of its verdict object).  validate and
+(asymptotics puts them under "rows" of its verdict object), where a
+non-finite float is null.  validate and
 smoothness print one JSON object and take no --format.  Exit codes: 0 success, 2 model/argument
 validation, 3 numerical-accuracy failure (the achieved error is printed),
 4 precondition failure (wrong regime, budget, infinite mean).  Errors are
@@ -73,12 +74,19 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json_rows(keys, rows) -> list:
+    """Rows as objects with those keys; a non-finite float, which JSON
+    cannot hold, becomes null."""
+    return [{k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in zip(keys, r)}
+            for r in rows]
+
+
 def _emit_table(args, keys, rows) -> None:
     """Rows as CSV under a header of keys (floats in ``_FMT``, ints and
     strings as they are), or under ``--format json`` as a list of objects
-    with those keys."""
+    with those keys (``_json_rows``)."""
     if args.format == "json":
-        _emit(args, json.dumps([dict(zip(keys, r)) for r in rows]) + "\n")
+        _emit(args, json.dumps(_json_rows(keys, rows), allow_nan=False) + "\n")
         return
     lines = [",".join(keys), *(",".join(_FMT % v if isinstance(v, float) else str(v) for v in r) for r in rows)]
     _emit(args, "\n".join(lines) + "\n")
@@ -269,8 +277,8 @@ def _cmd_asymptotics(args) -> int:
     keys = ("x", "lhs", "rhs", "ratio")
     rows = list(zip(*(v.tolist() for v in (check.xs, check.lhs, check.rhs, check.ratio))))
     if args.format == "json":
-        verdict["rows"] = [dict(zip(keys, r)) for r in rows]
-        _emit(args, json.dumps(verdict) + "\n")
+        verdict["rows"] = _json_rows(keys, rows)
+        _emit(args, json.dumps(verdict, allow_nan=False) + "\n")
     else:
         _emit_table(args, keys, rows)
         sys.stdout.write(json.dumps(verdict) + "\n")

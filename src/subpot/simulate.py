@@ -8,12 +8,20 @@ exact crossing instant overshoots.
 
 Randomness is counter-based (Philox).  Draw r of purpose p for path i is
 element i of the stream keyed by (seed, p, r), so the estimate depends
-only on (model, x, q, n_paths, seed, eps): any batch split or thread
-schedule reproduces it, and extending n_paths leaves earlier paths
-unchanged.  There are three purposes, one uniform each per path and round:
-the waiting time, the jump and (round 0 only) the killing time.  The jump
-uniform picks an atom or the AC tail and, rescaled, inverts that tail
-exactly; a tempered tail is inverted by Newton on alpha ln y + b y.
+only on (model, x, q, n_paths, seed, eps): any batch split reproduces it,
+and extending n_paths leaves earlier paths unchanged.  There are three
+purposes, one uniform each per path and round: the waiting time, the jump
+and (round 0 only) the killing time.  The jump uniform picks an atom or the
+AC tail and, rescaled, inverts that tail exactly; a tempered tail is
+inverted by Newton on alpha ln y + b y.
+
+Paths run in blocks of ``_BLOCK``, each block to the end of its own rounds,
+and only the per-level hit counts are summed across blocks.  A block that
+starts at path s draws elements s, s+1, ... of each stream by advancing the
+Philox counter by s/4 (four draws per counter), so it makes the same draws
+as one pass over all paths, and every block reuses one set of state
+buffers: memory is O(``_BLOCK``) whatever n_paths is.  ``first_passage``
+runs only the group of at most four paths that ends at its path.
 
 No path's trajectory depends on x, so one pass serves every level.  The
 levels are sorted once, and each path keeps a pointer to the first level
@@ -39,6 +47,7 @@ contraction factor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -55,14 +64,28 @@ _PURPOSE_KILL = 2
 
 _MAX_ROUNDS = 100_000
 
+_BLOCK = 2**15  # paths per block; a multiple of 4, the draws per Philox counter
 
-def _stream(seed: int, purpose: int, round_idx: int, n: int) -> np.ndarray:
-    """Uniforms in [0,1) for all paths: counter-indexed, prefix-stable in n."""
+
+def _stream(seed: int, purpose: int, round_idx: int, n: int, start: int = 0) -> np.ndarray:
+    """Uniforms in [0,1) for paths start ... start+n-1: counter-indexed, so
+    the draw of a path does not depend on n or start; start is a multiple of 4."""
     from numpy.random import Generator, Philox  # here, so a process that never simulates never loads it
 
+    if start % 4:
+        raise ValueError(f"start must be a multiple of 4, got {start}")
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _KEY_SALT], dtype=np.uint64)
     counter = np.array([0, 0, round_idx, purpose], dtype=np.uint64)
-    return Generator(Philox(counter=counter, key=key)).random(n)
+    bits = Philox(counter=counter, key=key)
+    if start:
+        bits.advance(start // 4)
+    return Generator(bits).random(n)
+
+
+def _check_count(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -118,9 +141,9 @@ class _JumpSampler:
             raise PreconditionError("AC tail requires eps > 0")
         self.rate = self.w_atoms + self.w_ac
 
-    def sample(self, seed: int, round_idx: int, idx: np.ndarray, n_total: int) -> np.ndarray:
-        u = _stream(seed, _PURPOSE_JUMP, round_idx, n_total)[idx]
-        out = np.empty(idx.size, dtype=float)
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """One jump per uniform in ``u``."""
+        out = np.empty(u.size, dtype=float)
         pick = u * self.rate
         is_atom = pick < self.w_atoms
         if np.any(is_atom):
@@ -152,22 +175,21 @@ class _JumpSampler:
             w = w_new
 
 
-def _passage(model: LevyModel, levels: np.ndarray, n_paths: int, seed: int, eps: float,
-             e_q: Optional[np.ndarray] = None):
-    """One round loop over every path and every level.
+def _passage(sampler: _JumpSampler, levels: np.ndarray, seed: int, start: int,
+             state, e_q: Optional[np.ndarray] = None) -> np.ndarray:
+    """One round loop over the paths start ... start+n-1 and every level.
 
-    ``levels`` is sorted and unique.  Returns (hits, pos, t, jumps): hits[j]
+    ``levels`` is sorted and unique.  ``state`` is the caller's buffers
+    (pos, t, jumps, nxt) of n entries each, reset here; they end as each
+    path's state when it resolved the largest level.  Returns hits: hits[j]
     counts the paths that creep over levels[j] (by their killing time e_q,
-    when given); pos, t and jumps are each path's state when it resolved
-    the largest level.
+    when given).
     """
-    sampler = _JumpSampler(model, eps)
-    delta, rate, n_x = model.drift, sampler.rate, levels.size
+    pos, t, jumps, nxt = state  # nxt: first unresolved level per path
+    for buf in state:
+        buf.fill(0)
+    delta, rate, n, n_x = sampler.model.drift, sampler.rate, pos.size, levels.size
     hits = np.zeros(n_x, dtype=np.int64)
-    pos = np.zeros(n_paths)
-    t = np.zeros(n_paths)
-    jumps = np.zeros(n_paths, dtype=np.int64)
-    nxt = np.zeros(n_paths, dtype=np.min_scalar_type(n_x))  # first unresolved level per path
 
     for round_idx in range(1, _MAX_ROUNDS + 1):
         idx = np.nonzero(nxt < n_x)[0]
@@ -176,7 +198,7 @@ def _passage(model: LevyModel, levels: np.ndarray, n_paths: int, seed: int, eps:
         if rate == 0.0:  # pure drift: the first segment creeps over every level
             tau = np.full(idx.size, np.inf)
         else:
-            tau = -np.log1p(-_stream(seed, _PURPOSE_WAIT, round_idx, n_paths)[idx]) / rate
+            tau = -np.log1p(-_stream(seed, _PURPOSE_WAIT, round_idx, n, start)[idx]) / rate
         # the levels a path creeps over this round run upward from nxt
         at, tau_at = idx, tau
         while at.size:
@@ -194,13 +216,18 @@ def _passage(model: LevyModel, levels: np.ndarray, n_paths: int, seed: int, eps:
         if ji.size:
             t[ji] += tau_j
             pos[ji] += delta * tau_j
-            pos[ji] += sampler.sample(seed, round_idx, ji, n_paths)
+            pos[ji] += sampler.sample(_stream(seed, _PURPOSE_JUMP, round_idx, n, start)[ji])
             jumps[ji] += 1
             # the jump resolves every level below pos
             nxt[ji] = np.maximum(nxt[ji], np.searchsorted(levels, pos[ji]))
     else:
         raise PreconditionError(f"simulation exceeded {_MAX_ROUNDS} rounds; eps too small for this x")
-    return hits, pos, t, jumps
+    return hits
+
+
+def _buffers(n: int, n_x: int):
+    """State buffers for ``_passage`` (pos, t, jumps, nxt) of n paths and n_x levels."""
+    return np.empty(n), np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.min_scalar_type(n_x))
 
 
 def _check_q(q: float) -> None:
@@ -214,21 +241,26 @@ def first_passage(model: LevyModel, x: float, seed: int, path_id: int = 0,
     if not (math.isfinite(x) and x > 0):
         raise ValueError("x must be a finite number > 0")
     _check_q(q)
-    _, pos, t, jumps = _passage(model, np.array([float(x)]), path_id + 1, seed, eps)
-    end, t_end = float(pos[path_id]), float(t[path_id])
+    path_id = _check_count("path_id", path_id, 0)
+    # the group of paths from the last multiple of 4 up to path_id
+    start = path_id - path_id % 4
+    state = _buffers(path_id - start + 1, 1)
+    _passage(_JumpSampler(model, eps), np.array([float(x)]), seed, start, state)
+    pos, t, jumps, _ = state
+    end, t_end = float(pos[-1]), float(t[-1])
     # a path that crept stopped below x; a jump over x ends above it
     crept = end <= x
     t_pass = t_end + (x - end) / model.drift if crept else t_end
     killed = False
     if q > 0:
-        e_q = -math.log1p(-float(_stream(seed, _PURPOSE_KILL, 0, path_id + 1)[path_id])) / q
+        e_q = -math.log1p(-float(_stream(seed, _PURPOSE_KILL, 0, pos.size, start)[-1])) / q
         killed = t_pass > e_q
     return PathOutcome(
         t_passage=t_pass,
         overshoot=0.0 if crept else end - x,
         crept=crept,
         killed=killed,
-        n_jumps=int(jumps[path_id]),
+        n_jumps=int(jumps[-1]),
     )
 
 
@@ -238,12 +270,17 @@ def _estimate(model: LevyModel, x, n_paths: int, seed: int, eps: float, q: float
         raise ValueError("x must be a number or a 1-D array")
     if not np.all(np.isfinite(xs) & (xs > 0)):
         raise ValueError("x must be a finite number > 0")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_paths = _check_count("n_paths", n_paths, 1)
     flat = xs.reshape(-1)
     levels, where = np.unique(flat, return_inverse=True)
-    e_q = -np.log1p(-_stream(seed, _PURPOSE_KILL, 0, n_paths)) / q if q > 0 else None
-    p = _passage(model, levels, n_paths, seed, eps, e_q)[0][where] / n_paths
+    sampler = _JumpSampler(model, eps)
+    buffers = _buffers(min(n_paths, _BLOCK), levels.size)
+    hits = np.zeros(levels.size, dtype=np.int64)
+    for start in range(0, n_paths, _BLOCK):
+        n = min(_BLOCK, n_paths - start)
+        e_q = -np.log1p(-_stream(seed, _PURPOSE_KILL, 0, n, start)) / q if q > 0 else None
+        hits += _passage(sampler, levels, seed, start, tuple(b[:n] for b in buffers), e_q)
+    p = hits[where] / n_paths
     ci = 1.96 * np.sqrt(np.maximum(p * (1.0 - p), 1e-300) / n_paths)
     bias = np.zeros(flat.shape)
     if eps > 0:

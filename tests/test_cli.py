@@ -28,6 +28,10 @@ def stable_path(tmp_path):
     return str(p)
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
 def run_cli(args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "subpot.cli", *args],
@@ -518,8 +522,35 @@ class TestAsymptoticsCommand:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["passed"]
 
+    @pytest.mark.parametrize("model", [
+        STABLE,
+        {"drift": 1.3, "q": 0.3, "atoms": [{"x": 0.8, "mass": 0.5}],
+         "ac": {"kind": "tempered", "C": 0.7, "alpha": 0.6, "b": 1.5}},
+    ], ids=["stable-half", "atom-tempered-killed"])
+    def test_linear_zero_json_is_strict(self, tmp_path, capsys, model):
+        # an infinite measure makes rhs inf in every row; JSON has no such
+        # number, so the row says null, and the CSV keeps printing inf
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        argv = ["asymptotics", "--model", str(path), "--law", "linear-zero"]
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert doc["rows"] and all(row["rhs"] is None and math.isfinite(row["lhs"]) for row in doc["rows"])
+        assert main(argv) == 0
+        _, *lines, _ = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(doc["rows"]) and all(line.split(",")[2] == "inf" for line in lines)
+
 
 class TestTableFormats:
+    def test_non_finite_json_cells_are_null(self, capsys):
+        from types import SimpleNamespace
+
+        from subpot.cli import _emit_table
+
+        _emit_table(SimpleNamespace(format="json", out=None), ("a", "b"),
+                    [(1.5, math.inf), (-math.inf, 2), (math.nan, "x")])
+        assert capsys.readouterr().out == '[{"a": 1.5, "b": null}, {"a": null, "b": 2}, {"a": null, "b": "x"}]\n'
+
     @pytest.mark.parametrize("argv", [
         ["gk", "--k", "3", "--xmax", "10"],
         ["conv", "--n", "2", "--xmax", "3", "--steps", "6"],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from subpot import (
     u_volterra,
 )
 from subpot import simulate
-from subpot.simulate import _JumpSampler, _MAX_ROUNDS, _PURPOSE_JUMP, _PURPOSE_KILL, _PURPOSE_WAIT, _stream
+from subpot.simulate import _BLOCK, _JumpSampler, _MAX_ROUNDS, _PURPOSE_JUMP, _PURPOSE_KILL, _PURPOSE_WAIT, _stream
 from conftest import delta1_u, oracles
 
 
@@ -61,7 +62,7 @@ def _simulate(model, x, n_paths, seed, eps):
         if ji.size:
             t[ji] += tau[~creeps]
             pos[ji] += delta * tau[~creeps]
-            sizes = sampler.sample(seed, round_idx, ji, n_paths)
+            sizes = sampler.sample(_stream(seed, _PURPOSE_JUMP, round_idx, n_paths)[ji])
             pos[ji] += sizes
             jumps[ji] += 1
             crossed = pos[ji] > x
@@ -200,14 +201,13 @@ class TestJumpDraws:
     """One uniform per jump; a tempered jump inverts the normalised tail."""
 
     @pytest.mark.parametrize("ac", [AcTail.stable(0.2, 0.4), AcTail.tempered(0.2, 0.4, 1.0)], ids=["stable", "tempered"])
-    def test_residual_uniform_of_one_gives_a_finite_jump(self, monkeypatch, ac):
+    def test_residual_uniform_of_one_gives_a_finite_jump(self, ac):
         model = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1.0, 0.7)]), ac=ac)
         sampler = _JumpSampler(model, 1e-3)
         u = 1.0 - 2.0**-53
         # the component selector rounds the residual uniform up to 1 here
         assert (u * sampler.rate - sampler.w_atoms) / sampler.w_ac == 1.0
-        monkeypatch.setattr(simulate, "_stream", lambda seed, purpose, round_idx, n: np.full(n, u))
-        y = sampler.sample(0, 1, np.arange(3), 3)
+        y = sampler.sample(np.full(3, u))
         assert np.all(np.isfinite(y) & (y >= 1e-3))
 
     def test_tempered_draw_inverts_the_tail(self):
@@ -223,14 +223,14 @@ class TestJumpDraws:
     def test_one_jump_uniform_per_round(self, monkeypatch, tempered_model):
         seen = []
 
-        def spy(seed, purpose, round_idx, n):
-            seen.append((purpose, round_idx))
-            return _stream(seed, purpose, round_idx, n)
+        def spy(seed, purpose, round_idx, n, start=0):
+            seen.append((purpose, round_idx, start))
+            return _stream(seed, purpose, round_idx, n, start)
 
         monkeypatch.setattr(simulate, "_stream", spy)
         creep_prob_killed(tempered_model, 0.3, np.array([0.4, 1.7]), 2000, seed=5, eps=1e-4)
-        assert (_PURPOSE_JUMP, 1) in seen
-        assert {purpose for purpose, _ in seen} <= {_PURPOSE_WAIT, _PURPOSE_JUMP, _PURPOSE_KILL}
+        assert (_PURPOSE_JUMP, 1, 0) in seen
+        assert {purpose for purpose, _, _ in seen} <= {_PURPOSE_WAIT, _PURPOSE_JUMP, _PURPOSE_KILL}
         assert len(seen) == len(set(seen))
 
 
@@ -313,3 +313,89 @@ class TestOnePassForEveryLevel:
     def test_non_finite_inputs_refused(self, delta1, call):
         with pytest.raises(ValueError):
             call(delta1)
+
+
+class TestBlocks:
+    """Paths run in blocks; the draws and counts are those of one pass over all paths."""
+
+    @pytest.mark.parametrize("start", [0, 4, _BLOCK, 3 * _BLOCK + 4])
+    def test_offset_stream_is_a_slice_of_the_whole(self, start):
+        for purpose in (_PURPOSE_WAIT, _PURPOSE_JUMP, _PURPOSE_KILL):
+            assert np.array_equal(_stream(7, purpose, 3, 100, start), _stream(7, purpose, 3, start + 100)[start:])
+
+    @pytest.mark.parametrize("start", [1, 2, 3, 6, _BLOCK + 2])
+    def test_offset_not_a_multiple_of_four_raises(self, start):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            _stream(7, _PURPOSE_WAIT, 1, 10, start)
+
+    XS = [1.7, 0.4, 2.5, 0.4, 0.05]
+
+    @pytest.mark.parametrize("name, n_paths, eps, q", [
+        ("delta1", 4000, 0.0, 0.0),
+        ("two_atoms", 4003, 0.0, 0.4),
+        ("stable_half", 4003, 1e-3, 0.0),
+        ("tempered_model", 203, 1e-4, 0.3),  # some 250 rounds a block: fewer paths
+    ])
+    def test_small_blocks_match_reference(self, request, monkeypatch, name, n_paths, eps, q):
+        # 8 paths a block: hundreds of blocks, the last one short when n_paths is 4003
+        monkeypatch.setattr(simulate, "_BLOCK", 8)
+        if name == "two_atoms":
+            model = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(0.7, 0.6), (1.5, 0.8)]))
+        else:
+            model = request.getfixturevalue(name)
+        xs = np.array(self.XS)
+        est = (creep_prob_killed(model, q, xs, n_paths, seed=23, eps=eps) if q > 0
+               else creep_prob(model, xs, n_paths, seed=23, eps=eps))
+        for k, x in enumerate(self.XS):
+            assert (est.p_hat[k], est.ci95[k]) == _reference_estimate(model, x, n_paths, 23, eps, q)
+
+    def test_first_passage_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK", 8)
+        model = LevyModel(drift=0.8, atomic=AtomicPart.from_pairs([(0.3, 1.5), (1.1, 0.4)]))
+        crept, t_pass, over, jumps = _simulate(model, 1.9, 41, 5, 0.0)
+        e_q = -np.log1p(-_stream(5, _PURPOSE_KILL, 0, 41)) / 0.6
+        for pid in range(41):
+            out = first_passage(model, 1.9, seed=5, path_id=pid, q=0.6)
+            assert (out.crept, out.t_passage, out.overshoot, out.n_jumps, out.killed) == (
+                bool(crept[pid]), float(t_pass[pid]), float(over[pid]), int(jumps[pid]),
+                bool(t_pass[pid] > e_q[pid]))
+
+    def test_first_passage_far_out(self, delta1):
+        # unit atom, x < 1: the path creeps if its first wait exceeds x, and
+        # otherwise the jump of 1 ends it, so the whole wait stream is the oracle
+        pid, x = 10**6 + 2, 0.7
+        tau = -math.log1p(-float(_stream(3, _PURPOSE_WAIT, 1, pid + 1)[pid]))
+        out = first_passage(delta1, x, seed=3, path_id=pid)
+        assert (out.crept, out.n_jumps) == ((True, 0) if x < tau else (False, 1))
+        assert out.t_passage == (x if x < tau else tau)
+
+    def test_memory_does_not_grow_with_paths(self, delta1):
+        peaks = []
+        for n_paths in (_BLOCK, 8 * _BLOCK):
+            tracemalloc.start()
+            try:
+                creep_prob_killed(delta1, 0.2, [0.5, 1.5, 2.5], n_paths)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    @pytest.mark.parametrize("call", [
+        lambda m: first_passage(m, 1.0, seed=0, path_id=-1),
+        lambda m: first_passage(m, 1.0, seed=0, path_id=2.5),
+        lambda m: first_passage(m, 1.0, seed=0, path_id=True),
+        lambda m: first_passage(m, 1.0, seed=0, path_id="3"),
+        lambda m: creep_prob(m, 1.0, 1000.5),
+        lambda m: creep_prob(m, 1.0, 1000.0),
+        lambda m: creep_prob(m, 1.0, 0),
+        lambda m: creep_prob(m, 1.0, True),
+        lambda m: creep_prob_killed(m, 0.3, 1.0, -5),
+        lambda m: creep_prob_killed(m, 0.3, 1.0, np.float64(10)),
+    ])
+    def test_bad_path_counts_refused(self, delta1, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(delta1)
+
+    def test_numpy_integers_accepted(self, delta1):
+        assert creep_prob(delta1, 1.5, np.int64(3000), seed=2).p_hat == creep_prob(delta1, 1.5, 3000, seed=2).p_hat
+        assert first_passage(delta1, 1.5, seed=2, path_id=np.int32(9)) == first_passage(delta1, 1.5, seed=2, path_id=9)

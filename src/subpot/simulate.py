@@ -8,12 +8,12 @@ exact crossing instant overshoots.
 
 Randomness is counter-based (Philox).  Draw r of purpose p for path i is
 element i of the stream keyed by (seed, p, r), so the estimate depends
-only on (model, x, q, n_paths, seed, eps): any batch split reproduces it,
-and extending n_paths leaves earlier paths unchanged.  There are three
-purposes, one uniform each per path and round: the waiting time, the jump
-and (round 0 only) the killing time.  The jump uniform picks an atom or the
-AC tail and, rescaled, inverts that tail exactly; a tempered tail is
-inverted by Newton on alpha ln y + b y.
+only on (model, x, q, n_paths, seed, eps): any batch split or thread
+schedule reproduces it, and extending n_paths leaves earlier paths
+unchanged.  There are three purposes, one uniform each per path and round:
+the waiting time, the jump and (round 0 only) the killing time.  The jump
+uniform picks an atom or the AC tail and, rescaled, inverts that tail
+exactly; a tempered tail is inverted by Newton on alpha ln y + b y.
 
 Paths run in blocks of ``_BLOCK``, each block to the end of its own rounds,
 and only the per-level hit counts are summed across blocks.  A block that
@@ -76,10 +76,7 @@ def _stream(seed: int, purpose: int, round_idx: int, n: int, start: int = 0) -> 
         raise ValueError(f"start must be a multiple of 4, got {start}")
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _KEY_SALT], dtype=np.uint64)
     counter = np.array([0, 0, round_idx, purpose], dtype=np.uint64)
-    bits = Philox(counter=counter, key=key)
-    if start:
-        bits.advance(start // 4)
-    return Generator(bits).random(n)
+    return Generator(Philox(counter=counter, key=key).advance(start // 4)).random(n)
 
 
 def _check_count(name: str, value, least: int) -> int:

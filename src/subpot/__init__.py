@@ -5,106 +5,46 @@ Volterra renewal-equation solver, Bromwich inversion), differentiability
 analysis driven by the atom-sum sets of the jump measure, limit-law
 checks at zero and infinity, and an event-driven Monte Carlo estimator of
 creeping probabilities as an independent probabilistic oracle.
+
+Public names resolve on first read (PEP 562): ``import subpot`` loads
+nothing but this table, and reading ``subpot.u_series`` (or ``from subpot
+import u_series``) imports the module that defines it, caches the value in
+this module's globals, so later reads are plain lookups, and returns it.
+``load_model`` thus loads only the model layer; the compute modules, and
+what they import, wait until a name of theirs is read.
 """
 
-from .asymptotics import (
-    AsymptoticCheck,
-    check_du_infinity,
-    check_du_zero,
-    check_linear_zero,
-    check_zero_series,
-)
-from .convolve import AtomSumEntry, AtomSumSet, ConvolutionEngine, atom_sums
-from .density import (
-    BvSplit,
-    CrosscheckResult,
-    DensityGrid,
-    bv_split,
-    laplace_crosscheck,
-    series_radius,
-    u_series,
-    u_volterra,
-)
-from .errors import (
-    AccuracyFailureError,
-    BudgetExceededError,
-    ContourOrderError,
-    FitWindowError,
-    IndeterminateIndexError,
-    ModelValidationError,
-    PreconditionError,
-    SeriesRadiusError,
-    SubpotError,
-)
-from .inversion import (
-    density_integrand,
-    derivative_integrand,
-    derivative_zero_contour,
-    invert_density,
-    invert_derivative,
-    invert_derivative_pair,
-    tail_transform,
-)
-from .model import AcTail, AtomicPart, LevyModel, Side, load_model, model_from_dict
-from .simulate import CreepEstimate, PathOutcome, creep_prob, creep_prob_killed, first_passage
-from .smoothness import (
-    SmoothnessReport,
-    classify_point,
-    conv_jump,
-    derivative_jump,
-    one_sided_fd,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcTail",
-    "AccuracyFailureError",
-    "AsymptoticCheck",
-    "AtomSumEntry",
-    "AtomSumSet",
-    "AtomicPart",
-    "BudgetExceededError",
-    "BvSplit",
-    "ContourOrderError",
-    "ConvolutionEngine",
-    "CreepEstimate",
-    "CrosscheckResult",
-    "DensityGrid",
-    "FitWindowError",
-    "IndeterminateIndexError",
-    "LevyModel",
-    "ModelValidationError",
-    "PathOutcome",
-    "PreconditionError",
-    "SeriesRadiusError",
-    "Side",
-    "SmoothnessReport",
-    "SubpotError",
-    "atom_sums",
-    "bv_split",
-    "check_du_infinity",
-    "check_du_zero",
-    "check_linear_zero",
-    "check_zero_series",
-    "classify_point",
-    "conv_jump",
-    "creep_prob",
-    "creep_prob_killed",
-    "density_integrand",
-    "derivative_integrand",
-    "derivative_jump",
-    "derivative_zero_contour",
-    "first_passage",
-    "invert_density",
-    "invert_derivative",
-    "invert_derivative_pair",
-    "laplace_crosscheck",
-    "load_model",
-    "model_from_dict",
-    "one_sided_fd",
-    "series_radius",
-    "tail_transform",
-    "u_series",
-    "u_volterra",
-]
+# public name -> the submodule that defines it
+_OWNERS = {name: module for module, names in {
+    "asymptotics": "AsymptoticCheck check_du_infinity check_du_zero check_linear_zero check_zero_series",
+    "convolve": "AtomSumEntry AtomSumSet ConvolutionEngine atom_sums",
+    "density": "BvSplit CrosscheckResult DensityGrid bv_split laplace_crosscheck series_radius u_series u_volterra",
+    "errors": "AccuracyFailureError BudgetExceededError ContourOrderError FitWindowError IndeterminateIndexError "
+              "ModelValidationError PreconditionError SeriesRadiusError SubpotError",
+    "inversion": "density_integrand derivative_integrand derivative_zero_contour invert_density invert_derivative "
+                 "invert_derivative_pair tail_transform",
+    "model": "AcTail AtomicPart LevyModel Side load_model model_from_dict",
+    "simulate": "CreepEstimate PathOutcome creep_prob creep_prob_killed first_passage",
+    "smoothness": "SmoothnessReport classify_point conv_jump derivative_jump one_sided_fd",
+}.items() for name in names.split()}
+# submodules, which read as attributes after a plain ``import subpot`` too
+_SUBMODULES = frozenset({*_OWNERS.values(), "piecewise", "_special"})
+
+__all__ = sorted(_OWNERS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_OWNERS[name]}"), name)
+    return value
+
+
+def __dir__():
+    return __all__

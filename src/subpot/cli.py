@@ -41,6 +41,7 @@ from .errors import (
 )
 from .inversion import invert_density, invert_derivative_pair
 from .model import Side, load_model
+from .simulate import creep_prob, creep_prob_killed
 from .smoothness import classify_point
 
 _FMT = "%.12e"
@@ -286,8 +287,6 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .simulate import creep_prob, creep_prob_killed
-
     model = load_model(args.model)
     xs = _parse_range(args.x, "linear")
     bad = [(flag, msg) for flag, ok, msg in (

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import _special
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_positive
 from .model import AtomicPart, LevyModel, Side
 from .piecewise import PiecewisePoly
 
@@ -112,8 +112,7 @@ def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SU
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if x_max <= 0:
-        raise ValueError("x_max must be > 0")
+    check_positive("x_max", x_max)
     exact_mode = atomic.all_rational
     if atomic.is_empty:
         return AtomSumSet(k=k, x_max=x_max, entries=(), exact_mode=exact_mode)
@@ -183,8 +182,7 @@ class ConvolutionEngine:
     """
 
     def __init__(self, model: LevyModel, x_max: float, budget: int = DEFAULT_SUM_BUDGET):
-        if not (x_max > 0 and math.isfinite(x_max)):
-            raise ValueError(f"x_max must be a finite number > 0, got {x_max!r}")
+        check_positive("x_max", x_max)
         self.model = model
         self.x_max = float(x_max)
         self.budget = int(budget)

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .convolve import ConvolutionEngine
-from .errors import AccuracyFailureError, PreconditionError, SeriesRadiusError
+from .errors import AccuracyFailureError, PreconditionError, SeriesRadiusError, check_positive
 from .model import LevyModel
 
 _MAX_SERIES_TERMS = 400
@@ -60,11 +60,15 @@ def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[Convoluti
     the scalar call bit for bit.  Raises SeriesRadiusError when m(x) > 1/2
     at any point, where the geometric tail bound is unavailable; the
     contour covers that regime (``invert_density``, ``eval --route auto``).
-    Raises AccuracyFailureError when a value or bound would be NaN or infinite.
+    Raises AccuracyFailureError when a value or bound would be NaN or
+    infinite, and ValueError for an x that is not a finite number >= 0 or a
+    tol that is not a finite number > 0.
     """
+    check_positive("tol", tol)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(xs >= 0):
-        raise ValueError(f"x must be a number >= 0, got {xs[~(xs >= 0)][0]!r}")
+    ok = np.isfinite(xs) & (xs >= 0)
+    if not np.all(ok):
+        raise ValueError(f"x must be a finite number >= 0, got {float(xs[~ok][0])!r}")
     delta = model.drift
     m = np.zeros(xs.shape)
     if np.any(xs > 0):
@@ -323,8 +327,7 @@ def u_volterra(
     >= 1, else ValueError names the argument.
     """
     for name, value in (("x_max", x_max), ("h_target", h_target), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        check_positive(name, value)
     for name, value in (("max_refine", max_refine), ("breakpoint_order", breakpoint_order)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
@@ -411,7 +414,10 @@ def bv_split(model: LevyModel, x_max: float, tol: float = 1e-8, n_nodes: int = 1
     AccuracyFailureError, as in ``u_series``; beyond the radius, terms are added until the newest term at x_max drops
     below tol (the series converges everywhere; the documented tolerance for
     this extension is ``tol`` against the Volterra-validated density).
+    x_max and tol must be finite and > 0, else ValueError names the argument.
     """
+    check_positive("x_max", x_max)
+    check_positive("tol", tol)
     if engine is None:
         engine = ConvolutionEngine(model, x_max)
     delta = model.drift
@@ -468,7 +474,9 @@ def laplace_crosscheck(model: LevyModel, lam, tol: float = 1e-6,
     1-D array: one grid, long enough for the smallest lam's tail to drop
     below tol, serves every lam (a longer grid only shrinks the other tail
     bounds).  Returns a CrosscheckResult, or a list of them for an array.
+    tol must be a finite number > 0, else ValueError names it.
     """
+    check_positive("tol", tol)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or lams.size == 0:
         raise ValueError("lam must be a number or a non-empty 1-D array")

@@ -1,11 +1,21 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its argument check.
 
 The CLI maps these onto exit codes: model validation failures -> 2,
 numerical accuracy failures -> 3, precondition failures (wrong regime,
-budget, unusable parameters) -> 4.
+budget, unusable parameters) -> 4.  A bad argument of a library call
+raises ValueError naming it (``check_positive``); the CLI checks its flags
+before it calls the library.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless value is a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 class SubpotError(Exception):

@@ -76,7 +76,7 @@ import numpy as np
 
 from . import _special
 from .convolve import ConvolutionEngine, _gauss_legendre
-from .errors import AccuracyFailureError, ContourOrderError, ModelValidationError, PreconditionError
+from .errors import AccuracyFailureError, ContourOrderError, ModelValidationError, PreconditionError, check_positive
 from .model import LevyModel, Side
 
 DENOM_FLOOR = 1e-10
@@ -239,12 +239,13 @@ def _contour_integral(fn, xs, theta, tail, width, lam):
 
 
 def _points(x) -> np.ndarray:
-    """x (a number or a 1-D array of numbers > 0) as a 1-D float array."""
+    """x (a number or a 1-D array of finite numbers > 0) as a 1-D float array."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("x must be a number or a non-empty 1-D array")
-    if not np.all(xs > 0):
-        raise ValueError("x must be > 0")
+    ok = np.isfinite(xs) & (xs > 0)
+    if not np.all(ok):
+        raise ValueError(f"x must be a finite number > 0, got {float(xs[~ok][0])!r}")
     return xs
 
 
@@ -287,8 +288,9 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
     N=None takes, among the orders up to 16 within ``PANEL_BUDGET``, the
     cheapest whose predicted err_est meets tol, else the lowest with the
     least predicted err_est.  Both predictions come before any integrand
-    evaluation (module docstring).
+    evaluation (module docstring).  tol must be a finite number > 0.
     """
+    check_positive("tol", tol)
     beta = model.bg_index()
     # smallest order with an integrable remainder
     n_min = max(1, math.floor((1.0 + 1e-12 - e) / (1.0 - beta - contour_epsilon(beta))) + 1)

@@ -22,7 +22,6 @@ function of the model, so instances are safe to share between threads.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -503,6 +502,8 @@ class LevyModel:
 
     def model_hash(self) -> str:
         """Stable content hash (drift, q, atoms, family cap, AC parameters)."""
+        import hashlib  # here: its libcrypto costs a process that never hashes ~4 ms and ~3.5 MB
+
         payload = {
             "drift": float(self.drift).hex(),
             "q": float(self.q).hex(),

@@ -2,8 +2,11 @@
 
 scipy.special is needed only for an absolutely continuous tail, numpy.random
 only for simulation, and numpy.polynomial only for the Gauss-Legendre
-tables, so none of them is loaded by ``import subpot``.  This test session
-has imported scipy itself, so each check runs in a fresh interpreter.
+tables, so none of them is loaded by ``import subpot``.  The package's
+public names resolve on first read, so ``import subpot`` plus ``load_model``
+loads only the model layer, and hashlib waits for ``model_hash``.  This
+test session has imported scipy and all of subpot itself, so each check of
+what is loaded runs in a fresh interpreter.
 """
 
 import json
@@ -13,10 +16,15 @@ import sys
 import numpy as np
 import pytest
 
+import subpot
 from subpot import convolve
 
 UNIT_ATOM = {"drift": 1.0, "q": 0.0, "atoms": [{"x": 1, "mass": 1.0}], "ac": {"kind": "none"}}
 STABLE = {"drift": 1.0, "q": 0.0, "atoms": [], "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5}}
+FAMILY = {"drift": 2.0, "q": 0.0, "ac": {"kind": "none"},
+          "atom_family": {"kind": "reciprocal-integers", "cap": 8, "masses": [j ** -1.25 for j in range(1, 9)]}}
+SUBMODULES = ("asymptotics", "convolve", "density", "errors", "inversion", "model", "piecewise", "simulate",
+              "smoothness", "_special")
 DEFERRED = ("scipy", "scipy.special", "numpy.random", "numpy.polynomial")
 
 
@@ -34,7 +42,7 @@ def loaded_after(setup: str, cwd) -> list:
 
 @pytest.fixture
 def models(tmp_path):
-    for name, doc in (("atom", UNIT_ATOM), ("stable", STABLE)):
+    for name, doc in (("atom", UNIT_ATOM), ("stable", STABLE), ("family", FAMILY)):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     return tmp_path
 
@@ -90,3 +98,55 @@ def test_gauss_legendre_tables_are_leggauss_bit_for_bit(n):
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
     assert nodes.tobytes() == ref_nodes.tobytes()
     assert weights.tobytes() == ref_weights.tobytes()
+
+
+def test_load_model_loads_only_the_model_layer(models):
+    code = """
+import json, sys
+import subpot
+for name in ("atom", "stable", "family"):
+    subpot.load_model(name + ".json")
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "subpot"), "hashlib" in sys.modules]))
+"""
+    assert fresh(code, models) == [["subpot", "subpot._special", "subpot.errors", "subpot.model"], False]
+
+
+def test_submodules_resolve_after_a_plain_import(tmp_path):
+    code = f"""
+import json
+import subpot
+print(json.dumps([getattr(subpot, name).__name__ for name in {SUBMODULES!r}]))
+"""
+    assert fresh(code, tmp_path) == [f"subpot.{name}" for name in SUBMODULES]
+
+
+def test_every_public_name_is_its_modules_object():
+    assert len(subpot.__all__) == 49
+    for name in subpot.__all__:
+        value = getattr(subpot, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from subpot import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == subpot.__all__
+    assert all(namespace[name] is getattr(subpot, name) for name in subpot.__all__)
+
+
+def test_dir_lists_the_public_names():
+    assert set(subpot.__all__) <= set(dir(subpot))
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'nope'"):
+        subpot.nope
+
+
+@pytest.mark.parametrize("name, digest", [("atom", "063d3b155ec5df4a"), ("stable", "669d1a67cf6e7234")])
+def test_validate_prints_the_same_hash(models, capsys, name, digest):
+    from subpot.cli import main
+
+    assert main(["validate", "--model", str(models / f"{name}.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["hash"] == digest

@@ -7,11 +7,11 @@ checks at zero and infinity, and an event-driven Monte Carlo estimator of
 creeping probabilities as an independent probabilistic oracle.
 
 Public names resolve on first read (PEP 562): ``import subpot`` loads
-nothing but this table, and reading ``subpot.u_series`` (or ``from subpot
-import u_series``) imports the module that defines it, caches the value in
-this module's globals, so later reads are plain lookups, and returns it.
-``load_model`` thus loads only the model layer; the compute modules, and
-what they import, wait until a name of theirs is read.
+nothing but the table below, and reading ``subpot.u_series`` (or ``from
+subpot import u_series``) imports the module that defines it.  So
+``import subpot`` plus ``load_model`` loads only the model layer.  The
+``subpot`` console script imports the compute modules through ``cli.py``
+as before, so its start-up does not change.
 """
 
 import importlib
@@ -19,18 +19,57 @@ import importlib
 __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
-_OWNERS = {name: module for module, names in {
-    "asymptotics": "AsymptoticCheck check_du_infinity check_du_zero check_linear_zero check_zero_series",
-    "convolve": "AtomSumEntry AtomSumSet ConvolutionEngine atom_sums",
-    "density": "BvSplit CrosscheckResult DensityGrid bv_split laplace_crosscheck series_radius u_series u_volterra",
-    "errors": "AccuracyFailureError BudgetExceededError ContourOrderError FitWindowError IndeterminateIndexError "
-              "ModelValidationError PreconditionError SeriesRadiusError SubpotError",
-    "inversion": "density_integrand derivative_integrand derivative_zero_contour invert_density invert_derivative "
-                 "invert_derivative_pair tail_transform",
-    "model": "AcTail AtomicPart LevyModel Side load_model model_from_dict",
-    "simulate": "CreepEstimate PathOutcome creep_prob creep_prob_killed first_passage",
-    "smoothness": "SmoothnessReport classify_point conv_jump derivative_jump one_sided_fd",
-}.items() for name in names.split()}
+_OWNERS = {
+    "AsymptoticCheck": "asymptotics",
+    "check_du_infinity": "asymptotics",
+    "check_du_zero": "asymptotics",
+    "check_linear_zero": "asymptotics",
+    "check_zero_series": "asymptotics",
+    "AtomSumEntry": "convolve",
+    "AtomSumSet": "convolve",
+    "ConvolutionEngine": "convolve",
+    "atom_sums": "convolve",
+    "BvSplit": "density",
+    "CrosscheckResult": "density",
+    "DensityGrid": "density",
+    "bv_split": "density",
+    "laplace_crosscheck": "density",
+    "series_radius": "density",
+    "u_series": "density",
+    "u_volterra": "density",
+    "AccuracyFailureError": "errors",
+    "BudgetExceededError": "errors",
+    "ContourOrderError": "errors",
+    "FitWindowError": "errors",
+    "IndeterminateIndexError": "errors",
+    "ModelValidationError": "errors",
+    "PreconditionError": "errors",
+    "SeriesRadiusError": "errors",
+    "SubpotError": "errors",
+    "density_integrand": "inversion",
+    "derivative_integrand": "inversion",
+    "derivative_zero_contour": "inversion",
+    "invert_density": "inversion",
+    "invert_derivative": "inversion",
+    "invert_derivative_pair": "inversion",
+    "tail_transform": "inversion",
+    "AcTail": "model",
+    "AtomicPart": "model",
+    "LevyModel": "model",
+    "Side": "model",
+    "load_model": "model",
+    "model_from_dict": "model",
+    "CreepEstimate": "simulate",
+    "PathOutcome": "simulate",
+    "creep_prob": "simulate",
+    "creep_prob_killed": "simulate",
+    "first_passage": "simulate",
+    "SmoothnessReport": "smoothness",
+    "classify_point": "smoothness",
+    "conv_jump": "smoothness",
+    "derivative_jump": "smoothness",
+    "one_sided_fd": "smoothness",
+}
 # submodules, which read as attributes after a plain ``import subpot`` too
 _SUBMODULES = frozenset({*_OWNERS.values(), "piecewise", "_special"})
 
@@ -38,13 +77,15 @@ __all__ = sorted(_OWNERS)
 
 
 def __getattr__(name: str):
+    # Nothing is cached here: a read always sees the owning module's current
+    # attribute, so a patch of ``subpot.density.u_series`` (and its undoing)
+    # shows through ``subpot.u_series`` too.
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _OWNERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_OWNERS[name]}"), name)
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{_OWNERS[name]}"), name)
 
 
 def __dir__():
-    return __all__
+    return sorted({*globals(), *__all__, *_SUBMODULES})

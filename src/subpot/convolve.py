@@ -112,7 +112,8 @@ def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SU
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    check_positive("x_max", x_max)
+    if not x_max > 0:  # inf passes: every k-fold sum
+        raise ValueError(f"x_max must be a number > 0, got {x_max!r}")
     exact_mode = atomic.all_rational
     if atomic.is_empty:
         return AtomSumSet(k=k, x_max=x_max, entries=(), exact_mode=exact_mode)

@@ -16,6 +16,7 @@ from subpot import (
     invert_derivative,
     invert_derivative_pair,
     laplace_crosscheck,
+    model_from_dict,
     u_series,
 )
 
@@ -33,7 +34,6 @@ CASES = {
     "u_series x inf": (lambda m: u_series(m, inf), "x"),
     "bv_split tol nan": (lambda m: bv_split(m, 0.3, tol=nan), "tol"),
     "laplace_crosscheck tol nan": (lambda m: laplace_crosscheck(m, [1.0], tol=nan), "tol"),
-    "atom_sums x_max nan": (lambda m: atom_sums(m.atomic, 2, nan), "x_max"),
 }
 
 
@@ -41,3 +41,16 @@ CASES = {
 def test_bad_argument_raises_value_error_naming_it(delta1, call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be a finite number >=? 0, got "):
         call(delta1)
+
+
+def test_atom_sums_rejects_nan_x_max_by_name(delta1):
+    with pytest.raises(ValueError, match=r"^x_max must be a number > 0, got nan$"):
+        atom_sums(delta1.atomic, 2, nan)
+
+
+def test_atom_sums_takes_an_infinite_x_max():
+    """x_max = inf means no pruning: every sum of 1 or 2 of the 2 atoms."""
+    atoms = [{"x": 1, "mass": 0.5}, {"x": math.sqrt(2), "mass": 1.0}]
+    model = model_from_dict({"drift": 1.0, "atoms": atoms, "ac": {"kind": "none"}})
+    assert len(atom_sums(model.atomic, 2, inf).entries) == 5
+

@@ -135,8 +135,17 @@ def test_star_import_binds_every_public_name():
     assert all(namespace[name] is getattr(subpot, name) for name in subpot.__all__)
 
 
-def test_dir_lists_the_public_names():
-    assert set(subpot.__all__) <= set(dir(subpot))
+def test_dir_lists_the_public_names_submodules_and_version():
+    assert {*subpot.__all__, *SUBMODULES, "__version__"} <= set(dir(subpot))
+
+
+def test_public_names_follow_a_patch_of_their_module(monkeypatch):
+    """The package caches nothing, so patching a module, and undoing it, shows through."""
+    original = subpot.u_series
+    with monkeypatch.context() as patch:
+        patch.setattr(subpot.density, "u_series", len)
+        assert subpot.u_series is len
+    assert subpot.u_series is original
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

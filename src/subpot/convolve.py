@@ -7,7 +7,8 @@ The n-fold convolution expands binomially,
     f^{*n} = sum_j C(n, j) pc^{*(n-j)} * s^{*j},
 
 where pc^{*i} is an exact piecewise polynomial (degree i-1, breakpoints on
-the i-fold atom sums) and s^{*j} is closed form (powers and exponentials are
+the i-fold atom sums; without atoms the single monomial q^i y^(i-1)/(i-1)!,
+built by its recurrence) and s^{*j} is closed form (powers and exponentials are
 stable under self-convolution).  Every model takes the same path: a cross
 term is an integral of pc^{*i}(x - v) against s^{*j}(v) = K v^p e^{-b v},
 split at pc^{*i}'s breakpoints so that integration never crosses a kink.
@@ -15,8 +16,11 @@ On the cell next to v = 0 the polynomial, in that cell's local
 coefficients, meets the singular weight in closed form: a Beta function
 times a Kummer function per monomial (DLMF 13.4.1).  Without atoms that
 cell is all of [0, x].  With atoms the cells further out are smooth and go
-through one batched Gauss-Legendre rule.  Each order is a fixed number of
-array operations, whatever the number of points.
+through one batched Gauss-Legendre rule.  The cross terms of all orders of
+a sum, at all their points, go through one array pass, cut into batches of
+at most ``_MAX_ENTRIES`` monomial entries so that memory stays bounded;
+only the pure pc and pure tail terms take array calls per order, whatever
+the number of points.
 
 Evaluations are pure; the per-order ladders are memoized with an exclusive
 writer during construction and are safe for concurrent readers afterwards.
@@ -28,6 +32,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from fractions import Fraction
 from typing import Optional
 
@@ -41,6 +46,7 @@ from .piecewise import PiecewisePoly
 DEFAULT_SUM_BUDGET = 10**7
 _VALUE_TOL = 1e-12
 _SERIES_Z = 5.0  # 1F1(a; c; -z) by its positive series below this z
+_MAX_ENTRIES = 2**16  # monomial entries of one batched cross-term pass; bounds its memory
 
 
 @cache
@@ -120,7 +126,9 @@ def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SU
 
     if exact_mode:
         atoms = list(atomic.exact_locations)
-        limit = Fraction(x_max).limit_denominator(10**15) if not isinstance(x_max, Fraction) else x_max
+        limit = x_max  # a Fraction, or inf, which every Fraction compares below
+        if not (isinstance(x_max, Fraction) or math.isinf(x_max)):
+            limit = Fraction(x_max).limit_denominator(10**15)
         tol_ok = lambda v: v <= limit or float(v) <= x_max * (1 + 1e-12)
     else:
         atoms = list(atomic.locations)
@@ -215,7 +223,7 @@ class ConvolutionEngine:
                 out = out + self.model.ac.tail(xs)
             out = out + self.model.q
         else:
-            out = self._binomial(n, xs, running=False)
+            out, = self._binomial([(n, np.arange(xs.size))], xs, running=False)
         return _unwrap(out, x)
 
     def running(self, n: int, x):
@@ -227,7 +235,8 @@ class ConvolutionEngine:
         if n == 0:
             return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
         xs = self._check_x(x, allow_zero=True)
-        return _unwrap(self._binomial(n, xs, running=True), x)
+        out, = self._binomial([(n, np.arange(xs.size))], xs, running=True)
+        return _unwrap(out, x)
 
     def alternating_sum(self, x, n_lo: int, n_hi, side: Optional[Side] = None):
         """sum_{n_lo <= n < n_hi} (-1)^n drift^-(n+1) g_n(x), the split series' finite part.
@@ -243,10 +252,16 @@ class ConvolutionEngine:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         hi = np.broadcast_to(np.asarray(n_hi), xs.shape)
         total = np.zeros(xs.shape)
-        for n in range(n_lo, int(hi.max(initial=n_lo))):
-            sel = hi > n
-            g = self.running(n, xs[sel]) if side is None else self.power(n, xs[sel], side)
-            total[sel] += (-1.0) ** n / delta ** (n + 1) * g
+        running = side is None
+        orders = [(n, np.nonzero(hi > n)[0]) for n in range(n_lo, int(hi.max(initial=n_lo)))]
+        low = [(n, pts) for n, pts in orders if n < (1 if running else 2)]  # the constant 1, the model tail
+        high = orders[len(low):]
+        if high:
+            self._check_x(xs[high[0][1]], allow_zero=running)  # later orders take a subset of its points
+        values = chain((np.ones(pts.size) if running else self.power(n, xs[pts], side) for n, pts in low),
+                       self._binomial(high, xs, running))
+        for (n, pts), g in zip(orders, values):
+            total[pts] += (-1.0) ** n / delta ** (n + 1) * g
         return _unwrap(total, x)
 
     def mass_scale(self, x):
@@ -285,7 +300,14 @@ class ConvolutionEngine:
         if i not in self._pc_pow:
             prev = self.pc_power(i - 1)
             atomic = self.model.atomic
-            nxt = prev.convolve_step_tail(atomic.locations, atomic.masses, self.model.q, x_max=self.x_max)
+            if atomic.is_empty:
+                # q^i y^(i-1)/(i-1)!: the top coefficient follows the recurrence
+                # convolve_step_tail would apply, c_i = (c_{i-1}/(i-1)) q, bit for bit
+                coeffs = np.zeros((1, i))
+                coeffs[0, -1] = prev.coeffs[0, -1] / (i - 1) * self.model.q
+                nxt = PiecewisePoly(prev.breaks, coeffs)
+            else:
+                nxt = prev.convolve_step_tail(atomic.locations, atomic.masses, self.model.q, x_max=self.x_max)
             if nxt.breaks.size * max(1, nxt.degree) > self.budget:
                 raise BudgetExceededError(i, self.budget)
             self._pc_pow[i] = nxt
@@ -301,25 +323,54 @@ class ConvolutionEngine:
         alpha = self.model.ac.alpha
         return j * (1.0 - alpha) - 1.0, j * math.log(self._A) - _special.gammaln(j * (1.0 - alpha))
 
-    def _binomial(self, n: int, xs: np.ndarray, running: bool) -> np.ndarray:
-        """sum_j C(n, j) pc^{*(n-j)} * s^{*j} at the points xs, or its running integral.
+    def _binomial(self, orders, xs: np.ndarray, running: bool):
+        """Yield sum_j C(n, j) pc^{*(n-j)} * s^{*j}, or its running integral, for each (n, pts).
 
-        The pure pc term (j = 0) is one ladder lookup for all points, the
-        cross terms (0 < j < n) come from one ``_cross`` call, and the pure
-        tail term (j = n) is one closed-form array.  The terms are added as
-        arrays in order of j, and every step works point by point, so a
-        point's value does not depend on the array it arrives in.
+        The sum is taken at the points xs[pts]; n >= 2 for the power and
+        n >= 1 for the running integral.  The pure pc term (j = 0) is one
+        ladder lookup per order and the pure tail term (j = n) one
+        closed-form array.  The cross terms (0 < j < n) of consecutive orders
+        share one ``_cross`` call, flushed before its monomial entries would
+        pass ``_MAX_ENTRIES``.  An order's terms are added point by point in
+        order of j, so a point's value does not depend on the orders or
+        points it is batched with.
         """
-        total = np.zeros(xs.shape)
         ladder = self.pc_running if running else self.pc_power
-        if not self._pc_trivial:
-            total += ladder(n).eval(xs)
-        if self.model.ac.is_none:
-            return total
-        if not self._pc_trivial:
-            for j, term in enumerate(self._cross([(ladder(n - j), j) for j in range(1, n)], xs), start=1):
-                total += math.comb(n, j) * term
-        return total + self._tail_term(n, xs, running)
+        cross = not (self._pc_trivial or self.model.ac.is_none)
+        top = max((n for n, _ in orders), default=0)
+        # an order's entries per point are at most nonzeros[n - 1]: the most
+        # nonzero coefficients in one cell, summed over ladders 1 .. n - 1
+        nonzeros = np.cumsum([0] + [np.count_nonzero(ladder(i).coeffs, axis=1).max() if cross else 0
+                                    for i in range(1, top)])
+        batch, entries = [], 0
+        for n, pts in orders:
+            size = int(nonzeros[n - 1]) * pts.size
+            if batch and entries + size > _MAX_ENTRIES:
+                yield from self._binomial_batch(batch, xs, running, cross)
+                batch, entries = [], 0
+            batch.append((n, pts))
+            entries += size
+        yield from self._binomial_batch(batch, xs, running, cross)
+
+    def _binomial_batch(self, batch, xs: np.ndarray, running: bool, cross: bool):
+        """The sums of ``_binomial`` for one batch of orders, its cross terms from one ``_cross`` call."""
+        ladder = self.pc_running if running else self.pc_power
+        rows = [(n, j, pts) for n, pts in batch for j in range(1, n)] if cross else []
+        if rows:  # row (n, j) holds order n's points; the orders' blocks follow one another
+            terms = self._cross([(ladder(n - j), j) for n, j, _ in rows], xs, [pts for *_, pts in rows])
+        start = 0
+        for n, pts in batch:
+            total = np.zeros(pts.size)
+            if not self._pc_trivial:
+                total += ladder(n).eval(xs[pts])
+            if cross and n > 1:
+                block = terms[start:start + (n - 1) * pts.size].reshape(n - 1, pts.size)
+                start += block.size
+                comb = np.array([math.comb(n, j) for j in range(1, n)], dtype=float)
+                # cumsum runs down axis 0 in order, as total += term over j would; a
+                # reduction may sum pairwise, and does for one point
+                total = np.cumsum(np.vstack([total, comb[:, None] * block]), axis=0)[-1]
+            yield total if self.model.ac.is_none else total + self._tail_term(n, xs[pts], running)
 
     def _tail_term(self, j: int, xs: np.ndarray, running: bool) -> np.ndarray:
         """s^{*j} at the points xs, or its running integral."""
@@ -335,8 +386,12 @@ class ConvolutionEngine:
             out *= np.exp(-ac.b * xs)
         return out
 
-    def _cross(self, terms, xs: np.ndarray) -> np.ndarray:
-        """pp * s^{*j} at the points xs for every (pp, j) in terms, one row per term.
+    def _cross(self, terms, xs: np.ndarray, points=None) -> np.ndarray:
+        """pp * s^{*j} at the points xs for every (pp, j) in terms.
+
+        points[r], if given, holds the indices into xs of row r's points, and
+        the rows' values come back one after another; without it every row
+        takes every point and the result has one row per term.
 
         pp is pc^{*i} or its running integral.  The cell of pp holding x,
         v in [0, c] with c = x - beta_K, is integrated in closed form,
@@ -344,29 +399,55 @@ class ConvolutionEngine:
         with a_m that cell's local coefficients; zero coefficients are
         skipped, the prefactor is formed in logarithms (so a vanishing
         coefficient and a large power of c cannot meet as 0 * inf), and one
-        ``_hyp1f1_neg`` call serves every term.  Without atoms that cell is
+        ``_hyp1f1_neg`` call serves every term.  Each distinct pp is looked
+        up once, at every point: its cell, c and nonzero coefficients, which
+        are then copied to each row that uses it.  Without atoms that cell is
         all of [0, x].  The cells below it, v in [c, x], exist only with
         atoms and go through ``_far_cells``.
         """
-        shape = (len(terms), xs.size)
-        a = np.zeros(shape + (max((pp.coeffs.shape[1] for pp, _ in terms), default=0),))
-        c, far = np.zeros(shape), np.zeros(shape)
-        for row, (pp, j) in enumerate(terms):
+        whole = points is None
+        if whole:
+            points = [np.arange(xs.size)] * len(terms)
+        lookup = {}  # id(pp) -> (its index, pp), in order of first use
+        for pp, _ in terms:
+            lookup.setdefault(id(pp), (len(lookup), pp))
+        ladders = [pp for _, pp in lookup.values()]
+        cells, count, a, m, c = [], [], [], [], []  # slot k * xs.size + point: ladder k at that point
+        for pp in ladders:
             # x on a break takes the cell ending there, x = 0 the first cell
             cell = np.maximum(np.searchsorted(pp.breaks, xs) - 1, 0)
-            c[row] = xs - pp.breaks[cell]
-            a[row, :, :pp.coeffs.shape[1]] = pp.coeffs[cell]
-            if cell.any():
-                far[row] = self._far_cells(pp, j, xs, cell)
-        row, point, m = np.nonzero(a)  # a point's monomials in ascending m
-        a, c = a[row, point, m], c[row, point]
-        p, log_k = self._ac_exponents(np.array([j for _, j in terms])[row])
+            local = pp.coeffs[cell]
+            point, power = np.nonzero(local)  # a point's monomials in ascending m
+            cells.append(cell)
+            count.append(np.bincount(point, minlength=xs.size))
+            a.append(local[point, power])
+            m.append(power)
+            c.append(xs - pp.breaks[cell])
+        count, a, m, c = (np.concatenate(v) for v in (count, a, m, c))
+
+        # copy each (row, point) pair's slot entries, one after another
+        sizes = [pts.size for pts in points]
+        row = np.repeat(np.arange(len(terms)), sizes)
+        slot = np.array([lookup[id(pp)][0] for pp, _ in terms], dtype=int)[row] * xs.size + np.concatenate(points)
+        per_pair = count[slot]
+        pair = np.repeat(np.arange(slot.size), per_pair)
+        # the slot's first entry, less the pair's first position in the copy
+        entry = np.repeat((np.cumsum(count) - count)[slot] - (np.cumsum(per_pair) - per_pair), per_pair)
+        entry += np.arange(entry.size)
+        a, m, c = a[entry], m[entry], c[slot][pair]
+        p, log_k = (v[row[pair]] for v in self._ac_exponents(np.array([j for _, j in terms])))
         with np.errstate(divide="ignore"):  # log(0) = -inf gives the running integral's 0 at x = 0
             val = np.exp(log_k + np.log(np.abs(a)) + _special.betaln(m + 1.0, p + 1.0) + (m + p + 1.0) * np.log(c))
         val *= np.sign(a)
         if self._b > 0.0:
             val *= _hyp1f1_neg(p + 1.0, m + p + 2.0, self._b * c)
-        return np.bincount(row * xs.size + point, weights=val, minlength=far.size).reshape(shape) + far
+        out = np.bincount(pair, weights=val, minlength=slot.size).astype(float, copy=False)  # int when empty
+        stop = np.cumsum(sizes)
+        for r, (pp, j) in enumerate(terms):
+            cell = cells[lookup[id(pp)][0]][points[r]] if pp.breaks.size > 1 else None
+            if cell is not None and cell.any():
+                out[stop[r] - sizes[r]:stop[r]] += self._far_cells(pp, j, xs[points[r]], cell)
+        return out.reshape(len(terms), xs.size) if whole else out
 
     def _far_cells(self, pp: PiecewisePoly, j: int, xs: np.ndarray, cell: np.ndarray) -> np.ndarray:
         """K int_c^x pp(x - v) v^p e^{-b v} dv at the points xs, c = x - pp.breaks[cell].
@@ -406,7 +487,9 @@ def _hyp1f1_neg(a: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     series of positive terms, the k-th at most z^k/k! (DLMF 13.2.39).  It
     is summed in order until that bound is below 1e-17 at the largest z,
     less than half an ulp of a sum >= 1, so the terms a batch adds beyond an
-    entry's own stopping point leave it unchanged.
+    entry's own stopping point leave it unchanged.  The terms are formed and
+    added one at a time, in the order of a cumulative product and sum over
+    k, so memory stays at a few arrays of the batch's size.
     """
     out = np.empty(z.shape)
     big = z >= _SERIES_Z
@@ -416,8 +499,9 @@ def _hyp1f1_neg(a: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     while bound > 1e-17:
         bound *= z_max / n
         n += 1
-    k = np.arange(n - 1.0)[:, None]
-    ratios = np.concatenate([np.ones((1, z.size)), (c - a + k) / (c + k) * z / (k + 1.0)])
-    # cumprod and cumsum accumulate in order, as a loop over k would
-    out[~big] = np.exp(-z) * np.cumsum(np.cumprod(ratios, axis=0), axis=0)[-1]
+    c_minus_a, term, total = c - a, np.ones(z.shape), np.ones(z.shape)
+    for k in range(n - 1):
+        term *= (c_minus_a + k) / (c + k) * z / (k + 1.0)
+        total += term
+    out[~big] = np.exp(-z) * total
     return out

@@ -54,3 +54,9 @@ def test_atom_sums_takes_an_infinite_x_max():
     model = model_from_dict({"drift": 1.0, "atoms": atoms, "ac": {"kind": "none"}})
     assert len(atom_sums(model.atomic, 2, inf).entries) == 5
 
+
+
+def test_atom_sums_takes_an_infinite_x_max_with_rational_atoms(delta1):
+    """Every atom rational (exact mode): inf once raised OverflowError from Fraction(inf)."""
+    sums = atom_sums(delta1.atomic, 2, inf)
+    assert sums.exact_mode and [e.value for e in sums.entries] == [1.0, 2.0]

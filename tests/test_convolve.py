@@ -19,6 +19,7 @@ from subpot import (
     LevyModel,
     Side,
     atom_sums,
+    series_radius,
     u_series,
 )
 from subpot import convolve
@@ -576,6 +577,20 @@ class TestKummerSeries:
                     for pk, mk, zk in zip(p, m, z)]
         assert worst_rel_error(got.tolist(), want) < 1e-14
 
+    def test_survey_bits_equal_a_cumulative_product_and_sum(self):
+        # the series as one cumprod and one cumsum over k, which summing term by term replaced
+        rng = np.random.default_rng(12)
+        p, m, z = rng.uniform(-0.9, 1.5, 300), rng.integers(0, 16, 300), rng.uniform(0.0, 5.0, 300)
+        a, c = p + 1.0, m + p + 2.0
+        n, bound, z_max = 1, 1.0, float(z.max())
+        while bound > 1e-17:
+            bound *= z_max / n
+            n += 1
+        k = np.arange(n - 1.0)[:, None]
+        ratios = np.concatenate([np.ones((1, z.size)), (c - a + k) / (c + k) * z / (k + 1.0)])
+        want = np.exp(-z) * np.cumsum(np.cumprod(ratios, axis=0), axis=0)[-1]
+        assert convolve._hyp1f1_neg(a, c, z).tolist() == want.tolist()
+
     def test_an_entry_is_the_same_in_any_batch(self):
         a, c, z = np.array([0.4, 0.7, 0.4]), np.array([4.4, 1.9, 2.4]), np.array([0.01, 4.99, 2.0])
         batch = convolve._hyp1f1_neg(a, c, z)
@@ -646,6 +661,86 @@ class TestArrayArguments:
                      lambda: eng.power(2, np.array([0.4, 0.0])), lambda: eng.running(2, np.array([0.4, 3.5]))):
             with pytest.raises(ValueError):
                 call()
+
+
+class TestBatchedOrders:
+    """``alternating_sum`` forms the cross terms of all its orders in batched ``_cross`` calls;
+    every point's sum must equal, bit for bit, a plain loop over the orders' own
+    ``running`` or ``power`` calls, however the batches are cut."""
+
+    MODELS = {
+        "killed-stable": LevyModel(drift=1.0, q=0.3, ac=AcTail.stable(0.5, 0.5)),
+        "killed-tempered": LevyModel(drift=1.3, q=0.3, ac=AcTail.tempered(0.7, 0.6, 1.5)),
+        "atom-tempered-killed": TestArrayArguments.MODEL,
+        "atoms-q": TestAlternatingSum.MODEL,
+    }
+    XS = np.array([0.05, 0.8, 1.7, 0.8, 2.9, 1e-9, 1.4, 0.31])
+    N_HI = np.array([1, 7, 2, 0, 9, 5, 8, 3])
+
+    @staticmethod
+    def loop(eng, xs, n_lo, n_hi, side):
+        total = np.zeros(xs.shape)
+        for n in range(n_lo, int(n_hi.max())):
+            sel = n_hi > n
+            g = eng.running(n, xs[sel]) if side is None else eng.power(n, xs[sel], side)
+            total[sel] += (-1.0) ** n / eng.model.drift ** (n + 1) * g
+        return total.tolist()
+
+    @pytest.mark.parametrize("max_entries", [convolve._MAX_ENTRIES, 1, 40])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_equals_a_loop_over_the_orders(self, model, max_entries, monkeypatch):
+        monkeypatch.setattr(convolve, "_MAX_ENTRIES", max_entries)  # 1: a batch per order
+        eng = ConvolutionEngine(self.MODELS[model], 3.0)
+        for n_lo, side in ((0, None), (1, Side.LEFT), (1, Side.RIGHT), (2, Side.RIGHT)):
+            got = eng.alternating_sum(self.XS, n_lo, self.N_HI, side)
+            assert got.tolist() == self.loop(eng, self.XS, n_lo, self.N_HI, side)
+
+    # recorded with one _cross call per order, at x 0.8, 2.9, 1.4 with n_hi 7, 9, 8:
+    # (running sum from n = 0, right-side power sum from n = 2)
+    PINNED = {
+        "killed-stable": ([0.4414362658016438, 3.3061952337101914, 0.16382208086818206],
+                          [0.7789192577981328, 6.029039188553763, 0.1338121395747054]),
+        "killed-tempered": ([0.496872516839276, 2.8167987235753307, -0.10280685337098316],
+                            [0.6704818806751258, 2.562161379066566, -0.5756691866025807]),
+        "atom-tempered-killed": ([0.6348978452100057, 13.277005759617198, -1.2087581891120913],
+                                 [1.721624349606962, 12.641937685207482, -3.046492730118621]),
+        "atoms-q": ([0.2744603139491789, 0.3219857096368198, 0.21781094834070003],
+                    [0.29562358373789166, 0.35868777333788027, 0.2358591511292475]),
+    }
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_bits_of_the_per_order_kernel(self, model):
+        eng = ConvolutionEngine(self.MODELS[model], 3.0)
+        xs, n_hi = self.XS[[1, 4, 6]], self.N_HI[[1, 4, 6]]
+        got = eng.alternating_sum(xs, 0, n_hi).tolist(), eng.alternating_sum(xs, 2, n_hi, Side.RIGHT).tolist()
+        assert got == self.PINNED[model]
+
+    def test_atom_free_ladder_equals_the_convolution(self):
+        # pc^{*i} of an atom-free model is a monomial built without convolve_step_tail
+        model = self.MODELS["killed-tempered"]
+        eng = ConvolutionEngine(model, 3.0)
+        conv = eng.pc_power(1)
+        for i in range(2, 12):
+            conv = conv.convolve_step_tail([], [], model.q, x_max=3.0)
+            got = eng.pc_power(i)
+            assert got.breaks.tolist() == conv.breaks.tolist() and got.coeffs.tolist() == conv.coeffs.tolist()
+
+    def test_memory_of_a_long_series_head(self):
+        # 2000 points up to 0.95 of the series radius at tol 1e-12: 50 615 terms in all.  One
+        # _cross call per order peaked at 11.9 MB (tracemalloc); the batches of orders are capped
+        # and the Kummer series is summed term by term, so the peak stays near that figure
+        import tracemalloc
+
+        model = LevyModel(drift=1.0, q=0.3, ac=AcTail.tempered(0.8, 0.4, 1.5))
+        xs = np.linspace(0.0, 0.95 * series_radius(model, 3.0), 2000)
+        u_series(model, xs[:3], tol=1e-12)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            terms = u_series(model, xs, tol=1e-12)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert terms == 50_615 and peak <= 1.25 * 11.9e6
 
 
 # The cell quadrature's values on these probes, recorded before the closed

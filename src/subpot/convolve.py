@@ -444,8 +444,7 @@ class ConvolutionEngine:
         out = np.bincount(pair, weights=val, minlength=slot.size).astype(float, copy=False)  # int when empty
         stop = np.cumsum(sizes)
         for r, (pp, j) in enumerate(terms):
-            cell = cells[lookup[id(pp)][0]][points[r]] if pp.breaks.size > 1 else None
-            if cell is not None and cell.any():
+            if pp.breaks.size > 1 and (cell := cells[lookup[id(pp)][0]][points[r]]).any():
                 out[stop[r] - sizes[r]:stop[r]] += self._far_cells(pp, j, xs[points[r]], cell)
         return out.reshape(len(terms), xs.size) if whole else out
 

@@ -28,7 +28,6 @@ import sys
 import tempfile
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -341,7 +340,6 @@ class _Parser(argparse.ArgumentParser):
         raise ModelValidationError([(flag.group(1) if flag else "argv", message)])
 
 
-@cache  # parsing leaves the parser unchanged, so one serves every main() call of a process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="subpot", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -604,45 +604,3 @@ class TestDeterminismAcrossThreadCaps:
             env=dict(os.environ, SUBPOT_THREADS="zero"),
         )
         assert r.returncode == 2
-
-
-class TestParserReuse:
-    """One parser serves every ``main`` call of a process, so parsing must leave it as built."""
-
-    @staticmethod
-    def calls(argvs, capsys):
-        """(exit code, stdout, stderr) of each call; usage errors return, --help raises SystemExit."""
-        results = []
-        for argv in argvs:
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = ("exit", exc.code)
-            results.append((rc, *capsys.readouterr()))
-        return results
-
-    def test_built_once(self):
-        from subpot.cli import _build_parser
-
-        assert _build_parser() is _build_parser()
-
-    @pytest.mark.parametrize("bad", [["--tol", "nope"], ["--route", "nowhere"], ["--bogus"], []],
-                             ids=["bad-value", "bad-choice", "unknown-flag", "missing-x"])
-    def test_a_failure_then_a_success_behave_as_alone(self, delta1_path, capsys, bad):
-        from subpot.cli import _build_parser
-
-        failing = ["eval", "--model", delta1_path, *(["--x", "0.5"] if bad else []), *bad]
-        succeeding = ["eval", "--model", delta1_path, "--x", "0.5,1.5", "--format", "json"]
-        alone = []
-        for argv in (failing, succeeding):
-            _build_parser.cache_clear()
-            alone += self.calls([argv], capsys)
-        _build_parser.cache_clear()
-        assert self.calls([failing, succeeding], capsys) == alone
-        assert [rc for rc, *_ in alone] == [2, 0]
-
-    def test_help_still_works(self, delta1_path, capsys):
-        help_, again, evaluated = self.calls(
-            [["--help"], ["--help"], ["eval", "--model", delta1_path, "--x", "0.5", "--format", "json"]], capsys)
-        assert help_ == again and help_[0] == ("exit", 0) and help_[1].startswith("usage: subpot")
-        assert evaluated[0] == 0 and len(json.loads(evaluated[1])) == 1

@@ -7,20 +7,22 @@ The n-fold convolution expands binomially,
     f^{*n} = sum_j C(n, j) pc^{*(n-j)} * s^{*j},
 
 where pc^{*i} is an exact piecewise polynomial (degree i-1, breakpoints on
-the i-fold atom sums; without atoms the single monomial q^i y^(i-1)/(i-1)!,
-built by its recurrence) and s^{*j} is closed form (powers and exponentials are
-stable under self-convolution).  Every model takes the same path: a cross
-term is an integral of pc^{*i}(x - v) against s^{*j}(v) = K v^p e^{-b v},
-split at pc^{*i}'s breakpoints so that integration never crosses a kink.
-On the cell next to v = 0 the polynomial, in that cell's local
-coefficients, meets the singular weight in closed form: a Beta function
-times a Kummer function per monomial (DLMF 13.4.1).  Without atoms that
-cell is all of [0, x].  With atoms the cells further out are smooth and go
-through one batched Gauss-Legendre rule.  The cross terms of all orders of
-a sum, at all their points, go through one array pass, cut into batches of
-at most ``_MAX_ENTRIES`` monomial entries so that memory stays bounded;
-only the pure pc and pure tail terms take array calls per order, whatever
-the number of points.
+the i-fold atom sums) and s^{*j} is closed form (powers and exponentials are
+stable under self-convolution).  Without atoms pc^{*i} is the single
+monomial q^i y^(i-1)/(i-1)!, and its running integral q^i y^i/i!: a
+coefficient table, evaluated and fed to the cross terms without
+PiecewisePoly.  Every model takes the same path: a cross term is an
+integral of pc^{*i}(x - v) against s^{*j}(v) = K v^p e^{-b v}, split at
+pc^{*i}'s breakpoints so that integration never crosses a kink.  On the
+cell next to v = 0 the polynomial, in that cell's local coefficients, meets
+the singular weight in closed form: a Beta function times a Kummer function
+per monomial (DLMF 13.4.1).  Without atoms that cell is all of [0, x].
+With atoms the cells further out are smooth and go through one batched
+Gauss-Legendre rule.  The cross terms of all orders of a sum, at all their
+points, go through one array pass, cut into batches of at most
+``_MAX_ENTRIES`` monomial entries so that memory stays bounded; only the
+pure tail terms, and with atoms the pure pc terms, take array calls per
+order, whatever the number of points.
 
 Evaluations are pure; the per-order ladders are memoized with an exclusive
 writer during construction and are safe for concurrent readers afterwards.
@@ -41,7 +43,7 @@ import numpy as np
 from . import _special
 from .errors import BudgetExceededError, check_positive
 from .model import AtomicPart, LevyModel, Side
-from .piecewise import PiecewisePoly
+from .piecewise import _BREAK_TOL, PiecewisePoly
 
 DEFAULT_SUM_BUDGET = 10**7
 _VALUE_TOL = 1e-12
@@ -200,6 +202,8 @@ class ConvolutionEngine:
         self._pc = PiecewisePoly.step_tail(atomic.locations, atomic.masses, model.q)
         self._pc_pow = {1: self._pc}
         self._pc_run = {}
+        # without atoms, c_i of pc^{*i}(y) = c_i y^(i-1) (``_monomials``); entry 0 is unused
+        self._table = [math.nan, model.q] if atomic.is_empty else None
         self._sum_sets = {}
         ac = model.ac
         self._A = 0.0 if ac.is_none else ac.C * _special.gamma(1.0 - ac.alpha)
@@ -297,26 +301,46 @@ class ConvolutionEngine:
         return xs
 
     def pc_power(self, i: int) -> PiecewisePoly:
+        """pc^{*i}; without atoms, the monomial of ``_monomials`` as a one-cell PiecewisePoly."""
         if i not in self._pc_pow:
-            prev = self.pc_power(i - 1)
-            atomic = self.model.atomic
-            if atomic.is_empty:
-                # q^i y^(i-1)/(i-1)!: the top coefficient follows the recurrence
-                # convolve_step_tail would apply, c_i = (c_{i-1}/(i-1)) q, bit for bit
-                coeffs = np.zeros((1, i))
-                coeffs[0, -1] = prev.coeffs[0, -1] / (i - 1) * self.model.q
-                nxt = PiecewisePoly(prev.breaks, coeffs)
+            if self._table is not None:
+                nxt = self._monomial_poly(i, running=False)
             else:
-                nxt = prev.convolve_step_tail(atomic.locations, atomic.masses, self.model.q, x_max=self.x_max)
-            if nxt.breaks.size * max(1, nxt.degree) > self.budget:
-                raise BudgetExceededError(i, self.budget)
+                atomic = self.model.atomic
+                nxt = self.pc_power(i - 1).convolve_step_tail(atomic.locations, atomic.masses, self.model.q,
+                                                              x_max=self.x_max)
+                if nxt.breaks.size * max(1, nxt.degree) > self.budget:
+                    raise BudgetExceededError(i, self.budget)
             self._pc_pow[i] = nxt
         return self._pc_pow[i]
 
     def pc_running(self, i: int) -> PiecewisePoly:
+        """The running integral of pc^{*i}; without atoms, read off ``_monomials`` too."""
         if i not in self._pc_run:
-            self._pc_run[i] = self.pc_power(i).antiderivative()
+            self._pc_run[i] = (self.pc_power(i).antiderivative() if self._table is None
+                               else self._monomial_poly(i, running=True))
         return self._pc_run[i]
+
+    def _monomials(self, top: int, running: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(a, m) over i = 0 .. top for an atom-free model: pc^{*i}(y) = a_i y^(m_i), or its running integral.
+
+        pc^{*i} is q^i y^(i-1)/(i-1)!.  Its coefficient follows the recurrence
+        c_i = (c_{i-1}/(i-1)) q that ``convolve_step_tail`` applies, and the
+        running integral's is c_i/i, as ``antiderivative`` forms it, bit for
+        bit.  Entry 0 is unused.
+        """
+        c = self._table
+        for i in range(len(c), top + 1):
+            if i - 1 > self.budget:  # the degree, as pc_power bounds a ladder's size
+                raise BudgetExceededError(i, self.budget)
+            c.append(c[-1] / (i - 1) * self.model.q)
+        i = np.arange(top + 1)
+        a = np.array(c[:top + 1])
+        return (a / np.maximum(i, 1), i) if running else (a, i - 1)
+
+    def _monomial_poly(self, i: int, running: bool) -> PiecewisePoly:
+        a, m = (v[i] for v in self._monomials(i, running))
+        return PiecewisePoly(self._pc.breaks, np.eye(1, m + 1, m) * a)
 
     def _ac_exponents(self, j: int):
         """(p, log K) of the tail power s^{*j}(v) = K v^p e^{-b v}; j may be an array."""
@@ -327,21 +351,27 @@ class ConvolutionEngine:
         """Yield sum_j C(n, j) pc^{*(n-j)} * s^{*j}, or its running integral, for each (n, pts).
 
         The sum is taken at the points xs[pts]; n >= 2 for the power and
-        n >= 1 for the running integral.  The pure pc term (j = 0) is one
-        ladder lookup per order and the pure tail term (j = n) one
+        n >= 1 for the running integral, and the orders ascend.  The pure pc
+        term (j = 0) is one ladder lookup per order, or without atoms one
+        Horner pass for the batch, and the pure tail term (j = n) one
         closed-form array.  The cross terms (0 < j < n) of consecutive orders
-        share one ``_cross`` call, flushed before its monomial entries would
+        share one array pass, flushed before its monomial entries would
         pass ``_MAX_ENTRIES``.  An order's terms are added point by point in
         order of j, so a point's value does not depend on the orders or
         points it is batched with.
         """
-        ladder = self.pc_running if running else self.pc_power
         cross = not (self._pc_trivial or self.model.ac.is_none)
         top = max((n for n, _ in orders), default=0)
         # an order's entries per point are at most nonzeros[n - 1]: the most
         # nonzero coefficients in one cell, summed over ladders 1 .. n - 1
-        nonzeros = np.cumsum([0] + [np.count_nonzero(ladder(i).coeffs, axis=1).max() if cross else 0
-                                    for i in range(1, top)])
+        if not cross:
+            per_ladder = [0] * (top - 1)
+        elif self._table is not None:
+            per_ladder = self._monomials(top - 1, running)[0][1:] != 0
+        else:
+            ladder = self.pc_running if running else self.pc_power
+            per_ladder = [np.count_nonzero(ladder(i).coeffs, axis=1).max() for i in range(1, top)]
+        nonzeros = np.cumsum(np.concatenate([[0], per_ladder]))
         batch, entries = [], 0
         for n, pts in orders:
             size = int(nonzeros[n - 1]) * pts.size
@@ -350,19 +380,25 @@ class ConvolutionEngine:
                 batch, entries = [], 0
             batch.append((n, pts))
             entries += size
-        yield from self._binomial_batch(batch, xs, running, cross)
+        if batch:
+            yield from self._binomial_batch(batch, xs, running, cross)
 
     def _binomial_batch(self, batch, xs: np.ndarray, running: bool, cross: bool):
-        """The sums of ``_binomial`` for one batch of orders, its cross terms from one ``_cross`` call."""
-        ladder = self.pc_running if running else self.pc_power
-        rows = [(n, j, pts) for n, pts in batch for j in range(1, n)] if cross else []
-        if rows:  # row (n, j) holds order n's points; the orders' blocks follow one another
-            terms = self._cross([(ladder(n - j), j) for n, j, _ in rows], xs, [pts for *_, pts in rows])
+        """The sums of ``_binomial`` for one batch of orders, its cross terms from one array pass."""
+        table, ladder = self._table is not None, (self.pc_running if running else self.pc_power)
+        if not self._pc_trivial:
+            pure = self._monomial_terms(batch, xs, running) if table else [ladder(n).eval(xs[pts]) for n, pts in batch]
+        if cross and batch[-1][0] > 1:  # row (n, j) holds order n's points; the orders' blocks follow one another
+            if table:
+                terms = self._monomial_cross(batch, xs, running)
+            else:
+                rows = [(n, j, pts) for n, pts in batch for j in range(1, n)]
+                terms = self._cross([(ladder(n - j), j) for n, j, _ in rows], xs, [pts for *_, pts in rows])
         start = 0
-        for n, pts in batch:
+        for k, (n, pts) in enumerate(batch):
             total = np.zeros(pts.size)
             if not self._pc_trivial:
-                total += ladder(n).eval(xs[pts])
+                total += pure[k]
             if cross and n > 1:
                 block = terms[start:start + (n - 1) * pts.size].reshape(n - 1, pts.size)
                 start += block.size
@@ -371,6 +407,46 @@ class ConvolutionEngine:
                 # reduction may sum pairwise, and does for one point
                 total = np.cumsum(np.vstack([total, comb[:, None] * block]), axis=0)[-1]
             yield total if self.model.ac.is_none else total + self._tail_term(n, xs[pts], running)
+
+    def _monomial_terms(self, batch, xs: np.ndarray, running: bool) -> list:
+        """a_n x^(m_n) of ``_monomials`` for each order n of a batch at its points.
+
+        As ``PiecewisePoly.eval``'s Horner loop forms it over zero lower
+        coefficients: a_n, then times x, m_n times over, so the product
+        associates left to right.  The orders ascend, so in reverse their
+        entries still to multiply are a prefix, and the pass takes one array
+        step per degree of the highest order.  Like ``eval``'s left limit at
+        0, the value is 0 for x <= ``_BREAK_TOL``.
+        """
+        a, m = self._monomials(batch[-1][0], running)
+        orders = np.array([n for n, _ in batch[::-1]])
+        sizes = np.array([pts.size for _, pts in batch[::-1]])
+        x = xs[np.concatenate([pts for _, pts in batch[::-1]])]
+        val, degree = np.repeat(a[orders], sizes), m[orders]
+        ends = np.cumsum(sizes)
+        for k in range(int(degree[0])):
+            stop = ends[np.count_nonzero(degree > k) - 1]
+            val[:stop] *= x[:stop]
+        val[x <= _BREAK_TOL] = 0.0
+        return np.split(val, ends[:-1])[::-1]
+
+    def _monomial_cross(self, batch, xs: np.ndarray, running: bool) -> np.ndarray:
+        """The cross terms of ``_binomial_batch`` without atoms: rows (n, j), j = 1 .. n - 1, in order.
+
+        pc^{*i} is the monomial a_i y^(m_i) of ``_monomials``, whose one cell
+        is all of [0, x], so every point of row (n, j), i = n - j, is one
+        entry of ``_near_cell`` with c = x: the entries come from one repeat
+        of the rows' coefficients, degrees and exponents, with no ladder
+        lookup.
+        """
+        orders = np.array([n for n, _ in batch])
+        sizes = np.array([pts.size for _, pts in batch])
+        n = np.repeat(orders, orders - 1)
+        j = np.arange(n.size) - np.repeat(np.cumsum(orders - 1) - (orders - 1), orders - 1) + 1
+        a, m = (v[n - j] for v in self._monomials(int(orders.max()), running))
+        x = xs[np.concatenate([np.tile(pts, k - 1) for k, pts in batch])]
+        size = np.repeat(sizes, orders - 1)
+        return self._near_cell(*(np.repeat(v, size) for v in (a, m, *self._ac_exponents(j))), x)
 
     def _tail_term(self, j: int, xs: np.ndarray, running: bool) -> np.ndarray:
         """s^{*j} at the points xs, or its running integral."""
@@ -386,28 +462,33 @@ class ConvolutionEngine:
             out *= np.exp(-ac.b * xs)
         return out
 
-    def _cross(self, terms, xs: np.ndarray, points=None) -> np.ndarray:
-        """pp * s^{*j} at the points xs for every (pp, j) in terms.
+    def _near_cell(self, a, m, p, log_k, c) -> np.ndarray:
+        """a K int_0^c (c - v)^m v^p e^{-b v} dv per entry, K = exp(log_k) (DLMF 13.4.1).
 
-        points[r], if given, holds the indices into xs of row r's points, and
-        the rows' values come back one after another; without it every row
-        takes every point and the result has one row per term.
+        a K c^(m+p+1) B(m+1, p+1) 1F1(p+1; m+p+2; -b c), with the prefactor
+        formed in logarithms, so a vanishing coefficient and a large power
+        of c cannot meet as 0 * inf, and one ``_hyp1f1_neg`` call for all
+        entries.
+        """
+        with np.errstate(divide="ignore"):  # log(0) = -inf gives the running integral's 0 at x = 0
+            val = np.exp(log_k + np.log(np.abs(a)) + _special.betaln(m + 1.0, p + 1.0) + (m + p + 1.0) * np.log(c))
+        val *= np.sign(a)
+        if self._b > 0.0:
+            val *= _hyp1f1_neg(p + 1.0, m + p + 2.0, self._b * c)
+        return val
 
-        pp is pc^{*i} or its running integral.  The cell of pp holding x,
-        v in [0, c] with c = x - beta_K, is integrated in closed form,
-        sum_m a_m K c^(m+p+1) B(m+1, p+1) 1F1(p+1; m+p+2; -b c) (DLMF 13.4.1),
-        with a_m that cell's local coefficients; zero coefficients are
-        skipped, the prefactor is formed in logarithms (so a vanishing
-        coefficient and a large power of c cannot meet as 0 * inf), and one
-        ``_hyp1f1_neg`` call serves every term.  Each distinct pp is looked
-        up once, at every point: its cell, c and nonzero coefficients, which
-        are then copied to each row that uses it.  Without atoms that cell is
-        all of [0, x].  The cells below it, v in [c, x], exist only with
+    def _cross(self, terms, xs: np.ndarray, points) -> np.ndarray:
+        """pp * s^{*j} at the points xs[points[r]] for every row r = (pp, j) of terms.
+
+        The rows' values come back one after another.  pp is a
+        PiecewisePoly, pc^{*i} or its running integral.  The cell of pp
+        holding x, v in [0, c] with c = x - beta_K, is integrated in closed
+        form by ``_near_cell``, one entry per nonzero local coefficient a_m
+        of that cell.  Each distinct pp is looked up once, at every point:
+        its cell, c and nonzero coefficients, which are then copied to each
+        row that uses it.  The cells below it, v in [c, x], exist only with
         atoms and go through ``_far_cells``.
         """
-        whole = points is None
-        if whole:
-            points = [np.arange(xs.size)] * len(terms)
         lookup = {}  # id(pp) -> (its index, pp), in order of first use
         for pp, _ in terms:
             lookup.setdefault(id(pp), (len(lookup), pp))
@@ -434,19 +515,14 @@ class ConvolutionEngine:
         # the slot's first entry, less the pair's first position in the copy
         entry = np.repeat((np.cumsum(count) - count)[slot] - (np.cumsum(per_pair) - per_pair), per_pair)
         entry += np.arange(entry.size)
-        a, m, c = a[entry], m[entry], c[slot][pair]
         p, log_k = (v[row[pair]] for v in self._ac_exponents(np.array([j for _, j in terms])))
-        with np.errstate(divide="ignore"):  # log(0) = -inf gives the running integral's 0 at x = 0
-            val = np.exp(log_k + np.log(np.abs(a)) + _special.betaln(m + 1.0, p + 1.0) + (m + p + 1.0) * np.log(c))
-        val *= np.sign(a)
-        if self._b > 0.0:
-            val *= _hyp1f1_neg(p + 1.0, m + p + 2.0, self._b * c)
+        val = self._near_cell(a[entry], m[entry], p, log_k, c[slot][pair])
         out = np.bincount(pair, weights=val, minlength=slot.size).astype(float, copy=False)  # int when empty
         stop = np.cumsum(sizes)
         for r, (pp, j) in enumerate(terms):
             if pp.breaks.size > 1 and (cell := cells[lookup[id(pp)][0]][points[r]]).any():
                 out[stop[r] - sizes[r]:stop[r]] += self._far_cells(pp, j, xs[points[r]], cell)
-        return out.reshape(len(terms), xs.size) if whole else out
+        return out
 
     def _far_cells(self, pp: PiecewisePoly, j: int, xs: np.ndarray, cell: np.ndarray) -> np.ndarray:
         """K int_c^x pp(x - v) v^p e^{-b v} dv at the points xs, c = x - pp.breaks[cell].

@@ -322,7 +322,8 @@ def u_volterra(
 
     The returned grid carries an error estimate per node taken from the
     final step-halving comparison; a disagreement above 10*tol after
-    ``max_refine`` halvings raises AccuracyFailureError.  x_max, h_target
+    ``max_refine`` halvings, or a non-finite u, raises
+    AccuracyFailureError.  x_max, h_target
     and tol must be finite and > 0, and max_refine and breakpoint_order
     >= 1, else ValueError names the argument.
     """
@@ -364,6 +365,8 @@ def u_volterra(
         nodes2, _, u2, head2 = solve(h / 2.0, nodes1[head1], u1[head1])
         diff = np.abs(np.interp(nodes1, nodes2, u2) - u1)
         max_diff = float(diff.max()) if diff.size else 0.0
+        if not (math.isfinite(max_diff) and np.isfinite(u2).all()):  # NaN passes both tests below
+            raise AccuracyFailureError("the march gave a non-finite u", math.inf, tol)
         if max_diff <= 10.0 * tol or attempt == max_refine - 1:
             if max_diff > 10.0 * tol:
                 raise AccuracyFailureError("step-halving disagreement after max refinement", max_diff, tol)

@@ -262,8 +262,13 @@ def _shaped(x, *arrays):
     return tuple(float(a[0]) for a in arrays) if np.ndim(x) == 0 else arrays
 
 
-def _no_order(tol: float) -> AccuracyFailureError:
-    return AccuracyFailureError("no split order up to 16 meets the tolerance within the panel budget", math.inf, tol)
+def _no_order(tol: float, panels: dict) -> AccuracyFailureError:
+    """No order fits ``PANEL_BUDGET``; panels maps each order scanned to the panels its Theta needs."""
+    why = "no split order up to 16 meets the tolerance within the panel budget"
+    if panels:
+        n = min(panels, key=panels.get)
+        why += f"; the cheapest, N={n}, needs {panels[n]:.4g} panels against {PANEL_BUDGET}"
+    return AccuracyFailureError(why, math.inf, tol)
 
 
 def _order_cost(model: LevyModel, n: int) -> float:
@@ -335,25 +340,29 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
             raise ContourOrderError(N, n_min)
         theta, tail, panels = truncation(N)
         if panels > PANEL_BUDGET:
-            n_fit = next((n for n in range(N + 1, 17) if truncation(n)[2] <= PANEL_BUDGET), None)
-            if n_fit is None:
-                raise _no_order(tol)
-            raise ContourOrderError(N, n_fit, panel_budget=PANEL_BUDGET)
+            needs = {N: panels}
+            for n in range(N + 1, 17):
+                needs[n] = truncation(n)[2]
+                if needs[n] <= PANEL_BUDGET:
+                    raise ContourOrderError(N, n, panel_budget=PANEL_BUDGET)
+            raise _no_order(tol, needs)
     else:
         best = None  # (misses tol, predicted cost or err_est, n, theta, tail)
+        needs = {}  # panels of the orders past the budget
         for n in range(n_min, 17):
             engine_cost = sum(_order_cost(model, m) for m in range(2 - e, n))
             if best is not None and not best[0] and engine_cost >= best[1]:
                 break  # the finite sum alone costs more than the best order so far
             theta, tail, panels = truncation(n)
             if panels > PANEL_BUDGET:
+                needs[n] = panels
                 continue
             err = amp * (tail / math.pi + 1e-13 * (magnitude(n, theta) + 1.0))
             key = (False, engine_cost + 15.0 * panels) if err <= tol else (True, err)
             if best is None or key < best[:2]:
                 best = (*key, n, theta, tail)
         if best is None:
-            raise _no_order(tol)
+            raise _no_order(tol, needs)
         N, theta, tail = best[2:]
     integral, err = _contour_integral(lambda th: integrand(model, N, lam + 1j * th), xs, theta, tail,
                                       width, lam)

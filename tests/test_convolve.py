@@ -420,7 +420,8 @@ class TestKillingCrossTerms:
     def closed_form(self, model, quantity):
         eng = ConvolutionEngine(self.MODELS[model], 2.0)
         ladder = eng.pc_running if quantity == "running" else eng.pc_power
-        got = eng._cross([(ladder(i), j) for i in range(1, 8) for j in range(1, 6)], np.array(self.XS))
+        terms = [(ladder(i), j) for i in range(1, 8) for j in range(1, 6)]
+        got = eng._cross(terms, np.array(self.XS), [np.arange(len(self.XS))] * len(terms))
         return got.reshape(7, 5, len(self.XS)).tolist()
 
     worst_rel_error = staticmethod(worst_rel_error)
@@ -460,7 +461,7 @@ class TestCrossCellSplit:
         # the indicator of y in [X - HI, X - LO] makes (LO, HI) the one far cell with a nonzero integrand
         eng = ConvolutionEngine(self.MODEL, self.X)
         pp = PiecewisePoly([0.0, self.X - self.HI, self.X - self.LO], [[0.0], [1.0], [0.0]])
-        got = eng._cross([(pp, 1)], np.array([self.X]))[0, 0]
+        got = eng._cross([(pp, 1)], np.array([self.X]), [np.arange(1)])[0]
         with mpmath.workdps(40):
             # s^{*1} is the AC tail itself, 0.7 v^-0.6 e^{-1.5 v}
             want = 0.7 * mpmath.quad(lambda v: v ** mpmath.mpf(-0.6) * mpmath.exp(-self.B * v), [self.LO, self.HI])
@@ -481,7 +482,7 @@ class TestCrossCellSplit:
     def test_running_at_x20_against_40_digit_quadrature(self):
         # the cross term pc^{*1} * s^{*1} of running(2, 20): a closed-form cell and one far cell
         eng = ConvolutionEngine(self.MODEL, self.X)
-        got = eng._cross([(eng.pc_running(1), 1)], np.array([self.X]))[0, 0]
+        got = eng._cross([(eng.pc_running(1), 1)], np.array([self.X]), [np.arange(1)])[0]
         with mpmath.workdps(40):
             # pc = 0.5 [y < 0.8] + 0.3, so its running integral is 0.3 y + 0.5 min(y, 0.8)
             pc_running = lambda y: mpmath.mpf(0.3) * y + mpmath.mpf(0.5) * min(y, mpmath.mpf(0.8))
@@ -519,7 +520,8 @@ class TestAtomCrossTerms:
 
     def kernel(self, model, quantity):
         eng, terms, xs = self.setup(model, quantity)
-        return eng._cross(terms, np.array(xs)).tolist()
+        points = [np.arange(len(xs))] * len(terms)
+        return eng._cross(terms, np.array(xs), points).reshape(len(terms), len(xs)).tolist()
 
     @pytest.mark.parametrize("model, quantity", PROBES)
     def test_within_1e12_of_40_digits_and_no_worse_than_the_quadrature(self, model, quantity):
@@ -563,7 +565,7 @@ class TestKummerSeries:
         model = TestKillingCrossTerms.MODELS["tempered"]
         eng = ConvolutionEngine(model, 2.0)
         pp = eng.pc_running(i) if quantity == "running" else eng.pc_power(i)
-        got = eng._cross([(pp, 1)], np.array([self.X]))[0, 0]
+        got = eng._cross([(pp, 1)], np.array([self.X]), [np.arange(1)])[0]
         with mpmath.workdps(40):
             want = mpmath.mpf(model.q) ** i / 6 * TestKillingCrossTerms._integral("tempered", 3, 1, self.X)
         assert worst_rel_error(got, want) < 1e-12
@@ -724,6 +726,30 @@ class TestBatchedOrders:
             conv = conv.convolve_step_tail([], [], model.q, x_max=3.0)
             got = eng.pc_power(i)
             assert got.breaks.tolist() == conv.breaks.tolist() and got.coeffs.tolist() == conv.coeffs.tolist()
+
+    @pytest.mark.parametrize("model", [LevyModel(drift=1.0, q=0.3), MODELS["killed-tempered"]],
+                             ids=["killed", "killed-tempered"])
+    def test_atom_free_table_equals_the_convolved_ladders(self, model):
+        # the engine forms an atom-free model's pc terms from a coefficient table; here they come
+        # from PiecewisePoly ladders built by convolve_step_tail instead: the j = 0 term by eval,
+        # which takes the left limit 0 for x <= 1e-12, and with an AC tail the cross terms by
+        # _cross over the same ladders, added in order of j, and the pure tail term.  Order 1 of
+        # the power is the model tail, not a ladder
+        eng = ConvolutionEngine(model, 3.0)
+        xs = np.array([0.0, 1e-13, 1e-12, 2e-12, 0.3, 3.0])
+        powers = [PiecewisePoly.step_tail([], [], model.q)]
+        while len(powers) < 30:
+            powers.append(powers[-1].convolve_step_tail([], [], model.q, x_max=3.0))
+        runnings = [pp.antiderivative() for pp in powers]
+        for quantity, ladders, n_lo, pts in (("running", runnings, 1, xs), ("power", powers, 2, xs[1:])):
+            every = [np.arange(pts.size)]
+            for n in range(n_lo, 31):
+                want = np.zeros(pts.size) + ladders[n - 1].eval(pts)
+                if not model.ac.is_none:
+                    for j in range(1, n):
+                        want = want + math.comb(n, j) * eng._cross([(ladders[n - j - 1], j)], pts, every)
+                    want = want + eng._tail_term(n, pts, quantity == "running")
+                assert getattr(eng, quantity)(n, pts).tolist() == want.tolist(), (quantity, n)
 
     def test_memory_of_a_long_series_head(self):
         # 2000 points up to 0.95 of the series radius at tol 1e-12: 50 615 terms in all.  One

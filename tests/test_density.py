@@ -111,6 +111,19 @@ class TestVolterra:
             v, err, _ = u_series(delta1, x, tol=1e-10)
             assert abs(v - delta1_grid(x)) <= err + delta1_grid.err_at(x) + 1e-7
 
+    def test_non_finite_march_raises(self, delta1, monkeypatch):
+        # a NaN step-halving difference passes neither `<= 10 tol` nor `> 10 tol`
+        march = density._march
+
+        def last_node_nan(*args):
+            u = march(*args)
+            u[-1] = math.nan
+            return u
+
+        monkeypatch.setattr(density, "_march", last_node_nan)
+        with pytest.raises(AccuracyFailureError, match="non-finite"):
+            u_volterra(delta1, 2.0)
+
     @pytest.mark.parametrize("kwargs, name", [
         ({"max_refine": 0}, "max_refine"),  # the refinement loop would never run
         ({"max_refine": -1}, "max_refine"),

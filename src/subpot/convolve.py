@@ -304,7 +304,8 @@ class ConvolutionEngine:
         """pc^{*i}; without atoms, the monomial of ``_monomials`` as a one-cell PiecewisePoly."""
         if i not in self._pc_pow:
             if self._table is not None:
-                nxt = self._monomial_poly(i, running=False)
+                a, m = (v[i] for v in self._monomials(i, running=False))
+                nxt = PiecewisePoly(self._pc.breaks, np.eye(1, m + 1, m) * a)
             else:
                 atomic = self.model.atomic
                 nxt = self.pc_power(i - 1).convolve_step_tail(atomic.locations, atomic.masses, self.model.q,
@@ -315,10 +316,9 @@ class ConvolutionEngine:
         return self._pc_pow[i]
 
     def pc_running(self, i: int) -> PiecewisePoly:
-        """The running integral of pc^{*i}; without atoms, read off ``_monomials`` too."""
+        """The running integral of pc^{*i}."""
         if i not in self._pc_run:
-            self._pc_run[i] = (self.pc_power(i).antiderivative() if self._table is None
-                               else self._monomial_poly(i, running=True))
+            self._pc_run[i] = self.pc_power(i).antiderivative()
         return self._pc_run[i]
 
     def _monomials(self, top: int, running: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -327,20 +327,20 @@ class ConvolutionEngine:
         pc^{*i} is q^i y^(i-1)/(i-1)!.  Its coefficient follows the recurrence
         c_i = (c_{i-1}/(i-1)) q that ``convolve_step_tail`` applies, and the
         running integral's is c_i/i, as ``antiderivative`` forms it, bit for
-        bit.  Entry 0 is unused.
+        bit.  Entry 0 is unused.  The table grows on a copy that is published
+        whole, so concurrent readers that grow it build the same list.
         """
         c = self._table
-        for i in range(len(c), top + 1):
-            if i - 1 > self.budget:  # the degree, as pc_power bounds a ladder's size
-                raise BudgetExceededError(i, self.budget)
-            c.append(c[-1] / (i - 1) * self.model.q)
+        if len(c) <= top:
+            c = list(c)
+            for i in range(len(c), top + 1):
+                if i - 1 > self.budget:  # the degree, as pc_power bounds a ladder's size
+                    raise BudgetExceededError(i, self.budget)
+                c.append(c[i - 1] / (i - 1) * self.model.q)
+            self._table = c
         i = np.arange(top + 1)
         a = np.array(c[:top + 1])
         return (a / np.maximum(i, 1), i) if running else (a, i - 1)
-
-    def _monomial_poly(self, i: int, running: bool) -> PiecewisePoly:
-        a, m = (v[i] for v in self._monomials(i, running))
-        return PiecewisePoly(self._pc.breaks, np.eye(1, m + 1, m) * a)
 
     def _ac_exponents(self, j: int):
         """(p, log K) of the tail power s^{*j}(v) = K v^p e^{-b v}; j may be an array."""
@@ -363,11 +363,12 @@ class ConvolutionEngine:
         cross = not (self._pc_trivial or self.model.ac.is_none)
         top = max((n for n, _ in orders), default=0)
         # an order's entries per point are at most nonzeros[n - 1]: the most
-        # nonzero coefficients in one cell, summed over ladders 1 .. n - 1
+        # nonzero coefficients in one cell, summed over ladders 1 .. n - 1;
+        # without atoms each ladder is one entry, whatever its coefficient
         if not cross:
             per_ladder = [0] * (top - 1)
         elif self._table is not None:
-            per_ladder = self._monomials(top - 1, running)[0][1:] != 0
+            per_ladder = [1] * (top - 1)
         else:
             ladder = self.pc_running if running else self.pc_power
             per_ladder = [np.count_nonzero(ladder(i).coeffs, axis=1).max() for i in range(1, top)]

@@ -751,6 +751,25 @@ class TestBatchedOrders:
                     want = want + eng._tail_term(n, pts, quantity == "running")
                 assert getattr(eng, quantity)(n, pts).tolist() == want.tolist(), (quantity, n)
 
+    def test_batches_hold_the_cap_when_table_coefficients_underflow(self, monkeypatch):
+        # with q = 1e-10 the table's c_i = q^i/(i-1)! is 0 from about i = 31, yet every
+        # (n, j) row still makes one _near_cell entry per point, so a batch is sized by its rows
+        monkeypatch.setattr(convolve, "_MAX_ENTRIES", 2000)
+        eng = ConvolutionEngine(LevyModel(drift=1.0, q=1e-10, ac=AcTail.tempered(0.7, 0.6, 1.5)), 3.0)
+        sizes, near_cell = [], eng._near_cell
+        monkeypatch.setattr(eng, "_near_cell", lambda *args: sizes.append(args[-1].size) or near_cell(*args))
+        xs = np.linspace(0.1, 3.0, 20)
+        eng.alternating_sum(xs, 0, np.full(20, 45))
+        assert sizes and max(sizes) <= 2000
+
+    def test_atom_free_table_grows_on_a_copy(self):
+        # a reader that grows the table publishes a new list, so another reader's
+        # growth of the old one cannot shift its entries
+        eng = ConvolutionEngine(self.MODELS["killed-tempered"], 3.0)
+        old = eng._table
+        eng._monomials(20, running=False)
+        assert len(old) == 2 and len(eng._table) == 21
+
     def test_memory_of_a_long_series_head(self):
         # 2000 points up to 0.95 of the series radius at tol 1e-12: 50 615 terms in all.  One
         # _cross call per order peaked at 11.9 MB (tracemalloc); the batches of orders are capped

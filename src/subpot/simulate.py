@@ -13,26 +13,28 @@ schedule reproduces it, and extending n_paths leaves earlier paths
 unchanged.  There are three purposes, one uniform each per path and round:
 the waiting time, the jump and (round 0 only) the killing time.  The jump
 uniform picks an atom or the AC tail and, rescaled, inverts that tail
-exactly; a tempered tail is inverted by Newton on alpha ln y + b y.
+exactly; a tempered tail is inverted by Newton on alpha ln y + b y, which
+iterates only the draws still falling (a stopped draw would repeat).
 
 Paths run in blocks of ``_BLOCK``, each block to the end of its own rounds,
 and only the per-level hit counts are summed across blocks.  A block that
 starts at path s draws elements s, s+1, ... of each stream by advancing the
 Philox counter by s/4 (four draws per counter), so it makes the same draws
-as one pass over all paths, and every block reuses one set of state
-buffers: memory is O(``_BLOCK``) whatever n_paths is.  ``first_passage``
+as one pass over all paths, and every block reuses one set of state and
+draw buffers: memory is O(``_BLOCK``) whatever n_paths is.  ``first_passage``
 runs only the group of at most four paths that ends at its path.
 
 No path's trajectory depends on x, so one pass serves every level.  The
-levels are sorted once, and each path keeps a pointer to the first level
-it has not resolved; it is carried until it has resolved the largest.
-Resolution is monotone in the level: (x - pos)/drift is monotone in x even
-in floating point, so creeping over a level in a round means creeping over
-every lower unresolved one, and a jump to pos resolves every level below
-pos.  Each round thus makes, on the same pos, t, waiting times, jump sizes
-and killing times, exactly the comparisons a separate run per level would
-make, and the estimate at every x is that run's to the bit.  Only counts
-per level are kept, with the killing time compared when the path creeps.
+levels are sorted once, and each round runs on the index list of the
+paths with a level left, each with a pointer to its first unresolved
+level.  Resolution is monotone in the level, as (x - pos)/drift is
+monotone in x even in floating point.  So the pointer walks up while the
+drift time to its level is under the wait, each step counting its hits
+(by the killing time) with one bincount, and after a jump while its level
+is below pos, bisecting past two steps; a +inf past the largest level
+stops both walks.  These are, on the same pos, t, waits, jumps and killing
+times, the comparisons a separate run per level makes, so the estimate at
+every x is that run's to the bit.
 
 Small jumps below eps are dropped without drift compensation
 (compensating would corrupt the creeping event); the induced bias carries
@@ -67,16 +69,18 @@ _MAX_ROUNDS = 100_000
 _BLOCK = 2**15  # paths per block; a multiple of 4, the draws per Philox counter
 
 
-def _stream(seed: int, purpose: int, round_idx: int, n: int, start: int = 0) -> np.ndarray:
-    """Uniforms in [0,1) for paths start ... start+n-1: counter-indexed, so
-    the draw of a path does not depend on n or start; start is a multiple of 4."""
+def _stream(seed: int, purpose: int, round_idx: int, n, start: int = 0) -> np.ndarray:
+    """Uniforms in [0,1) for paths start ... start+n-1, written into n if it is
+    an array: counter-indexed, so the draw of a path does not depend on n or
+    start; start is a multiple of 4."""
     from numpy.random import Generator, Philox  # here, so a process that never simulates never loads it
 
     if start % 4:
         raise ValueError(f"start must be a multiple of 4, got {start}")
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _KEY_SALT], dtype=np.uint64)
     counter = np.array([0, 0, round_idx, purpose], dtype=np.uint64)
-    return Generator(Philox(counter=counter, key=key).advance(start // 4)).random(n)
+    out = n if isinstance(n, np.ndarray) else np.empty(n)
+    return Generator(Philox(counter=counter, key=key).advance(start // 4)).random(out=out)
 
 
 def _check_count(name: str, value, least: int) -> int:
@@ -131,7 +135,7 @@ class _JumpSampler:
         )
         self.atom_locs = locs
         self.w_atoms = float(masses.sum())
-        self.cum_atoms = np.cumsum(masses)
+        self.cum_atoms = np.append(np.cumsum(masses), np.inf)  # +inf stops _walk
         ac = model.ac
         self.w_ac = float(ac.tail(max(eps, 0.0))) if not ac.is_none else 0.0
         if not ac.is_none and eps <= 0:
@@ -140,17 +144,14 @@ class _JumpSampler:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """One jump per uniform in ``u``."""
-        out = np.empty(u.size, dtype=float)
-        pick = u * self.rate
-        is_atom = pick < self.w_atoms
-        if np.any(is_atom):
-            k = np.searchsorted(self.cum_atoms, pick[is_atom], side="right")
-            out[is_atom] = self.atom_locs[np.minimum(k, self.atom_locs.size - 1)]
-        if not np.all(is_atom):
+        out = u * self.rate  # the component selector, then the jump
+        atom, ac = np.flatnonzero(out < self.w_atoms), np.flatnonzero(out >= self.w_atoms)
+        if ac.size:
             # residual uniform, rescaled from the component selector; rounding
             # can make it 1, the one value with an infinite jump
-            v = np.minimum((pick[~is_atom] - self.w_atoms) / self.w_ac, np.nextafter(1.0, 0.0))
-            out[~is_atom] = self._sample_ac(v)
+            out[ac] = self._sample_ac(np.minimum((out[ac] - self.w_atoms) / self.w_ac, np.nextafter(1.0, 0.0)))
+        k = _walk(self.cum_atoms, np.zeros_like(atom), out[atom], np.less_equal)  # searchsorted, side "right"
+        out[atom] = self.atom_locs.take(np.minimum(k, self.atom_locs.size - 1))
         return out
 
     def _sample_ac(self, v: np.ndarray) -> np.ndarray:
@@ -160,71 +161,99 @@ class _JumpSampler:
             return eps * (1.0 - v) ** (-1.0 / ac.alpha)
         # tempered: alpha ln y + b y = L, by Newton in w = ln y; g(w) = alpha w
         # + b e^w - L is increasing and convex and >= 0 at both starts, so the
-        # iterates fall monotonically to the root until rounding stops them
+        # iterates fall monotonically to the root until rounding stops them; a
+        # stopped iterate would repeat, so only the falling ones (i) iterate
         a, b, e = ac.alpha, ac.b, -np.log1p(-v)
-        target = a * math.log(eps) + b * eps + e
         w = np.minimum(math.log(eps) + e / a, np.log(eps + e / b))
-        while True:
-            y = np.exp(w)
-            w_new = np.minimum(w, w - (a * w + b * y - target) / (a + b * y))
-            if not np.any(w_new < w):
-                return np.maximum(y, eps)
-            w = w_new
+        target, i, y = np.add(a * math.log(eps) + b * eps, e, out=e), np.arange(v.size), np.empty_like(w)
+        while i.size:
+            y[i] = y_i = np.exp(w)
+            w_new = np.minimum(w, w - (a * w + b * y_i - target) / (a + b * y_i))
+            falling = np.flatnonzero(w_new < w)
+            i, w, target = i[falling], w_new[falling], target[falling]
+        return np.maximum(y, eps)
+
+
+def _walk(table: np.ndarray, k: np.ndarray, key: np.ndarray, below=np.less) -> np.ndarray:
+    """Advance each k in place while below(table[k], key), with table sorted
+    and ending in +inf: max(k, searchsorted(table, key)) from the same
+    comparisons.  A k still advancing after two steps is bisected."""
+    s = np.flatnonzero(below(table.take(k), key))
+    for _ in range(2):
+        k[s] += 1
+        s = s[np.flatnonzero(below(table.take(k[s]), key[s]))]
+    lo, hi, key = k[s] + 1, np.full(s.size, table.size - 1), key[s]
+    while np.any(lo < hi):  # table[lo - 1] is below key and table[hi] is not
+        mid = (lo + hi) >> 1
+        b = below(table.take(mid), key)
+        lo, hi = np.where(b, mid + 1, lo), np.where(b, hi, mid)
+    k[s] = lo
+    return k
 
 
 def _passage(sampler: _JumpSampler, levels: np.ndarray, seed: int, start: int,
              state, e_q: Optional[np.ndarray] = None) -> np.ndarray:
     """One round loop over the paths start ... start+n-1 and every level.
 
-    ``levels`` is sorted and unique.  ``state`` is the caller's buffers
-    (pos, t, jumps, nxt) of n entries each, reset here; they end as each
-    path's state when it resolved the largest level.  Returns hits: hits[j]
-    counts the paths that creep over levels[j] (by their killing time e_q,
-    when given).
+    ``levels`` is sorted and unique.  ``state`` is n-entry buffers: pos, t
+    and jumps, reset here, end as each path's state when it resolved the
+    largest level; u and tau take each round's draws.  Returns hits: hits[j]
+    counts the paths that creep over levels[j] (by their killing time e_q).
     """
-    pos, t, jumps, nxt = state  # nxt: first unresolved level per path
-    for buf in state:
+    pos, t, jumps, u, tau = state
+    for buf in state[:3]:
         buf.fill(0)
-    delta, rate, n, n_x = sampler.model.drift, sampler.rate, pos.size, levels.size
+    delta, rate, n_x = sampler.model.drift, sampler.rate, levels.size
+    lv = np.append(levels, np.inf)  # past the largest level no wait creeps
     hits = np.zeros(n_x, dtype=np.int64)
+    # the paths with a level left, their first unresolved levels and positions
+    live, k, p = np.arange(pos.size), np.zeros(pos.size, dtype=np.intp), np.zeros(pos.size)
 
     for round_idx in range(1, _MAX_ROUNDS + 1):
-        idx = np.nonzero(nxt < n_x)[0]
-        if idx.size == 0:
+        if live.size == 0:
             break
+        tau_l = tau[:live.size]
         if rate == 0.0:  # pure drift: the first segment creeps over every level
-            tau = np.full(idx.size, np.inf)
-        else:
-            tau = -np.log1p(-_stream(seed, _PURPOSE_WAIT, round_idx, n, start)[idx]) / rate
-        # the levels a path creeps over this round run upward from nxt
-        at, tau_at = idx, tau
-        while at.size:
-            need = (levels[nxt[at]] - pos[at]) / delta  # drift time to reach the level
-            creeps = need < tau_at
-            at, need, tau_at = at[creeps], need[creeps], tau_at[creeps]
-            crept = nxt[at] if e_q is None else nxt[at][t[at] + need <= e_q[at]]
+            tau_l.fill(np.inf)
+        else:  # mode "clip" takes into tau unbuffered; every index is in range
+            np.take(_stream(seed, _PURPOSE_WAIT, round_idx, u, start), live, out=tau_l, mode="clip")
+            np.divide(np.negative(np.log1p(np.negative(tau_l, out=tau_l), out=tau_l), out=tau_l), rate, out=tau_l)
+        # walk k up over the levels the path creeps over; s indexes the live
+        # paths still creeping, need holds their drift times to level k
+        need = (lv.take(k) - p) / delta
+        s = np.flatnonzero(need < tau_l)
+        need = need[s]
+        while s.size:
+            ks = k[s]
+            crept = ks if e_q is None else ks[np.flatnonzero(t[live[s]] + need <= e_q[live[s]])]
             hits += np.bincount(crept, minlength=n_x)
-            nxt[at] += 1
-            more = nxt[at] < n_x
-            at, tau_at = at[more], tau_at[more]
-
-        jumping = nxt[idx] < n_x
-        ji, tau_j = idx[jumping], tau[jumping]
-        if ji.size:
-            t[ji] += tau_j
-            pos[ji] += delta * tau_j
-            pos[ji] += sampler.sample(_stream(seed, _PURPOSE_JUMP, round_idx, n, start)[ji])
-            jumps[ji] += 1
-            # the jump resolves every level below pos
-            nxt[ji] = np.maximum(nxt[ji], np.searchsorted(levels, pos[ji]))
+            ks += 1
+            k[s] = ks
+            need = (lv.take(ks) - p[s]) / delta
+            more = np.flatnonzero(need < tau_l[s])
+            s, need = s[more], need[more]
+        j = np.flatnonzero(k < n_x)
+        live, k, p = live[j], k[j], p[j]
+        if live.size:
+            t[live] += tau_l[j]
+            p += delta * tau_l[j]
+            # the jump draws go into tau, free once the waits are added
+            p += sampler.sample(np.take(_stream(seed, _PURPOSE_JUMP, round_idx, u, start), live,
+                                        out=tau[:live.size], mode="clip"))
+            pos[live] = p
+            jumps[live] += 1
+            _walk(lv, k, p)  # the jump resolves every level below pos
+            j = np.flatnonzero(k < n_x)
+            live, k, p = live[j], k[j], p[j]
     else:
         raise PreconditionError(f"simulation exceeded {_MAX_ROUNDS} rounds; eps too small for this x")
     return hits
 
 
-def _buffers(n: int, n_x: int):
-    """State buffers for ``_passage`` (pos, t, jumps, nxt) of n paths and n_x levels."""
-    return np.empty(n), np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.min_scalar_type(n_x))
+def _buffers(n: int):
+    """Buffers for ``_passage`` (pos, t, jumps, u, tau) of n paths."""
+    pos, t, u, tau = np.empty((4, n))
+    return pos, t, np.empty(n, dtype=np.int64), u, tau
 
 
 def _check_q(q: float) -> None:
@@ -241,9 +270,9 @@ def first_passage(model: LevyModel, x: float, seed: int, path_id: int = 0,
     path_id = _check_count("path_id", path_id, 0)
     # the group of paths from the last multiple of 4 up to path_id
     start = path_id - path_id % 4
-    state = _buffers(path_id - start + 1, 1)
+    state = _buffers(path_id - start + 1)
     _passage(_JumpSampler(model, eps), np.array([float(x)]), seed, start, state)
-    pos, t, jumps, _ = state
+    pos, t, jumps = state[:3]
     end, t_end = float(pos[-1]), float(t[-1])
     # a path that crept stopped below x; a jump over x ends above it
     crept = end <= x
@@ -271,7 +300,7 @@ def _estimate(model: LevyModel, x, n_paths: int, seed: int, eps: float, q: float
     flat = xs.reshape(-1)
     levels, where = np.unique(flat, return_inverse=True)
     sampler = _JumpSampler(model, eps)
-    buffers = _buffers(min(n_paths, _BLOCK), levels.size)
+    buffers = _buffers(min(n_paths, _BLOCK))
     hits = np.zeros(levels.size, dtype=np.int64)
     for start in range(0, n_paths, _BLOCK):
         n = min(_BLOCK, n_paths - start)

@@ -220,6 +220,29 @@ class TestJumpDraws:
             resid = np.abs(alpha * np.log(y) + b * y - target)
             assert np.all(resid <= 8 * np.finfo(float).eps * np.maximum(np.abs(target), 1.0)), (alpha, b, eps, resid)
 
+    @staticmethod
+    def _whole_array_newton(alpha, b, eps, v):
+        """Reference tempered draw: Newton passes over every entry until none falls."""
+        e = -np.log1p(-v)
+        target = alpha * math.log(eps) + b * eps + e
+        w = np.minimum(math.log(eps) + e / alpha, np.log(eps + e / b))
+        while True:
+            y = np.exp(w)
+            w_new = np.minimum(w, w - (alpha * w + b * y - target) / (alpha + b * y))
+            if not np.any(w_new < w):
+                return np.maximum(y, eps)
+            w = w_new
+
+    def test_tempered_draw_matches_whole_array_newton(self):
+        # iterating only the draws still falling gives the whole-array loop's bits
+        grid = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+        seeded = np.random.default_rng(2024).random(10_000)
+        for alpha, b, eps in itertools.product((0.01, 0.3, 0.99), (1e-3, 1.0, 1e3), (1e-9, 1e-3, 0.5)):
+            sampler = _JumpSampler(LevyModel(drift=1.0, ac=AcTail.tempered(1.0, alpha, b)), eps)
+            for v in (grid, seeded):
+                want = self._whole_array_newton(alpha, b, eps, v)
+                assert sampler._sample_ac(v).tobytes() == want.tobytes(), (alpha, b, eps)
+
     def test_one_jump_uniform_per_round(self, monkeypatch, tempered_model):
         seen = []
 
@@ -348,6 +371,24 @@ class TestBlocks:
                else creep_prob(model, xs, n_paths, seed=23, eps=eps))
         for k, x in enumerate(self.XS):
             assert (est.p_hat[k], est.ci95[k]) == _reference_estimate(model, x, n_paths, 23, eps, q)
+
+    LINE = np.linspace(0.05, 6, 40)  # level spacing 0.15: a unit-rate wait creeps over several
+
+    @pytest.mark.parametrize("name, eps, ref_levels", [
+        ("delta1", 0.0, slice(None)),
+        # a per-level reference run of the tempered model takes about 0.3 s per
+        # unit of x at this size, so it is checked at XS and two line levels
+        ("tempered_model", 1e-4, slice(0, 40, 20)),
+    ])
+    def test_real_size_blocks_match_reference(self, request, name, eps, ref_levels):
+        # _BLOCK as shipped: two full blocks and one of five paths, 45 levels at once
+        model = request.getfixturevalue(name)
+        n_paths, q = 2 * _BLOCK + 5, 0.3
+        xs = np.concatenate([self.XS, self.LINE])
+        est = creep_prob_killed(model, q, xs, n_paths, seed=37, eps=eps)
+        for k, x in enumerate(self.XS + self.LINE[ref_levels].tolist()):
+            k = k if k < len(self.XS) else len(self.XS) + np.flatnonzero(self.LINE == x)[0]
+            assert (est.p_hat[k], est.ci95[k]) == _reference_estimate(model, x, n_paths, 37, eps, q), x
 
     def test_first_passage_matches_reference(self, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK", 8)

@@ -31,10 +31,10 @@ level.  Resolution is monotone in the level, as (x - pos)/drift is
 monotone in x even in floating point.  So the pointer walks up while the
 drift time to its level is under the wait, each step counting its hits
 (by the killing time) with one bincount, and after a jump while its level
-is below pos, bisecting past two steps; a +inf past the largest level
-stops both walks.  These are, on the same pos, t, waits, jumps and killing
-times, the comparisons a separate run per level makes, so the estimate at
-every x is that run's to the bit.
+is below pos (a searchsorted for the few still going after two steps); a
++inf past the largest level stops both walks.  These are, on the same
+pos, t, waits, jumps and killing times, the comparisons a separate run
+per level makes, so the estimate at every x is that run's to the bit.
 
 Small jumps below eps are dropped without drift compensation
 (compensating would corrupt the creeping event); the induced bias carries
@@ -150,7 +150,7 @@ class _JumpSampler:
             # residual uniform, rescaled from the component selector; rounding
             # can make it 1, the one value with an infinite jump
             out[ac] = self._sample_ac(np.minimum((out[ac] - self.w_atoms) / self.w_ac, np.nextafter(1.0, 0.0)))
-        k = _walk(self.cum_atoms, np.zeros_like(atom), out[atom], np.less_equal)  # searchsorted, side "right"
+        k = _walk(self.cum_atoms, np.zeros_like(atom), out[atom], "right")
         out[atom] = self.atom_locs.take(np.minimum(k, self.atom_locs.size - 1))
         return out
 
@@ -174,20 +174,16 @@ class _JumpSampler:
         return np.maximum(y, eps)
 
 
-def _walk(table: np.ndarray, k: np.ndarray, key: np.ndarray, below=np.less) -> np.ndarray:
-    """Advance each k in place while below(table[k], key), with table sorted
-    and ending in +inf: max(k, searchsorted(table, key)) from the same
-    comparisons.  A k still advancing after two steps is bisected."""
+def _walk(table: np.ndarray, k: np.ndarray, key: np.ndarray, side: str = "left") -> np.ndarray:
+    """Advance each k in place while table[k] < key (<= for side "right"):
+    with table sorted and ending in +inf, max(k, searchsorted(table, key,
+    side)).  Two steps are walked; only keys still going are searched."""
+    below = np.less if side == "left" else np.less_equal
     s = np.flatnonzero(below(table.take(k), key))
     for _ in range(2):
         k[s] += 1
         s = s[np.flatnonzero(below(table.take(k[s]), key[s]))]
-    lo, hi, key = k[s] + 1, np.full(s.size, table.size - 1), key[s]
-    while np.any(lo < hi):  # table[lo - 1] is below key and table[hi] is not
-        mid = (lo + hi) >> 1
-        b = below(table.take(mid), key)
-        lo, hi = np.where(b, mid + 1, lo), np.where(b, hi, mid)
-    k[s] = lo
+    k[s] = np.maximum(k[s], np.searchsorted(table, key[s], side=side))
     return k
 
 
@@ -218,20 +214,17 @@ def _passage(sampler: _JumpSampler, levels: np.ndarray, seed: int, start: int,
         else:  # mode "clip" takes into tau unbuffered; every index is in range
             np.take(_stream(seed, _PURPOSE_WAIT, round_idx, u, start), live, out=tau_l, mode="clip")
             np.divide(np.negative(np.log1p(np.negative(tau_l, out=tau_l), out=tau_l), out=tau_l), rate, out=tau_l)
-        # walk k up over the levels the path creeps over; s indexes the live
-        # paths still creeping, need holds their drift times to level k
-        need = (lv.take(k) - p) / delta
-        s = np.flatnonzero(need < tau_l)
-        need = need[s]
+        # walk k up while the drift time to level k is under the wait; s
+        # indexes the live paths still creeping
+        s = np.flatnonzero((lv.take(k) - p) / delta < tau_l)
         while s.size:
             ks = k[s]
-            crept = ks if e_q is None else ks[np.flatnonzero(t[live[s]] + need <= e_q[live[s]])]
+            crept = ks if e_q is None else ks[np.flatnonzero(  # by the killing time
+                t[live[s]] + (lv.take(ks) - p[s]) / delta <= e_q[live[s]])]
             hits += np.bincount(crept, minlength=n_x)
             ks += 1
             k[s] = ks
-            need = (lv.take(ks) - p[s]) / delta
-            more = np.flatnonzero(need < tau_l[s])
-            s, need = s[more], need[more]
+            s = s[np.flatnonzero((lv.take(ks) - p[s]) / delta < tau_l[s])]
         j = np.flatnonzero(k < n_x)
         live, k, p = live[j], k[j], p[j]
         if live.size:
@@ -252,8 +245,7 @@ def _passage(sampler: _JumpSampler, levels: np.ndarray, seed: int, start: int,
 
 def _buffers(n: int):
     """Buffers for ``_passage`` (pos, t, jumps, u, tau) of n paths."""
-    pos, t, u, tau = np.empty((4, n))
-    return pos, t, np.empty(n, dtype=np.int64), u, tau
+    return np.empty(n), np.empty(n), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
 
 
 def _check_q(q: float) -> None:

@@ -69,7 +69,7 @@ _MAX_ROUNDS = 100_000
 _BLOCK = 2**15  # paths per block; a multiple of 4, the draws per Philox counter
 
 
-def _stream(seed: int, purpose: int, round_idx: int, n, start: int = 0) -> np.ndarray:
+def _stream(seed: int, purpose: int, round_idx: int, n: Union[int, np.ndarray], start: int = 0) -> np.ndarray:
     """Uniforms in [0,1) for paths start ... start+n-1, written into n if it is
     an array: counter-indexed, so the draw of a path does not depend on n or
     start; start is a multiple of 4."""
@@ -191,8 +191,8 @@ def _passage(sampler: _JumpSampler, levels: np.ndarray, seed: int, start: int,
              state, e_q: Optional[np.ndarray] = None) -> np.ndarray:
     """One round loop over the paths start ... start+n-1 and every level.
 
-    ``levels`` is sorted and unique.  ``state`` is n-entry buffers: pos, t
-    and jumps, reset here, end as each path's state when it resolved the
+    ``levels`` is sorted and unique.  ``state`` holds n-entry buffers: pos,
+    t and jumps, reset here, end as each path's state when it resolved the
     largest level; u and tau take each round's draws.  Returns hits: hits[j]
     counts the paths that creep over levels[j] (by their killing time e_q).
     """

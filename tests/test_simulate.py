@@ -386,9 +386,8 @@ class TestBlocks:
         n_paths, q = 2 * _BLOCK + 5, 0.3
         xs = np.concatenate([self.XS, self.LINE])
         est = creep_prob_killed(model, q, xs, n_paths, seed=37, eps=eps)
-        for k, x in enumerate(self.XS + self.LINE[ref_levels].tolist()):
-            k = k if k < len(self.XS) else len(self.XS) + np.flatnonzero(self.LINE == x)[0]
-            assert (est.p_hat[k], est.ci95[k]) == _reference_estimate(model, x, n_paths, 37, eps, q), x
+        for k in [*range(len(self.XS)), *(len(self.XS) + np.arange(self.LINE.size)[ref_levels])]:
+            assert (est.p_hat[k], est.ci95[k]) == _reference_estimate(model, xs[k], n_paths, 37, eps, q), xs[k]
 
     def test_first_passage_matches_reference(self, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK", 8)

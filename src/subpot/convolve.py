@@ -8,21 +8,22 @@ The n-fold convolution expands binomially,
 
 where pc^{*i} is an exact piecewise polynomial (degree i-1, breakpoints on
 the i-fold atom sums) and s^{*j} is closed form (powers and exponentials are
-stable under self-convolution).  Without atoms pc^{*i} is the single
-monomial q^i y^(i-1)/(i-1)!, and its running integral q^i y^i/i!: a
-coefficient table, evaluated and fed to the cross terms without
-PiecewisePoly.  Every model takes the same path: a cross term is an
-integral of pc^{*i}(x - v) against s^{*j}(v) = K v^p e^{-b v}, split at
-pc^{*i}'s breakpoints so that integration never crosses a kink.  On the
-cell next to v = 0 the polynomial, in that cell's local coefficients, meets
-the singular weight in closed form: a Beta function times a Kummer function
-per monomial (DLMF 13.4.1).  Without atoms that cell is all of [0, x].
-With atoms the cells further out are smooth and go through one batched
-Gauss-Legendre rule.  The cross terms of all orders of a sum, at all their
-points, go through one array pass, cut into batches of at most
-``_MAX_ENTRIES`` monomial entries so that memory stays bounded; only the
-pure tail terms, and with atoms the pure pc terms, take array calls per
-order, whatever the number of points.
+stable under self-convolution).  The atoms are pc's only kinks, so below the
+smallest atom a_min (everywhere without atoms) pc^{*i} is the single
+monomial c_i y^(i-1), and its running integral c_i y^i/i: one coefficient
+table serves every model there, evaluated and fed to the cross terms
+without PiecewisePoly, and only points past a_min build and read ladders.
+A cross term is an integral of pc^{*i}(x - v) against s^{*j}(v) =
+K v^p e^{-b v}, split at pc^{*i}'s breakpoints so that integration never
+crosses a kink.  On the cell next to v = 0 the polynomial, in that cell's
+local coefficients, meets the singular weight in closed form: a Beta
+function times a Kummer function per monomial (DLMF 13.4.1).  Below a_min
+that cell is all of [0, x]; past it the cells further out are smooth and go
+through one batched Gauss-Legendre rule.  The cross terms of all orders of
+a sum, at all their points, go through one array pass, cut into batches of
+at most ``_MAX_ENTRIES`` monomial entries so that memory stays bounded;
+only the pure tail terms, and past a_min the pure pc terms, take array
+calls per order, whatever the number of points.
 
 Evaluations are pure; the per-order ladders are memoized with an exclusive
 writer during construction and are safe for concurrent readers afterwards.
@@ -202,8 +203,9 @@ class ConvolutionEngine:
         self._pc = PiecewisePoly.step_tail(atomic.locations, atomic.masses, model.q)
         self._pc_pow = {1: self._pc}
         self._pc_run = {}
-        # without atoms, c_i of pc^{*i}(y) = c_i y^(i-1) (``_monomials``); entry 0 is unused
-        self._table = [math.nan, model.q] if atomic.is_empty else None
+        # below the smallest atom pc^{*i}(y) = c_i y^(i-1) (``_monomials``), c_1 = pc(0+); entry 0 is unused
+        self._a_min = float(atomic.locations[0]) if atomic.locations else math.inf
+        self._table = [math.nan, float(self._pc.coeffs[0, 0])]
         self._sum_sets = {}
         ac = model.ac
         self._A = 0.0 if ac.is_none else ac.C * _special.gamma(1.0 - ac.alpha)
@@ -303,7 +305,7 @@ class ConvolutionEngine:
     def pc_power(self, i: int) -> PiecewisePoly:
         """pc^{*i}; without atoms, the monomial of ``_monomials`` as a one-cell PiecewisePoly."""
         if i not in self._pc_pow:
-            if self._table is not None:
+            if self.model.atomic.is_empty:
                 a, m = (v[i] for v in self._monomials(i, running=False))
                 nxt = PiecewisePoly(self._pc.breaks, np.eye(1, m + 1, m) * a)
             else:
@@ -322,21 +324,30 @@ class ConvolutionEngine:
         return self._pc_run[i]
 
     def _monomials(self, top: int, running: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(a, m) over i = 0 .. top for an atom-free model: pc^{*i}(y) = a_i y^(m_i), or its running integral.
+        """(a, m) over i = 0 .. top: pc^{*i}(y) = a_i y^(m_i) below the smallest atom, or its running integral.
 
-        pc^{*i} is q^i y^(i-1)/(i-1)!.  Its coefficient follows the recurrence
-        c_i = (c_{i-1}/(i-1)) q that ``convolve_step_tail`` applies, and the
-        running integral's is c_i/i, as ``antiderivative`` forms it, bit for
-        bit.  Entry 0 is unused.  The table grows on a copy that is published
-        whole, so concurrent readers that grow it build the same list.
+        On [0, a_min), the first cell of every pc ladder (all of [0, inf)
+        without atoms), pc^{*i} is the single monomial c_i y^(i-1).  Its
+        coefficient follows the recurrence that ``convolve_step_tail``
+        applies to that cell, t = c_{i-1}/(i-1) and c_i = t q + t m_1 +
+        t m_2 + ... over the atoms' masses in order (q^i/(i-1)! without
+        atoms), and the running integral's is c_i/i, as ``antiderivative``
+        forms it, bit for bit.  Entry 0 is unused.  The table grows on a
+        copy that is published whole, so concurrent readers that grow it
+        build the same list.
         """
         c = self._table
         if len(c) <= top:
             c = list(c)
+            q, masses = self.model.q, [float(v) for v in self.model.atomic.masses]
             for i in range(len(c), top + 1):
                 if i - 1 > self.budget:  # the degree, as pc_power bounds a ladder's size
                     raise BudgetExceededError(i, self.budget)
-                c.append(c[i - 1] / (i - 1) * self.model.q)
+                t = c[i - 1] / (i - 1)
+                c_i = t * q
+                for mass in masses:
+                    c_i += t * mass
+                c.append(c_i)
             self._table = c
         i = np.arange(top + 1)
         a = np.array(c[:top + 1])
@@ -351,23 +362,50 @@ class ConvolutionEngine:
         """Yield sum_j C(n, j) pc^{*(n-j)} * s^{*j}, or its running integral, for each (n, pts).
 
         The sum is taken at the points xs[pts]; n >= 2 for the power and
-        n >= 1 for the running integral, and the orders ascend.  The pure pc
-        term (j = 0) is one ladder lookup per order, or without atoms one
-        Horner pass for the batch, and the pure tail term (j = n) one
-        closed-form array.  The cross terms (0 < j < n) of consecutive orders
-        share one array pass, flushed before its monomial entries would
-        pass ``_MAX_ENTRIES``.  An order's terms are added point by point in
-        order of j, so a point's value does not depend on the orders or
-        points it is batched with.
+        n >= 1 for the running integral, and the orders ascend.  A point
+        certainly below the smallest atom a_min, x + 1e-12 max(1, x) <
+        a_min as ``PiecewisePoly.eval`` snaps it (every point without
+        atoms), lies in the first cell of every pc ladder, where pc^{*i} is
+        the monomial of ``_monomials``: it takes the coefficient table, and
+        an order whose points all do builds no ladder.  The other points
+        take the ladders; each order's two parts are put back in the order
+        of its points.  A point's value does not depend on the orders or
+        points it is batched with, so it is the one its own ladder gives.
+        """
+        head = xs + _BREAK_TOL * np.maximum(1.0, xs) < self._a_min
+        if head.all():
+            yield from self._batches(orders, xs, running, table=True)
+            return
+        split = [(pts, head[pts]) for _, pts in orders]
+        near = self._batches([(n, pts[h]) for (n, _), (pts, h) in zip(orders, split) if h.any()], xs, running, True)
+        far = self._batches([(n, pts[~h]) for (n, _), (pts, h) in zip(orders, split) if not h.all()], xs, running,
+                            False)
+        for pts, h in split:
+            out = np.empty(pts.size)
+            if h.any():
+                out[h] = next(near)
+            if not h.all():
+                out[~h] = next(far)
+            yield out
+
+    def _batches(self, orders, xs: np.ndarray, running: bool, table: bool):
+        """The sums of ``_binomial`` for orders whose points all take the table, or all the ladders.
+
+        The pure pc term (j = 0) is one Horner pass over the batch from the
+        table, or one ladder lookup per order, and the pure tail term
+        (j = n) one closed-form array.  The cross terms (0 < j < n) of
+        consecutive orders share one array pass, flushed before its
+        monomial entries would pass ``_MAX_ENTRIES``.  An order's terms are
+        added point by point in order of j.
         """
         cross = not (self._pc_trivial or self.model.ac.is_none)
         top = max((n for n, _ in orders), default=0)
         # an order's entries per point are at most nonzeros[n - 1]: the most
         # nonzero coefficients in one cell, summed over ladders 1 .. n - 1;
-        # without atoms each ladder is one entry, whatever its coefficient
+        # in the table's cell each ladder is one entry, whatever its coefficient
         if not cross:
             per_ladder = [0] * (top - 1)
-        elif self._table is not None:
+        elif table:
             per_ladder = [1] * (top - 1)
         else:
             ladder = self.pc_running if running else self.pc_power
@@ -377,16 +415,16 @@ class ConvolutionEngine:
         for n, pts in orders:
             size = int(nonzeros[n - 1]) * pts.size
             if batch and entries + size > _MAX_ENTRIES:
-                yield from self._binomial_batch(batch, xs, running, cross)
+                yield from self._binomial_batch(batch, xs, running, cross, table)
                 batch, entries = [], 0
             batch.append((n, pts))
             entries += size
         if batch:
-            yield from self._binomial_batch(batch, xs, running, cross)
+            yield from self._binomial_batch(batch, xs, running, cross, table)
 
-    def _binomial_batch(self, batch, xs: np.ndarray, running: bool, cross: bool):
-        """The sums of ``_binomial`` for one batch of orders, its cross terms from one array pass."""
-        table, ladder = self._table is not None, (self.pc_running if running else self.pc_power)
+    def _binomial_batch(self, batch, xs: np.ndarray, running: bool, cross: bool, table: bool):
+        """The sums of ``_batches`` for one batch of orders, its cross terms from one array pass."""
+        ladder = self.pc_running if running else self.pc_power
         if not self._pc_trivial:
             pure = self._monomial_terms(batch, xs, running) if table else [ladder(n).eval(xs[pts]) for n, pts in batch]
         if cross and batch[-1][0] > 1:  # row (n, j) holds order n's points; the orders' blocks follow one another
@@ -432,13 +470,13 @@ class ConvolutionEngine:
         return np.split(val, ends[:-1])[::-1]
 
     def _monomial_cross(self, batch, xs: np.ndarray, running: bool) -> np.ndarray:
-        """The cross terms of ``_binomial_batch`` without atoms: rows (n, j), j = 1 .. n - 1, in order.
+        """The cross terms of ``_binomial_batch`` below the smallest atom: rows (n, j), j = 1 .. n - 1, in order.
 
-        pc^{*i} is the monomial a_i y^(m_i) of ``_monomials``, whose one cell
-        is all of [0, x], so every point of row (n, j), i = n - j, is one
-        entry of ``_near_cell`` with c = x: the entries come from one repeat
-        of the rows' coefficients, degrees and exponents, with no ladder
-        lookup.
+        pc^{*i} is the monomial a_i y^(m_i) of ``_monomials`` on all of
+        [0, x], its ladder's first cell, so every point of row (n, j),
+        i = n - j, is one entry of ``_near_cell`` with c = x: the entries
+        come from one repeat of the rows' coefficients, degrees and
+        exponents, with no ladder lookup.
         """
         orders = np.array([n for n, _ in batch])
         sizes = np.array([pts.size for _, pts in batch])

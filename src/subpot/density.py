@@ -98,18 +98,29 @@ def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[Convoluti
 
 
 def series_radius(model: LevyModel, x_max: float, engine: Optional[ConvolutionEngine] = None, level: float = 0.5) -> float:
-    """Largest x <= x_max with m(x) <= level (m is continuous increasing)."""
+    """Largest x <= x_max with m(x) <= level (m is continuous increasing).
+
+    80 bisection steps, run as ten subtrees of eight: the 255 midpoints a
+    subtree can reach are formed level by level with the step's own
+    0.5 * (lo + hi) and go through one array ``mass_scale`` call, then the
+    eight steps walk down them.  The result is bit for bit that of 80
+    scalar steps.
+    """
     if engine is None:
         engine = ConvolutionEngine(model, x_max)
     if engine.mass_scale(x_max) <= level:
         return x_max
     lo, hi = 0.0, x_max
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if engine.mass_scale(mid) <= level:
-            lo = mid
-        else:
-            hi = mid
+    for _ in range(10):
+        ends, mids = np.array([lo, hi]), []
+        for _ in range(8):
+            mids.append(0.5 * (ends[:-1] + ends[1:]))
+            ends = np.insert(ends, np.arange(1, ends.size), mids[-1])
+        below = engine.mass_scale(np.concatenate(mids)) <= level
+        k = 0  # the node of level d is mids[d][k], at 2^d - 1 + k in the concatenation
+        for d in range(8):
+            k = 2 * k + int(below[2**d - 1 + k])  # m(mid) <= level: lo = mid, the right half
+        lo, hi = float(ends[k]), float(ends[k + 1])
     return lo
 
 

@@ -162,15 +162,31 @@ class _JumpSampler:
         # tempered: alpha ln y + b y = L, by Newton in w = ln y; g(w) = alpha w
         # + b e^w - L is increasing and convex and >= 0 at both starts, so the
         # iterates fall monotonically to the root until rounding stops them; a
-        # stopped iterate would repeat, so only the falling ones (i) iterate
-        a, b, e = ac.alpha, ac.b, -np.log1p(-v)
-        w = np.minimum(math.log(eps) + e / a, np.log(eps + e / b))
-        target, i, y = np.add(a * math.log(eps) + b * eps, e, out=e), np.arange(v.size), np.empty_like(w)
+        # stopped iterate would repeat, so only the falling ones (i) iterate.
+        # target holds e = -ln(1 - v) for the starts, then L = alpha ln eps +
+        # b eps + e
+        a, b, target = ac.alpha, ac.b, -np.log1p(-v)
+        w = np.minimum(math.log(eps) + target / a, np.log(eps + target / b))
+        target += a * math.log(eps) + b * eps
+        i, y = np.arange(v.size), np.empty_like(w)
         while i.size:
-            y[i] = y_i = np.exp(w)
-            w_new = np.minimum(w, w - (a * w + b * y_i - target) / (a + b * y_i))
+            # w_new = min(w, w - (a w + b y - L) / (a + b y)) is formed in place
+            # and the arrays are compacted one at a time, so that at most seven
+            # draw-sized arrays are alive at once
+            y[i] = by = np.exp(w)
+            by *= b
+            w_new = a * w
+            w_new += by
+            w_new -= target
+            by += a
+            w_new /= by
+            del by
+            np.minimum(w, np.subtract(w, w_new, out=w_new), out=w_new)
             falling = np.flatnonzero(w_new < w)
-            i, w, target = i[falling], w_new[falling], target[falling]
+            w = w_new[falling]
+            del w_new
+            i = i[falling]
+            target = target[falling]
         return np.maximum(y, eps)
 
 

@@ -228,6 +228,27 @@ def test_criterion_8_derivative_at_infinity(delta1, stable_half):
     _report(8, f"|u'| = {vals[0]:.1e} > {vals[1]:.1e} > {vals[2]:.1e} < 1e-6; stable rejected")
 
 
+def test_criterion_8_derivative_values_within_their_bars(delta1):
+    """u'(x-) and u'(x+) on the imaginary axis against the closed form at 30 digits, no slack.
+
+    At the integers 10, 20 and 40 only sums of two or more unit atoms meet x, so u' is
+    continuous there and both sides equal the closed form's left limit.  Its terms are
+    up to about 0.1 while u'(40) is far smaller, so the sum is formed in mpmath rather
+    than by ``delta1_du``.
+    """
+    import mpmath
+
+    for x in (10, 20, 40):
+        with mpmath.workdps(30):
+            y = mpmath.mpf(x)
+            want = -mpmath.exp(-y) + mpmath.fsum(
+                ((y - i) ** (i - 1) / mpmath.factorial(i - 1) - (y - i) ** i / mpmath.factorial(i)) * mpmath.exp(i - y)
+                for i in range(1, x))
+        left, right, err = derivative_zero_contour(delta1, float(x), tol=1e-10)
+        for side, got in (("left", left), ("right", right)):
+            assert abs(got - want) <= err, (x, side, got, float(want), err)
+
+
 def test_criterion_9_representation_identities(delta1, stable_half, mixed):
     """Split-order and contour independence, iterated bound, BV monotonicity."""
     rng = np.random.default_rng(99)

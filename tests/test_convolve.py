@@ -751,6 +751,47 @@ class TestBatchedOrders:
                     want = want + eng._tail_term(n, pts, quantity == "running")
                 assert getattr(eng, quantity)(n, pts).tolist() == want.tolist(), (quantity, n)
 
+    HEAD_MODELS = {
+        "unit-atom": (LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)])), 3.0),
+        "atoms-q": (LevyModel(drift=1.0, q=0.2, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)])), 3.0),
+        "family": (LevyModel(drift=2.0, atomic=AtomicPart.reciprocal_integers([j**-1.25 for j in range(1, 9)], 8)),
+                   0.5),
+        "atom-tempered-killed": (TestArrayArguments.MODEL, 3.0),
+    }
+
+    @pytest.mark.parametrize("model", HEAD_MODELS)
+    def test_head_table_equals_the_convolved_ladders(self, model):
+        # below the smallest atom a_min the engine forms the pc terms from its coefficient
+        # table, and past it from ladders; here every point takes ladders built by
+        # convolve_step_tail, as in the atom-free test above.  The probes straddle the
+        # table's test x + 1e-12 max(1, x) < a_min.  Within 1e-12 of a_min, eval's left
+        # limit takes the cell ending at a_min, and _cross the cell holding x, which above
+        # a_min is the next one.  All of them go in one call, so an order's two parts must
+        # also come back in the order of its points
+        model, x_max = self.HEAD_MODELS[model]
+        atomic, a = model.atomic, model.atomic.locations[0]
+        eng = ConvolutionEngine(model, x_max)
+        xs = np.array([0.0, 1e-13, 1e-12, 2e-12, 0.3 * a, a - 2e-12, a - 1e-12, a - 5e-13, a, a + 5e-13, a + 1e-12,
+                       0.5 * (a + x_max), x_max])
+        powers = [PiecewisePoly.step_tail(atomic.locations, atomic.masses, model.q)]
+        while len(powers) < 30:
+            powers.append(powers[-1].convolve_step_tail(atomic.locations, atomic.masses, model.q, x_max=x_max))
+        runnings = [pp.antiderivative() for pp in powers]
+        for quantity, ladders, n_lo, pts in (("running", runnings, 1, xs), ("power", powers, 2, xs[1:])):
+            every = [np.arange(pts.size)]
+            for n in range(n_lo, 31):
+                want = np.zeros(pts.size) + ladders[n - 1].eval(pts)
+                if not model.ac.is_none:
+                    for j in range(1, n):
+                        want = want + math.comb(n, j) * eng._cross([(ladders[n - j - 1], j)], pts, every)
+                    want = want + eng._tail_term(n, pts, quantity == "running")
+                got = eng.running(n, pts) if quantity == "running" else eng.power(n, pts, Side.RIGHT)
+                assert got.tolist() == want.tolist(), (quantity, n)
+        # the probes below a_min - 1e-12 took the table, and built no ladder past pc itself
+        fresh = ConvolutionEngine(model, x_max)
+        fresh.running(30, xs[:6]), fresh.power(30, xs[1:6])
+        assert list(fresh._pc_pow) == [1] and not fresh._pc_run
+
     def test_batches_hold_the_cap_when_table_coefficients_underflow(self, monkeypatch):
         # with q = 1e-10 the table's c_i = q^i/(i-1)! is 0 from about i = 31, yet every
         # (n, j) row still makes one _near_cell entry per point, so a batch is sized by its rows

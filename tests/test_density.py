@@ -51,6 +51,44 @@ class TestSeries:
     def test_radius_location(self, delta1):
         assert series_radius(delta1, 5.0) == pytest.approx(0.5, abs=1e-9)
 
+    @staticmethod
+    def scalar_radius(engine, x_max, level):
+        """The radius search as 80 scalar bisection steps, one mass_scale call each."""
+        if engine.mass_scale(x_max) <= level:
+            return x_max
+        lo, hi = 0.0, x_max
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if engine.mass_scale(mid) <= level:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    RADIUS_MODELS = {
+        "unit-atom": LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)])),
+        # q = 0: m stops at 0.44999999999999996 past x = 0.6, so levels 0.45 and 0.5 return
+        # x_max at once, and at 0.2 the first midpoints fall on the flat stretch
+        "flat-atoms": LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(0.3, 0.5), (0.6, 0.5)])),
+        "stable": LevyModel(drift=1.0, ac=AcTail.stable(1.0, 0.5)),
+        # the radius is about 1e-13: 80 steps end well short of one ulp of it
+        "stable-0.9": LevyModel(drift=1.0, ac=AcTail.stable(1.0, 0.9)),
+        "tempered-killed": LevyModel(drift=1.3, q=0.3, ac=AcTail.tempered(0.7, 0.6, 1.5)),
+        "atom-stable": LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)),
+    }
+
+    @pytest.mark.parametrize("level", [0.2, 0.45, 0.5])
+    @pytest.mark.parametrize("model", RADIUS_MODELS)
+    def test_radius_equals_the_scalar_bisection(self, model, level):
+        # the search runs as array passes over subtrees of midpoints; it must land on the
+        # scalar loop's float, also where m(x_max) <= level returns x_max at once (x_max 0.05)
+        model = self.RADIUS_MODELS[model]
+        for x_max in (0.05, 3.0):
+            engine = ConvolutionEngine(model, x_max)
+            want = self.scalar_radius(engine, x_max, level)
+            assert series_radius(model, x_max, engine, level) == want
+            assert series_radius(model, x_max, level=level) == want
+
     def test_killed_pure_drift(self):
         model = LevyModel(drift=1.0, q=1.0)
         v, _, _ = u_series(model, 0.4, tol=1e-12)

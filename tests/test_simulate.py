@@ -243,6 +243,24 @@ class TestJumpDraws:
                 want = self._whole_array_newton(alpha, b, eps, v)
                 assert sampler._sample_ac(v).tobytes() == want.tobytes(), (alpha, b, eps)
 
+    def test_tempered_draw_memory(self):
+        # 20 000 draws of the tempered tail C 0.7528, alpha 0.2902, b 1.4954 at eps 1e-4: a
+        # Newton pass that compacted i, w and the target together, with the old arrays and
+        # the new iterate still alive, peaked at 1.76 MB (about eleven draw-sized arrays);
+        # formed in place and compacted one array at a time it stays under 1.2 MB
+        import tracemalloc
+
+        sampler = _JumpSampler(LevyModel(drift=1.0, ac=AcTail.tempered(0.7528, 0.2902, 1.4954)), 1e-4)
+        v = np.random.default_rng(1).random(20_000)
+        sampler._sample_ac(v[:10])  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            sampler._sample_ac(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2e6
+
     def test_one_jump_uniform_per_round(self, monkeypatch, tempered_model):
         seen = []
 

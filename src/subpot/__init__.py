@@ -33,6 +33,7 @@ _OWNERS = {
     "CrosscheckResult": "density",
     "DensityGrid": "density",
     "bv_split": "density",
+    "evaluate": "density",
     "laplace_crosscheck": "density",
     "series_radius": "density",
     "u_series": "density",

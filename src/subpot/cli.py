@@ -33,13 +33,13 @@ import numpy as np
 
 from .asymptotics import check_du_infinity, check_du_zero, check_linear_zero, check_zero_series
 from .convolve import ConvolutionEngine, atom_sums
-from .density import laplace_crosscheck, u_series
+# u_series stays bound here: perfbench's test_traced_output_is_byte_identical checks cli.u_series
+from .density import evaluate, laplace_crosscheck, u_series
 from .errors import (
     AccuracyFailureError,
     ModelValidationError,
     PreconditionError,
 )
-from .inversion import invert_density, invert_derivative_pair
 from .model import Side, load_model
 from .simulate import creep_prob, creep_prob_killed
 from .smoothness import classify_point
@@ -156,33 +156,6 @@ def _require_positive(*named) -> None:
         raise ModelValidationError(bad)
 
 
-def _eval_rows(model, xs, args):
-    x_max = float(np.max(xs))
-    # one engine (and so one convolution ladder) serves the series test,
-    # the series values and both contours
-    engine = ConvolutionEngine(model, x_max)
-    series = np.full(xs.size, args.route == "series")
-    if args.route == "auto":
-        # the rule u_series certifies its bound by
-        series = engine.mass_scale(xs) <= 0.5
-    inversion = ~series
-    u, err = np.empty(xs.size), np.empty(xs.size)
-    if series.any():
-        # one call for all series rows; a forced series route with a point
-        # outside the radius raises at the first such x (exit 4)
-        u[series], err[series], _ = u_series(model, xs[series], tol=args.tol, engine=engine)
-    # one contour for all inversion rows, and one for every row's derivative pair
-    if inversion.any():
-        u[inversion], err[inversion] = invert_density(model, xs[inversion], N=args.order,
-                                                      lam=args.contour_lambda, tol=args.tol, engine=engine)
-    du_l = du_r = du_err = [None] * xs.size
-    if not args.no_derivatives:
-        du_l, du_r, du_err = (v.tolist() for v in invert_derivative_pair(
-            model, xs, N=args.order, lam=args.contour_lambda, tol=args.tol, engine=engine))
-    return [(x, float(u[k]), du_l[k], du_r[k], float(err[k]), "series" if series[k] else "inversion", du_err[k])
-            for k, x in enumerate(xs.tolist())]
-
-
 def _fmt_up(value: Decimal) -> str:
     """``_FMT`` of a Decimal > 0, rounded up in the last printed digit instead of to nearest."""
     exp = value.adjusted()
@@ -209,13 +182,14 @@ def _cmd_eval(args) -> int:
     if np.any(xs < 0):
         raise ModelValidationError([("--x", "x must be >= 0")])
     xs = np.where(xs == 0.0, 1e-300, xs)
-    rows = _eval_rows(model, xs, args)
+    u, err, method, *du = evaluate(model, xs, tol=args.tol, route=args.route, N=args.order,
+                                   lam=args.contour_lambda, derivatives=not args.no_derivatives)
+    du_l, du_r, du_err = ([None] * xs.size if v is None else v.tolist() for v in du)
+    rows = list(zip(xs.tolist(), u.tolist(), du_l, du_r, err.tolist(), method.tolist(), du_err))
     if args.format == "json":
-        keys = ("x", "u", "du_left", "du_right", "err_est", "method", "du_err")
-        _emit(args, json.dumps([dict(zip(keys, r)) for r in rows]) + "\n")
+        _emit_table(args, ("x", "u", "du_left", "du_right", "err_est", "method", "du_err"), rows)
     else:
-        lines = ["x,u,du_left,du_right,err_est,method", *(_csv_row(*r) for r in rows)]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(["x,u,du_left,du_right,err_est,method", *(_csv_row(*r) for r in rows)]) + "\n")
     return 0
 
 
@@ -355,11 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, table=False)
     p.set_defaults(fn=_cmd_validate)
 
-    evaluate = sub.add_parser("eval", help="density (and derivative) on an x grid")
+    ev = sub.add_parser("eval", help="density (and derivative) on an x grid")
     invert = sub.add_parser("invert", help="density via the Bromwich route only")
-    evaluate.add_argument("--route", choices=("auto", "series", "inversion"), default="auto")
+    ev.add_argument("--route", choices=("auto", "series", "inversion"), default="auto")
     invert.set_defaults(route="inversion")
-    for p in (evaluate, invert):
+    for p in (ev, invert):
         common(p)
         p.add_argument("--x", required=True, help="min:max:steps or comma list")
         p.add_argument("--spacing", choices=("linear", "geometric"), default="linear")

@@ -303,17 +303,13 @@ class ConvolutionEngine:
         return xs
 
     def pc_power(self, i: int) -> PiecewisePoly:
-        """pc^{*i}; without atoms, the monomial of ``_monomials`` as a one-cell PiecewisePoly."""
+        """pc^{*i}, convolved from pc^{*(i-1)}; the series reads it only at and past the smallest atom."""
         if i not in self._pc_pow:
-            if self.model.atomic.is_empty:
-                a, m = (v[i] for v in self._monomials(i, running=False))
-                nxt = PiecewisePoly(self._pc.breaks, np.eye(1, m + 1, m) * a)
-            else:
-                atomic = self.model.atomic
-                nxt = self.pc_power(i - 1).convolve_step_tail(atomic.locations, atomic.masses, self.model.q,
-                                                              x_max=self.x_max)
-                if nxt.breaks.size * max(1, nxt.degree) > self.budget:
-                    raise BudgetExceededError(i, self.budget)
+            atomic = self.model.atomic
+            nxt = self.pc_power(i - 1).convolve_step_tail(atomic.locations, atomic.masses, self.model.q,
+                                                          x_max=self.x_max)
+            if nxt.breaks.size * max(1, nxt.degree) > self.budget:
+                raise BudgetExceededError(i, self.budget)
             self._pc_pow[i] = nxt
         return self._pc_pow[i]
 

@@ -1,6 +1,6 @@
 """Potential density u^(q) by alternating series and by the renewal equation.
 
-Two routes with certified error control:
+Two routes with certified error control (``evaluate`` joins the series to the contour):
 
   * ``u_series`` sums (-1)^n drift^{-(n+1)} (1 * (tbar+q)^{*n})(x) with the
     geometric truncation bound, valid wherever the contraction factor
@@ -37,6 +37,7 @@ import numpy as np
 
 from .convolve import ConvolutionEngine
 from .errors import AccuracyFailureError, PreconditionError, SeriesRadiusError, check_positive
+from .inversion import invert_density, invert_derivative_pair
 from .model import LevyModel
 
 _MAX_SERIES_TERMS = 400
@@ -59,7 +60,7 @@ def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[Convoluti
     order, terms_used is the total over the points, and every entry equals
     the scalar call bit for bit.  Raises SeriesRadiusError when m(x) > 1/2
     at any point, where the geometric tail bound is unavailable; the
-    contour covers that regime (``invert_density``, ``eval --route auto``).
+    contour covers that regime (``invert_density``, ``evaluate``).
     Raises AccuracyFailureError when a value or bound would be NaN or
     infinite, and ValueError for an x that is not a finite number >= 0 or a
     tol that is not a finite number > 0.
@@ -103,8 +104,8 @@ def series_radius(model: LevyModel, x_max: float, engine: Optional[ConvolutionEn
     80 bisection steps, run as ten subtrees of eight: the 255 midpoints a
     subtree can reach are formed level by level with the step's own
     0.5 * (lo + hi) and go through one array ``mass_scale`` call, then the
-    eight steps walk down them.  The result is bit for bit that of 80
-    scalar steps.
+    eight steps walk down them, until lo and hi are adjacent.  The result
+    is bit for bit that of 80 scalar steps.
     """
     if engine is None:
         engine = ConvolutionEngine(model, x_max)
@@ -121,7 +122,35 @@ def series_radius(model: LevyModel, x_max: float, engine: Optional[ConvolutionEn
         for d in range(8):
             k = 2 * k + int(below[2**d - 1 + k])  # m(mid) <= level: lo = mid, the right half
         lo, hi = float(ends[k]), float(ends[k + 1])
+        if hi <= np.nextafter(lo, math.inf):  # adjacent floats: no later step moves lo
+            break
     return lo
+
+
+def evaluate(model: LevyModel, x, tol: float = 1e-7, route: str = "auto", N: Optional[int] = None,
+             lam: Optional[float] = None, derivatives: bool = True):
+    """u^(q) and both one-sided derivatives at x (a number or a 1-D array), with error bounds.
+
+    Returns arrays (u, err, method, du_left, du_right, du_err); the last
+    three are None with derivatives=False.  Route "auto" takes ``u_series``
+    where m(x) <= 1/2 and ``invert_density`` (order N, abscissa lam)
+    elsewhere, as method records; "series" and "inversion" force one.  The
+    pair is one ``invert_derivative_pair`` contour over every x, and one
+    ConvolutionEngine serves all three calls.
+    """
+    if route not in ("auto", "series", "inversion"):
+        raise ValueError(f"route must be 'auto', 'series' or 'inversion', got {route!r}")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    engine = ConvolutionEngine(model, float(np.max(xs)))
+    # under "auto", the rule u_series certifies its bound by
+    series = engine.mass_scale(xs) <= 0.5 if route == "auto" else np.full(xs.size, route == "series")
+    u, err = np.empty(xs.size), np.empty(xs.size)
+    if series.any():  # one call for all series points
+        u[series], err[series], _ = u_series(model, xs[series], tol=tol, engine=engine)
+    if not series.all():
+        u[~series], err[~series] = invert_density(model, xs[~series], N=N, lam=lam, tol=tol, engine=engine)
+    du = invert_derivative_pair(model, xs, N=N, lam=lam, tol=tol, engine=engine) if derivatives else (None,) * 3
+    return (u, err, np.where(series, "series", "inversion"), *du)
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,7 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
     return N, amps * integral, amps * err
 
 
-def invert_density(model: LevyModel, x, N: Optional[int] = 3, lam: Optional[float] = None,
+def invert_density(model: LevyModel, x, N: Optional[int] = None, lam: Optional[float] = None,
                    tol: float = 1e-8, engine: Optional[ConvolutionEngine] = None):
     """u^(q)(x) through the order-N split representation.
 

@@ -248,7 +248,7 @@ class TestEval:
 
         calls = []
         series = cli.u_series
-        monkeypatch.setattr(cli, "u_series", lambda *a, **k: calls.append(a[1]) or series(*a, **k))
+        monkeypatch.setattr("subpot.density.u_series", lambda *a, **k: calls.append(a[1]) or series(*a, **k))
         out = tmp_path / "eval.json"
         argv = ["eval", "--model", delta1_path, "--x", "0.05,0.3,0.1,0.45", *extra, "--format", "json"]
         assert main([*argv, "--out", str(out)]) == 0

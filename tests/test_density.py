@@ -14,6 +14,9 @@ from subpot import (
     PreconditionError,
     SeriesRadiusError,
     bv_split,
+    evaluate,
+    invert_density,
+    invert_derivative_pair,
     laplace_crosscheck,
     series_radius,
     u_series,
@@ -546,6 +549,37 @@ class TestSeriesArrays:
         # the head's series tolerance is min(tol / 100, 1e-10) = 1e-10
         want = [u_series(TWO_ATOMS_KILLED, float(x), tol=1e-10)[0] for x in grid.nodes[head]]
         assert grid.u[head].tolist() == want
+
+
+class TestEvaluate:
+    # the unit atom's series radius is 1/2, so these points take both routes
+    XS = np.linspace(0.05, 6.0, 60)
+
+    def test_series_inside_the_radius_and_the_contour_beyond(self, delta1):
+        u, err, method, du_l, du_r, du_err = evaluate(delta1, self.XS)
+        engine = ConvolutionEngine(delta1, 6.0)
+        series = engine.mass_scale(self.XS) <= 0.5
+        assert 0 < series.sum() < series.size
+        assert method.tolist() == np.where(series, "series", "inversion").tolist()
+        want_u, want_err, _ = u_series(delta1, self.XS[series], tol=1e-7, engine=engine)
+        assert u[series].tolist() == want_u.tolist() and err[series].tolist() == want_err.tolist()
+        want_u, want_err = invert_density(delta1, self.XS[~series], tol=1e-7, engine=engine)
+        assert u[~series].tolist() == want_u.tolist() and err[~series].tolist() == want_err.tolist()
+        pair = invert_derivative_pair(delta1, self.XS, tol=1e-7, engine=engine)
+        assert [v.tolist() for v in (du_l, du_r, du_err)] == [v.tolist() for v in pair]
+
+    def test_forced_series_past_the_radius_raises(self, delta1):
+        with pytest.raises(SeriesRadiusError):
+            evaluate(delta1, self.XS, route="series")
+
+    def test_without_derivatives(self, delta1):
+        u, err, method, *du = evaluate(delta1, [0.3, 2.0], derivatives=False)
+        assert du == [None, None, None]
+        assert method.tolist() == ["series", "inversion"]
+
+    def test_unknown_route_raises(self, delta1):
+        with pytest.raises(ValueError, match="route"):
+            evaluate(delta1, 1.0, route="volterra")
 
 
 class TestHonestInterpolation:

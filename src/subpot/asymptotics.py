@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .convolve import ConvolutionEngine
-from .density import series_radius, u_series
+from .density import _SERIES_LEVEL, series_radius, u_series
 from .errors import PreconditionError
 from .inversion import derivative_zero_contour, invert_derivative
 from .model import LevyModel, Side
@@ -78,7 +78,7 @@ def check_zero_series(model: LevyModel, n: int, x_grid: Optional[np.ndarray] = N
 
     # m and the first term grow with x, so on the decreasing grid the points
     # outside the radius come first and the underflowing ones last
-    outside = engine.mass_scale(xs) > 0.5
+    outside = engine.mass_scale(xs) > _SERIES_LEVEL
     if np.any(outside):
         raise PreconditionError(f"x={xs[np.argmax(outside)]} outside the series radius; shrink the grid")
     t_first = engine.running(n + 1, xs) / delta ** (n + 2)

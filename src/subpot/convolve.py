@@ -43,11 +43,10 @@ import numpy as np
 
 from . import _special
 from .errors import BudgetExceededError, check_positive
-from .model import AtomicPart, LevyModel, Side
+from .model import _LOCATION_TOL, AtomicPart, LevyModel, Side
 from .piecewise import _BREAK_TOL, PiecewisePoly
 
 DEFAULT_SUM_BUDGET = 10**7
-_VALUE_TOL = 1e-12
 _SERIES_Z = 5.0  # 1F1(a; c; -z) by its positive series below this z
 _MAX_ENTRIES = 2**16  # monomial entries of one batched cross-term pass; bounds its memory
 
@@ -76,7 +75,7 @@ def _near(sorted_values, v: float) -> Optional[int]:
     """Index of a neighbour of v in sorted_values within the 1e-12 relative tolerance, else None."""
     i = bisect_left(sorted_values, v)
     for j in (i - 1, i):
-        if 0 <= j < len(sorted_values) and abs(sorted_values[j] - v) <= _VALUE_TOL * max(1.0, abs(v)):
+        if 0 <= j < len(sorted_values) and abs(sorted_values[j] - v) <= _LOCATION_TOL * max(1.0, abs(v)):
             return j
     return None
 
@@ -207,9 +206,6 @@ class ConvolutionEngine:
         self._a_min = float(atomic.locations[0]) if atomic.locations else math.inf
         self._table = [math.nan, float(self._pc.coeffs[0, 0])]
         self._sum_sets = {}
-        ac = model.ac
-        self._A = 0.0 if ac.is_none else ac.C * _special.gamma(1.0 - ac.alpha)
-        self._b = ac.b if ac.kind == "tempered" else 0.0
 
     # -- public surface ------------------------------------------------------
 
@@ -351,8 +347,8 @@ class ConvolutionEngine:
 
     def _ac_exponents(self, j: int):
         """(p, log K) of the tail power s^{*j}(v) = K v^p e^{-b v}; j may be an array."""
-        alpha = self.model.ac.alpha
-        return j * (1.0 - alpha) - 1.0, j * math.log(self._A) - _special.gammaln(j * (1.0 - alpha))
+        ac = self.model.ac
+        return j * (1.0 - ac.alpha) - 1.0, j * math.log(ac.g) - _special.gammaln(j * (1.0 - ac.alpha))
 
     def _binomial(self, orders, xs: np.ndarray, running: bool):
         """Yield sum_j C(n, j) pc^{*(n-j)} * s^{*j}, or its running integral, for each (n, pts).
@@ -485,16 +481,16 @@ class ConvolutionEngine:
 
     def _tail_term(self, j: int, xs: np.ndarray, running: bool) -> np.ndarray:
         """s^{*j} at the points xs, or its running integral."""
-        ac = self.model.ac
+        ac, b = self.model.ac, self.model.ac.tempering
         p, log_k = self._ac_exponents(j)
         s = j * (1.0 - ac.alpha)
-        if running and ac.kind == "tempered":
-            return math.exp(j * math.log(self._A) - s * math.log(ac.b)) * _special.gammainc(s, ac.b * xs)
+        if running and b:
+            return math.exp(j * math.log(ac.g) - s * math.log(b)) * _special.gammainc(s, b * xs)
         if running:
             return math.exp(log_k) * xs**s / s
         out = math.exp(log_k) * xs**p
-        if ac.kind == "tempered":
-            out *= np.exp(-ac.b * xs)
+        if b:
+            out *= np.exp(-b * xs)
         return out
 
     def _near_cell(self, a, m, p, log_k, c) -> np.ndarray:
@@ -508,8 +504,9 @@ class ConvolutionEngine:
         with np.errstate(divide="ignore"):  # log(0) = -inf gives the running integral's 0 at x = 0
             val = np.exp(log_k + np.log(np.abs(a)) + _special.betaln(m + 1.0, p + 1.0) + (m + p + 1.0) * np.log(c))
         val *= np.sign(a)
-        if self._b > 0.0:
-            val *= _hyp1f1_neg(p + 1.0, m + p + 2.0, self._b * c)
+        b = self.model.ac.tempering
+        if b > 0.0:
+            val *= _hyp1f1_neg(p + 1.0, m + p + 2.0, b * c)
         return val
 
     def _cross(self, terms, xs: np.ndarray, points) -> np.ndarray:
@@ -570,7 +567,8 @@ class ConvolutionEngine:
         """
         k, owner = np.nonzero(np.arange(cell.max())[:, None] < cell)
         lo, hi = xs[owner] - pp.breaks[k + 1], xs[owner] - pp.breaks[k]
-        step, stop = (8.0 / self._b, 750.0 / self._b) if self._b > 0.0 else (math.inf, math.inf)
+        b = self.model.ac.tempering
+        step, stop = (8.0 / b, 750.0 / b) if b > 0.0 else (math.inf, math.inf)
         hi = np.minimum(hi, stop)  # e^{-b v} is exactly 0 in floats past v = 750/b
         ends = [lo]
         while np.any(ends[-1] < hi):
@@ -583,8 +581,8 @@ class ConvolutionEngine:
         v = lo[:, None] + half * (nodes + 1.0)
         p, log_k = self._ac_exponents(j)
         f = pp.eval((xs[owner][:, None] - v).ravel()).reshape(v.shape) * v**p
-        if self._b > 0.0:
-            f *= np.exp(-self._b * v)
+        if b > 0.0:
+            f *= np.exp(-b * v)
         piece = (half * f * weights).sum(axis=1)
         return math.exp(log_k) * np.bincount(owner, weights=piece, minlength=xs.size)
 

@@ -41,6 +41,8 @@ from .inversion import invert_density, invert_derivative_pair
 from .model import LevyModel
 
 _MAX_SERIES_TERMS = 400
+# the series and its geometric truncation bound are certified where m(x) <= this level
+_SERIES_LEVEL = 0.5
 
 
 def _truncation(m: float, delta: float, tol: float):
@@ -76,7 +78,7 @@ def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[Convoluti
         if engine is None:
             engine = ConvolutionEngine(model, float(xs.max()))
         m = engine.mass_scale(xs)
-    outside = m > 0.5 + 1e-12
+    outside = m > _SERIES_LEVEL
     if np.any(outside):
         k = int(np.argmax(outside))
         raise SeriesRadiusError(float(xs[k]), float(m[k]))
@@ -98,7 +100,8 @@ def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[Convoluti
     return value, bound, int(terms.sum())
 
 
-def series_radius(model: LevyModel, x_max: float, engine: Optional[ConvolutionEngine] = None, level: float = 0.5) -> float:
+def series_radius(model: LevyModel, x_max: float, engine: Optional[ConvolutionEngine] = None,
+                  level: float = _SERIES_LEVEL) -> float:
     """Largest x <= x_max with m(x) <= level (m is continuous increasing).
 
     80 bisection steps, run as ten subtrees of eight: the 255 midpoints a
@@ -136,14 +139,23 @@ def evaluate(model: LevyModel, x, tol: float = 1e-7, route: str = "auto", N: Opt
     where m(x) <= 1/2 and ``invert_density`` (order N, abscissa lam)
     elsewhere, as method records; "series" and "inversion" force one.  The
     pair is one ``invert_derivative_pair`` contour over every x, and one
-    ConvolutionEngine serves all three calls.
+    ConvolutionEngine serves all three calls.  x must be finite and >= 0,
+    and > 0 for the derivatives; x = 0 is the series' first term 1/drift.
     """
     if route not in ("auto", "series", "inversion"):
         raise ValueError(f"route must be 'auto', 'series' or 'inversion', got {route!r}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    engine = ConvolutionEngine(model, float(np.max(xs)))
-    # under "auto", the rule u_series certifies its bound by
-    series = engine.mass_scale(xs) <= 0.5 if route == "auto" else np.full(xs.size, route == "series")
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("x must be a number or a non-empty 1-D array")
+    bad = ~(np.isfinite(xs) & ((xs > 0) if derivatives else (xs >= 0)))
+    if np.any(bad):
+        raise ValueError(f"x must be a finite number {'>' if derivatives else '>='} 0, got {float(xs[bad][0])!r}")
+    x_max = float(xs.max())
+    engine = ConvolutionEngine(model, x_max) if x_max > 0 else None  # all x = 0: m = 0, as in u_series
+    if route == "auto":
+        series = (engine.mass_scale(xs) if engine else np.zeros(xs.size)) <= _SERIES_LEVEL
+    else:
+        series = np.full(xs.size, route == "series")
     u, err = np.empty(xs.size), np.empty(xs.size)
     if series.any():  # one call for all series points
         u[series], err[series], _ = u_series(model, xs[series], tol=tol, engine=engine)
@@ -166,8 +178,6 @@ class DensityGrid:
     is stored.
     """
 
-    model_hash: str
-    q: float
     drift: float
     nodes: np.ndarray
     u: np.ndarray
@@ -414,8 +424,6 @@ def u_volterra(
             err[head2] = series_tol
             method = np.where(head2, "series", "volterra")
             return DensityGrid(
-                model_hash=model.model_hash(),
-                q=model.q,
                 drift=model.drift,
                 nodes=nodes2,
                 u=u2,
@@ -466,7 +474,7 @@ def bv_split(model: LevyModel, x_max: float, tol: float = 1e-8, n_nodes: int = 1
     delta = model.drift
     nodes = np.linspace(0.0, x_max, n_nodes)
     m_end = engine.mass_scale(x_max)
-    if m_end <= 0.5:
+    if m_end <= _SERIES_LEVEL:
         # orders 0..n_terms: the terms u_series would sum, and at least two
         n_terms = max(1, _truncation(m_end, delta, tol)[1] - 1)
     else:

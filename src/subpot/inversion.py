@@ -74,7 +74,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _special
 from .convolve import ConvolutionEngine, _gauss_legendre
 from .errors import AccuracyFailureError, ContourOrderError, ModelValidationError, PreconditionError, check_positive
 from .model import LevyModel, Side
@@ -108,9 +107,7 @@ def tail_transform(model: LevyModel, s):
         out += m * (-np.expm1(-s_arr * a)) / s_arr
     ac = model.ac
     if not ac.is_none:
-        g = ac.C * _special.gamma(1.0 - ac.alpha)
-        base = s_arr if ac.kind == "stable" else s_arr + ac.b
-        out += g * np.exp((ac.alpha - 1.0) * np.log(base))
+        out += ac.g * np.exp((ac.alpha - 1.0) * np.log(s_arr + ac.tempering))
     if model.q:
         out += model.q / s_arr
     return out if np.ndim(s) else complex(out)
@@ -304,8 +301,7 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
     # tau(theta) = c1/theta + g theta^(abar-1) bounds |T| (module docstring)
     c_atoms = sum(m * (1.0 + math.exp(-lam * a)) for a, m in zip(model.atomic.locations, model.atomic.masses))
     c1 = model.q + c_atoms
-    g, abar = (0.0, 0.0) if model.ac.is_none else (model.ac.C * _special.gamma(1.0 - model.ac.alpha), model.ac.alpha)
-    b = model.ac.b if model.ac.kind == "tempered" else 0.0
+    g, b, abar = model.ac.g, model.ac.tempering, (model.ac.alpha if model.has_ac else 0.0)
     # at least one panel, so a vanishing tau still integrates theta > 0
     theta0 = _smallest_theta(lambda t: c1 / t + g * t ** (abar - 1.0), 0.5 * drift, width)
     # T(lam) >= |T(lam + i theta)|, and Phi(lam) = lam (d + T(lam)) <= Re Phi(lam + i theta)

@@ -61,6 +61,32 @@ def _is_finite_number(v) -> bool:
         return False
 
 
+def _drift_q_rules(drift, q) -> list:
+    """(pointer, message) for each of drift > 0 and q >= 0 that fails; both must be finite."""
+    violations = []
+    if not (_is_finite_number(drift) and drift > 0):
+        violations.append(("/drift", "drift must be a finite number > 0"))
+    if not (_is_finite_number(q) and q >= 0):
+        violations.append(("/q", "q must be a finite number >= 0"))
+    return violations
+
+
+def _ac_rules(kind, C, alpha, b) -> list:
+    """(pointer, message) for each AC-tail field that fails; a tail needs C > 0 and
+    alpha in (0, 1), a tempered one also b > 0, all finite."""
+    if kind not in ("none", "stable", "tempered"):
+        return [("/ac/kind", f"unknown AC kind {kind!r}")]
+    violations = []
+    if kind != "none":
+        if not (_is_finite_number(C) and C > 0):
+            violations.append(("/ac/C", "C must be a finite number > 0"))
+        if not (_is_finite_number(alpha) and 0.0 < alpha < 1.0):
+            violations.append(("/ac/alpha", "alpha must lie in (0, 1)"))
+    if kind == "tempered" and not (_is_finite_number(b) and b > 0):
+        violations.append(("/ac/b", "b must be a finite number > 0"))
+    return violations
+
+
 def _as_fraction(value) -> Optional[Fraction]:
     if isinstance(value, bool):
         return None
@@ -241,15 +267,9 @@ class AcTail:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "stable", "tempered"):
-            raise ModelValidationError([("/ac/kind", f"unknown kind {self.kind!r}")])
-        if self.kind != "none":
-            if not (_is_finite_number(self.C) and self.C > 0):
-                raise ModelValidationError([("/ac/C", "C must be a finite number > 0")])
-            if not (_is_finite_number(self.alpha) and 0.0 < self.alpha < 1.0):
-                raise ModelValidationError([("/ac/alpha", "alpha must lie in (0, 1)")])
-        if self.kind == "tempered" and not (_is_finite_number(self.b) and self.b > 0):
-            raise ModelValidationError([("/ac/b", "b must be a finite number > 0")])
+        violations = _ac_rules(self.kind, self.C, self.alpha, self.b)
+        if violations:
+            raise ModelValidationError(violations)
         for name in ("C", "alpha", "b"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -268,6 +288,21 @@ class AcTail:
     @property
     def is_none(self) -> bool:
         return self.kind == "none"
+
+    @cached_property
+    def g(self) -> float:
+        """C Gamma(1 - alpha), the transform constant of the tail (0.0 without one).
+
+        Formed on first read, not in the constructor, so that building or
+        loading a model never loads scipy.special, and a model without a
+        tail never calls it.
+        """
+        return 0.0 if self.is_none else self.C * _special.gamma(1.0 - self.alpha)
+
+    @property
+    def tempering(self) -> float:
+        """The tempering rate: b for the tempered family, else 0.0."""
+        return self.b if self.kind == "tempered" else 0.0
 
     def tail(self, y):
         """tbar2(y); +inf at y = 0 (alpha > 0 makes the tail explode)."""
@@ -309,9 +344,7 @@ class AcTail:
         """int_0^inf tbar2(y) dy (the AC part's contribution to E[X_1])."""
         if self.is_none:
             return 0.0
-        if self.kind == "stable":
-            return math.inf
-        return self.C * _special.gamma(1.0 - self.alpha) * self.b ** (self.alpha - 1.0)
+        return self.g * self.tempering ** (self.alpha - 1.0) if self.tempering else math.inf
 
     def small_jump_moment(self, eps: float) -> float:
         """int_0^eps y Pi2(dy) in closed form: the first moment a simulation drops below eps."""
@@ -322,8 +355,8 @@ class AcTail:
             return self.C * a * eps ** (1.0 - a) / (1.0 - a)
         # Pi2(dy) = C (alpha y^(-1-alpha) + b y^(-alpha)) e^{-by} dy, and
         # int_0^eps y^(s-1) e^{-by} dy = b^-s Gamma(s) P(s, b eps)
-        be = self.b * eps
-        return self.C * self.b ** (a - 1.0) * (a * _special.gamma(1.0 - a) * _special.gammainc(1.0 - a, be)
+        s, be = 1.0 - a, self.b * eps
+        return self.C * self.b ** (a - 1.0) * (a * _special.gamma(s) * _special.gammainc(s, be)
                                                + _special.gamma(2.0 - a) * _special.gammainc(2.0 - a, be))
 
 
@@ -341,11 +374,7 @@ class LevyModel:
     ac: AcTail = field(default_factory=AcTail.none)
 
     def __post_init__(self):
-        violations = []
-        if not (_is_finite_number(self.drift) and self.drift > 0):
-            violations.append(("/drift", "drift must be a finite number > 0"))
-        if not (_is_finite_number(self.q) and self.q >= 0):
-            violations.append(("/q", "q must be a finite number >= 0"))
+        violations = _drift_q_rules(self.drift, self.q)
         if violations:
             raise ModelValidationError(violations)
         object.__setattr__(self, "drift", float(self.drift))
@@ -371,10 +400,6 @@ class LevyModel:
             return math.inf
         return self.atomic.total_mass()
 
-    @property
-    def finite_activity(self) -> bool:
-        return not self.has_ac
-
     # -- tail evaluation ---------------------------------------------------
 
     def tail(self, y: float, side: Side = Side.LEFT) -> float:
@@ -390,9 +415,6 @@ class LevyModel:
                 return math.inf
             return self.atomic.tail(0.0, Side.RIGHT)
         return self.atomic.tail(y, side) + (self.ac.tail(y) if self.has_ac else 0.0)
-
-    def tail_at_zero_finite(self) -> bool:
-        return not self.has_ac
 
     def atom_mass_at(self, x, exact: Optional[Fraction] = None) -> float:
         return self.atomic.mass_at(float(x), exact=exact)
@@ -438,11 +460,8 @@ class LevyModel:
         psi = self.drift * lam
         psi += math.fsum(m * -math.expm1(-lam * a) for a, m in zip(self.atomic.locations, self.atomic.masses))
         if self.has_ac:
-            g = self.ac.C * _special.gamma(1.0 - self.ac.alpha)
-            if self.ac.kind == "stable":
-                psi += g * lam ** self.ac.alpha
-            else:
-                psi += g * lam * (lam + self.ac.b) ** (self.ac.alpha - 1.0)
+            g, b, a = self.ac.g, self.ac.tempering, self.ac.alpha
+            psi += g * lam * (lam + b) ** (a - 1.0) if b else g * lam**a
         return float(psi)
 
     def mean(self) -> float:
@@ -525,15 +544,10 @@ def model_from_dict(doc: dict) -> LevyModel:
     "masses": [...], "cap": int}?, "ac": {"kind": "none"|"stable"|"tempered",
     "C":, "alpha":, "b":}}.  Every number must be finite and not a boolean.
     """
-    violations = []
     if not isinstance(doc, dict):
         raise ModelValidationError([("", "model document must be a JSON object")])
-    drift = doc.get("drift")
-    if not _is_finite_number(drift) or not drift > 0:
-        violations.append(("/drift", "drift must be a finite number > 0"))
-    q = doc.get("q", 0.0)
-    if not _is_finite_number(q) or q < 0:
-        violations.append(("/q", "q must be a finite number >= 0"))
+    drift, q = doc.get("drift"), doc.get("q", 0.0)
+    violations = _drift_q_rules(drift, q)
 
     pairs = []
     atoms = doc.get("atoms", []) or []
@@ -569,17 +583,7 @@ def model_from_dict(doc: dict) -> LevyModel:
         violations.append(("/ac", "ac must be an object"))
         ac_doc = {"kind": "none"}
     kind = ac_doc.get("kind", "none")
-    if kind not in ("none", "stable", "tempered"):
-        violations.append(("/ac/kind", f"unknown AC kind {kind!r}"))
-    else:
-        if kind != "none":
-            if not _is_finite_number(ac_doc.get("C")) or not ac_doc["C"] > 0:
-                violations.append(("/ac/C", "C must be a finite number > 0"))
-            alpha = ac_doc.get("alpha")
-            if not _is_finite_number(alpha) or not (0 < alpha < 1):
-                violations.append(("/ac/alpha", "alpha must lie in (0, 1)"))
-        if kind == "tempered" and (not _is_finite_number(ac_doc.get("b")) or not ac_doc["b"] > 0):
-            violations.append(("/ac/b", "b must be a finite number > 0"))
+    violations += _ac_rules(kind, ac_doc.get("C"), ac_doc.get("alpha"), ac_doc.get("b"))
 
     fam = doc.get("atom_family")
     if fam is not None and not isinstance(fam, dict):
@@ -623,12 +627,9 @@ def model_from_dict(doc: dict) -> LevyModel:
         else:
             atomic = gen
 
-    if kind == "none":
-        ac = AcTail.none()
-    elif kind == "stable":
-        ac = AcTail.stable(ac_doc["C"], ac_doc["alpha"])
-    else:
-        ac = AcTail.tempered(ac_doc["C"], ac_doc["alpha"], ac_doc["b"])
+    # only the fields of its kind: a stable tail ignores a "b" in the document
+    names = {"none": (), "stable": ("C", "alpha"), "tempered": ("C", "alpha", "b")}[kind]
+    ac = AcTail(kind, **{name: ac_doc[name] for name in names})
 
     return LevyModel(drift=float(drift), q=float(q), atomic=atomic, ac=ac)
 

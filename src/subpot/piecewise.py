@@ -116,9 +116,6 @@ class PiecewisePoly:
 
     # -- algebra ----------------------------------------------------------------
 
-    def scale(self, factor: float) -> "PiecewisePoly":
-        return PiecewisePoly(self.breaks, self.coeffs * factor)
-
     def shift(self, a: float) -> "PiecewisePoly":
         """x -> f(x - a) for a > 0 (zero on [0, a))."""
         if a <= 0:
@@ -126,13 +123,6 @@ class PiecewisePoly:
         breaks = np.concatenate([[0.0], self.breaks + a])
         coeffs = np.vstack([np.zeros((1, self.coeffs.shape[1])), self.coeffs])
         return PiecewisePoly(breaks, coeffs)
-
-    def add(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        breaks = _merge_breaks(np.union1d(self.breaks, other.breaks))
-        a, b = self._rebased(breaks), other._rebased(breaks)
-        width = max(a.shape[1], b.shape[1])
-        pad = lambda c: np.pad(c, ((0, 0), (0, width - c.shape[1])))
-        return PiecewisePoly(breaks, pad(a) + pad(b))
 
     def _rebased(self, origins: np.ndarray) -> np.ndarray:
         """Row k: the polynomial valid on [origins[k], next break), rebased there.

@@ -127,7 +127,7 @@ class _JumpSampler:
             raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
         self.model = model
         self.eps = float(eps)
-        if not model.finite_activity and eps <= 0:
+        if model.has_ac and eps <= 0:
             raise PreconditionError("infinite activity requires a truncation eps > 0")
         locs = np.array([a for a in model.atomic.locations if a >= eps], dtype=float)
         masses = np.array(
@@ -138,8 +138,6 @@ class _JumpSampler:
         self.cum_atoms = np.append(np.cumsum(masses), np.inf)  # +inf stops _walk
         ac = model.ac
         self.w_ac = float(ac.tail(max(eps, 0.0))) if not ac.is_none else 0.0
-        if not ac.is_none and eps <= 0:
-            raise PreconditionError("AC tail requires eps > 0")
         self.rate = self.w_atoms + self.w_ac
 
     def sample(self, u: np.ndarray) -> np.ndarray:

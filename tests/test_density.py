@@ -581,6 +581,46 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="route"):
             evaluate(delta1, 1.0, route="volterra")
 
+    @pytest.mark.parametrize("x", [[math.nan], [-1.0], [0.0], [], [0.0, 2.0], [math.inf], [[1.0]]])
+    def test_bad_x_is_named_before_the_engine(self, delta1, monkeypatch, x):
+        monkeypatch.setattr(density, "ConvolutionEngine", None)  # any engine call would raise TypeError
+        with pytest.raises(ValueError, match=r"^x must be a (number|finite number > 0)"):
+            evaluate(delta1, x)
+
+    def test_x_zero_is_the_first_series_term_without_derivatives(self, delta1, monkeypatch):
+        want = evaluate(delta1, [2.0], derivatives=False)
+        u, err, method, *du = evaluate(delta1, [0.0, 2.0], derivatives=False)
+        assert du == [None, None, None]
+        assert (u.tolist(), err.tolist(), method.tolist()) == (
+            [1.0, *want[0].tolist()], [0.0, *want[1].tolist()], ["series", "inversion"])
+        monkeypatch.setattr(density, "ConvolutionEngine", None)  # all x = 0 needs no engine
+        u, err, method, *_ = evaluate(delta1, [0.0, 0.0], derivatives=False)
+        assert (u.tolist(), err.tolist(), method.tolist()) == ([1.0, 1.0], [0.0, 0.0], ["series", "series"])
+        with pytest.raises(ValueError, match=r"^x must be a finite number >= 0, got -1.0"):
+            evaluate(delta1, [0.0, -1.0], derivatives=False)
+
+
+class TestSeriesRule:
+    """On the unit atom m(x) = x, so the rule m(x) <= 1/2 holds up to x = 0.5 exactly."""
+
+    EDGE, PAST = 0.5, float(np.nextafter(0.5, 1.0))
+
+    def test_every_entry_point_draws_the_same_line(self, delta1, monkeypatch):
+        m = ConvolutionEngine(delta1, 1.0).mass_scale(np.array([self.EDGE, self.PAST]))
+        assert m.tolist() == [self.EDGE, self.PAST]
+        assert series_radius(delta1, 1.0) == self.EDGE
+        u_series(delta1, self.EDGE)
+        with pytest.raises(SeriesRadiusError):
+            u_series(delta1, self.PAST)
+        method = evaluate(delta1, [self.EDGE, self.PAST], derivatives=False)[2]
+        assert method.tolist() == ["series", "inversion"]
+        # bv_split takes the certified truncation only inside the radius
+        certified, truncation = [], density._truncation
+        monkeypatch.setattr(density, "_truncation", lambda m, *a: certified.append(m) or truncation(m, *a))
+        bv_split(delta1, self.EDGE)
+        bv_split(delta1, self.PAST)
+        assert certified == [self.EDGE]
+
 
 class TestHonestInterpolation:
     def test_no_slack_on_the_head(self, delta1_grid):

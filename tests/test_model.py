@@ -37,8 +37,8 @@ class TestTail:
 
     def test_unbounded_at_zero_is_marker(self, stable_half):
         assert stable_half.tail(0.0, Side.RIGHT) == math.inf
-        assert not stable_half.tail_at_zero_finite()
-        assert LevyModel(drift=1.0).tail_at_zero_finite()
+        assert stable_half.has_ac
+        assert not LevyModel(drift=1.0).has_ac
 
     @given(
         y1=st.floats(0.01, 5.0),

@@ -69,15 +69,6 @@ def _probes(pp, x_max=None):
     return x if x_max is None else x[x <= x_max]
 
 
-@given(piecewise_polys(), piecewise_polys())
-@settings(max_examples=100, deadline=None)
-def test_add_is_pointwise_sum(f, g):
-    h = f.add(g)
-    x = _probes(h)
-    assert h.degree == max(f.degree, g.degree)
-    assert _close(h(x), f(x) + g(x), _magnitude(f)(x) + _magnitude(g)(x))
-
-
 @given(piecewise_polys(), st.floats(0.01, 3.0))
 @settings(max_examples=100, deadline=None)
 def test_shift_delays(f, a):
@@ -133,10 +124,6 @@ def test_shift_and_add():
     assert s.eval(0.4) == 0.0
     assert s.eval(0.6) == 1.0
     assert s.eval(1.6) == 0.0
-    both = box.add(s.scale(-1.0))
-    assert both.eval(0.25) == pytest.approx(1.0)
-    assert both.eval(0.75) == pytest.approx(0.0)
-    assert both.eval(1.25) == pytest.approx(-1.0)
 
 
 def test_derivative_of_triangle():

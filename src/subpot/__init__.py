@@ -41,7 +41,6 @@ _OWNERS = {
     "AccuracyFailureError": "errors",
     "BudgetExceededError": "errors",
     "ContourOrderError": "errors",
-    "FitWindowError": "errors",
     "IndeterminateIndexError": "errors",
     "ModelValidationError": "errors",
     "PreconditionError": "errors",
@@ -51,7 +50,6 @@ _OWNERS = {
     "derivative_integrand": "inversion",
     "derivative_zero_contour": "inversion",
     "invert_density": "inversion",
-    "invert_derivative": "inversion",
     "invert_derivative_pair": "inversion",
     "tail_transform": "inversion",
     "AcTail": "model",
@@ -69,7 +67,6 @@ _OWNERS = {
     "classify_point": "smoothness",
     "conv_jump": "smoothness",
     "derivative_jump": "smoothness",
-    "one_sided_fd": "smoothness",
 }
 # submodules, which read as attributes after a plain ``import subpot`` too
 _SUBMODULES = frozenset({*_OWNERS.values(), "piecewise", "_special"})

@@ -23,7 +23,7 @@ import numpy as np
 from .convolve import ConvolutionEngine
 from .density import _SERIES_LEVEL, series_radius, u_series
 from .errors import PreconditionError
-from .inversion import derivative_zero_contour, invert_derivative
+from .inversion import derivative_zero_contour, invert_derivative_pair
 from .model import LevyModel, Side
 
 _RATIO_TOL = 0.05
@@ -169,8 +169,8 @@ def check_du_zero(model: LevyModel, x_grid: Optional[np.ndarray] = None) -> Asym
     engine = ConvolutionEngine(model, float(xs.max()))
     leading = engine.power(1, xs, Side.RIGHT) / model.drift**2
     # one contour for every x, at the tolerance the smallest leading term asks
-    du, _ = invert_derivative(model, xs, Side.RIGHT, tol=max(1e-9, 1e-4 * float(np.min(np.abs(leading)))),
-                              engine=engine)
+    _, du, _ = invert_derivative_pair(model, xs, tol=max(1e-9, 1e-4 * float(np.min(np.abs(leading)))),
+                                      engine=engine)
     series = engine.alternating_sum(xs, 1, n + 1, Side.RIGHT)
     residual = np.abs(du - series)
     passed = _monotone_approach(residual) and residual[-1] < 0.01 * abs(leading[-1])

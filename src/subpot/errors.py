@@ -84,10 +84,6 @@ class IndeterminateIndexError(PreconditionError):
     """Small-jump index estimation did not stabilize within the family cap."""
 
 
-class FitWindowError(PreconditionError):
-    """A one-sided fit window contains a breakpoint or too few nodes."""
-
-
 class AccuracyFailureError(SubpotError):
     """A computation finished but missed its accuracy target.
 

@@ -9,7 +9,17 @@ plus a remainder whose bilateral Laplace transform is explicit:
 with T(s) the transform of (tbar + q) and d the drift.  The derivative
 replaces the running convolutions by the powers (tbar+q)^{*n} and drops
 the 1/s factor.  Its two one-sided limits differ only in the n = 1 term,
--(q + tbar(x-/x+))/d^2, so one contour integral serves both sides.
+-(q + tbar(x-/x+))/d^2, so one contour integral serves both sides.  The
+derivative of order j >= 2 differentiates the powers j - 1 times and
+multiplies the integrand by s^(j-1):
+
+    u^(j)(x+-) = sum_{n<N} (-1)^n d^-(n+1) (pc^{*n})^(j-1)(x+-)
+                 + Bromwich integral of s^(j-1) (-T)^N / (d^(N+1) (1 + T/d)),
+
+with pc the piecewise-constant kernel of the atoms and q.  Only the finite
+sum is one-sided, so again one contour serves both sides.  The engine has
+no closed form for derivatives of the AC cross terms, so orders j >= 2 are
+given for models without an AC part only.
 
 ``_split_contour`` picks or checks the order N and places the truncation point
 Theta by a proved bound.  With finitely many atoms, lam >= 0 and theta > 0,
@@ -20,11 +30,13 @@ Theta by a proved bound.  With finitely many atoms, lam >= 0 and theta > 0,
 since |s|, |s + b| >= theta, |1 - e^{-s a}| <= 1 + e^{-lam a} and
 alpha - 1 < 0 (abar = alpha; g = abar = 0 without an AC part).  Past
 theta0, where tau <= d/2, |1 + T/d| >= 1/2 and the remainder is at most
-2 tau^N / (theta^e d^(N+1)), e = 1 for the density's 1/s and 0 for the
-derivative.  Past Theta, tau(theta) <= kappa theta^(abar-1) with
-kappa = c1 Theta^-abar + g, so the tail of the integral is at most
-2 kappa^N Theta^-rho / (rho d^(N+1)), rho = N (1 - abar) + e - 1; the order
-floor, set by the padded decay |theta|^(N*(beta+eps-1)-e) with beta the
+2 tau^N |s|^-e / d^(N+1), e = 1 for the density's 1/s and 1 - j for the
+order-j derivative's s^(j-1).  For e >= 0, |s|^-e <= theta^-e; for e < 0,
+|s|^-e <= theta^-e (1 + lam^2/Theta^2)^(-e/2) past Theta.  Past Theta,
+tau(theta) <= kappa theta^(abar-1) with kappa = c1 Theta^-abar + g, so the
+tail of the integral is at most 2 kappa^N Theta^-rho / (rho d^(N+1)), times
+that factor for e < 0, with rho = N (1 - abar) + e - 1; the order floor,
+set by the padded decay |theta|^(N*(beta+eps-1)-e) with beta the
 small-jump index, keeps rho > 0.  Theta is the smallest point where
 e^{lam x}/pi times that tail is at most tol/2.  The integral on [0, Theta]
 uses panels no wider than one half-oscillation of e^{i theta x} with
@@ -280,8 +292,9 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
                    integrand, e: int):
     """Split order, truncation and the amplified remainder integral at every x.
 
-    ``integrand(model, n, s)`` is the order-n remainder transform, with e = 1
-    for a 1/s factor and 0 without.  Orders whose decay is not integrable
+    ``integrand(model, n, s)`` is the order-n remainder transform times
+    s^-e: e = 1 for the density's 1/s, 1 - j for the order-j derivative's
+    s^(j-1).  Orders whose decay is not integrable
     are refused.  The order, Theta and the panels are chosen once, at the
     largest x, where e^{lam x} is largest.  Returns (N, integral, err),
     arrays over xs with e^{lam x} already applied to both; the truncation
@@ -308,9 +321,12 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
     t_lam = tail_transform(model, lam).real if lam > 0 else model.mean() - drift
     phi_lam = lam * (drift + t_lam)
 
+    # |s|^-e over theta^-e past t, for the s^(j-1) of a derivative of order j >= 2
+    grow = (lambda t: (1.0 + (lam / t) ** 2) ** (-0.5 * e)) if e < 0 else (lambda t: 1.0)
+
     def truncation(n):
         rho = n * (1.0 - abar) + e - 1.0
-        tail = lambda t: 2.0 * (c1 * t**-abar + g) ** n * t**-rho / (rho * drift ** (n + 1))
+        tail = lambda t: 2.0 * (c1 * t**-abar + g) ** n * t**-rho / (rho * drift ** (n + 1)) * grow(t)
         theta = _smallest_theta(tail, 0.5 * math.pi * tol / amp, theta0)
         return theta, tail(theta), sum(_panel_counts(theta, width, lam))
 
@@ -386,39 +402,52 @@ def invert_density(model: LevyModel, x, N: Optional[int] = None, lam: Optional[f
     return _shaped(x, engine.alternating_sum(xs, 0, N) + integral, err)
 
 
-def _derivative_pair(model, x, xs, N, lam, tol, engine):
-    N, integral, err = _split_contour(model, xs, N, lam, tol, derivative_integrand, 0)
+def _derivative_pair(model, x, xs, N, lam, tol, engine, order=1):
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order > 1 and model.has_ac:
+        raise PreconditionError(f"one-sided derivatives of order {order} need a model without an AC part")
+    integrand = derivative_integrand if order == 1 else (
+        lambda m, n, s: s ** (order - 1) * derivative_integrand(m, n, s))
+    N, integral, err = _split_contour(model, xs, N, lam, tol, integrand, 1 - order)
     if engine is None:
         engine = ConvolutionEngine(model, float(xs.max()))
-    # orders n >= 2 are continuous; the n = 1 term carries the atom's jump
-    base = engine.alternating_sum(xs, 2, N, Side.RIGHT)
-    left, right = (-engine.power(1, xs, side) / model.drift**2 + base + integral for side in (Side.LEFT, Side.RIGHT))
+    if order == 1:
+        # orders n >= 2 are continuous; the n = 1 term carries the atom's jump
+        base = engine.alternating_sum(xs, 2, N, Side.RIGHT)
+        left, right = (-engine.power(1, xs, side) / model.drift**2 + base + integral
+                       for side in (Side.LEFT, Side.RIGHT))
+    else:
+        # (pc^{*n})^(order-1) vanishes for n < order, as pc^{*n} has degree n - 1
+        terms = []
+        for n in range(order, N):
+            poly = engine.pc_power(n)
+            for _ in range(order - 1):
+                poly = poly.derivative()
+            terms.append(((-1.0) ** n / model.drift ** (n + 1), poly))
+        left, right = (sum(c * p.eval(xs, side_left=side_left) for c, p in terms) + integral
+                       for side_left in (True, False))
     return _shaped(x, left, right, err)
 
 
 def invert_derivative_pair(model: LevyModel, x, N: Optional[int] = None,
                            lam: Optional[float] = None, tol: float = 1e-8,
-                           engine: Optional[ConvolutionEngine] = None):
-    """Both one-sided derivatives of u^(q) at x from one contour integral.
+                           engine: Optional[ConvolutionEngine] = None, order: int = 1):
+    """Both one-sided derivatives of u^(q) of the given order at x from one contour integral.
 
-    The sides differ only in the n = 1 term, -(q + tbar(x-/x+))/drift^2,
-    so right - left is the atom mass at x over drift^2.  Needs N large
-    enough that the derivative remainder is integrable (N > 1/(1 - beta));
-    a too-small explicit N raises ContourOrderError citing the required
-    order.  N=None picks the cheapest order predicted to meet tol.
-    x is a number or a 1-D array, as for ``invert_density``.  Returns
-    (left, right, err_est); err_est bounds each side.
+    Order 1: the sides differ only in the n = 1 term, -(q + tbar(x-/x+))/drift^2,
+    so right - left is the atom mass at x over drift^2.  Order j >= 2 needs a
+    model without an AC part (else PreconditionError): its finite sum is
+    (pc^{*n})^(j-1) read on each side, and its jump at a point of minimal
+    jump count j is J_j/drift^(j+1).  Needs N large enough that the
+    remainder is integrable (N > j/(1 - beta)); a too-small explicit N
+    raises ContourOrderError citing the required order.  N=None picks the
+    cheapest order predicted to meet tol.  x is a number or a 1-D array,
+    as for ``invert_density``.  Returns (left, right, err_est); err_est
+    bounds each side's contour error.
     """
     xs = _points(x)
-    return _derivative_pair(model, x, xs, N, _abscissa(xs, lam), tol, engine)
-
-
-def invert_derivative(model: LevyModel, x, side: Side = Side.RIGHT,
-                      N: Optional[int] = None, lam: Optional[float] = None,
-                      tol: float = 1e-8, engine: Optional[ConvolutionEngine] = None):
-    """One side of ``invert_derivative_pair``: returns (value, err_est)."""
-    left, right, err = invert_derivative_pair(model, x, N, lam, tol, engine)
-    return (left if side is Side.LEFT else right), err
+    return _derivative_pair(model, x, xs, N, _abscissa(xs, lam), tol, engine, order)
 
 
 def derivative_zero_contour(model: LevyModel, x, N: Optional[int] = None,

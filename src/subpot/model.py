@@ -71,6 +71,10 @@ def _drift_q_rules(drift, q) -> list:
     return violations
 
 
+# the fields each AC kind reads; AcTail stores the others as 0.0
+_AC_FIELDS = {"none": (), "stable": ("C", "alpha"), "tempered": ("C", "alpha", "b")}
+
+
 def _ac_rules(kind, C, alpha, b) -> list:
     """(pointer, message) for each AC-tail field that fails; a tail needs C > 0 and
     alpha in (0, 1), a tempered one also b > 0, all finite."""
@@ -270,8 +274,9 @@ class AcTail:
         violations = _ac_rules(self.kind, self.C, self.alpha, self.b)
         if violations:
             raise ModelValidationError(violations)
+        # a field outside the kind is 0.0, so tails that act alike compare and hash alike
         for name in ("C", "alpha", "b"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float(getattr(self, name)) if name in _AC_FIELDS[self.kind] else 0.0)
 
     @classmethod
     def none(cls) -> "AcTail":
@@ -627,9 +632,8 @@ def model_from_dict(doc: dict) -> LevyModel:
         else:
             atomic = gen
 
-    # only the fields of its kind: a stable tail ignores a "b" in the document
-    names = {"none": (), "stable": ("C", "alpha"), "tempered": ("C", "alpha", "b")}[kind]
-    ac = AcTail(kind, **{name: ac_doc[name] for name in names})
+    # AcTail keeps only the fields of its kind: a stable tail ignores a "b" in the document
+    ac = AcTail(kind, ac_doc.get("C"), ac_doc.get("alpha"), ac_doc.get("b"))
 
     return LevyModel(drift=float(drift), q=float(q), atomic=atomic, ac=ac)
 

@@ -84,12 +84,13 @@ class PiecewisePoly:
     # -- evaluation ------------------------------------------------------------
 
     def _cell_index(self, x: np.ndarray, left_limit: bool) -> np.ndarray:
+        tol = _BREAK_TOL * np.maximum(1.0, np.abs(x))
         idx = np.searchsorted(self.breaks, x, side="right") - 1
-        # snap to a breakpoint when within tolerance, then honor the side
-        near = np.searchsorted(self.breaks, x + _BREAK_TOL * np.maximum(1.0, np.abs(x)), side="right") - 1
+        # snap to a breakpoint within tolerance on either side, then honor the side
+        near = np.searchsorted(self.breaks, x + tol, side="right") - 1
         snapped = near > idx
         idx = np.where(snapped, near, idx)
-        on_break = snapped | (np.take(self.breaks, np.clip(idx, 0, self.breaks.size - 1)) == x)
+        on_break = snapped | (x - np.take(self.breaks, np.clip(idx, 0, self.breaks.size - 1)) <= tol)
         idx = np.where(on_break & left_limit, idx - 1, idx)
         return idx
 

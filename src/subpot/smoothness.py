@@ -12,29 +12,25 @@ where J_j(x) sums the product of the masses over the ordered j-tuples of
 atoms that add up to x (J_1(x) is the mass at x).  J_j is the ``weight`` of
 x's entry in the atom-sum enumeration, read from it, not recomputed.
 
-The first-derivative jump is measured as the difference of the one-sided
-limits of the inversion representation (``derivative_jump``).  Jumps of
-every order, as ``classify_point`` measures them, are one-sided polynomial
-fits on grid windows that never straddle a breakpoint.
+Jumps are measured as right - left of the one-sided derivatives of the
+split contour (``invert_derivative_pair``): order 1 on every model
+(``derivative_jump``), and each order up to the minimal jump count in
+``classify_point``.  The two sides share one contour integral, so the
+jump's bar is the sum of the sides' bars.  Orders j >= 2 need a model
+without an AC part; on one with it they are not measured.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .convolve import DEFAULT_SUM_BUDGET, AtomSumEntry, ConvolutionEngine, atom_sums
-from .density import DensityGrid, u_volterra
-from .errors import FitWindowError, PreconditionError
+from .errors import PreconditionError
 from .inversion import invert_derivative_pair
-from .model import AtomicPart, LevyModel, Side
-
-_JUMP_SIGMA = 3.0  # decision rule: a jump is "present" when |est| > 3*stderr
+from .model import AtomicPart, LevyModel
 
 
 @dataclass
@@ -42,13 +38,14 @@ class JumpMeasurement:
     order: int
     predicted: Optional[float]
     measured: Optional[float]
-    stderr: Optional[float]
+    err_est: Optional[float]  # bounds |measured - true jump|
 
     @property
     def significant(self) -> Optional[bool]:
-        if self.measured is None or self.stderr is None:
+        """A jump is present when it exceeds its bar."""
+        if self.measured is None:
             return None
-        return abs(self.measured) > _JUMP_SIGMA * self.stderr
+        return abs(self.measured) > self.err_est
 
 
 @dataclass
@@ -65,7 +62,7 @@ class SmoothnessReport:
             "min_k": self.min_k,
             "verdicts": [{"k": k, "differentiable": bool(d)} for k, d in self.verdicts],
             "jumps": [
-                {"order": j.order, "predicted": j.predicted, "measured": j.measured, "stderr": j.stderr}
+                {"order": j.order, "predicted": j.predicted, "measured": j.measured, "err_est": j.err_est}
                 for j in self.jumps
             ],
         }
@@ -90,7 +87,6 @@ def classify_point(
     model: LevyModel,
     x,
     k_max: int = 4,
-    grid: Optional[DensityGrid] = None,
     measure: bool = False,
     budget: int = DEFAULT_SUM_BUDGET,
 ) -> SmoothnessReport:
@@ -99,7 +95,11 @@ def classify_point(
     ``x`` may be a Fraction or rational string for exact membership tests
     against rational atom locations.  Verdicts use the atomic part only:
     the supported AC families are infinitely differentiable, so they do
-    not move any verdict.
+    not move any verdict.  With ``measure``, each order up to the minimal
+    jump count (``k_max`` off the atom-sum set) gets right - left of the
+    contour's one-sided derivatives, with the two sides' bars summed; an
+    order the contour cannot give (j >= 2 with an AC part) has measured
+    and err_est None.
     """
     exact = None
     if isinstance(x, (Fraction, str, int)):
@@ -116,79 +116,28 @@ def classify_point(
     verdicts = [(k, min_k is None or min_k > k) for k in range(1, k_max + 1)]
 
     jumps = []
-    if measure and grid is None:
-        grid = u_volterra(model, xf + 1.0, breakpoint_order=k_max)
-    if grid is not None:
+    if measure:
+        engine = ConvolutionEngine(model, xf, budget)
         top = min_k if min_k is not None else k_max
         for order in range(1, k_max + 1):
-            pred = _jump_weight(entry, order) / model.drift ** (order + 1)
             if order > top:
                 jumps.append(JumpMeasurement(order, None, None, None))
                 continue
+            pred = _jump_weight(entry, order) / model.drift ** (order + 1)
             try:
-                lo, se_lo = one_sided_fd(grid, xf, order, Side.LEFT)
-                hi, se_hi = one_sided_fd(grid, xf, order, Side.RIGHT)
-                jumps.append(JumpMeasurement(order, pred, hi - lo, math.hypot(se_lo, se_hi)))
-            except FitWindowError:
+                left, right, err = invert_derivative_pair(model, xf, engine=engine, order=order)
+            except PreconditionError:
                 jumps.append(JumpMeasurement(order, pred, None, None))
+            else:
+                jumps.append(JumpMeasurement(order, pred, right - left, 2.0 * err))
     return SmoothnessReport(x=xf, k_max=k_max, min_k=min_k, verdicts=verdicts, jumps=jumps)
-
-
-def one_sided_fd(grid: DensityGrid, x: float, order: int, side: Side,
-                 window: Optional[float] = None):
-    """Order-th one-sided derivative at x by polynomial fit on grid nodes.
-
-    The window never includes a breakpoint other than x itself; it shrinks
-    to half the distance to the nearest one.  The estimate comes from a fit
-    of degree order+2; the stderr combines the shift seen one degree higher
-    with the grid's propagated error estimates.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    others = grid.breakpoints[np.abs(grid.breakpoints - x) > 1e-12 * max(1.0, abs(x))]
-    dist = np.min(np.abs(others - x)) if others.size else np.inf
-    w = 0.5 * dist
-    if window is not None:
-        w = min(w, window)
-    w = min(w, grid.x_max - x if side is Side.RIGHT else x)
-    if not np.isfinite(w) or w <= 0:
-        raise FitWindowError(f"no one-sided window available at x={x}")
-    if side is Side.RIGHT:
-        sel = (grid.nodes >= x) & (grid.nodes <= x + w)
-    else:
-        sel = (grid.nodes >= x - w) & (grid.nodes <= x)
-    nodes = grid.nodes[sel]
-    vals = grid.u[sel]
-    errs = grid.err_est[sel]
-    need = max(6, order + 5)
-    if nodes.size < need:
-        raise FitWindowError(
-            f"window at x={x} ({side.value}) holds {nodes.size} nodes, need >= {need}"
-        )
-
-    t = (nodes - x) / w
-    est, row_norm = _fit_deriv(t, vals, order, order + 2, w)
-    est_hi, _ = _fit_deriv(t, vals, order, order + 3, w)
-    bias = abs(est - est_hi)
-    se_grid = float(np.max(errs)) * row_norm
-    stderr = bias + se_grid + 1e-14 * max(1.0, abs(est))
-    return est, stderr
-
-
-def _fit_deriv(t, vals, order, degree, w):
-    # the pseudo-inverse gives both the least-squares fit and its sensitivity
-    pinv = np.linalg.pinv(np.vander(t, degree + 1, increasing=True))
-    coef = pinv @ vals
-    row_norm = float(np.linalg.norm(pinv[order])) * math.factorial(order) / w**order
-    est = coef[order] * math.factorial(order) / w**order
-    return float(est), row_norm
 
 
 def derivative_jump(model: LevyModel, x: float, tol: float = 1e-8):
     """Measured vs predicted derivative jump of the density at x.
 
     predicted = (mass at x)/drift^2; measured is the difference of the
-    one-sided inversion derivatives.  Returns (predicted, measured, stderr).
+    one-sided inversion derivatives.  Returns (predicted, measured, err_est).
     """
     predicted = model.atom_mass_at(x) / model.drift**2
     left, right, err = invert_derivative_pair(model, x, tol=tol)

@@ -114,20 +114,23 @@ def test_criterion_2_jump_identity():
 
 
 def test_criterion_3_classification(delta1, mixed):
-    """Order-k mismatch exactly at x = k for the unit atom, same verdicts mixed."""
-    grids = {
-        "atomic": u_volterra(delta1, 4.4, h_target=0.002, tol=1e-8, breakpoint_order=4),
-        "mixed": u_volterra(mixed, 4.4, h_target=0.002, tol=1e-7, breakpoint_order=4),
-    }
+    """Order-k mismatch exactly at x = k for the unit atom, same verdicts mixed.
+
+    The jumps come from the contour's one-sided derivatives.  With the stable
+    part of the mixed model only order 1 is measured; orders 2 and 3 are null.
+    """
     for name, model in (("atomic", delta1), ("mixed", mixed)):
-        grid = grids[name]
         for x in (1.0, 2.0, 3.0):
-            rep = classify_point(model, x, k_max=3, grid=grid)
+            rep = classify_point(model, x, k_max=3, measure=True)
             assert rep.min_k == int(x), f"{name}: min_k at {x}"
             for j in rep.jumps:
+                if j.measured is None:
+                    assert name == "mixed" and j.order >= 2 or j.order > rep.min_k, f"{name}: order {j.order} at {x}"
+                    continue
+                assert abs(j.measured - j.predicted) <= j.err_est, f"{name}: order-{j.order} jump at {x}"
                 if j.order == rep.min_k:
                     assert j.significant, f"{name}: missing order-{j.order} jump at {x}"
-                elif j.measured is not None and j.order < rep.min_k:
+                else:
                     assert not j.significant, f"{name}: false order-{j.order} jump at {x}"
 
     # atom_sums equals brute force on every test model
@@ -147,7 +150,8 @@ def test_criterion_3_classification(delta1, mixed):
     for atomic in batteries:
         got = {round(float(v), 10) for v in atom_sums(atomic, 3, 6.0).values}
         assert got == brute(atomic.locations, 3, 6.0)
-    _report(3, "min_k = x at {1,2,3} for atomic and mixed; atom_sums == brute force on 8 models")
+    _report(3, "min_k = x at {1,2,3} for atomic and mixed, jumps within their bars; "
+               "atom_sums == brute force on 8 models")
 
 
 def test_criterion_4_monte_carlo_oracle(delta1):

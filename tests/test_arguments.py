@@ -13,7 +13,6 @@ from subpot import (
     atom_sums,
     bv_split,
     invert_density,
-    invert_derivative,
     invert_derivative_pair,
     laplace_crosscheck,
     model_from_dict,
@@ -25,7 +24,7 @@ nan, inf = math.nan, math.inf
 CASES = {
     "invert_density tol nan": (lambda m: invert_density(m, 0.5, tol=nan), "tol"),
     "invert_derivative_pair tol nan": (lambda m: invert_derivative_pair(m, 0.5, tol=nan), "tol"),
-    "invert_derivative tol nan": (lambda m: invert_derivative(m, 0.5, tol=nan), "tol"),
+    "invert_derivative_pair order 3 tol nan": (lambda m: invert_derivative_pair(m, 0.5, tol=nan, order=3), "tol"),
     "invert_density x inf": (lambda m: invert_density(m, inf), "x"),
     "invert_derivative_pair x inf": (lambda m: invert_derivative_pair(m, inf), "x"),
     "u_series tol nan": (lambda m: u_series(m, 0.3, tol=nan), "tol"),

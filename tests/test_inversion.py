@@ -12,12 +12,10 @@ from subpot import (
     ContourOrderError,
     LevyModel,
     PreconditionError,
-    Side,
     density_integrand,
     derivative_integrand,
     derivative_zero_contour,
     invert_density,
-    invert_derivative,
     invert_derivative_pair,
     model_from_dict,
     tail_transform,
@@ -138,7 +136,7 @@ class TestInvertDensity:
         assert "panels" in str(exc.value) and "integrable" not in str(exc.value)
         # a derivative order whose remainder is not integrable
         with pytest.raises(ContourOrderError) as exc:
-            invert_derivative(stable_half, 1.0, N=2)
+            invert_derivative_pair(stable_half, 1.0, N=2)
         assert (exc.value.n_given, exc.value.n_required) == (2, 3)
         assert "integrable derivative integrand" in str(exc.value) and "panels" not in str(exc.value)
 
@@ -154,26 +152,25 @@ class TestInvertDensity:
 class TestInvertDerivative:
     def test_delta1_values(self, delta1):
         for x in (0.5, 1.5, 2.5):
-            v, err = invert_derivative(delta1, x, Side.RIGHT, tol=1e-9)
+            _, v, err = invert_derivative_pair(delta1, x, tol=1e-9)
             assert v == pytest.approx(delta1_du(x), abs=1e-8)
 
     def test_one_sided_jump_at_atom(self, delta1):
-        left, _ = invert_derivative(delta1, 1.0, Side.LEFT, tol=1e-10)
-        right, _ = invert_derivative(delta1, 1.0, Side.RIGHT, tol=1e-10)
+        left, right, _ = invert_derivative_pair(delta1, 1.0, tol=1e-10)
         assert right - left == pytest.approx(1.0, abs=1e-9)
         assert left == pytest.approx(-math.exp(-1.0), abs=1e-8)
 
     def test_pure_drift_zero(self, pure_drift):
-        v, _ = invert_derivative(pure_drift, 1.5, N=2)
+        _, v, _ = invert_derivative_pair(pure_drift, 1.5, N=2)
         assert v == pytest.approx(0.0, abs=1e-10)
 
     def test_order_floor_enforced(self, stable_half):
         with pytest.raises(ContourOrderError) as exc:
-            invert_derivative(stable_half, 1.0, N=2)
+            invert_derivative_pair(stable_half, 1.0, N=2)
         assert exc.value.n_required >= 3
 
     def test_matches_volterra_fd(self, stable_half, stable_grid):
-        v, err = invert_derivative(stable_half, 1.0, Side.RIGHT, tol=1e-7)
+        _, v, err = invert_derivative_pair(stable_half, 1.0, tol=1e-7)
         h = 1e-4
         fd = (stable_grid(1.0 + h) - stable_grid(1.0 - h)) / (2 * h)
         assert v == pytest.approx(fd, abs=5e-4)
@@ -193,10 +190,6 @@ class TestDerivativePair:
     def test_matches_one_sided_calls(self, request, name, x):
         model = request.getfixturevalue(name)
         left, right, err = invert_derivative_pair(model, x)
-        for side, value in ((Side.LEFT, left), (Side.RIGHT, right)):
-            one, one_err = invert_derivative(model, x, side)
-            assert value == pytest.approx(one, rel=1e-13, abs=0.0)
-            assert err == one_err
         # no slack against the oracle; the earlier values within both bars
         want_l, want_r = du_oracle(name, x)
         assert abs(left - want_l) <= err and abs(right - want_r) <= err
@@ -218,6 +211,48 @@ class TestDerivativePair:
         with pytest.raises(ContourOrderError) as exc:
             invert_derivative_pair(model, 1.0, N=4)
         assert exc.value.n_required == 5
+
+
+def delta1_derivative(x: float, j: int, left: bool):
+    """u^(j)(x-) (left) or u^(j)(x+) of the unit atom, summed in mpmath at 30 digits.
+
+    u(x) = sum_k (x-k)^k e^{-(x-k)}/k! over the k < x (k <= x from the right), and
+    d^j/dy^j y^k e^{-y}/k! = e^{-y} sum_{i <= min(j, k)} C(j, i) (-1)^(j-i) y^(k-i)/(k-i)!.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        total = mpmath.mpf(0)
+        for k in range(math.floor(x) + 1):
+            y = mpmath.mpf(x) - k
+            if y == 0 and left:
+                continue
+            total += mpmath.exp(-y) * mpmath.fsum(
+                mpmath.binomial(j, i) * (-1) ** (j - i) * y ** (k - i) / mpmath.factorial(k - i)
+                for i in range(min(j, k) + 1))
+        return total
+
+
+class TestDerivativesOfEveryOrder:
+    XS = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_unit_atom_sides_within_their_bars(self, delta1, order):
+        # no slack: every side at integer and non-integer x against the closed form
+        left, right, err = invert_derivative_pair(delta1, self.XS, tol=1e-9, order=order)
+        for x, got_l, got_r, e in zip(self.XS, left, right, err):
+            assert abs(got_l - delta1_derivative(x, order, left=True)) <= e, (x, "left")
+            assert abs(got_r - delta1_derivative(x, order, left=False)) <= e, (x, "right")
+
+    def test_scalar_x_matches_the_array(self, delta1):
+        left, right, err = invert_derivative_pair(delta1, self.XS, order=3)
+        assert invert_derivative_pair(delta1, 3.0, order=3) == (left[-1], right[-1], err[-1])
+
+    def test_higher_orders_refused_with_an_ac_part(self, mixed_model):
+        with pytest.raises(PreconditionError, match="order 2"):
+            invert_derivative_pair(mixed_model, 2.0, order=2)
+        with pytest.raises(ValueError, match="order"):
+            invert_derivative_pair(mixed_model, 2.0, order=0)
 
 
 class TestZeroContour:

@@ -247,6 +247,16 @@ class TestValidationAndSchema:
         assert numbers == (2.0, 0.25, 1.0, 0.5, 1.0, 0.5)
         assert all(type(v) is float for v in numbers)
 
+    def test_fields_outside_the_kind_are_zero(self):
+        assert AcTail("none", C=5.0, alpha=math.nan) == AcTail()
+        assert LevyModel(drift=1.0, ac=AcTail("none", C=5.0, alpha=math.nan)) == LevyModel(drift=1.0)
+        assert (LevyModel(drift=1.0, ac=AcTail("none", C=5.0, alpha=math.nan)).model_hash()
+                == LevyModel(drift=1.0, ac=AcTail()).model_hash())
+        stable = AcTail("stable", C=1.0, alpha=0.5, b=3.0)
+        assert stable == AcTail.stable(1.0, 0.5) and stable.b == 0.0
+        doc = {"drift": 1.0, "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5, "b": 3.0}}
+        assert model_from_dict(doc).ac == stable
+
     def test_hash_distinguishes_models(self, delta1, stable_half):
         assert delta1.model_hash() != stable_half.model_hash()
         clone = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))

@@ -153,3 +153,16 @@ def test_pure_killing_power_is_polynomial():
         power = power.convolve_step_tail([], [], 0.7)
         x = 1.3
         assert power.eval(x) == pytest.approx(0.7**n * x ** (n - 1) / math.factorial(n - 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+def test_one_sided_limits_snap_to_a_break_from_either_side(ulps):
+    # a break formed as 0.5 + 0.2 + 0.2 lies one ulp below 0.9; a point within
+    # the tolerance on either side of it is on the break, so each side reads its own cell
+    b = 0.5 + 0.2 + 0.2
+    x = b
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    f = PiecewisePoly([0.0, b], [[2.0], [1.0]])
+    assert (f.eval(x, side_left=True), f.eval(x, side_left=False)) == (2.0, 1.0)
+    assert f.eval(np.array([x, x]), side_left=True).tolist() == [2.0, 2.0]

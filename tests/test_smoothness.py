@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -8,13 +9,10 @@ from subpot import (
     AtomicPart,
     LevyModel,
     PreconditionError,
-    Side,
     classify_point,
     conv_jump,
     derivative_jump,
-    one_sided_fd,
 )
-from subpot.errors import FitWindowError
 from subpot.smoothness import predicted_jump_magnitude
 
 
@@ -51,28 +49,44 @@ class TestClassification:
             assert a.min_k == b.min_k
             assert a.verdicts == b.verdicts
 
-    def test_measured_jumps_delta1(self, delta1, delta1_fine_grid):
+    def test_measured_jumps_delta1(self, delta1):
         for x, order in ((1.0, 1), (2.0, 2), (3.0, 3)):
-            rep = classify_point(delta1, x, k_max=3, grid=delta1_fine_grid)
+            rep = classify_point(delta1, x, k_max=3, measure=True)
             assert rep.min_k == order
             for j in rep.jumps:
-                if j.order == order:
-                    assert j.significant
-                    assert j.measured == pytest.approx(j.predicted, rel=0.05)
-                elif j.order < order:
-                    assert not j.significant
+                if j.order > order:
+                    assert j.measured is None and j.err_est is None
+                    continue
+                # no slack: the exact jump J_j/d^(j+1), 0 below the minimal jump count
+                assert abs(j.measured - j.predicted) <= j.err_est
+                assert j.significant == (j.order == order)
 
-    def test_no_false_kinks(self, delta1, delta1_fine_grid):
+    def test_ac_model_measures_order_one_only(self, mixed_model):
+        # atom 1 of mass 1 plus a stable tail: the contour has no order >= 2 with an AC part
+        for x, min_k in ((1.0, 1), (2.0, 2), (1.5, None)):
+            rep = classify_point(mixed_model, x, k_max=3, measure=True)
+            assert rep.min_k == min_k
+            first, *higher = rep.jumps
+            assert abs(first.measured - first.predicted) <= first.err_est
+            assert first.significant == (x == 1.0)
+            top = 3 if min_k is None else min_k
+            assert [(j.measured, j.err_est) for j in higher] == [(None, None)] * 2
+            assert [j.predicted is None for j in higher] == [j.order > top for j in higher]
+        doc = json.loads(classify_point(mixed_model, 2.0, k_max=3, measure=True).to_json())
+        assert [j["measured"] for j in doc["jumps"][1:]] == [None, None]
+        assert [sorted(j) for j in doc["jumps"]] == [["err_est", "measured", "order", "predicted"]] * 3
+
+    def test_no_false_kinks(self, delta1):
         rng = np.random.default_rng(5)
         checked = 0
         for x in rng.uniform(0.3, 4.0, size=40):
             if min(abs(x - b) for b in (1.0, 2.0, 3.0, 4.0)) < 0.05:
                 continue
-            rep = classify_point(delta1, float(x), k_max=2, grid=delta1_fine_grid)
+            rep = classify_point(delta1, float(x), k_max=2, measure=True)
             assert rep.min_k is None
+            assert [j.order for j in rep.jumps if j.measured is not None] == [1, 2]
             for j in rep.jumps:
-                if j.measured is not None:
-                    assert not j.significant, f"false kink at {x} order {j.order}"
+                assert not j.significant, f"false kink at {x} order {j.order}"
             checked += 1
         assert checked > 20
 
@@ -94,39 +108,10 @@ class TestDerivativeJump:
         assert pred == pytest.approx(0.5)
         assert meas == pytest.approx(0.5, abs=max(1e-4, 3 * se))
 
-    def test_fd_route_agrees(self, delta1, delta1_fine_grid):
-        # independent route: one-sided fits on the grid
-        right, se_r = one_sided_fd(delta1_fine_grid, 1.0, 1, Side.RIGHT)
-        left, se_l = one_sided_fd(delta1_fine_grid, 1.0, 1, Side.LEFT)
-        assert right - left == pytest.approx(1.0, abs=3 * (se_r + se_l) + 1e-4)
-
     def test_mixed_model_jump(self, mixed_model):
         pred, meas, se = derivative_jump(mixed_model, 1.0, tol=1e-7)
         assert pred == 1.0
         assert meas == pytest.approx(1.0, abs=max(1e-4, 3 * se))
-
-
-class TestOneSidedFd:
-    def test_delta1_first_derivative(self, delta1_fine_grid):
-        for side in (Side.LEFT, Side.RIGHT):
-            est, se = one_sided_fd(delta1_fine_grid, 0.5, 1, side)
-            assert est == pytest.approx(-math.exp(-0.5), abs=max(3 * se, 1e-4))
-
-    def test_constant_grid_zero(self, pure_drift):
-        from subpot import u_volterra
-
-        grid = u_volterra(pure_drift, 2.0)
-        est, se = one_sided_fd(grid, 1.0, 1, Side.RIGHT)
-        assert abs(est) < max(3 * se, 1e-8)
-
-    def test_window_error_when_too_tight(self, delta1_fine_grid):
-        with pytest.raises(FitWindowError):
-            one_sided_fd(delta1_fine_grid, 0.5, 1, Side.RIGHT, window=1e-9)
-
-    def test_higher_order_jump(self, delta1_fine_grid):
-        r, se_r = one_sided_fd(delta1_fine_grid, 2.0, 2, Side.RIGHT)
-        l, se_l = one_sided_fd(delta1_fine_grid, 2.0, 2, Side.LEFT)
-        assert (r - l) == pytest.approx(1.0, rel=0.05)
 
 
 class TestConvJump:
@@ -215,7 +200,7 @@ class TestAtomSumLookups:
         got = {x: classify_point(self.FAMILY, x, k_max=3).min_k for x in self.FAMILY_MIN_K}
         assert got == self.FAMILY_MIN_K
 
-    def test_classify_point_enumerates_once_up_to_x(self, monkeypatch, delta1_fine_grid):
+    def test_classify_point_enumerates_once_up_to_x(self, monkeypatch):
         import subpot.smoothness as smoothness
 
         calls = []
@@ -225,13 +210,31 @@ class TestAtomSumLookups:
         assert rep.min_k == 3 and calls == [(3, 0.875)]
         calls.clear()
         delta1 = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))
-        rep = classify_point(delta1, 2.0, k_max=3, grid=delta1_fine_grid)
+        rep = classify_point(delta1, 2.0, k_max=3, measure=True)
         assert calls == [(3, 2.0)]
         assert [j.predicted for j in rep.jumps] == [0.0, 1.0, None]
+
+    @pytest.mark.parametrize("x", ["7/8", "3/4", "1/2", "9/10"])
+    def test_family_jumps_measured_within_their_bars(self, x):
+        # the grid fit had no room between breakpoints here and printed null;
+        # 9/10 = 1/2 + 1/5 + 1/5 sums to one ulp below the float 0.9
+        rep = classify_point(self.FAMILY, x, k_max=3, measure=True)
+        assert rep.min_k == self.FAMILY_MIN_K[str(float(Fraction(x)))]
+        measured = [j for j in rep.jumps if j.order <= rep.min_k]
+        assert [j.order for j in measured] == list(range(1, rep.min_k + 1))
+        for j in measured:
+            assert abs(j.measured - j.predicted) <= j.err_est
+            assert j.significant == (j.order == rep.min_k)
+        assert measured[-1].predicted > 0
 
     def test_rational_string_point(self):
         rep = classify_point(self.FAMILY, "7/10", k_max=3)
         assert rep.x == 0.7 and rep.min_k == 2
+
+    def test_conv_jump_at_a_break_one_ulp_below_x(self):
+        # the ladder's break 1/2 + 1/5 + 1/5 lies one ulp below the float 0.9
+        pred, meas = conv_jump(self.FAMILY, 3, 0.9)
+        assert meas == pytest.approx(pred, rel=1e-12)
 
     @pytest.mark.parametrize("pairs, n, b", [
         ([(0.5, 0.7), (0.8, 1.3)], 2, 1.3),

@@ -415,29 +415,49 @@ class ConvolutionEngine:
             yield from self._binomial_batch(batch, xs, running, cross, table)
 
     def _binomial_batch(self, batch, xs: np.ndarray, running: bool, cross: bool, table: bool):
-        """The sums of ``_batches`` for one batch of orders, its cross terms from one array pass."""
+        """The sums of ``_batches`` for one batch of orders, its cross terms from one array pass.
+
+        With cross terms, one zero-padded (top + 1) x points matrix holds
+        every order's terms at its own columns: row 0 the pure pc term, row
+        j the cross term times C(n, j), 0 < j < n, and row n the pure tail
+        term.  One cumsum down the rows adds them in order of j, as
+        ``total += term`` over j would (a reduction may sum pairwise), and
+        row n of an order's columns is its sum.
+        """
         ladder = self.pc_running if running else self.pc_power
         if not self._pc_trivial:
             pure = self._monomial_terms(batch, xs, running) if table else [ladder(n).eval(xs[pts]) for n, pts in batch]
-        if cross and batch[-1][0] > 1:  # row (n, j) holds order n's points; the orders' blocks follow one another
-            if table:
-                terms = self._monomial_cross(batch, xs, running)
-            else:
-                rows = [(n, j, pts) for n, pts in batch for j in range(1, n)]
-                terms = self._cross([(ladder(n - j), j) for n, j, _ in rows], xs, [pts for *_, pts in rows])
-        start = 0
-        for k, (n, pts) in enumerate(batch):
-            total = np.zeros(pts.size)
-            if not self._pc_trivial:
-                total += pure[k]
-            if cross and n > 1:
-                block = terms[start:start + (n - 1) * pts.size].reshape(n - 1, pts.size)
-                start += block.size
-                comb = np.array([math.comb(n, j) for j in range(1, n)], dtype=float)
-                # cumsum runs down axis 0 in order, as total += term over j would; a
-                # reduction may sum pairwise, and does for one point
-                total = np.cumsum(np.vstack([total, comb[:, None] * block]), axis=0)[-1]
-            yield total if self.model.ac.is_none else total + self._tail_term(n, xs[pts], running)
+        if not (cross and batch[-1][0] > 1):
+            for k, (n, pts) in enumerate(batch):
+                total = np.zeros(pts.size)
+                if not self._pc_trivial:
+                    total += pure[k]
+                yield total if self.model.ac.is_none else total + self._tail_term(n, xs[pts], running)
+            return
+        orders = np.array([n for n, _ in batch])
+        sizes = np.array([pts.size for _, pts in batch])
+        points = np.concatenate([pts for _, pts in batch])
+        # the cross rows (n, j), j = 1 .. n - 1, in order, each over its order's points;
+        # entry e of them goes to sums[j, column[e]]
+        rows = orders - 1
+        n = np.repeat(orders, rows)
+        j = np.arange(n.size) - np.repeat(np.cumsum(rows) - rows, rows) + 1
+        size = np.repeat(sizes, rows)
+        column = np.repeat(np.repeat(np.cumsum(sizes) - sizes, rows) - (np.cumsum(size) - size), size)
+        column += np.arange(column.size)
+        if table:
+            terms = self._monomial_cross(n - j, j, size, xs[points[column]], running)
+        else:
+            terms = self._cross([(ladder(i), k) for i, k in zip((n - j).tolist(), j.tolist())], xs,
+                                np.split(points[column], np.cumsum(size)[:-1]))
+        sums = np.zeros((int(orders.max()) + 1, points.size))
+        if not self._pc_trivial:
+            sums[0] += np.concatenate(pure)
+        comb = np.array([math.comb(*nj) for nj in zip(n.tolist(), j.tolist())], dtype=float)
+        sums[np.repeat(j, size), column] = np.repeat(comb, size) * terms
+        tail = np.repeat(orders, sizes), np.arange(points.size)
+        sums[tail] = np.concatenate([self._tail_term(k, xs[pts], running) for k, pts in batch])
+        yield from np.split(np.cumsum(sums, axis=0)[tail], np.cumsum(sizes)[:-1])
 
     def _monomial_terms(self, batch, xs: np.ndarray, running: bool) -> list:
         """a_n x^(m_n) of ``_monomials`` for each order n of a batch at its points.
@@ -461,22 +481,16 @@ class ConvolutionEngine:
         val[x <= _BREAK_TOL] = 0.0
         return np.split(val, ends[:-1])[::-1]
 
-    def _monomial_cross(self, batch, xs: np.ndarray, running: bool) -> np.ndarray:
-        """The cross terms of ``_binomial_batch`` below the smallest atom: rows (n, j), j = 1 .. n - 1, in order.
+    def _monomial_cross(self, i, j, size, x, running: bool) -> np.ndarray:
+        """The cross terms of ``_binomial_batch`` below the smallest atom, row (i + j, j) over its points x.
 
         pc^{*i} is the monomial a_i y^(m_i) of ``_monomials`` on all of
-        [0, x], its ladder's first cell, so every point of row (n, j),
-        i = n - j, is one entry of ``_near_cell`` with c = x: the entries
-        come from one repeat of the rows' coefficients, degrees and
-        exponents, with no ladder lookup.
+        [0, x], its ladder's first cell, so every point of a row is one
+        entry of ``_near_cell`` with c = x: the entries come from one repeat
+        of the rows' coefficients, degrees and exponents, with no ladder
+        lookup.  ``size`` is each row's number of points.
         """
-        orders = np.array([n for n, _ in batch])
-        sizes = np.array([pts.size for _, pts in batch])
-        n = np.repeat(orders, orders - 1)
-        j = np.arange(n.size) - np.repeat(np.cumsum(orders - 1) - (orders - 1), orders - 1) + 1
-        a, m = (v[n - j] for v in self._monomials(int(orders.max()), running))
-        x = xs[np.concatenate([np.tile(pts, k - 1) for k, pts in batch])]
-        size = np.repeat(sizes, orders - 1)
+        a, m = (v[i] for v in self._monomials(int(i.max()), running))
         return self._near_cell(*(np.repeat(v, size) for v in (a, m, *self._ac_exponents(j))), x)
 
     def _tail_term(self, j: int, xs: np.ndarray, running: bool) -> np.ndarray:

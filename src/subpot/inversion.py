@@ -47,7 +47,9 @@ convolution orders and roundoff, and it is chosen by predicted cost.  For
 each order n <= 16 whose panels fit PANEL_BUDGET, Theta_n and the panel
 count are known before any integrand evaluation.  The predicted cost is 15
 integrand points per panel plus a fixed cost per order of the finite sum
-(``_order_cost``).  The predicted err_est at the largest x is
+(``_order_cost``): orders 1 .. N-1 for the density, 2 .. N-1 for a
+derivative of any order, whose ladders ``pc_power`` builds from 2 up.
+The predicted err_est at the largest x is
 e^{lam x} (tail_n/pi + 1e-13 (M_n + 1)), with M_n the integral over
 [0, Theta_n] of a majorant of |remainder|.  As tbar + q >= 0,
 |T(lam + i theta)| <= T(lam), and |T| <= c1/|s| + g |s + b|^(abar-1)
@@ -69,10 +71,13 @@ width pi/max(x_max, a_max, 1), are chosen once at the largest x, where
 e^{lam x} is largest, and the integrand is evaluated once on that node
 set.  The panels form two uniform runs (a fine one near the real axis and
 the rest), so a node is lo_k + off_j and the phase factors as
-e^{i x lo_k} e^{i x off_j}: per run and x, one (panels x 15) by 15
-product and one dot with e^{i x lo_k}, never a (nodes x xs) array.  Every
-x reports its own e^{lam x} (tail/pi + 1e-13 (|integral| + 1)), at most
-tol/2 plus roundoff.
+e^{i x lo_k} e^{i x off_j}: per run, one (xs x 15) table of
+e^{i x off_j}, and per block of panels and chunk of x, one (panels x 15)
+by 15 product per x and one array pass over the chunk's (x, panel) pairs
+with e^{i x lo_k}, never a (nodes x xs) array.  A chunk holds at most
+``_CHUNK_ENTRIES`` pairs, and an x's value does not depend on its chunk.
+Every x reports its own e^{lam x} (tail/pi + 1e-13 (|integral| + 1)), at
+most tol/2 plus roundoff.
 
 For killing rate zero and finite mean the derivative pair is valid on the
 imaginary axis itself (lam = 0), which is what makes the derivative's
@@ -165,6 +170,8 @@ PANEL_BUDGET = 400_000
 _LADDER_COST, _CLOSED_COST, _CROSS_COST = 1000.0, 500.0, 1000.0
 # panels per integrand call: bounds the memory of a long contour
 _BLOCK_PANELS = 4096
+# (x, panel) pairs summed in one array pass: bounds the memory of many x
+_CHUNK_ENTRIES = 2**13
 
 
 def _panel_width(model: LevyModel, x: float) -> float:
@@ -198,17 +205,20 @@ def _oscillatory(fn, xs: np.ndarray, runs) -> np.ndarray:
     fn is evaluated once on every node, in one call when there are at most
     ``_BLOCK_PANELS`` panels and one call per block of that many otherwise,
     so memory does not grow with the panel count.  In a run the nodes are
-    lo_k + off_j, so the sum factors as sum_k e^{i x lo_k} (F @ E)[k, x],
-    F[k, j] = fn(lo_k + off_j), E[j, x] = w_j e^{i x off_j}.  It is formed
-    one x at a time, so no array outgrows the nodes (a matrix product over
-    all x would also touch BLAS's level-3 work buffer, which shows in peak
-    memory).
+    lo_k + off_j, so the sum factors as sum_k e^{i x lo_k} (F @ P[x])[k],
+    F[k, j] = fn(lo_k + off_j), P[x, j] = w_j e^{i x off_j}, one phase
+    table per run.  A block is summed for a chunk of x at a time, of at
+    most ``_CHUNK_ENTRIES`` (x, panel) pairs, so no array outgrows the
+    block.  F @ P[x] is one matrix-vector product per x and the sum over k
+    runs along each x's own row, so an x's value does not depend on the
+    x it is chunked with (a matrix product over many x would change its
+    summation order with their number).
     """
     nodes, weights = _gauss_legendre(15)
-    blocks = []  # (panel starts, offsets, E per x) for every block of every run
+    blocks = []  # (panel starts, offsets, phase table) for every block of every run
     for a, h, n in runs:
         off = 0.5 * h * (nodes + 1.0)
-        phase = [0.5 * h * weights * np.exp(1j * x * off) for x in xs.tolist()]
+        phase = 0.5 * h * weights * np.exp(1j * (xs[:, None] * off))
         lo = a + h * np.arange(n)
         blocks += [(lo[k:k + _BLOCK_PANELS], off, phase) for k in range(0, n, _BLOCK_PANELS)]
     calls = [blocks] if sum(lo.size for lo, _, _ in blocks) <= _BLOCK_PANELS else [[b] for b in blocks]
@@ -219,8 +229,10 @@ def _oscillatory(fn, xs: np.ndarray, runs) -> np.ndarray:
         for lo, off, phase in call:
             f = vals[at:at + lo.size * off.size].reshape(lo.size, off.size)
             at += f.size
-            for i, x in enumerate(xs.tolist()):
-                out[i] += np.exp(1j * x * lo) @ (f @ phase[i])
+            step = max(1, _CHUNK_ENTRIES // lo.size)
+            for c in range(0, xs.size, step):
+                g = np.matmul(f, phase[c:c + step, :, None])[:, :, 0]
+                out[c:c + step] += (np.exp(1j * (xs[c:c + step, None] * lo)) * g).sum(axis=1)
     return out
 
 
@@ -362,7 +374,8 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
         best = None  # (misses tol, predicted cost or err_est, n, theta, tail)
         needs = {}  # panels of the orders past the budget
         for n in range(n_min, 17):
-            engine_cost = sum(_order_cost(model, m) for m in range(2 - e, n))
+            # the density's finite sum runs over orders 1 .. n - 1; a derivative's builds the ladders 2 .. n - 1
+            engine_cost = sum(_order_cost(model, m) for m in range(1 if e == 1 else 2, n))
             if best is not None and not best[0] and engine_cost >= best[1]:
                 break  # the finite sum alone costs more than the best order so far
             theta, tail, panels = truncation(n)

@@ -364,6 +364,40 @@ class TestArrayX:
             counts.append(list(sizes))
         assert counts[0] == counts[1] == counts[2] and min(counts[0]) > 0
 
+    @pytest.mark.parametrize("name", ["delta1", "mixed_model"])
+    def test_values_do_not_depend_on_the_chunks_of_x(self, request, name, monkeypatch):
+        import subpot.inversion as inversion
+
+        model = request.getfixturevalue(name)
+        xs = np.linspace(0.05, 6.0, 200)
+        want = invert_density(model, xs), invert_derivative_pair(model, xs)
+        # a contiguous copy: a reversed view would take numpy's strided pow in the model tail
+        backwards = np.ascontiguousarray(xs[::-1])
+        for cap in (1, 2**20):
+            monkeypatch.setattr(inversion, "_CHUNK_ENTRIES", cap)
+            for x, order in ((xs, slice(None)), (backwards, slice(None, None, -1))):
+                got = invert_density(model, x), invert_derivative_pair(model, x)
+                for w, g in zip(itertools.chain(*want), itertools.chain(*got)):
+                    assert w.tolist() == g[order].tolist(), (cap, x[0])
+
+    def test_memory_of_many_x_on_a_long_contour(self, stable_half):
+        # about 36 000 panels, whose integrand blocks alone peak near 5 MB (tracemalloc): 2000 x
+        # with the same largest x add their phase tables (1 MB) and chunks of at most
+        # _CHUNK_ENTRIES (x, panel) pairs; one x at a time added 1.5 MB, every x at once 390 MB
+        import tracemalloc
+
+        xs = np.linspace(0.05, 20.0, 2000)
+        invert_density(stable_half, xs[:3])  # imports and caches outside the measurement
+        peaks = []
+        for x in (xs[-3:], xs):
+            tracemalloc.start()
+            try:
+                invert_density(stable_half, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2e6
+
     def test_shapes_and_validation(self, delta1):
         u, err = invert_density(delta1, [0.5, 1.5], N=3)
         assert u.shape == err.shape == (2,)

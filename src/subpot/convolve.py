@@ -89,6 +89,8 @@ class AtomSumSet:
     those tuples: the weight J_k(x) of the order-k derivative jump at a
     value with min_jumps = k.  Values are deduplicated exactly when every
     atom location is rational, with a 1e-12 relative tolerance otherwise.
+    In the exact mode ``exact`` is the sum as a Fraction, and ``value`` is
+    that Fraction correctly rounded to a float.
     """
 
     k: int
@@ -116,7 +118,10 @@ def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SU
 
     Level j carries, for every sum of j atoms, the number of ordered j-tuples
     reaching it and the sum of their mass products; an entry keeps the pair
-    from the first level that reaches its value.
+    from the first level that reaches its value.  With rational atoms every
+    sum is keyed by its int numerator over D, the lcm of the atoms'
+    denominators, so additions, lookups and the x_max test run on ints;
+    a sum just past x_max is kept if its float is within 1e-12 relative.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -127,11 +132,15 @@ def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SU
         return AtomSumSet(k=k, x_max=x_max, entries=(), exact_mode=exact_mode)
 
     if exact_mode:
-        atoms = list(atomic.exact_locations)
-        limit = x_max  # a Fraction, or inf, which every Fraction compares below
-        if not (isinstance(x_max, Fraction) or math.isinf(x_max)):
-            limit = Fraction(x_max).limit_denominator(10**15)
-        tol_ok = lambda v: v <= limit or float(v) <= x_max * (1 + 1e-12)
+        scale = math.lcm(*(a.denominator for a in atomic.exact_locations))
+        atoms = [a.numerator * (scale // a.denominator) for a in atomic.exact_locations]
+        if not isinstance(x_max, Fraction) and math.isinf(x_max):
+            top = math.inf  # every int compares below it
+        else:
+            limit = x_max if isinstance(x_max, Fraction) else Fraction(x_max).limit_denominator(10**15)
+            top = math.floor(limit * scale)  # v / D <= limit exactly when the int v <= top
+        # v / D is correctly rounded, so it equals float(Fraction(v, D))
+        tol_ok = lambda v: v <= top or v / scale <= x_max * (1 + 1e-12)
     else:
         atoms = list(atomic.locations)
         tol_ok = lambda v: v <= x_max * (1 + 1e-12)
@@ -145,7 +154,7 @@ def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SU
         return seen[j]
 
     masses = list(atomic.masses)
-    first_seen = {}  # key -> (level, value_float, exact, ordered reps, weight at that level)
+    first_seen = {}  # key -> (level, ordered reps, weight at that level)
     level_sums = {0: (1, 1.0)}  # key -> (ordered-tuple count, mass-product sum); level 0: the empty tuple
     spent = 0
     for level in range(1, k + 1):
@@ -161,13 +170,14 @@ def atom_sums(atomic: AtomicPart, k: int, x_max: float, budget: int = DEFAULT_SU
                     c, w = next_sums.get(nk, (0, 0.0))
                     next_sums[nk] = (c + cnt, w + wt * m)
         for key, (cnt, wt) in next_sums.items():
-            first_seen.setdefault(key, (level, float(key), key if exact_mode else None, cnt, wt))
+            first_seen.setdefault(key, (level, cnt, wt))
         level_sums = next_sums
 
+    value = (lambda v: (v / scale, Fraction(v, scale))) if exact_mode else (lambda v: (v, None))
     entries = sorted(
         (
-            AtomSumEntry(value=val, exact=ex, min_jumps=lvl, representations=reps, weight=wt)
-            for lvl, val, ex, reps, wt in first_seen.values()
+            AtomSumEntry(*value(key), min_jumps=lvl, representations=reps, weight=wt)
+            for key, (lvl, reps, wt) in first_seen.items()
         ),
         key=lambda e: e.value,
     )
@@ -287,8 +297,10 @@ class ConvolutionEngine:
     # -- internals -------------------------------------------------------------
 
     def _check_x(self, x, allow_zero: bool) -> np.ndarray:
-        """x as a 1-D float array, after checking it lies in (0, x_max] ([0, x_max])."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        """x as a contiguous 1-D float array, after checking it lies in (0, x_max] ([0, x_max])."""
+        # numpy runs a SIMD pow on contiguous arrays and libm's on strided ones, and the two
+        # differ in the last bit: a reversed view of x must give the reversed values
+        xs = np.ascontiguousarray(x, dtype=float)
         if xs.size == 0:
             return xs
         lo, hi = float(xs.min()), float(xs.max())  # NaN if any entry is NaN

@@ -144,7 +144,7 @@ def evaluate(model: LevyModel, x, tol: float = 1e-7, route: str = "auto", N: Opt
     """
     if route not in ("auto", "series", "inversion"):
         raise ValueError(f"route must be 'auto', 'series' or 'inversion', got {route!r}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.ascontiguousarray(x, dtype=float)  # a strided view would move bits (``ConvolutionEngine._check_x``)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("x must be a number or a non-empty 1-D array")
     bad = ~(np.isfinite(xs) & ((xs > 0) if derivatives else (xs >= 0)))

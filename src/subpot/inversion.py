@@ -260,8 +260,8 @@ def _contour_integral(fn, xs, theta, tail, width, lam):
 
 
 def _points(x) -> np.ndarray:
-    """x (a number or a 1-D array of finite numbers > 0) as a 1-D float array."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    """x (a number or a 1-D array of finite numbers > 0) as a contiguous 1-D float array."""
+    xs = np.ascontiguousarray(x, dtype=float)  # a strided view would move bits (``_check_x``)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("x must be a number or a non-empty 1-D array")
     ok = np.isfinite(xs) & (xs > 0)

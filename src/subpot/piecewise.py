@@ -79,6 +79,8 @@ class PiecewisePoly:
         breaks = np.concatenate([[0.0], np.asarray(list(locations), dtype=float)])
         total = float(np.sum(masses)) + float(q)
         vals = np.subtract.accumulate(np.concatenate([[total], masses]))
+        if q == 0:
+            vals[-1] = 0.0  # past the last atom; the running subtraction leaves its roundoff there
         return cls(breaks, vals[:, None])
 
     # -- evaluation ------------------------------------------------------------

@@ -194,6 +194,114 @@ class TestAtomSumWeights:
         assert sums.member(0.1) is None and sums.member(5.0) is None
 
 
+def fraction_atom_sums(atomic, k, x_max, budget):
+    """The exact-mode enumeration with every sum a Fraction, as ``atom_sums`` ran it before it
+    moved to int numerators: (value, exact, min_jumps, representations, weight) per entry."""
+    atoms, masses = list(atomic.exact_locations), list(atomic.masses)
+    limit = x_max  # a Fraction, or inf, which every Fraction compares below
+    if not (isinstance(x_max, Fraction) or math.isinf(x_max)):
+        limit = Fraction(x_max).limit_denominator(10**15)
+    first_seen, level_sums, spent = {}, {0: (1, 1.0)}, 0
+    for level in range(1, k + 1):
+        next_sums = {}
+        for key, (cnt, wt) in level_sums.items():
+            for a, m in zip(atoms, masses):
+                spent += 1
+                if spent > budget:
+                    raise BudgetExceededError(level, budget)
+                v = key + a
+                if v <= limit or float(v) <= x_max * (1 + 1e-12):
+                    c, w = next_sums.get(v, (0, 0.0))
+                    next_sums[v] = (c + cnt, w + wt * m)
+        for key, (cnt, wt) in next_sums.items():
+            first_seen.setdefault(key, (level, float(key), key, cnt, wt))
+        level_sums = next_sums
+    return sorted(((val, ex, lvl, reps, wt) for lvl, val, ex, reps, wt in first_seen.values()),
+                  key=lambda e: e[0])
+
+
+class TestIntegerNumerators:
+    """Exact-mode sums run on int numerators over the atoms' common denominator; every entry
+    equals the Fraction enumeration's, field for field and bit for bit."""
+
+    BIG_PRIMES = (7919, 104729, 999983, 1000003)
+
+    @classmethod
+    def atom_sets(cls):
+        """Seeded rational atom sets mixing ints, "p/q" strings and large coprime denominators;
+        the first has 0.3 = 1/10 + 1/5 and 5.7 = 3·3/2 + 1 + 1/5 among its sums."""
+        rng = np.random.default_rng(28)
+        sets = [[("1/10", 0.4), ("1/5", 1.1), (1, 0.7), ("7/10", 2.0), ("3/2", 0.3)]]
+        for _ in range(8):
+            locs, n = {}, int(rng.integers(1, 6))
+            while len(locs) < n:
+                kind, p = int(rng.integers(3)), int(rng.choice(cls.BIG_PRIMES))
+                loc = (int(rng.integers(1, 4)), f"{rng.integers(1, 30)}/{rng.integers(2, 12)}",
+                       Fraction(int(rng.integers(1, 3 * p)), p))[kind]
+                locs.setdefault(Fraction(loc), loc)
+            sets.append([(loc, float(rng.uniform(0.1, 2.0))) for loc in locs.values()])
+        return [AtomicPart.from_pairs(pairs) for pairs in sets]
+
+    @staticmethod
+    def fields(rows):
+        return [(v.hex(), ex, type(ex), lvl, reps, wt.hex()) for v, ex, lvl, reps, wt in rows]
+
+    @classmethod
+    def outcome(cls, enumerate_sums):
+        """The entries' fields, or the level at which the budget ran out."""
+        try:
+            return cls.fields(enumerate_sums())
+        except BudgetExceededError as exc:
+            return ("budget", exc.k, exc.budget)
+
+    def limits(self, atomic, i):
+        rng = np.random.default_rng(i)
+        sums = [v for v, *_ in fraction_atom_sums(atomic, 3, math.inf, math.inf)]
+        on_a_sum = sums[int(rng.integers(len(sums)))]
+        # half a step of the lattice of multiples of 1/D below a sum: x_max * D is not an int
+        step = 1 / math.lcm(*(a.denominator for a in atomic.exact_locations))
+        limits = [float(rng.uniform(0.2, 6.0)), Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 12))),
+                  math.inf, on_a_sum, math.nextafter(on_a_sum, 0.0), math.nextafter(on_a_sum, math.inf),
+                  on_a_sum - step / 2]
+        if i == 0:
+            limits += [x for v in (0.3, 5.7) for x in (v, math.nextafter(v, 0.0), math.nextafter(v, math.inf))]
+        return limits
+
+    def test_entries_equal_the_fraction_enumeration(self):
+        for i, atomic in enumerate(self.atom_sets()):
+            assert atomic.all_rational
+            for x_max in self.limits(atomic, i):
+                for k in range(1, 7):
+                    sums = atom_sums(atomic, k, x_max)
+                    assert sums.exact_mode
+                    got = [(e.value, e.exact, e.min_jumps, e.representations, e.weight) for e in sums.entries]
+                    assert self.fields(got) == self.fields(fraction_atom_sums(atomic, k, x_max, math.inf)), (
+                        i, x_max, k)
+
+    def test_exact_sums_and_their_neighbours(self):
+        # x_max read back within denominators 10^15 lies below 3/10 and 57/10 at the lower
+        # neighbours, so there the 1e-12 float tolerance alone keeps the sum; the level that
+        # first reaches each sum is the fewest atoms that add up to it
+        atomic = self.atom_sets()[0]
+        for v in (0.3, 5.7):
+            assert Fraction(math.nextafter(v, 0.0)).limit_denominator(10**15) < Fraction(str(v))
+        for v, k in ((0.3, 2), (5.7, 5)):
+            for x_max in (v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)):
+                last = atom_sums(atomic, 6, x_max).entries[-1]
+                assert (last.exact, last.value, last.min_jumps) == (Fraction(str(v)), v, k)
+
+    def test_a_tight_budget_runs_out_at_the_same_level(self):
+        for i, atomic in enumerate(self.atom_sets()):
+            for x_max in (math.inf, 4.0):
+                for budget in (0, 5, 40, 250, 10**6):
+                    want = self.outcome(lambda: fraction_atom_sums(atomic, 6, x_max, budget))
+                    got = self.outcome(lambda: [(e.value, e.exact, e.min_jumps, e.representations, e.weight)
+                                                for e in atom_sums(atomic, 6, x_max, budget).entries])
+                    assert got == want, (i, x_max, budget)
+                    if budget in (0, 10**6):  # the first addition overruns; none does
+                        assert (got[:2] == ("budget", 1)) if budget == 0 else isinstance(got, list)
+
+
 class TestConvPower:
     def test_delta1_two_fold_overlap(self, delta1):
         eng = ConvolutionEngine(delta1, 6.0)
@@ -268,6 +376,17 @@ class TestConvPower:
             coeffs = np.polyfit(xs, vals, n - 1)
             resid = np.max(np.abs(np.polyval(coeffs, xs) - vals))
             assert resid < 1e-10
+
+    def test_zero_past_the_support_of_an_atomic_power(self):
+        # with q = 0, pc^{*n} vanishes past n times the largest atom; its ladder holds exact
+        # zeros there, not the roundoff of pc's running subtraction (up to 1.1e-15 before)
+        model = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)]))
+        eng = ConvolutionEngine(model, 10.0)
+        assert eng.pc_power(1).coeffs[-1].tolist() == [0.0]
+        for n in range(2, 7):
+            past = np.linspace(n * 1.4, 10.0, 11)[1:]
+            assert eng.pc_power(n).eval(past).tolist() == [0.0] * 10
+            assert eng.power(n, past).tolist() == [0.0] * 10
 
     def test_domain_errors(self, delta1):
         eng = ConvolutionEngine(delta1, 6.0)

@@ -10,11 +10,13 @@ from subpot import (
     AcTail,
     AtomicPart,
     ContourOrderError,
+    ConvolutionEngine,
     LevyModel,
     PreconditionError,
     density_integrand,
     derivative_integrand,
     derivative_zero_contour,
+    evaluate,
     invert_density,
     invert_derivative_pair,
     model_from_dict,
@@ -371,7 +373,7 @@ class TestArrayX:
         model = request.getfixturevalue(name)
         xs = np.linspace(0.05, 6.0, 200)
         want = invert_density(model, xs), invert_derivative_pair(model, xs)
-        # a contiguous copy: a reversed view would take numpy's strided pow in the model tail
+        # a contiguous copy; a reversed view is test_a_reversed_view_gives_the_reversed_result's
         backwards = np.ascontiguousarray(xs[::-1])
         for cap in (1, 2**20):
             monkeypatch.setattr(inversion, "_CHUNK_ENTRIES", cap)
@@ -379,6 +381,17 @@ class TestArrayX:
                 got = invert_density(model, x), invert_derivative_pair(model, x)
                 for w, g in zip(itertools.chain(*want), itertools.chain(*got)):
                     assert w.tolist() == g[order].tolist(), (cap, x[0])
+
+    def test_a_reversed_view_gives_the_reversed_result(self, mixed_model):
+        # each entry point takes x contiguous, so the stable tail's np.power runs numpy's SIMD
+        # pow on a strided view too, not libm's pow; with the view passed through, 12 of these
+        # 200 values of power(1, x) and 2 of the pair's differed in their last bits
+        xs = np.linspace(0.05, 6.0, 200)
+        engine = ConvolutionEngine(mixed_model, 6.0)
+        for call in (lambda x: (engine.power(1, x),), lambda x: invert_derivative_pair(mixed_model, x),
+                     lambda x: evaluate(mixed_model, x)):
+            for want, got in zip(call(xs), call(xs[::-1])):
+                assert want[::-1].tobytes() == got.tobytes()
 
     def test_memory_of_many_x_on_a_long_contour(self, stable_half):
         # about 36 000 panels, whose integrand blocks alone peak near 5 MB (tracemalloc): 2000 x

@@ -42,12 +42,12 @@ from typing import Optional
 import numpy as np
 
 from . import _special
+from ._special import hyp1f1_neg as _hyp1f1_neg
 from .errors import BudgetExceededError, check_positive
 from .model import _LOCATION_TOL, AtomicPart, LevyModel, Side
 from .piecewise import _BREAK_TOL, PiecewisePoly
 
 DEFAULT_SUM_BUDGET = 10**7
-_SERIES_Z = 5.0  # 1F1(a; c; -z) by its positive series below this z
 _MAX_ENTRIES = 2**16  # monomial entries of one batched cross-term pass; bounds its memory
 
 
@@ -215,6 +215,7 @@ class ConvolutionEngine:
         # below the smallest atom pc^{*i}(y) = c_i y^(i-1) (``_monomials``), c_1 = pc(0+); entry 0 is unused
         self._a_min = float(atomic.locations[0]) if atomic.locations else math.inf
         self._table = [math.nan, float(self._pc.coeffs[0, 0])]
+        self._ac_tables = None  # ``_ac_table``, built on first use
         self._sum_sets = {}
 
     # -- public surface ------------------------------------------------------
@@ -357,10 +358,27 @@ class ConvolutionEngine:
         a = np.array(c[:top + 1])
         return (a / np.maximum(i, 1), i) if running else (a, i - 1)
 
-    def _ac_exponents(self, j: int):
-        """(p, log K) of the tail power s^{*j}(v) = K v^p e^{-b v}; j may be an array."""
-        ac = self.model.ac
-        return j * (1.0 - ac.alpha) - 1.0, j * math.log(ac.g) - _special.gammaln(j * (1.0 - ac.alpha))
+    def _ac_table(self, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s, log K, log B) of the tail powers s^{*j}(v) = K v^(s-1) e^{-b v} over j = 0 .. top at least.
+
+        s_j = j (1 - alpha) and log K_j = j log g - log Gamma(s_j), from
+        ``_special.log_gamma``; log B[m, j] = log B(m + 1, s_j) over the degrees m =
+        0 .. top (``_special.log_beta``), the Beta factor of ``_near_cell``.
+        Entry j = 0 is unused.  An entry does not depend on the size of the
+        tables, which grow to twice their size at least, on new arrays
+        published whole, so concurrent readers that grow them read the same
+        entries.
+        """
+        tables = self._ac_tables
+        if tables is None or tables[0].size <= top:
+            ac = self.model.ac
+            top = max(top, 32 if tables is None else 2 * (tables[0].size - 1))
+            j = np.arange(top + 1)
+            s = j * (1.0 - ac.alpha)
+            log_gamma = np.array([math.inf, *map(_special.log_gamma, s[1:].tolist())])
+            with np.errstate(divide="ignore"):
+                tables = self._ac_tables = s, j * math.log(ac.g) - log_gamma, _special.log_beta(top, s)
+        return tables
 
     def _binomial(self, orders, xs: np.ndarray, running: bool):
         """Yield sum_j C(n, j) pc^{*(n-j)} * s^{*j}, or its running integral, for each (n, pts).
@@ -439,16 +457,20 @@ class ConvolutionEngine:
         ladder = self.pc_running if running else self.pc_power
         if not self._pc_trivial:
             pure = self._monomial_terms(batch, xs, running) if table else [ladder(n).eval(xs[pts]) for n, pts in batch]
+        if not self.model.ac.is_none:
+            orders = np.array([n for n, _ in batch])
+            sizes = np.array([pts.size for _, pts in batch])
+            points = np.concatenate([pts for _, pts in batch])
+            tails = self._tail_term(np.repeat(orders, sizes), xs[points], running)
         if not (cross and batch[-1][0] > 1):
-            for k, (n, pts) in enumerate(batch):
+            start = 0
+            for k, (_, pts) in enumerate(batch):
                 total = np.zeros(pts.size)
                 if not self._pc_trivial:
                     total += pure[k]
-                yield total if self.model.ac.is_none else total + self._tail_term(n, xs[pts], running)
+                yield total if self.model.ac.is_none else total + tails[start:start + pts.size]
+                start += pts.size
             return
-        orders = np.array([n for n, _ in batch])
-        sizes = np.array([pts.size for _, pts in batch])
-        points = np.concatenate([pts for _, pts in batch])
         # the cross rows (n, j), j = 1 .. n - 1, in order, each over its order's points;
         # entry e of them goes to sums[j, column[e]]
         rows = orders - 1
@@ -468,7 +490,7 @@ class ConvolutionEngine:
         comb = np.array([math.comb(*nj) for nj in zip(n.tolist(), j.tolist())], dtype=float)
         sums[np.repeat(j, size), column] = np.repeat(comb, size) * terms
         tail = np.repeat(orders, sizes), np.arange(points.size)
-        sums[tail] = np.concatenate([self._tail_term(k, xs[pts], running) for k, pts in batch])
+        sums[tail] = tails
         yield from np.split(np.cumsum(sums, axis=0)[tail], np.cumsum(sizes)[:-1])
 
     def _monomial_terms(self, batch, xs: np.ndarray, running: bool) -> list:
@@ -503,32 +525,43 @@ class ConvolutionEngine:
         lookup.  ``size`` is each row's number of points.
         """
         a, m = (v[i] for v in self._monomials(int(i.max()), running))
-        return self._near_cell(*(np.repeat(v, size) for v in (a, m, *self._ac_exponents(j))), x)
+        return self._near_cell(*(np.repeat(v, size) for v in (a, m, j)), x)
 
-    def _tail_term(self, j: int, xs: np.ndarray, running: bool) -> np.ndarray:
-        """s^{*j} at the points xs, or its running integral."""
-        ac, b = self.model.ac, self.model.ac.tempering
-        p, log_k = self._ac_exponents(j)
-        s = j * (1.0 - ac.alpha)
-        if running and b:
-            return math.exp(j * math.log(ac.g) - s * math.log(b)) * _special.gammainc(s, b * xs)
+    def _tail_term(self, j, xs: np.ndarray, running: bool) -> np.ndarray:
+        """s^{*j} at the points xs, or its running integral; j is one order or one per point.
+
+        The running integral K int_0^x v^(s-1) e^{-b v} dv is K x^s / s
+        times 1F1(s; s + 1; -b x), ``_near_cell``'s entry with a = 1 and m =
+        0, so the incomplete Gamma function of all the orders of a batch is
+        one ``_special.hyp1f1_gamma`` call.  An order is spread over the
+        points first, so a point's value does not depend on the others.
+        """
+        j = np.broadcast_to(j, xs.shape)
+        s, log_k, _ = self._ac_table(int(j.max(initial=0)))
+        s, b = s[j], self.model.ac.tempering
         if running:
-            return math.exp(log_k) * xs**s / s
-        out = math.exp(log_k) * xs**p
-        if b:
-            out *= np.exp(-b * xs)
+            out = np.exp(log_k[j]) * xs**s / s
+            if b:
+                out *= _special.hyp1f1_gamma(s, b * xs)
+        else:
+            out = np.exp(log_k[j]) * xs ** (s - 1.0)
+            if b:
+                out *= np.exp(-b * xs)
         return out
 
-    def _near_cell(self, a, m, p, log_k, c) -> np.ndarray:
-        """a K int_0^c (c - v)^m v^p e^{-b v} dv per entry, K = exp(log_k) (DLMF 13.4.1).
+    def _near_cell(self, a, m, j, c) -> np.ndarray:
+        """a K int_0^c (c - v)^m v^p e^{-b v} dv per entry of the order j (DLMF 13.4.1).
 
-        a K c^(m+p+1) B(m+1, p+1) 1F1(p+1; m+p+2; -b c), with the prefactor
+        a K c^(m+p+1) B(m+1, p+1) 1F1(p+1; m+p+2; -b c), with K, p and the
+        Beta function looked up in ``_ac_table`` by (m, j), the prefactor
         formed in logarithms, so a vanishing coefficient and a large power
         of c cannot meet as 0 * inf, and one ``_hyp1f1_neg`` call for all
         entries.
         """
+        s, log_k, log_beta = self._ac_table(max(int(j.max(initial=0)), int(m.max(initial=0))))
+        p = s[j] - 1.0
         with np.errstate(divide="ignore"):  # log(0) = -inf gives the running integral's 0 at x = 0
-            val = np.exp(log_k + np.log(np.abs(a)) + _special.betaln(m + 1.0, p + 1.0) + (m + p + 1.0) * np.log(c))
+            val = np.exp(log_k[j] + np.log(np.abs(a)) + log_beta[m, j] + (m + p + 1.0) * np.log(c))
         val *= np.sign(a)
         b = self.model.ac.tempering
         if b > 0.0:
@@ -573,8 +606,8 @@ class ConvolutionEngine:
         # the slot's first entry, less the pair's first position in the copy
         entry = np.repeat((np.cumsum(count) - count)[slot] - (np.cumsum(per_pair) - per_pair), per_pair)
         entry += np.arange(entry.size)
-        p, log_k = (v[row[pair]] for v in self._ac_exponents(np.array([j for _, j in terms])))
-        val = self._near_cell(a[entry], m[entry], p, log_k, c[slot][pair])
+        val = self._near_cell(a[entry], m[entry], np.array([j for _, j in terms], dtype=int)[row[pair]],
+                              c[slot][pair])
         out = np.bincount(pair, weights=val, minlength=slot.size).astype(float, copy=False)  # int when empty
         stop = np.cumsum(sizes)
         for r, (pp, j) in enumerate(terms):
@@ -605,37 +638,11 @@ class ConvolutionEngine:
         half = 0.5 * (hi - lo)[:, None]
         nodes, weights = _gauss_legendre(20)
         v = lo[:, None] + half * (nodes + 1.0)
-        p, log_k = self._ac_exponents(j)
+        s, log_k, _ = self._ac_table(j)
+        p, log_k = s[j] - 1.0, log_k[j]
         f = pp.eval((xs[owner][:, None] - v).ravel()).reshape(v.shape) * v**p
         if b > 0.0:
             f *= np.exp(-b * v)
         piece = (half * f * weights).sum(axis=1)
         return math.exp(log_k) * np.bincount(owner, weights=piece, minlength=xs.size)
 
-
-def _hyp1f1_neg(a: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """1F1(a; c; -z) for arrays with z >= 0 and c > c - a >= 1.
-
-    scipy's hyp1f1 is off by up to about 1e-11 relative for z < 5.  There
-    Kummer's transformation 1F1(a; c; -z) = e^{-z} 1F1(c - a; c; z) gives a
-    series of positive terms, the k-th at most z^k/k! (DLMF 13.2.39).  It
-    is summed in order until that bound is below 1e-17 at the largest z,
-    less than half an ulp of a sum >= 1, so the terms a batch adds beyond an
-    entry's own stopping point leave it unchanged.  The terms are formed and
-    added one at a time, in the order of a cumulative product and sum over
-    k, so memory stays at a few arrays of the batch's size.
-    """
-    out = np.empty(z.shape)
-    big = z >= _SERIES_Z
-    out[big] = _special.hyp1f1(a[big], c[big], -z[big])
-    a, c, z = a[~big], c[~big], z[~big]
-    n, bound, z_max = 1, 1.0, float(z.max(initial=0.0))
-    while bound > 1e-17:
-        bound *= z_max / n
-        n += 1
-    c_minus_a, term, total = c - a, np.ones(z.shape), np.ones(z.shape)
-    for k in range(n - 1):
-        term *= (c_minus_a + k) / (c + k) * z / (k + 1.0)
-        total += term
-    out[~big] = np.exp(-z) * total
-    return out

@@ -298,11 +298,10 @@ class AcTail:
     def g(self) -> float:
         """C Gamma(1 - alpha), the transform constant of the tail (0.0 without one).
 
-        Formed on first read, not in the constructor, so that building or
-        loading a model never loads scipy.special, and a model without a
-        tail never calls it.
+        Formed on first read by ``math.gamma``, so a model without a tail
+        never calls it.
         """
-        return 0.0 if self.is_none else self.C * _special.gamma(1.0 - self.alpha)
+        return 0.0 if self.is_none else self.C * math.gamma(1.0 - self.alpha)
 
     @property
     def tempering(self) -> float:
@@ -330,7 +329,7 @@ class AcTail:
             out = self.C * t_arr ** (1.0 - self.alpha) / (1.0 - self.alpha)
         else:
             s = 1.0 - self.alpha
-            out = self.C * self.b ** (-s) * _special.gamma(s) * _special.gammainc(s, self.b * t_arr)
+            out = self.C * self.b ** (-s) * _special.lower_gamma(s, self.b * t_arr)
         return out if np.ndim(t) else float(out)
 
     def first_moment(self, t):
@@ -342,7 +341,7 @@ class AcTail:
             out = self.C * t_arr ** (2.0 - self.alpha) / (2.0 - self.alpha)
         else:
             s = 2.0 - self.alpha
-            out = self.C * self.b ** (-s) * _special.gamma(s) * _special.gammainc(s, self.b * t_arr)
+            out = self.C * self.b ** (-s) * _special.lower_gamma(s, self.b * t_arr)
         return out if np.ndim(t) else float(out)
 
     def total_integral(self) -> float:
@@ -359,10 +358,9 @@ class AcTail:
         if self.kind == "stable":
             return self.C * a * eps ** (1.0 - a) / (1.0 - a)
         # Pi2(dy) = C (alpha y^(-1-alpha) + b y^(-alpha)) e^{-by} dy, and
-        # int_0^eps y^(s-1) e^{-by} dy = b^-s Gamma(s) P(s, b eps)
+        # int_0^eps y^(s-1) e^{-by} dy = b^-s gamma(s, b eps)
         s, be = 1.0 - a, self.b * eps
-        return self.C * self.b ** (a - 1.0) * (a * _special.gamma(s) * _special.gammainc(s, be)
-                                               + _special.gamma(2.0 - a) * _special.gammainc(2.0 - a, be))
+        return self.C * self.b ** (a - 1.0) * (a * _special.lower_gamma(s, be) + _special.lower_gamma(2.0 - a, be))
 
 
 @dataclass(frozen=True)

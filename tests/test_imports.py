@@ -1,8 +1,8 @@
-"""What ``import subpot`` loads, and what an atom-only command adds to it.
+"""What ``import subpot`` loads, and what a command adds to it.
 
-scipy.special is needed only for an absolutely continuous tail, numpy.random
-only for simulation, and numpy.polynomial only for the Gauss-Legendre
-tables, so none of them is loaded by ``import subpot``.  The package's
+subpot computes its special functions itself, so no command loads scipy;
+numpy.random is needed only for simulation, and numpy.polynomial only for
+the Gauss-Legendre tables, so neither is loaded by ``import subpot``.  The package's
 public names resolve on first read, so ``import subpot`` plus ``load_model``
 loads only the model layer, and hashlib waits for ``model_hash``.  This
 test session has imported scipy and all of subpot itself, so each check of
@@ -21,6 +21,7 @@ from subpot import convolve
 
 UNIT_ATOM = {"drift": 1.0, "q": 0.0, "atoms": [{"x": 1, "mass": 1.0}], "ac": {"kind": "none"}}
 STABLE = {"drift": 1.0, "q": 0.0, "atoms": [], "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5}}
+TEMPERED = {"drift": 1.0, "q": 0.2, "atoms": [], "ac": {"kind": "tempered", "C": 0.7, "alpha": 0.4, "b": 1.5}}
 FAMILY = {"drift": 2.0, "q": 0.0, "ac": {"kind": "none"},
           "atom_family": {"kind": "reciprocal-integers", "cap": 8, "masses": [j ** -1.25 for j in range(1, 9)]}}
 SUBMODULES = ("asymptotics", "convolve", "density", "errors", "inversion", "model", "piecewise", "simulate",
@@ -42,7 +43,7 @@ def loaded_after(setup: str, cwd) -> list:
 
 @pytest.fixture
 def models(tmp_path):
-    for name, doc in (("atom", UNIT_ATOM), ("stable", STABLE), ("family", FAMILY)):
+    for name, doc in (("atom", UNIT_ATOM), ("stable", STABLE), ("tempered", TEMPERED), ("family", FAMILY)):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     return tmp_path
 
@@ -67,22 +68,19 @@ def test_atom_only_commands_leave_scipy_unloaded(models):
     assert (models / "eval.csv").read_text().count("\n") == 6
 
 
-def test_a_tail_loads_scipy_special(models):
-    code = cli_calls(["eval", "--model", "stable.json", "--x", "0.5,1.5", "--out", "eval.csv"])
-    assert "scipy.special" in loaded_after(code, models)
-
-
-def test_special_names_are_scipys_own_functions(tmp_path):
-    code = """
-import json
-import scipy.special
-from subpot import _special
-names = sorted(_special._NAMES)
-print(json.dumps({n: getattr(_special, n) is getattr(scipy.special, n) for n in names}))
-"""
-    same = fresh(code, tmp_path)
-    assert sorted(same) == ["betaln", "gamma", "gammainc", "gammaln", "hyp1f1"]
-    assert all(same.values())
+def test_no_command_loads_scipy(models):
+    # every command that takes special functions of the tail, on a stable and a tempered tail
+    argvs = []
+    for name in ("stable", "tempered"):
+        model = ["--model", f"{name}.json"]
+        argvs += [["eval", *model, "--x", "0.05:3:20", "--out", f"eval-{name}.csv"],
+                  ["invert", *model, "--x", "0.5,1.5", "--out", f"invert-{name}.csv"],
+                  ["simulate", *model, "--x", "0.5,1.5", "--paths", "2000", "--eps", "1e-2", "--out", "sim.csv"],
+                  ["asymptotics", *model, "--law", "du-zero", "--out", "asymptotics.csv"],
+                  ["smoothness", *model, "--x", "1.5", "--kmax", "3", "--measure", "--out", "smoothness.json"]]
+    code = cli_calls(*argvs) + "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    assert fresh(f"import json, sys\n{code}", models) == []
+    assert (models / "eval-tempered.csv").read_text().count("\n") == 21
 
 
 def test_special_rejects_other_names():

@@ -9,11 +9,11 @@ rest are here:
   integer and every z >= 0.  The cross terms' Kummer factors need it, and
   with c = a + 1 so does the incomplete Gamma function, since gamma(s, z) =
   s^-1 z^s 1F1(s; s + 1; -z) (DLMF 8.5.1);
-- ``hyp1f1_gamma(s, z)``: the same at c = a + 1, in fewer operations, for
-  the running integrals of the tail powers;
 - ``lower_gamma(s, z)``: gamma(s, z) for a number s > 0, for the tempered
   tail's antiderivative and moments;
-- ``log_beta(m_max, s)``: log B(m + 1, s) for the integer degrees m.
+- ``log_beta(m_max, s)``: log B(m + 1, s) for the integer degrees m;
+- ``log_powers(c, x, top)``: j log(c Gamma(x)) for j = 0 .. top, each
+  rounded once from a 25-digit logarithm, the tail powers' j log g.
 
 Each entry of a kernel's result depends only on that entry's arguments,
 not on the other entries of the call.  Their errors against mpmath over
@@ -21,12 +21,17 @@ the arguments subpot passes are tested in ``tests/test_special.py``.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 _SERIES_Z = 5.0  # hyp1f1_neg: the positive series below this z, whatever c
 _CF_TOL = 3e-16  # a continued fraction's entry has converged once its factor is this close to 1
 _CF_STEPS = 1000
+_HALF_LOG_2PI = "0.91893853320467274178032973640561763986"  # log(2 pi) / 2
+# (numerator, denominator) of the Bernoulli numbers B_2 .. B_20
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510), (43867, 798),
+              (-174611, 330))
 
 
 def _at(v, mask):
@@ -35,7 +40,7 @@ def _at(v, mask):
 
 
 def _terms(z: np.ndarray) -> int:
-    """The number of terms of ``_series`` or ``_gamma_series``: until z^k/k! < 1e-17 at the largest z."""
+    """The number of terms of ``_series``: until z^k/k! < 1e-17 at the largest z."""
     n, bound, z_max = 1, 1.0, float(z.max(initial=0.0))
     while bound > 1e-17:
         bound *= z_max / n
@@ -57,19 +62,6 @@ def _series(a, c, z: np.ndarray) -> np.ndarray:
     c_minus_a, term, total = c - a, np.ones(z.shape), np.ones(z.shape)
     for k in range(_terms(z)):
         term *= (c_minus_a + k) / (c + k) * z / (k + 1.0)
-        total += term
-    return np.exp(-z) * total
-
-
-def _gamma_series(s, z: np.ndarray) -> np.ndarray:
-    """1F1(s; s + 1; -z) = e^{-z} sum_k z^k / ((s + 1) ... (s + k)), ``_series`` at c - a = 1.
-
-    The same sum in fewer operations per term; s is an array of z's shape
-    or a number.
-    """
-    term, total = np.ones(z.shape), np.ones(z.shape)
-    for k in range(1, _terms(z) + 1):
-        term *= z / (s + k)
         total += term
     return np.exp(-z) * total
 
@@ -152,28 +144,10 @@ def hyp1f1_neg(a, c, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def hyp1f1_gamma(s, z: np.ndarray) -> np.ndarray:
-    """1F1(s; s + 1; -z) = s z^-s gamma(s, z) for s > 0 and every z >= 0 (DLMF 8.5.1).
-
-    ``hyp1f1_neg`` at c = a + 1, in fewer operations: ``_gamma_series``
-    below z = max(5, s + 1), and ``_recurrence``'s start from there on.
-    s is an array of z's shape or a number.
-    """
-    z = np.asarray(z, dtype=float)
-    out = np.where(z == math.inf, 0.0, math.nan)
-    low = z < np.maximum(s + 1.0, _SERIES_Z)
-    far = ~low & (z < math.inf)
-    if low.any():
-        out[low] = _gamma_series(_at(s, low), z[low])
-    if far.any():
-        out[far] = _recurrence(_at(s, far), _at(s, far) + 1.0, z[far])
-    return out
-
-
 def lower_gamma(s: float, z):
     """gamma(s, z) = int_0^z t^(s-1) e^-t dt for a number s > 0 and z >= 0 (DLMF 8.2.1).
 
-    z^s / s 1F1(s; s + 1; -z) by ``_gamma_series`` below z = s + 1, and Gamma(s)
+    z^s / s 1F1(s; s + 1; -z) by ``_series`` below z = s + 1, and Gamma(s)
     less Gamma(s, z) of ``_upper_cf`` from there on.  0 at z = 0, Gamma(s)
     at z = inf and NaN at NaN; a number z gives a float.
     """
@@ -184,7 +158,7 @@ def lower_gamma(s: float, z):
     high = (z_arr >= s + 1.0) & (z_arr < math.inf)
     if low.any():
         zl = z_arr[low]
-        out[low] = zl**s / s * _gamma_series(s, zl)
+        out[low] = zl**s / s * _series(s, s + 1.0, zl)
     if high.any():
         zh = z_arr[high]
         out[high] = gamma_s - np.exp(s * np.log(zh) - zh) * _upper_cf(s, zh)
@@ -219,3 +193,35 @@ def log_beta(m_max: int, s: np.ndarray) -> np.ndarray:
         out[lo:lo + 64] = carry + np.log(np.cumprod(ratio[lo:lo + 64], axis=0))
         carry = out[min(lo + 63, m_max)]
     return out
+
+
+@lru_cache(maxsize=64)
+def _log_gamma_times(c: float, x: float):
+    """log(c Gamma(x)) as a Decimal for numbers c, x > 0, to about 25 digits.
+
+    Stirling's series at y = x + 16 to the term of B_20 (DLMF 5.11.1), less
+    the logarithm of x (x + 1) ... (x + 15), in 32-digit decimals.
+    """
+    from decimal import Decimal, localcontext  # only a tail needs it, so the model layer does not load it
+
+    with localcontext() as ctx:
+        ctx.prec = 32
+        x = Decimal(x)
+        y, prod = x + 16, x
+        for k in range(1, 16):
+            prod *= x + k
+        total = (y - Decimal("0.5")) * y.ln() - y + Decimal(_HALF_LOG_2PI) + (Decimal(c) / prod).ln()
+        for k, (num, den) in enumerate(_BERNOULLI, 1):
+            total += Decimal(num) / (den * 2 * k * (2 * k - 1) * y ** (2 * k - 1))
+        return total
+
+
+def log_powers(c: float, x: float, top: int) -> np.ndarray:
+    """j log(c Gamma(x)) for j = 0 .. top and numbers c, x > 0.
+
+    Each entry is j times the exact ratio of the 25-digit logarithm, rounded
+    once by Python's integer division, where j times a rounded
+    log(c Gamma(x)) would carry j times its rounding.
+    """
+    num, den = _log_gamma_times(c, x).as_integer_ratio()
+    return np.array([j * num / den for j in range(top + 1)])

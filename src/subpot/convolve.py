@@ -362,8 +362,8 @@ class ConvolutionEngine:
         """(s, log K, log B) of the tail powers s^{*j}(v) = K v^(s-1) e^{-b v} over j = 0 .. top at least.
 
         s_j = j (1 - alpha) and log K_j = j log g - log Gamma(s_j), from
-        ``_special.log_gamma``; log B[m, j] = log B(m + 1, s_j) over the degrees m =
-        0 .. top (``_special.log_beta``), the Beta factor of ``_near_cell``.
+        ``_special.log_powers`` and ``_special.log_gamma``; log B[m, j] = log B(m + 1, s_j)
+        over the degrees m = 0 .. top (``_special.log_beta``), the Beta factor of ``_near_cell``.
         Entry j = 0 is unused.  An entry does not depend on the size of the
         tables, which grow to twice their size at least, on new arrays
         published whole, so concurrent readers that grow them read the same
@@ -375,9 +375,10 @@ class ConvolutionEngine:
             top = max(top, 32 if tables is None else 2 * (tables[0].size - 1))
             j = np.arange(top + 1)
             s = j * (1.0 - ac.alpha)
-            log_gamma = np.array([math.inf, *map(_special.log_gamma, s[1:].tolist())])
+            log_k = _special.log_powers(ac.C, 1.0 - ac.alpha, top)
+            log_k -= [math.inf, *map(_special.log_gamma, s[1:].tolist())]
             with np.errstate(divide="ignore"):
-                tables = self._ac_tables = s, j * math.log(ac.g) - log_gamma, _special.log_beta(top, s)
+                tables = self._ac_tables = s, log_k, _special.log_beta(top, s)
         return tables
 
     def _binomial(self, orders, xs: np.ndarray, running: bool):
@@ -533,7 +534,7 @@ class ConvolutionEngine:
         The running integral K int_0^x v^(s-1) e^{-b v} dv is K x^s / s
         times 1F1(s; s + 1; -b x), ``_near_cell``'s entry with a = 1 and m =
         0, so the incomplete Gamma function of all the orders of a batch is
-        one ``_special.hyp1f1_gamma`` call.  An order is spread over the
+        one ``_hyp1f1_neg`` call.  An order is spread over the
         points first, so a point's value does not depend on the others.
         """
         j = np.broadcast_to(j, xs.shape)
@@ -542,7 +543,7 @@ class ConvolutionEngine:
         if running:
             out = np.exp(log_k[j]) * xs**s / s
             if b:
-                out *= _special.hyp1f1_gamma(s, b * xs)
+                out *= _hyp1f1_neg(s, s + 1.0, b * xs)
         else:
             out = np.exp(log_k[j]) * xs ** (s - 1.0)
             if b:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -493,13 +494,16 @@ class TestParentValues:
                         0.15286617592821264, 0.1379801111890899, 0.12674586468442642],
     }
     SOLVED = {
-        "tempered": (1.5, [0.5965674447658658, 0.46069787198139855, 0.41523063984553726, 0.39339805428614577,
-                           0.38137494818252454, 0.37423323510047396, 0.36977935711419596]),
+        "tempered": (1.5, [0.5965674447066698, 0.46069787204978874, 0.41523063987947134, 0.3933980545379958,
+                           0.3813749478589584, 0.3742332343954468, 0.3697793546878859]),
         "pure_drift": (3.0, [0.5] * 7),
         "two_atoms_killed": (4.0, [0.6749386404782487, 0.3541323795554947, 0.2786373197115577,
                                    0.29562051752430185, 0.27273390633040995, 0.25215841443756687,
                                    0.23428624469654255]),
     }
+    # the tempered figures while scipy's incomplete Gamma function gave the tail's moments
+    SCIPY_TEMPERED = [0.5965674447658658, 0.46069787198139855, 0.41523063984553726, 0.39339805428614577,
+                      0.38137494818252454, 0.37423323510047396, 0.36977935711419596]
     # largest relative distance of the grid from an extended-precision march
     # on its own nodes and head values, rounded up from the figures of the
     # march that took every kernel part through moments (1.461e-11, 1.412e-10)
@@ -520,15 +524,26 @@ class TestParentValues:
         xs = np.linspace(0.1, x_max, 7)
         grid = u_volterra(model, x_max)
         got = grid(xs)
-        if name != "tempered":
-            assert np.max(np.abs(got / want - 1.0)) <= 1e-12
-            return
-        # the tempered figures carry the roundings of scipy's incomplete Gamma function, which
-        # the march's moment differences (m1 - w m0) / h amplify about 1e7.  The grid may move,
-        # but no farther from an extended-precision march on its own nodes and head than they are
-        exact = extended_march(model, grid.nodes, np.where(grid.method == "series", grid.u, np.nan))
-        ref = np.interp(xs, grid.nodes, exact.astype(float))
-        assert np.max(np.abs(got / ref - 1.0)) <= np.max(np.abs(np.array(want) / ref - 1.0))
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+        if name == "tempered":
+            # the march's moment differences (m1 - w m0) / h amplify the moments' roundings about
+            # 1e7, so the grid moved 6.6e-9 with the incomplete Gamma function: it may be no
+            # farther from an extended-precision march on its own nodes and head than before
+            exact = extended_march(model, grid.nodes, np.where(grid.method == "series", grid.u, np.nan))
+            ref = np.interp(xs, grid.nodes, exact.astype(float))
+            assert np.max(np.abs(got / ref - 1.0)) <= np.max(np.abs(np.array(self.SCIPY_TEMPERED) / ref - 1.0))
+
+    @pytest.mark.parametrize("s, b", [(0.5, 1.0), (0.4, 1.5), (0.9, 0.2)])
+    def test_tempered_moments_against_30_digits(self, s, b):
+        # the tempered tail's moments in extended_march, the reference of the tempered grid
+        w = [0.0, 1e-7, 0.01, 0.3, 1.0, 1.5, 4.0]
+        moments = tempered_moments(np.longdouble(s), np.longdouble(b), np.array(w, dtype=np.longdouble))
+        with mpmath.workdps(30):
+            for r, got in zip((mpmath.mpf(s), mpmath.mpf(s) + 1), moments):
+                assert got[0] == 0
+                for wk, gk in zip(w[1:], got[1:]):
+                    want = mpmath.gammainc(r, 0, b * mpmath.mpf(wk)) / mpmath.mpf(b) ** r
+                    assert abs(mpmath.mpf(np.format_float_scientific(gk, unique=True)) / want - 1) < 1e-18
 
     @pytest.mark.parametrize("name", sorted(EXTENDED))
     def test_atoms_with_a_stable_tail_against_extended_precision(self, name, mixed_model):

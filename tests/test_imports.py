@@ -22,6 +22,8 @@ from subpot import convolve
 UNIT_ATOM = {"drift": 1.0, "q": 0.0, "atoms": [{"x": 1, "mass": 1.0}], "ac": {"kind": "none"}}
 STABLE = {"drift": 1.0, "q": 0.0, "atoms": [], "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5}}
 TEMPERED = {"drift": 1.0, "q": 0.2, "atoms": [], "ac": {"kind": "tempered", "C": 0.7, "alpha": 0.4, "b": 1.5}}
+MIXED = {"drift": 1.3, "q": 0.3, "atoms": [{"x": 0.8, "mass": 0.5}],
+         "ac": {"kind": "tempered", "C": 0.7, "alpha": 0.6, "b": 1.5}}
 FAMILY = {"drift": 2.0, "q": 0.0, "ac": {"kind": "none"},
           "atom_family": {"kind": "reciprocal-integers", "cap": 8, "masses": [j ** -1.25 for j in range(1, 9)]}}
 SUBMODULES = ("asymptotics", "convolve", "density", "errors", "inversion", "model", "piecewise", "simulate",
@@ -43,7 +45,8 @@ def loaded_after(setup: str, cwd) -> list:
 
 @pytest.fixture
 def models(tmp_path):
-    for name, doc in (("atom", UNIT_ATOM), ("stable", STABLE), ("tempered", TEMPERED), ("family", FAMILY)):
+    for name, doc in (("atom", UNIT_ATOM), ("stable", STABLE), ("tempered", TEMPERED), ("mixed", MIXED),
+                      ("family", FAMILY)):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     return tmp_path
 
@@ -69,9 +72,10 @@ def test_atom_only_commands_leave_scipy_unloaded(models):
 
 
 def test_no_command_loads_scipy(models):
-    # every command that takes special functions of the tail, on a stable and a tempered tail
+    # every command that takes special functions of the tail, on a stable and a tempered tail,
+    # and on atoms with a tempered tail and killing
     argvs = []
-    for name in ("stable", "tempered"):
+    for name in ("stable", "tempered", "mixed"):
         model = ["--model", f"{name}.json"]
         argvs += [["eval", *model, "--x", "0.05:3:20", "--out", f"eval-{name}.csv"],
                   ["invert", *model, "--x", "0.5,1.5", "--out", f"invert-{name}.csv"],

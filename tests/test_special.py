@@ -113,12 +113,24 @@ def test_hyp1f1_neg():
     check(rel_errors(_special.hyp1f1_neg(a, c, z), want), rel_errors(sp.hyp1f1(a, c, -z), want), 4e-14)
 
 
-def test_hyp1f1_gamma():
+def test_hyp1f1_neg_at_c_a_plus_1():
     # 1F1(s; s + 1; -z), the running integrals' Kummer factor, one s per entry
     rng = np.random.default_rng(298)
     a, z = positive(rng, 60.0, N), arguments_z(rng, N)
     want = [mpmath.hyp1f1(mpmath.mpf(v), mpmath.mpf(v) + 1, -mpmath.mpf(w)) for v, w in zip(a, z)]
-    check(rel_errors(_special.hyp1f1_gamma(a, z), want), rel_errors(sp.hyp1f1(a, a + 1.0, -z), want), 4e-14)
+    check(rel_errors(_special.hyp1f1_neg(a, a + 1.0, z), want), rel_errors(sp.hyp1f1(a, a + 1.0, -z), want), 4e-14)
+
+
+def test_log_powers_are_rounded_once():
+    # j log(C Gamma(1 - alpha)) for the tail powers' constants: each within half an ulp, where
+    # j times the logarithm of the rounded C Gamma(1 - alpha) is off by j times its rounding
+    rng = np.random.default_rng(299)
+    for c, x in zip(positive(rng, 5.0, 40), positive(rng, 1.0, 40)):
+        got = _special.log_powers(float(c), float(x), 300)
+        with mpmath.workdps(40):
+            log_g = mpmath.log(mpmath.mpf(c) * mpmath.gamma(mpmath.mpf(x)))
+            err = [abs(mpmath.mpf(g) - j * log_g) / np.spacing(abs(g)) for j, g in enumerate(got.tolist()) if j]
+        assert got[0] == 0.0 and max(err) <= 0.5 + 1e-6
 
 
 def test_hyp1f1_neg_numbers_a_and_c():
@@ -145,37 +157,3 @@ class TestEdges:
         got = _special.hyp1f1_neg(a, c, np.array([0.0, 0.0, math.inf, math.inf, math.nan]))
         assert got[:4].tolist() == [1.0, 1.0, 0.0, 0.0] and math.isnan(got[4])
         assert _special.hyp1f1_neg(0.4, 1.4, np.array([math.inf]))[0] == 0.0
-        got = _special.hyp1f1_gamma(np.array([0.4, 57.0, 0.4, 3.0]), np.array([0.0, math.inf, math.nan, 0.0]))
-        assert got[[0, 1, 3]].tolist() == [1.0, 0.0, 1.0] and math.isnan(got[2])
-
-    def test_an_entry_does_not_depend_on_the_others(self):
-        # every method, with NaN and inf among them; the series' term count and the continued
-        # fraction's steps are set by the whole call, yet each entry is its own call's value
-        a = np.array([0.4, 0.7, 12.5, 30.0, 2.0, 0.4, 59.0, 0.4, 3.0])
-        m = np.array([3, 0, 40, 7, 0, 60, 2, 0, 5])
-        z = np.array([0.01, 4.99, 20.0, 200.0, 9e3, 61.0, 1e4, math.nan, math.inf])
-        c = a + m + 1.0
-        batch = _special.hyp1f1_neg(a, c, z)
-        alone = [_special.hyp1f1_neg(a[k:k + 1], c[k:k + 1], z[k:k + 1])[0] for k in range(a.size)]
-        assert np.array_equal(batch, alone, equal_nan=True)
-        batch = _special.hyp1f1_gamma(a, z)
-        assert np.array_equal(batch, [_special.hyp1f1_gamma(a[k:k + 1], z[k:k + 1])[0] for k in range(a.size)],
-                              equal_nan=True)
-        zs = np.array([0.0, 0.5, 1.6, 1.8, 30.0, 700.0, math.inf, math.nan])
-        assert np.array_equal(_special.lower_gamma(0.8, zs), [_special.lower_gamma(0.8, v) for v in zs],
-                              equal_nan=True)
-
-    def test_the_series_below_z5_keeps_its_order_of_operations(self):
-        # the Kummer series as one cumprod and one cumsum over k; the array form of the series
-        # is the one the cross terms have always summed
-        rng = np.random.default_rng(297)
-        a, m, z = rng.uniform(0.1, 2.5, 300), rng.integers(0, 16, 300), rng.uniform(0.0, 5.0, 300)
-        c = a + m + 1.0
-        n, bound = 1, 1.0
-        while bound > 1e-17:
-            bound *= float(z.max()) / n
-            n += 1
-        k = np.arange(n - 1.0)[:, None]
-        ratios = np.concatenate([np.ones((1, z.size)), (c - a + k) / (c + k) * z / (k + 1.0)])
-        want = np.exp(-z) * np.cumsum(np.cumprod(ratios, axis=0), axis=0)[-1]
-        assert _special.hyp1f1_neg(a, c, z).tolist() == want.tolist()

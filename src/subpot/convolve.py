@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _special
 from ._special import hyp1f1_neg as _hyp1f1_neg
-from .errors import BudgetExceededError, check_positive
+from .errors import BudgetExceededError, check_points, check_positive
 from .model import _LOCATION_TOL, AtomicPart, LevyModel, Side
 from .piecewise import _BREAK_TOL, PiecewisePoly
 
@@ -109,7 +109,10 @@ class AtomSumSet:
     def member(self, x, exact: Optional[Fraction] = None) -> Optional[AtomSumEntry]:
         if self.exact_mode and exact is not None:
             return self._by_exact.get(exact)
-        j = _near(self.values, float(x))
+        xf = float(x)
+        if not math.isfinite(xf):  # |v - inf| <= 1e-12 * inf: inf would match the largest sum
+            return None
+        j = _near(self.values, xf)
         return None if j is None else self.entries[j]
 
 
@@ -197,9 +200,10 @@ def _unwrap(out: np.ndarray, x):
 class ConvolutionEngine:
     """Evaluates (tbar + q)^{*n} and its running integral on [0, x_max].
 
-    ``power``, ``running``, ``mass_scale`` and ``alternating_sum`` take a
-    number or an array of numbers; an array is evaluated with one ladder
-    lookup per order, and each entry equals the scalar call bit for bit.
+    ``power``, ``running``, ``mass_scale`` and ``alternating_sum`` take x
+    as ``check_points`` does, a number or a non-empty 1-D array (else
+    ValueError naming x); an array is evaluated with one ladder lookup per
+    order, and each entry equals the scalar call bit for bit.
     """
 
     def __init__(self, model: LevyModel, x_max: float, budget: int = DEFAULT_SUM_BUDGET):
@@ -228,7 +232,7 @@ class ConvolutionEngine:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        xs = self._check_x(x, allow_zero=False)
+        xs = self._check_x(x, zero_ok=False)
         if n == 1:
             # model.tail(x, side) + q, in the same order of additions
             out = self.model.atomic.tail(xs, side)
@@ -247,7 +251,7 @@ class ConvolutionEngine:
         """
         if n == 0:
             return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
-        xs = self._check_x(x, allow_zero=True)
+        xs = self._check_x(x, zero_ok=True)
         out, = self._binomial([(n, np.arange(xs.size))], xs, running=True)
         return _unwrap(out, x)
 
@@ -262,15 +266,15 @@ class ConvolutionEngine:
         scalar call would form.
         """
         delta = self.model.drift
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        running = side is None
+        xs = check_points("x", x, zero_ok=running)
         hi = np.broadcast_to(np.asarray(n_hi), xs.shape)
         total = np.zeros(xs.shape)
-        running = side is None
         orders = [(n, np.nonzero(hi > n)[0]) for n in range(n_lo, int(hi.max(initial=n_lo)))]
         low = [(n, pts) for n, pts in orders if n < (1 if running else 2)]  # the constant 1, the model tail
         high = orders[len(low):]
         if high:
-            self._check_x(xs[high[0][1]], allow_zero=running)  # later orders take a subset of its points
+            self._check_x(xs[high[0][1]], zero_ok=running)  # later orders take a subset of its points
         values = chain((np.ones(pts.size) if running else self.power(n, xs[pts], side) for n, pts in low),
                        self._binomial(high, xs, running))
         for (n, pts), g in zip(orders, values):
@@ -297,16 +301,10 @@ class ConvolutionEngine:
 
     # -- internals -------------------------------------------------------------
 
-    def _check_x(self, x, allow_zero: bool) -> np.ndarray:
-        """x as a contiguous 1-D float array, after checking it lies in (0, x_max] ([0, x_max])."""
-        # numpy runs a SIMD pow on contiguous arrays and libm's on strided ones, and the two
-        # differ in the last bit: a reversed view of x must give the reversed values
-        xs = np.ascontiguousarray(x, dtype=float)
-        if xs.size == 0:
-            return xs
-        lo, hi = float(xs.min()), float(xs.max())  # NaN if any entry is NaN
-        if not (lo >= 0 if allow_zero else lo > 0):
-            raise ValueError(f"convolution argument must be {'>=' if allow_zero else '>'} 0, got {lo!r}")
+    def _check_x(self, x, zero_ok: bool) -> np.ndarray:
+        """x as ``check_points`` returns it, after checking it lies within the horizon x_max."""
+        xs = check_points("x", x, zero_ok)
+        hi = float(xs.max())
         if hi > self.x_max * (1 + 1e-12):
             raise ValueError(f"x={hi!r} beyond engine horizon {self.x_max!r}")
         return xs

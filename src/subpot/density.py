@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .convolve import ConvolutionEngine
-from .errors import AccuracyFailureError, PreconditionError, SeriesRadiusError, check_positive
+from .errors import AccuracyFailureError, PreconditionError, SeriesRadiusError, check_points, check_positive
 from .inversion import invert_density, invert_derivative_pair
 from .model import LevyModel
 
@@ -64,14 +64,12 @@ def u_series(model: LevyModel, x, tol: float = 1e-10, engine: Optional[Convoluti
     at any point, where the geometric tail bound is unavailable; the
     contour covers that regime (``invert_density``, ``evaluate``).
     Raises AccuracyFailureError when a value or bound would be NaN or
-    infinite, and ValueError for an x that is not a finite number >= 0 or a
-    tol that is not a finite number > 0.
+    infinite, and ValueError naming the argument for an x that is not a
+    number or a non-empty 1-D array of finite numbers >= 0
+    (``check_points``), or a tol that is not a finite number > 0.
     """
     check_positive("tol", tol)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ok = np.isfinite(xs) & (xs >= 0)
-    if not np.all(ok):
-        raise ValueError(f"x must be a finite number >= 0, got {float(xs[~ok][0])!r}")
+    xs = check_points("x", x, zero_ok=True)
     delta = model.drift
     m = np.zeros(xs.shape)
     if np.any(xs > 0):
@@ -139,17 +137,13 @@ def evaluate(model: LevyModel, x, tol: float = 1e-7, route: str = "auto", N: Opt
     where m(x) <= 1/2 and ``invert_density`` (order N, abscissa lam)
     elsewhere, as method records; "series" and "inversion" force one.  The
     pair is one ``invert_derivative_pair`` contour over every x, and one
-    ConvolutionEngine serves all three calls.  x must be finite and >= 0,
-    and > 0 for the derivatives; x = 0 is the series' first term 1/drift.
+    ConvolutionEngine serves all three calls.  x goes through
+    ``check_points``: finite and >= 0, and > 0 for the derivatives; x = 0
+    is the series' first term 1/drift.
     """
     if route not in ("auto", "series", "inversion"):
         raise ValueError(f"route must be 'auto', 'series' or 'inversion', got {route!r}")
-    xs = np.ascontiguousarray(x, dtype=float)  # a strided view would move bits (``ConvolutionEngine._check_x``)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("x must be a number or a non-empty 1-D array")
-    bad = ~(np.isfinite(xs) & ((xs > 0) if derivatives else (xs >= 0)))
-    if np.any(bad):
-        raise ValueError(f"x must be a finite number {'>' if derivatives else '>='} 0, got {float(xs[bad][0])!r}")
+    xs = check_points("x", x, zero_ok=not derivatives)
     x_max = float(xs.max())
     engine = ConvolutionEngine(model, x_max) if x_max > 0 else None  # all x = 0: m = 0, as in u_series
     if route == "auto":
@@ -391,28 +385,18 @@ def u_volterra(
     head_end = min(head_end, x_max)
     series_tol = min(tol * 1e-2, 1e-10)
 
-    def solve(h, prev_x, prev_u):
-        """March on the grid of step h; head nodes the coarser grid shares keep its series values."""
+    def solve(h):
+        """March on the grid of step h; its head nodes (0 among them) take one ``u_series`` call."""
         nodes, breaks = _grid_nodes(model, engine, x_max, h, breakpoint_order, head_end)
         head = nodes <= head_end * (1 + 1e-15)
-        hx = nodes[head]
-        values = np.full(hx.size, np.nan)
-        if prev_x.size:
-            j = np.minimum(np.searchsorted(prev_x, hx), prev_x.size - 1)
-            shared = prev_x[j] == hx
-            values[shared] = prev_u[j[shared]]
-        new = np.isnan(values)
-        if np.any(new):
-            values[new] = u_series(model, hx[new], tol=series_tol, engine=engine)[0]
         known = np.full(nodes.size, np.nan)
-        known[head] = values
-        u = _march(model, nodes, known)
-        return nodes, breaks, u, head
+        known[head] = u_series(model, nodes[head], tol=series_tol, engine=engine)[0]
+        return nodes, breaks, _march(model, nodes, known), head
 
     h = float(h_target)
-    nodes1, breaks, u1, head1 = solve(h, np.empty(0), np.empty(0))
+    nodes1, breaks, u1, head1 = solve(h)
     for attempt in range(max_refine):
-        nodes2, _, u2, head2 = solve(h / 2.0, nodes1[head1], u1[head1])
+        nodes2, _, u2, head2 = solve(h / 2.0)
         diff = np.abs(np.interp(nodes1, nodes2, u2) - u1)
         max_diff = float(diff.max()) if diff.size else 0.0
         if not (math.isfinite(max_diff) and np.isfinite(u2).all()):  # NaN passes both tests below
@@ -465,39 +449,39 @@ def bv_split(model: LevyModel, x_max: float, tol: float = 1e-8, n_nodes: int = 1
     AccuracyFailureError, as in ``u_series``; beyond the radius, terms are added until the newest term at x_max drops
     below tol (the series converges everywhere; the documented tolerance for
     this extension is ``tol`` against the Volterra-validated density).
-    x_max and tol must be finite and > 0, else ValueError names the argument.
+    x_max and tol must be finite and > 0, and n_nodes >= 2 so that the last
+    node is x_max, else ValueError names the argument.
     """
     check_positive("x_max", x_max)
     check_positive("tol", tol)
+    if n_nodes < 2:
+        raise ValueError(f"n_nodes must be >= 2, got {n_nodes!r}")
     if engine is None:
         engine = ConvolutionEngine(model, x_max)
     delta = model.drift
     nodes = np.linspace(0.0, x_max, n_nodes)
     m_end = engine.mass_scale(x_max)
-    if m_end <= _SERIES_LEVEL:
-        # orders 0..n_terms: the terms u_series would sum, and at least two
-        n_terms = max(1, _truncation(m_end, delta, tol)[1] - 1)
-    else:
-        n_terms = 1
-        prev = math.inf
-        while n_terms < _MAX_SERIES_TERMS:
-            term = engine.running(n_terms, x_max) / delta ** (n_terms + 1)
-            if term < tol and term <= prev:
-                break
-            prev = term
-            n_terms += 1
-        else:
-            raise AccuracyFailureError("series extension did not reach tolerance", prev, tol)
-
+    past = m_end > _SERIES_LEVEL
+    # orders 0..top: inside the radius the terms u_series would sum, and at least two;
+    # past it, orders up to the first whose term at x_max (the last node) is below tol
+    top = _MAX_SERIES_TERMS - 1 if past else max(1, _truncation(m_end, delta, tol)[1] - 1)
     u1 = np.zeros_like(nodes)
     u2 = np.zeros_like(nodes)
-    for n in range(n_terms + 1):
+    prev = math.inf
+    for n in range(top + 1):
         term = engine.running(n, nodes) / delta ** (n + 1)
         if n % 2 == 0:
             u1 += term
         else:
             u2 += term
-    return BvSplit(nodes=nodes, u1=u1, u2=u2, tol=tol, terms_used=n_terms + 1)
+        if past and n >= 1:
+            if term[-1] < tol and term[-1] <= prev:
+                break
+            prev = term[-1]
+    else:
+        if past:
+            raise AccuracyFailureError("series extension did not reach tolerance", prev, tol)
+    return BvSplit(nodes=nodes, u1=u1, u2=u2, tol=tol, terms_used=n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +509,12 @@ def laplace_crosscheck(model: LevyModel, lam, tol: float = 1e-6,
     1-D array: one grid, long enough for the smallest lam's tail to drop
     below tol, serves every lam (a longer grid only shrinks the other tail
     bounds).  Returns a CrosscheckResult, or a list of them for an array.
-    tol must be a finite number > 0, else ValueError names it.
+    lam must be a number or a non-empty 1-D array of finite numbers > 0
+    (``check_points``) and tol a finite number > 0, else ValueError names
+    the argument.
     """
     check_positive("tol", tol)
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lams.ndim != 1 or lams.size == 0:
-        raise ValueError("lam must be a number or a non-empty 1-D array")
-    if not np.all(np.isfinite(lams) & (lams > 0)):
-        raise PreconditionError("crosscheck requires finite lam > 0")
+    lams = check_points("lam", lam)
     delta = model.drift
     if grid is None:
         x_max = max(min(max(math.log(2.0 / (tol * delta * v)) / v, 1.0), 1e4) for v in lams.tolist())

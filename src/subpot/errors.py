@@ -3,19 +3,38 @@
 The CLI maps these onto exit codes: model validation failures -> 2,
 numerical accuracy failures -> 3, precondition failures (wrong regime,
 budget, unusable parameters) -> 4.  A bad argument of a library call
-raises ValueError naming it (``check_positive``); the CLI checks its flags
-before it calls the library.
+raises ValueError naming it (``check_positive``, ``check_points``); the CLI
+checks its flags before it calls the library.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def check_positive(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless value is a finite number > 0."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def check_points(name: str, x, zero_ok: bool = False) -> np.ndarray:
+    """x as a contiguous 1-D float array, or ValueError naming ``name``.
+
+    x must be a number or a non-empty 1-D array of finite numbers > 0
+    (>= 0 with zero_ok).
+    """
+    # numpy runs a SIMD pow on contiguous arrays and libm's on strided ones, and the two
+    # differ in the last bit: a reversed view of x must give the reversed values
+    xs = np.ascontiguousarray(x, dtype=float)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError(f"{name} must be a number or a non-empty 1-D array")
+    bad = ~(np.isfinite(xs) & ((xs >= 0) if zero_ok else (xs > 0)))
+    if bad.any():
+        raise ValueError(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, got {float(xs[bad][0])!r}")
+    return xs
 
 
 class SubpotError(Exception):

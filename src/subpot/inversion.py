@@ -65,7 +65,8 @@ err_est.  The scan takes the cheapest order whose predicted err_est meets
 tol, else the order with the least, the lowest of equals.  The choice
 depends on the model, the largest x, lam, tol and the quantity only.
 
-One call serves a number or a 1-D array of x with one contour: lam
+One call serves x, a number or a non-empty 1-D array of finite numbers
+> 0 (``check_points``, else ValueError naming x), with one contour: lam
 (``default_lambda(max x)`` unless given), N, Theta and the panel set,
 width pi/max(x_max, a_max, 1), are chosen once at the largest x, where
 e^{lam x} is largest, and the integrand is evaluated once on that node
@@ -91,8 +92,9 @@ from typing import Optional
 
 import numpy as np
 
-from .convolve import ConvolutionEngine, _gauss_legendre
-from .errors import AccuracyFailureError, ContourOrderError, ModelValidationError, PreconditionError, check_positive
+from .convolve import ConvolutionEngine, _gauss_legendre, _unwrap
+from .errors import (AccuracyFailureError, ContourOrderError, ModelValidationError, PreconditionError, check_points,
+                     check_positive)
 from .model import LevyModel, Side
 
 DENOM_FLOOR = 1e-10
@@ -259,28 +261,12 @@ def _contour_integral(fn, xs, theta, tail, width, lam):
     return main.real / math.pi, tail / math.pi + 1e-13 * (np.abs(main) + 1.0)
 
 
-def _points(x) -> np.ndarray:
-    """x (a number or a 1-D array of finite numbers > 0) as a contiguous 1-D float array."""
-    xs = np.ascontiguousarray(x, dtype=float)  # a strided view would move bits (``_check_x``)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("x must be a number or a non-empty 1-D array")
-    ok = np.isfinite(xs) & (xs > 0)
-    if not np.all(ok):
-        raise ValueError(f"x must be a finite number > 0, got {float(xs[~ok][0])!r}")
-    return xs
-
-
 def _abscissa(xs: np.ndarray, lam: Optional[float]) -> float:
     """Validated contour abscissa, defaulting to ``default_lambda`` at the largest x."""
     lam = default_lambda(float(xs.max())) if lam is None else lam
     if not lam > 0:
         raise PreconditionError("contour abscissa lam must be > 0")
     return lam
-
-
-def _shaped(x, *arrays):
-    """Floats for a scalar argument x, else the arrays."""
-    return tuple(float(a[0]) for a in arrays) if np.ndim(x) == 0 else arrays
 
 
 def _no_order(tol: float, panels: dict) -> AccuracyFailureError:
@@ -408,11 +394,11 @@ def invert_density(model: LevyModel, x, N: Optional[int] = None, lam: Optional[f
     raises ContourOrderError citing the smallest order that fits.  N=None
     picks the cheapest order predicted to meet tol (module docstring).
     """
-    xs = _points(x)
+    xs = check_points("x", x)
     N, integral, err = _split_contour(model, xs, N, _abscissa(xs, lam), tol, density_integrand, 1)
     if engine is None:
         engine = ConvolutionEngine(model, float(xs.max()))
-    return _shaped(x, engine.alternating_sum(xs, 0, N) + integral, err)
+    return _unwrap(engine.alternating_sum(xs, 0, N) + integral, x), _unwrap(err, x)
 
 
 def _derivative_pair(model, x, xs, N, lam, tol, engine, order=1):
@@ -440,7 +426,7 @@ def _derivative_pair(model, x, xs, N, lam, tol, engine, order=1):
             terms.append(((-1.0) ** n / model.drift ** (n + 1), poly))
         left, right = (sum(c * p.eval(xs, side_left=side_left) for c, p in terms) + integral
                        for side_left in (True, False))
-    return _shaped(x, left, right, err)
+    return _unwrap(left, x), _unwrap(right, x), _unwrap(err, x)
 
 
 def invert_derivative_pair(model: LevyModel, x, N: Optional[int] = None,
@@ -459,7 +445,7 @@ def invert_derivative_pair(model: LevyModel, x, N: Optional[int] = None,
     as for ``invert_density``.  Returns (left, right, err_est); err_est
     bounds each side's contour error.
     """
-    xs = _points(x)
+    xs = check_points("x", x)
     return _derivative_pair(model, x, xs, N, _abscissa(xs, lam), tol, engine, order)
 
 
@@ -471,7 +457,7 @@ def derivative_zero_contour(model: LevyModel, x, N: Optional[int] = None,
     entirely, which is what makes the derivative at large x resolvable.
     x is a number or a 1-D array.  Returns (left, right, err_est).
     """
-    xs = _points(x)
+    xs = check_points("x", x)
     if model.q != 0.0:
         raise PreconditionError("imaginary-axis contour requires q = 0")
     if not math.isfinite(model.mean()):

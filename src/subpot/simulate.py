@@ -55,7 +55,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_points, check_positive
 from .model import LevyModel
 
 _KEY_SALT = np.uint64(0x9E3779B97F4A7C15)
@@ -270,8 +270,7 @@ def _check_q(q: float) -> None:
 def first_passage(model: LevyModel, x: float, seed: int, path_id: int = 0,
                   eps: float = 0.0, q: float = 0.0) -> PathOutcome:
     """Outcome of one indexed path (same draws as the batched estimator)."""
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError("x must be a finite number > 0")
+    check_positive("x", x)
     _check_q(q)
     path_id = _check_count("path_id", path_id, 0)
     # the group of paths from the last multiple of 4 up to path_id
@@ -297,14 +296,9 @@ def first_passage(model: LevyModel, x: float, seed: int, path_id: int = 0,
 
 
 def _estimate(model: LevyModel, x, n_paths: int, seed: int, eps: float, q: float) -> CreepEstimate:
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError("x must be a number or a 1-D array")
-    if not np.all(np.isfinite(xs) & (xs > 0)):
-        raise ValueError("x must be a finite number > 0")
+    xs = check_points("x", x)
     n_paths = _check_count("n_paths", n_paths, 1)
-    flat = xs.reshape(-1)
-    levels, where = np.unique(flat, return_inverse=True)
+    levels, where = np.unique(xs, return_inverse=True)
     sampler = _JumpSampler(model, eps)
     buffers = _buffers(min(n_paths, _BLOCK))
     hits = np.zeros(levels.size, dtype=np.int64)
@@ -314,13 +308,13 @@ def _estimate(model: LevyModel, x, n_paths: int, seed: int, eps: float, q: float
         hits += _passage(sampler, levels, seed, start, tuple(b[:n] for b in buffers), e_q)
     p = hits[where] / n_paths
     ci = 1.96 * np.sqrt(np.maximum(p * (1.0 - p), 1e-300) / n_paths)
-    bias = np.zeros(flat.shape)
+    bias = np.zeros(xs.shape)
     if eps > 0:
         # the series contraction factor m(x), with the estimate's killing rate q
-        m = (model.tail_antiderivative(flat) + q * flat) / model.drift
+        m = (model.tail_antiderivative(xs) + q * xs) / model.drift
         bias = model.small_jump_moment(eps) / model.drift * np.exp(m)
-    if xs.ndim == 0:
-        xs, p, ci, bias = float(xs), float(p[0]), float(ci[0]), float(bias[0])
+    if np.ndim(x) == 0:
+        xs, p, ci, bias = float(xs[0]), float(p[0]), float(ci[0]), float(bias[0])
     return CreepEstimate(x=xs, q=q, n_paths=n_paths, p_hat=p, ci95=ci,
                          truncation_eps=eps, seed=seed, bias_bound=bias)
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .convolve import DEFAULT_SUM_BUDGET, AtomSumEntry, ConvolutionEngine, atom_sums
-from .errors import PreconditionError
+from .errors import PreconditionError, check_positive
 from .inversion import invert_derivative_pair
 from .model import AtomicPart, LevyModel
 
@@ -105,8 +105,7 @@ def classify_point(
     if isinstance(x, (Fraction, str, int)):
         exact = Fraction(x)
     xf = float(x if exact is None else exact)
-    if xf <= 0:
-        raise ValueError("x must be > 0")
+    check_positive("x", xf)
     if model.bg_index() >= 1.0:
         raise PreconditionError("classification requires small-jump index < 1")
 

@@ -1,7 +1,7 @@
 """Potential (renewal) densities of subordinators with positive drift.
 
-Three mutually cross-validating computation routes (alternating series,
-Volterra renewal-equation solver, Bromwich inversion), differentiability
+Two computation routes (the alternating series inside its radius, Bromwich
+inversion beyond it) with a Laplace-transform cross-check, differentiability
 analysis driven by the atom-sum sets of the jump measure, limit-law
 checks at zero and infinity, and an event-driven Monte Carlo estimator of
 creeping probabilities as an independent probabilistic oracle.
@@ -31,13 +31,11 @@ _OWNERS = {
     "atom_sums": "convolve",
     "BvSplit": "density",
     "CrosscheckResult": "density",
-    "DensityGrid": "density",
     "bv_split": "density",
     "evaluate": "density",
     "laplace_crosscheck": "density",
     "series_radius": "density",
     "u_series": "density",
-    "u_volterra": "density",
     "AccuracyFailureError": "errors",
     "BudgetExceededError": "errors",
     "ContourOrderError": "errors",

@@ -292,7 +292,7 @@ def _cmd_crosscheck(args) -> int:
     lams = [number(v) for v in args.lam.split(",")]
     _require_positive(("--lambda", lams), ("--tol", [args.tol]), ("--assert-tol", [args.assert_tol]))
     model = load_model(args.model)
-    # one grid, long enough for the smallest lambda, serves every lambda
+    # one evaluate call, over a range long enough for the smallest lambda, serves every lambda
     results = laplace_crosscheck(model, np.array(lams), tol=args.tol)
     _emit_table(args, ("lambda", "lhs", "rhs", "abs_diff", "tail_bound"),
                 [(r.lam, r.lhs, r.rhs, r.abs_diff, r.tail_bound) for r in results])

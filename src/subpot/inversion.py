@@ -264,8 +264,8 @@ def _contour_integral(fn, xs, theta, tail, width, lam):
 def _abscissa(xs: np.ndarray, lam: Optional[float]) -> float:
     """Validated contour abscissa, defaulting to ``default_lambda`` at the largest x."""
     lam = default_lambda(float(xs.max())) if lam is None else lam
-    if not lam > 0:
-        raise PreconditionError("contour abscissa lam must be > 0")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise PreconditionError(f"contour abscissa lam must be a finite number > 0, got {lam!r}")
     return lam
 
 

@@ -99,12 +99,16 @@ def classify_point(
     jump count (``k_max`` off the atom-sum set) gets right - left of the
     contour's one-sided derivatives, with the two sides' bars summed; an
     order the contour cannot give (j >= 2 with an AC part) has measured
-    and err_est None.
+    and err_est None.  An x that ``Fraction`` cannot read, or that is not a
+    finite number > 0, raises ValueError naming x.
     """
     exact = None
-    if isinstance(x, (Fraction, str, int)):
-        exact = Fraction(x)
-    xf = float(x if exact is None else exact)
+    try:
+        if isinstance(x, (Fraction, str, int)):
+            exact = Fraction(x)
+        xf = float(x if exact is None else exact)
+    except (ValueError, ZeroDivisionError, OverflowError):  # "abc", "1/0", "1e400"
+        raise ValueError(f"x must be a finite number > 0, got {x!r}") from None
     check_positive("x", xf)
     if model.bg_index() >= 1.0:
         raise PreconditionError("classification requires small-jump index < 1")

@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from subpot import AcTail, AtomicPart, LevyModel, u_volterra
+from subpot import AcTail, AtomicPart, LevyModel
 
 # CLI tests start `python -m subpot.cli` in a child process; point it at this
 # checkout's sources, as the `pythonpath` setting in pyproject.toml does here
@@ -33,11 +33,13 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402
 
 
-def delta1_u(x: float) -> float:
+def delta1_u(x: float, q: float = 0.0) -> float:
+    """u^(q) of the unit atom: killing at rate q turns each e^{-(x-i)} into e^{-(1+q)(x-i)}."""
     n = int(math.floor(x))
-    total = math.exp(-x)
+    rate = 1.0 + q
+    total = math.exp(-rate * x)
     for i in range(1, n + 1):
-        total += (x - i) ** i / math.factorial(i) * math.exp(-(x - i))
+        total += (x - i) ** i / math.factorial(i) * math.exp(-rate * (x - i))
     return total
 
 
@@ -108,22 +110,6 @@ def mixed_model():
 @pytest.fixture(scope="session")
 def pure_drift():
     return LevyModel(drift=2.0)
-
-
-@pytest.fixture(scope="session")
-def delta1_grid(delta1):
-    return u_volterra(delta1, 5.0, tol=3e-8)
-
-
-@pytest.fixture(scope="session")
-def delta1_fine_grid(delta1):
-    # breakpoint order 4 so fourth-order one-sided fits have clean windows
-    return u_volterra(delta1, 4.4, h_target=0.002, tol=1e-8, breakpoint_order=4)
-
-
-@pytest.fixture(scope="session")
-def stable_grid(stable_half):
-    return u_volterra(stable_half, 6.0)
 
 
 def random_atomic_model(rng: np.random.Generator) -> LevyModel:

@@ -90,6 +90,12 @@ def test_scalar_point_takers_name_x(delta1, call, x):
         call(delta1, x)
 
 
+@pytest.mark.parametrize("x", ["abc", "1/0", "1e400"])
+def test_classify_point_names_an_x_it_cannot_read(delta1, x):
+    with pytest.raises(ValueError, match=r"^x must be a finite number > 0, got "):
+        classify_point(delta1, x)
+
+
 def test_bv_split_needs_two_nodes(delta1):
     """Its last node is x_max, where the extension past the radius reads its stopping term."""
     for n_nodes in (0, 1):

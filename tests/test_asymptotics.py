@@ -174,9 +174,9 @@ class TestClassicalLimits:
         v, _, _ = u_series(stable_half, x)
         assert 1.0 - v == pytest.approx(2.0 * math.sqrt(x), rel=0.02)
 
-    def test_long_run_value(self, delta1, delta1_grid):
+    def test_long_run_value(self, delta1):
         # u(x) E[X_1] -> 1
-        from subpot import u_volterra
+        from subpot import evaluate
 
-        grid = u_volterra(delta1, 45.0)
-        assert grid(42.0) * delta1.mean() == pytest.approx(1.0, abs=0.02)
+        u = evaluate(delta1, 42.0, derivatives=False)[0]
+        assert u[0] * delta1.mean() == pytest.approx(1.0, abs=0.02)

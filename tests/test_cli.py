@@ -112,19 +112,16 @@ class TestEval:
     ])
     def test_one_engine_per_eval(self, delta1_path, tmp_path, monkeypatch, extra, method):
         # every x lies inside the series radius (x <= 1/2 for the unit atom),
-        # and derivatives come from the contour, so no row needs a grid
+        # and derivatives come from the contour
         import subpot.cli as cli
-        import subpot.density as density
 
-        engines, solves = [], []
+        engines = []
         init = cli.ConvolutionEngine.__init__
-        solve = density.u_volterra
         monkeypatch.setattr(cli.ConvolutionEngine, "__init__",
                             lambda self, *a, **k: engines.append(a) or init(self, *a, **k))
-        monkeypatch.setattr(density, "u_volterra", lambda *a, **k: solves.append(a) or solve(*a, **k))
         out = tmp_path / "eval.csv"
         assert main(["eval", "--model", delta1_path, "--x", "0.1:0.45:4", *extra, "--out", str(out)]) == 0
-        assert len(engines) == 1 and len(solves) == 0
+        assert len(engines) == 1
         assert all(row.endswith("," + method) for row in out.read_text().strip().splitlines()[1:])
 
     @pytest.mark.parametrize("route, xs, methods", [
@@ -132,15 +129,8 @@ class TestEval:
         ("series", "0.1:0.45:4", {"series"}),
         ("inversion", "0.1:3:6", {"inversion"}),
     ])
-    def test_eval_builds_no_grid(self, delta1_path, tmp_path, monkeypatch, route, xs, methods):
-        # rows past the series radius go to the contour: no route of eval
-        # reaches the Volterra march, whatever name it is called by
-        import subpot.cli as cli
-        import subpot.density as density
-
-        assert not hasattr(cli, "u_volterra")
-        monkeypatch.setattr(density, "u_volterra", lambda *a, **k: pytest.fail("grid built"))
-        monkeypatch.setattr(density, "_march", lambda *a, **k: pytest.fail("march run"))
+    def test_eval_methods_per_route(self, delta1_path, tmp_path, route, xs, methods):
+        # rows past the series radius go to the contour
         out = tmp_path / "eval.csv"
         assert main(["eval", "--model", delta1_path, "--x", xs, "--route", route, "--out", str(out)]) == 0
         assert {row.rsplit(",", 1)[1] for row in out.read_text().strip().splitlines()[1:]} == methods
@@ -278,7 +268,7 @@ class TestEvalHonesty:
     """Printed error bars against independent oracles, with no additive slack."""
 
     def test_csv_err_est_covers_printed_digits(self, delta1_path, tmp_path):
-        # u is printed to 13 significant digits; far out the grid's own error
+        # u is printed to 13 significant digits; far out the contour's own error
         # is below that rounding, which the printed err_est must count
         csv, js = tmp_path / "eval.csv", tmp_path / "eval.json"
         argv = ["eval", "--model", delta1_path, "--x", "0.05:30:300"]
@@ -407,7 +397,7 @@ class TestInputsRejectedUpFront:
         import subpot.density as density
 
         monkeypatch.setattr(convolve.ConvolutionEngine, "__init__", lambda *a, **k: pytest.fail("engine built"))
-        monkeypatch.setattr(density, "u_volterra", lambda *a, **k: pytest.fail("grid built"))
+        monkeypatch.setattr(density, "evaluate", lambda *a, **k: pytest.fail("density evaluated"))
         assert main([argv[0], "--model", delta1_path, *argv[1:]]) == 2
         err = json.loads(capsys.readouterr().err, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
         assert [v["pointer"] for v in err["violations"]] == [pointer]
@@ -492,12 +482,12 @@ class TestCrosscheck:
         diff = float(line.split(",")[3])
         assert diff < 1e-6
 
-    def test_one_grid_for_every_lambda(self, delta1_path, capsys, monkeypatch):
+    def test_one_evaluate_for_every_lambda(self, delta1_path, capsys, monkeypatch):
         import subpot.density as density
 
         solves = []
-        solve = density.u_volterra
-        monkeypatch.setattr(density, "u_volterra", lambda *a, **k: solves.append(a[1]) or solve(*a, **k))
+        solve = density.evaluate
+        monkeypatch.setattr(density, "evaluate", lambda *a, **k: solves.append(a[1]) or solve(*a, **k))
         assert main(["crosscheck", "--model", delta1_path, "--lambda", "1,3,10", "--tol", "1e-6"]) == 0
         assert len(solves) == 1
         rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +20,15 @@ from subpot import (
     laplace_crosscheck,
     series_radius,
     u_series,
-    u_volterra,
 )
 from subpot import convolve, density
 from conftest import delta1_u, random_atomic_model
+
+
+UNIT_ATOM = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))
+TWO_ATOMS_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)]))
+TEMPERED_ATOM_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
+                                 ac=AcTail.tempered(0.7, 0.6, 1.5))
 
 
 class TestSeries:
@@ -56,14 +60,14 @@ class TestSeries:
         assert series_radius(delta1, 5.0) == pytest.approx(0.5, abs=1e-9)
 
     @staticmethod
-    def scalar_radius(engine, x_max, level):
+    def scalar_radius(engine, x_max):
         """The radius search as 80 scalar bisection steps, one mass_scale call each."""
-        if engine.mass_scale(x_max) <= level:
+        if engine.mass_scale(x_max) <= 0.5:
             return x_max
         lo, hi = 0.0, x_max
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if engine.mass_scale(mid) <= level:
+            if engine.mass_scale(mid) <= 0.5:
                 lo = mid
             else:
                 hi = mid
@@ -71,8 +75,7 @@ class TestSeries:
 
     RADIUS_MODELS = {
         "unit-atom": LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)])),
-        # q = 0: m stops at 0.44999999999999996 past x = 0.6, so levels 0.45 and 0.5 return
-        # x_max at once, and at 0.2 the first midpoints fall on the flat stretch
+        # q = 0: m stops at 0.44999999999999996 past x = 0.6, so the search returns x_max at once
         "flat-atoms": LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(0.3, 0.5), (0.6, 0.5)])),
         "stable": LevyModel(drift=1.0, ac=AcTail.stable(1.0, 0.5)),
         # the radius is about 1e-13: 80 steps end well short of one ulp of it
@@ -81,127 +84,21 @@ class TestSeries:
         "atom-stable": LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)),
     }
 
-    @pytest.mark.parametrize("level", [0.2, 0.45, 0.5])
     @pytest.mark.parametrize("model", RADIUS_MODELS)
-    def test_radius_equals_the_scalar_bisection(self, model, level):
+    def test_radius_equals_the_scalar_bisection(self, model):
         # the search runs as array passes over subtrees of midpoints; it must land on the
-        # scalar loop's float, also where m(x_max) <= level returns x_max at once (x_max 0.05)
+        # scalar loop's float, also where m(x_max) <= 1/2 returns x_max at once (x_max 0.05)
         model = self.RADIUS_MODELS[model]
         for x_max in (0.05, 3.0):
             engine = ConvolutionEngine(model, x_max)
-            want = self.scalar_radius(engine, x_max, level)
-            assert series_radius(model, x_max, engine, level) == want
-            assert series_radius(model, x_max, level=level) == want
+            want = self.scalar_radius(engine, x_max)
+            assert series_radius(model, x_max, engine) == want
+            assert series_radius(model, x_max) == want
 
     def test_killed_pure_drift(self):
         model = LevyModel(drift=1.0, q=1.0)
         v, _, _ = u_series(model, 0.4, tol=1e-12)
         assert v == pytest.approx(math.exp(-0.4), rel=1e-10)
-
-
-class TestVolterra:
-    def test_delta1_closed_form(self, delta1, delta1_grid):
-        xs = np.linspace(0.025, 5.0, 200)
-        want = np.array([delta1_u(x) for x in xs])
-        assert np.max(np.abs(delta1_grid(xs) - want)) < 1e-6
-
-    def test_named_values(self, delta1_grid):
-        # oracle: u(1.5) = e^{-1.5} + 0.5 e^{-0.5},  u(2.5) adds the 2-jump term
-        assert delta1_grid(1.5) == pytest.approx(math.exp(-1.5) + 0.5 * math.exp(-0.5), abs=1e-6)
-        assert delta1_grid(2.5) == pytest.approx(delta1_u(2.5), abs=1e-6)
-        assert delta1_grid(2.5) == pytest.approx(0.4925966, abs=1e-6)
-        assert delta1_grid.u[0] == pytest.approx(1.0)
-
-    def test_continuity_at_atoms(self, delta1_grid):
-        for a in (1.0, 2.0):
-            i = np.searchsorted(delta1_grid.nodes, a)
-            gaps = np.abs(np.diff(delta1_grid.u[i - 2 : i + 2]))
-            assert np.all(gaps < 1e-3)  # u continuous: no jump across the atom
-
-    def test_positive_and_bounded(self, delta1_grid, stable_grid):
-        for grid in (delta1_grid, stable_grid):
-            assert np.all(grid.u > 0)
-            assert np.all(grid.u <= 1.0 / grid.drift + 1e-8)
-
-    def test_long_run_level(self, delta1):
-        # u(x) -> 1/E[X_1] = 1/2
-        grid = u_volterra(delta1, 45.0)
-        assert grid(40.0) == pytest.approx(0.5, abs=1e-4)
-
-    def test_order_two_convergence(self, delta1):
-        # halving h reduces the self-reported error by ~4x
-        g1 = u_volterra(delta1, 3.0, h_target=0.016, max_refine=1, tol=1e-2)
-        g2 = u_volterra(delta1, 3.0, h_target=0.008, max_refine=1, tol=1e-2)
-        e1 = np.max(g1.err_est[g1.nodes > g1.series_head_end])
-        e2 = np.max(g2.err_est[g2.nodes > g2.series_head_end])
-        assert e1 / e2 == pytest.approx(4.0, rel=0.5)
-
-    def test_err_estimate_is_honest(self, delta1_grid):
-        xs = np.linspace(0.6, 4.9, 77)
-        want = np.array([delta1_u(x) for x in xs])
-        got = delta1_grid(xs)
-        # true error bounded by the reported estimate plus interpolation slack
-        assert np.all(np.abs(got - want) <= delta1_grid.err_at(xs) + 1e-6)
-
-    def test_stable_head_matches_series(self, stable_half, stable_grid):
-        for x in (0.01, 0.03):
-            v, err, _ = u_series(stable_half, x, tol=1e-12)
-            assert stable_grid(x) == pytest.approx(v, abs=1e-6)
-
-    def test_route_agreement_series_vs_volterra(self, delta1, delta1_grid):
-        for x in (0.1, 0.3, 0.45):
-            v, err, _ = u_series(delta1, x, tol=1e-10)
-            assert abs(v - delta1_grid(x)) <= err + delta1_grid.err_at(x) + 1e-7
-
-    def test_non_finite_march_raises(self, delta1, monkeypatch):
-        # a NaN step-halving difference passes neither `<= 10 tol` nor `> 10 tol`
-        march = density._march
-
-        def last_node_nan(*args):
-            u = march(*args)
-            u[-1] = math.nan
-            return u
-
-        monkeypatch.setattr(density, "_march", last_node_nan)
-        with pytest.raises(AccuracyFailureError, match="non-finite"):
-            u_volterra(delta1, 2.0)
-
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"max_refine": 0}, "max_refine"),  # the refinement loop would never run
-        ({"max_refine": -1}, "max_refine"),
-        ({"breakpoint_order": 0}, "breakpoint_order"),
-        ({"h_target": 0.0}, "h_target"),
-        ({"h_target": math.nan}, "h_target"),
-        ({"h_target": math.inf}, "h_target"),
-        ({"tol": math.nan}, "tol"),
-        ({"tol": -1e-7}, "tol"),
-        ({"x_max": math.nan}, "x_max"),
-    ])
-    def test_bad_arguments_raise_value_error(self, delta1, kwargs, name):
-        with pytest.raises(ValueError, match=rf"^{name} must be "):
-            u_volterra(delta1, **{"x_max": 2.0, **kwargs})
-
-
-class TestKilledRoutes:
-    def test_killed_atomic_three_routes(self):
-        from subpot import invert_density
-
-        model = LevyModel(drift=1.2, q=0.5, atomic=AtomicPart.from_pairs([(0.8, 0.7)]))
-        grid = u_volterra(model, 3.0, tol=1e-8)
-        for x in (0.15, 0.9, 2.2):
-            inv, err = invert_density(model, x, N=3, tol=1e-9)
-            assert abs(grid(x) - inv) < grid.err_at(x) + err + 1e-7
-        v, bound, _ = u_series(model, 0.15, tol=1e-12)
-        assert abs(v - grid(0.15)) < bound + grid.err_at(0.15) + 1e-9
-
-    def test_killed_tempered_routes(self):
-        from subpot import AcTail, invert_density
-
-        model = LevyModel(drift=1.0, q=0.3, ac=AcTail.tempered(0.6, 0.5, 1.0))
-        grid = u_volterra(model, 2.0)
-        for x in (0.4, 1.5):
-            inv, err = invert_density(model, x, N=4, tol=1e-8)
-            assert abs(grid(x) - inv) < grid.err_at(x) + err + 1e-6
 
 
 class TestCrossTermRouting:
@@ -225,7 +122,6 @@ class TestCrossTermRouting:
     def test_atom_free_models_never_enter_the_quadrature(self, far_cell_calls):
         for model in (self.KILLED_STABLE, self.KILLED_TEMPERED):
             u_series(model, np.array([0.01, 0.05]))
-            u_volterra(model, 0.5)
         assert far_cell_calls == []
 
     def test_atoms_with_a_tail_use_it_past_the_atom(self, far_cell_calls):
@@ -313,246 +209,50 @@ class TestCrosscheck:
         res = laplace_crosscheck(model, 2.0, tol=1e-6)
         assert res.abs_diff < 1e-6
 
-    def test_array_of_lambdas_on_one_grid(self, delta1):
-        # the grid the smallest lambda needs serves them all; each row equals
-        # the scalar call on that grid, and lambda = 1 alone builds the same grid
+    def test_array_of_lambdas_from_one_evaluate(self, delta1, monkeypatch):
+        # the range the smallest lambda needs serves them all, from one evaluate
+        # call, and lambda = 1 alone evaluates the same points
+        calls, call = [], density.evaluate
+        monkeypatch.setattr(density, "evaluate", lambda *a, **k: calls.append(a[1].size) or call(*a, **k))
         rows = laplace_crosscheck(delta1, np.array([3.0, 1.0, 10.0]), tol=1e-6)
         alone = laplace_crosscheck(delta1, 1.0, tol=1e-6)
         assert [r.lam for r in rows] == [3.0, 1.0, 10.0]
         assert rows[1] == alone
-        grid = u_volterra(delta1, alone.x_max, tol=1e-7)
-        assert rows == [laplace_crosscheck(delta1, lam, tol=1e-6, grid=grid) for lam in (3.0, 1.0, 10.0)]
+        assert len(calls) == 2 and calls[0] == calls[1]
         for bad in ([], [1.0, -1.0], [1.0, math.nan], [[1.0]]):
-            with pytest.raises((ValueError, PreconditionError)):
-                laplace_crosscheck(delta1, bad, grid=grid)
+            with pytest.raises(ValueError, match=r"^lam must be "):
+                laplace_crosscheck(delta1, bad)
+        # x_max stops at 1e4, where lambda = 1e-4 leaves a tail bound of 1/(e lambda)
+        with pytest.raises(PreconditionError, match=r"^tail bound 3\.679e\+03 exceeds tolerance at lam=0\.0001"):
+            laplace_crosscheck(delta1, [1.0, 1e-4])
+        assert len(calls) == 2
 
-
-# ---------------------------------------------------------------------------
-# blocked march, array series head, honest interpolation error
-# ---------------------------------------------------------------------------
-
-
-def reference_march(model, nodes, known):
-    """The row-by-row march over the whole history, kept as the reference."""
-    u = np.array(known, dtype=float)
-    for i in range(int(np.sum(~np.isnan(known))), nodes.size):
-        w = nodes[i] - nodes[: i + 1]
-        f0 = model.tail_antiderivative(w) + model.q * w
-        f1 = model.tail_first_moment(w) + model.q * w**2 / 2.0
-        m0, m1 = f0[:-1] - f0[1:], f1[:-1] - f1[1:]
-        h = np.diff(nodes[: i + 1])
-        a = (m1 - w[1:] * m0) / h
-        b = (w[:-1] * m0 - m1) / h
-        u[i] = (1.0 - a @ u[:i] - b[:-1] @ u[1:i]) / (model.drift + b[-1])
-    return u
-
-
-def tempered_moments(s, b, w):
-    """(int_0^w y^(s-1) e^{-by} dy, int_0^w y^s e^{-by} dy) in np.longdouble.
-
-    int_0^w y^(r-1) e^{-by} dy = w^r e^{-bw} sum_k (bw)^k / (r (r+1) ... (r+k))
-    (DLMF 8.7.1), a polynomial of positive coefficients in bw, taken by
-    Horner's rule to the degree where (b max w)^k / k! is below the
-    longdouble's precision.
-    """
-    z = b * w
-    top, bound = 0, np.longdouble(1)
-    while bound > 1e-22:
-        top += 1
-        bound *= z.max(initial=0) / top
-
-    def lower(r):
-        coeffs = [1 / r]
-        for k in range(1, top + 1):
-            coeffs.append(coeffs[-1] / (r + k))
-        total = np.full_like(z, coeffs[-1])
-        for a in coeffs[-2::-1]:
-            total = total * z + a
-        return w**r * np.exp(-z) * total
-
-    return lower(s), lower(s + 1)
-
-
-def extended_march(model, nodes, known):
-    """``reference_march`` in np.longdouble, for atoms, q and a stable or tempered tail.
-
-    Without q and a tail, the cells whose lags all reach past the largest
-    atom have zero moments and are left out.
-    """
-    ld = np.longdouble
-    x = nodes.astype(ld)
-    locs = np.array(model.atomic.locations, dtype=ld)
-    masses = np.array(model.atomic.masses, dtype=ld)
-    c, s, q, rate = ld(model.ac.C), 1 - ld(model.ac.alpha), ld(model.q), ld(model.ac.tempering)
-    reach = math.inf if model.q or model.has_ac else model.atomic.locations[-1]
-    u = np.array(known, dtype=ld)
-    h = np.diff(x)
-    for i in range(int(np.sum(~np.isnan(known))), x.size):
-        c0 = max(0, int(np.searchsorted(x, x[i] - reach, side="right")) - 1)
-        w = x[i] - x[c0 : i + 1]
-        clip = np.minimum(w[:, None], locs)
-        t0, t1 = tempered_moments(s, rate, w) if rate else (w**s / s, w ** (s + 1) / (s + 1))
-        f0 = clip @ masses + c * t0 + q * w
-        f1 = clip**2 @ masses / 2 + c * t1 + q * w**2 / 2
-        m0, m1 = f0[:-1] - f0[1:], f1[:-1] - f1[1:]
-        a = (m1 - w[1:] * m0) / h[c0:i]
-        b = (w[:-1] * m0 - m1) / h[c0:i]
-        u[i] = (1 - a @ u[c0:i] - b[:-1] @ u[c0 + 1 : i]) / (ld(model.drift) + b[-1])
-    return u
-
-
-UNIT_ATOM = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))
-TWO_ATOMS_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)]))
-ATOM_STABLE = LevyModel(drift=1.4, atomic=AtomicPart.from_pairs([(0.7, 0.6)]), ac=AcTail.stable(0.3, 0.5))
-TEMPERED_ATOM_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
-                                 ac=AcTail.tempered(0.7, 0.6, 1.5))
-KILLED_DRIFT = LevyModel(drift=1.0, q=1.0)
-# the atom at 0.003 is shorter than the 0.01 cells of TestBlockedMarch.grid
-SHORT_ATOM = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(0.003, 1.0), (1.0, 0.5)]))
-
-
-class TestBlockedMarch:
-    # (model, relative limit against the row-by-row march): with q = 0 and
-    # no AC part the cells beyond the largest atom contribute exact zeros
-    MODELS = [
-        (UNIT_ATOM, 1e-14),
-        (TWO_ATOMS_KILLED, 1e-12),
-        (ATOM_STABLE, 1e-12),
-        (TEMPERED_ATOM_KILLED, 1e-12),
-        (KILLED_DRIFT, 1e-12),
-        (SHORT_ATOM, 1e-12),
-    ]
-
-    @staticmethod
-    def grid(model, head_end=0.93):
-        kinks = [a + b for a in (0.0, *model.atomic.locations) for b in model.atomic.locations]
-        nodes = np.unique(np.concatenate([np.arange(0.0, 3.0, 0.01), [3.0], [k for k in kinks if k < 3.0]]))
-        known = np.where(nodes <= head_end, np.exp(-nodes) / model.drift, np.nan)
-        return nodes, known
-
-    @pytest.mark.parametrize("budget", [64, 1 << 14])
-    @pytest.mark.parametrize("model, limit", MODELS)
-    def test_matches_row_by_row_march(self, model, limit, budget, monkeypatch):
-        # a budget of 64 floats leaves one row per block with a cut window
-        monkeypatch.setattr(density, "_BLOCK_FLOATS", budget)
-        nodes, known = self.grid(model)
-        want = reference_march(model, nodes, known)
-        got = density._march(model, nodes, known)
-        assert np.all(got[~np.isnan(known)] == known[~np.isnan(known)])
-        assert np.max(np.abs(got - want) / np.abs(want)) <= limit
-
-    def test_unit_atom_far_out(self):
-        # the lag terms U(x) - U(x - 1) of the unit atom subtract running
-        # integrals near x/2; a plain running sum leaves 1.8e-13 here
-        grid = u_volterra(UNIT_ATOM, 30.0, tol=1e-7)
-        xs = np.linspace(0.05, 30.0, 300)
-        far = xs[xs > 14.0]
-        assert np.max(np.abs(grid(far) - np.array([delta1_u(x) for x in far]))) <= 3e-14
-
-    def test_rounding_far_out(self):
-        # lag terms taken in lag space from compensated sums keep the march
-        # within a few ulp of u (about 0.47) of the same grid solved in
-        # extended precision, over blocks of about 490 rows
-        model = LevyModel(drift=1.0869, atomic=AtomicPart.from_pairs([(0.9776, 1.0643)]))
-        nodes = np.unique(np.concatenate([np.arange(0.0, 20.0, 0.002), [20.0, 0.9776, 2 * 0.9776]]))
-        known = np.where(nodes <= 0.5, np.exp(-nodes) / model.drift, np.nan)
-        want = extended_march(model, nodes, known)
-        assert np.max(np.abs(density._march(model, nodes, known) - want)) <= 4e-16
-
-    def test_first_block_spans_head_end_and_breakpoints(self, monkeypatch):
-        # only an AC tail takes kernel moments; atoms and q act through the
-        # running integral of u
-        shapes = []
-        moment = AcTail.antiderivative
-
-        def spy(self, t):
-            shapes.append(np.shape(t))
-            return moment(self, t)
-
-        monkeypatch.setattr(AcTail, "antiderivative", spy)
-        nodes, known = self.grid(TEMPERED_ATOM_KILLED)
-        got = density._march(TEMPERED_ATOM_KILLED, nodes, known)
-        first = int(np.sum(~np.isnan(known)))
-        rows = shapes[0][0]
-        # the first block starts right after the head and runs past the
-        # breakpoint 0.8 and on past 1.4
-        assert nodes[first - 1] <= 0.93 < nodes[first]
-        assert nodes[first + rows - 1] > 1.4
-        want = reference_march(TEMPERED_ATOM_KILLED, nodes, known)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
-
-
-class TestParentValues:
-    # grid(xs) at xs = linspace(0.1, x_max, 7), recorded from the row-by-row
-    # march before the blocked one replaced it
-    RECORDED = {
-        "delta1_grid": [0.9048374180359596, 0.39984966448988607, 0.5289183272475428, 0.4943296676095238,
-                        0.5002749489149736, 0.5003394964667143, 0.4998176655252555],
-        "delta1_fine_grid": [0.9048374180359596, 0.44190221327910195, 0.52869305899263, 0.4878677437947864,
-                             0.5043628859169079, 0.4985336883781489, 0.5005061826298036],
-        "stable_grid": [0.5859407167850803, 0.27303509482654936, 0.20728974140934492, 0.17395184252810544,
-                        0.15286617592821264, 0.1379801111890899, 0.12674586468442642],
+    # a mutant that divides lhs_err by 1000 fails at lambda 3 on mixed and on
+    # atom + tempered + killing
+    HONESTY = {
+        "unit atom": UNIT_ATOM,
+        "mixed": LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]), ac=AcTail.stable(0.2, 0.4)),
+        "stable half": LevyModel(drift=1.0, ac=AcTail.stable(1.0, 0.5)),
+        "atom + tempered + killing": TEMPERED_ATOM_KILLED,
     }
-    SOLVED = {
-        "tempered": (1.5, [0.5965674447066698, 0.46069787204978874, 0.41523063987947134, 0.3933980545379958,
-                           0.3813749478589584, 0.3742332343954468, 0.3697793546878859]),
-        "pure_drift": (3.0, [0.5] * 7),
-        "two_atoms_killed": (4.0, [0.6749386404782487, 0.3541323795554947, 0.2786373197115577,
-                                   0.29562051752430185, 0.27273390633040995, 0.25215841443756687,
-                                   0.23428624469654255]),
-    }
-    # the tempered figures while scipy's incomplete Gamma function gave the tail's moments
-    SCIPY_TEMPERED = [0.5965674447658658, 0.46069787198139855, 0.41523063984553726, 0.39339805428614577,
-                      0.38137494818252454, 0.37423323510047396, 0.36977935711419596]
-    # largest relative distance of the grid from an extended-precision march
-    # on its own nodes and head values, rounded up from the figures of the
-    # march that took every kernel part through moments (1.461e-11, 1.412e-10)
-    EXTENDED = {"mixed": 1.47e-11, "atom_stable": 1.42e-10}
 
-    @pytest.mark.parametrize("name", sorted(RECORDED))
-    def test_fixture_grids(self, name, request):
-        grid = request.getfixturevalue(name)
-        got = grid(np.linspace(0.1, grid.x_max, 7))
-        # q = 0 atomic fixtures: 1e-14; the stable fixture: 1e-12
-        limit = 1e-14 if name.startswith("delta1") else 1e-12
-        assert np.max(np.abs(got / self.RECORDED[name] - 1.0)) <= limit
+    @pytest.mark.parametrize("name", HONESTY)
+    def test_no_slack_honesty(self, name):
+        for row in laplace_crosscheck(self.HONESTY[name], np.array([1.0, 3.0, 10.0]), tol=1e-6):
+            assert row.abs_diff <= row.tail_bound + row.lhs_err, f"lam {row.lam}"
 
-    @pytest.mark.parametrize("name", sorted(SOLVED))
-    def test_solved_grids(self, name, tempered_model, pure_drift):
-        model = {"tempered": tempered_model, "pure_drift": pure_drift, "two_atoms_killed": TWO_ATOMS_KILLED}[name]
-        x_max, want = self.SOLVED[name]
-        xs = np.linspace(0.1, x_max, 7)
-        grid = u_volterra(model, x_max)
-        got = grid(xs)
-        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
-        if name == "tempered":
-            # the march's moment differences (m1 - w m0) / h amplify the moments' roundings about
-            # 1e7, so the grid moved 6.6e-9 with the incomplete Gamma function: it may be no
-            # farther from an extended-precision march on its own nodes and head than before
-            exact = extended_march(model, grid.nodes, np.where(grid.method == "series", grid.u, np.nan))
-            ref = np.interp(xs, grid.nodes, exact.astype(float))
-            assert np.max(np.abs(got / ref - 1.0)) <= np.max(np.abs(np.array(self.SCIPY_TEMPERED) / ref - 1.0))
-
-    @pytest.mark.parametrize("s, b", [(0.5, 1.0), (0.4, 1.5), (0.9, 0.2)])
-    def test_tempered_moments_against_30_digits(self, s, b):
-        # the tempered tail's moments in extended_march, the reference of the tempered grid
-        w = [0.0, 1e-7, 0.01, 0.3, 1.0, 1.5, 4.0]
-        moments = tempered_moments(np.longdouble(s), np.longdouble(b), np.array(w, dtype=np.longdouble))
-        with mpmath.workdps(30):
-            for r, got in zip((mpmath.mpf(s), mpmath.mpf(s) + 1), moments):
-                assert got[0] == 0
-                for wk, gk in zip(w[1:], got[1:]):
-                    want = mpmath.gammainc(r, 0, b * mpmath.mpf(wk)) / mpmath.mpf(b) ** r
-                    assert abs(mpmath.mpf(np.format_float_scientific(gk, unique=True)) / want - 1) < 1e-18
-
-    @pytest.mark.parametrize("name", sorted(EXTENDED))
-    def test_atoms_with_a_stable_tail_against_extended_precision(self, name, mixed_model):
-        # the march's rounding, not its discretisation: both sides solve the
-        # same grid from the same series head
-        model = {"mixed": mixed_model, "atom_stable": ATOM_STABLE}[name]
-        grid = u_volterra(model, 1.5)
-        want = extended_march(model, grid.nodes, np.where(grid.method == "series", grid.u, np.nan))
-        assert np.max(np.abs(grid.u / want - 1.0)) <= self.EXTENDED[name]
+    def test_cells(self):
+        # breaks at every atom sum of order <= 3 below x_max, cells at most 1
+        # wide, and the first cell halved 24 times toward 0
+        edges = density._cells(TWO_ATOMS_KILLED, 4.5)
+        sums = [a + b + c for a in (0.0, 0.6, 1.4) for b in (0.0, 0.6, 1.4) for c in (0.0, 0.6, 1.4)]
+        assert all(np.min(np.abs(edges - v)) <= 1e-12 for v in sums if 0 < v < 4.5)
+        assert edges[0] == 0.0 and edges[-1] == 4.5
+        assert np.all(np.diff(edges[25:]) <= 1.0) and np.all(np.diff(edges) > 0)
+        assert edges[1:26].tolist() == (edges[25] * 0.5 ** np.arange(24, -1, -1)).tolist()
+        # an atom-free model: only the ends, cut into three equal cells
+        edges = density._cells(LevyModel(drift=1.0, q=1.0), 2.5)
+        assert edges.size == 28 and edges[25:].tolist() == np.linspace(0.0, 2.5, 4)[1:].tolist()
 
 
 class TestSeriesArrays:
@@ -594,14 +294,6 @@ class TestSeriesArrays:
             u_series(UNIT_ATOM, np.array([0.1, math.nan, 0.3]))
         with pytest.raises(ValueError):
             u_series(UNIT_ATOM, np.array([0.1, -0.2]))
-
-    def test_volterra_head_bit_equal_to_series(self):
-        grid = u_volterra(TWO_ATOMS_KILLED, 2.0)
-        head = grid.method == "series"
-        # the head's series tolerance is min(tol / 100, 1e-10) = 1e-10
-        want = [u_series(TWO_ATOMS_KILLED, float(x), tol=1e-10)[0] for x in grid.nodes[head]]
-        assert grid.u[head].tolist() == want
-
 
 class TestEvaluate:
     # the unit atom's series radius is 1/2, so these points take both routes
@@ -674,36 +366,6 @@ class TestSeriesRule:
         assert certified == [self.EDGE]
 
 
-class TestHonestInterpolation:
-    def test_no_slack_on_the_head(self, delta1_grid):
-        # the unit atom between series-head nodes: the gap the node
-        # estimates alone under-reported by about 1000x
-        xs = np.linspace(1e-6, 0.6, 4001)
-        want = np.array([delta1_u(x) for x in xs])
-        assert np.all(np.abs(delta1_grid(xs) - want) <= delta1_grid.err_at(xs))
-
-    def test_no_slack_next_to_breakpoints(self, delta1_grid):
-        off = np.geomspace(1e-9, 3e-3, 40)
-        xs = np.sort(np.concatenate([k + s * off for k in (0.45, 1.0, 2.0, 3.0, 4.0) for s in (-1.0, 1.0)]))
-        want = np.array([delta1_u(x) for x in xs])
-        assert np.all(np.abs(delta1_grid(xs) - want) <= delta1_grid.err_at(xs))
-
-    def test_kinks_do_not_inflate_the_estimate(self, delta1_grid):
-        # u' jumps at the atoms; a second difference centred on one would
-        # read that jump as a curvature of order 1/h
-        nodes = delta1_grid.nodes
-        for k in (1.0, 2.0, 3.0):
-            i = int(np.searchsorted(nodes, k))
-            for cell, far in ((i, i + 2), (i - 1, i - 3)):
-                mid = 0.5 * (nodes[cell] + nodes[cell + 1])
-                far_mid = 0.5 * (nodes[far] + nodes[far + 1])
-                assert delta1_grid.err_at(mid) <= 3.0 * delta1_grid.err_at(far_mid)
-
-    def test_nodes_keep_their_estimates(self, delta1_grid):
-        assert np.array_equal(delta1_grid.err_at(delta1_grid.nodes), delta1_grid.err_est)
-        assert np.ndim(delta1_grid.err_at(0.3)) == 0
-
-
 class TestArrayCallers:
     def test_bv_split_bit_equal_to_pointwise(self):
         model = TWO_ATOMS_KILLED
@@ -729,37 +391,3 @@ class TestArrayCallers:
         u = np.array([u_series(model, float(x), tol=1e-12, engine=engine)[0] for x in check.xs])
         # an infinite measure: the check reports (1/drift - u)/x
         assert np.array_equal(check.lhs, (1.0 / model.drift - u) / check.xs)
-
-
-class TestGridNodesOneEnumeration:
-    """The breakpoints come from one atom-sum set, the old union over k = 1..order."""
-
-    FAMILY = LevyModel(drift=2.0, atomic=AtomicPart.reciprocal_integers([j**-1.25 for j in range(1, 9)], 8))
-
-    @staticmethod
-    def union_over_k(model, engine, x_max, order):
-        from subpot import atom_sums
-
-        breaks = {0.0, float(x_max)}
-        for k in range(1, order + 1):
-            breaks.update(float(v) for v in atom_sums(model.atomic, k, engine.x_max).values if v < x_max)
-        return np.array(sorted(breaks))
-
-    @pytest.mark.parametrize("order", [2, 4])
-    @pytest.mark.parametrize("model, x_max", [(UNIT_ATOM, 4.5), (TWO_ATOMS_KILLED, 3.0), (FAMILY, 1.2)])
-    def test_bit_equal_to_union_over_k(self, model, x_max, order):
-        engine = ConvolutionEngine(model, x_max)
-        calls = []
-        sum_set = engine.sum_set
-        engine.sum_set = lambda k: calls.append(k) or sum_set(k)
-        nodes, breaks = density._grid_nodes(model, engine, x_max, 0.004, order, 0.3)
-        want = self.union_over_k(model, engine, x_max, order)
-        assert calls == [order]
-        assert breaks.tobytes() == want.tobytes()
-        assert np.all(np.isin(want, nodes))
-
-    def test_atom_free_model_has_only_the_ends(self):
-        engine = ConvolutionEngine(KILLED_DRIFT, 2.0)
-        assert engine.kinks(2).size == 0
-        _, breaks = density._grid_nodes(KILLED_DRIFT, engine, 2.0, 0.01, 2, 0.0)
-        assert breaks.tolist() == [0.0, 2.0]

@@ -123,7 +123,7 @@ print(json.dumps([getattr(subpot, name).__name__ for name in {SUBMODULES!r}]))
 
 
 def test_every_public_name_is_its_modules_object():
-    assert len(subpot.__all__) == 47
+    assert len(subpot.__all__) == 45
     for name in subpot.__all__:
         value = getattr(subpot, name)
         assert getattr(sys.modules[value.__module__], name) is value, name

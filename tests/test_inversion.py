@@ -35,6 +35,9 @@ DOCS = {
                              "ac": {"kind": "tempered", "C": 0.7, "alpha": 0.6, "b": 1.5}},
 }
 
+# the stable_half fixture, for the oracles only: adding it to DOCS would add it to their batteries
+STABLE_HALF_DOC = {"drift": 1.0, "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5}}
+
 
 def du_oracle(name: str, x: float) -> tuple[float, float]:
     """(u'(x-), u'(x+)): the closed form on the unit atom, Talbot otherwise."""
@@ -111,9 +114,9 @@ class TestInvertDensity:
         v, _ = invert_density(pure_drift, 2.0, N=2)
         assert v == pytest.approx(0.5, abs=1e-10)
 
-    def test_route_agreement_with_volterra(self, stable_half, stable_grid):
+    def test_agrees_with_the_oracle(self, stable_half):
         v, err = invert_density(stable_half, 1.0, N=4, tol=1e-7)
-        assert abs(v - stable_grid(1.0)) <= err + stable_grid.err_at(1.0) + 1e-7
+        assert abs(v - float(oracles.density(STABLE_HALF_DOC, 1.0))) <= err
 
     def test_n_independence(self, delta1):
         vals = [invert_density(delta1, 2.2, N=n, tol=1e-9)[0] for n in (2, 3, 4)]
@@ -171,11 +174,10 @@ class TestInvertDerivative:
             invert_derivative_pair(stable_half, 1.0, N=2)
         assert exc.value.n_required >= 3
 
-    def test_matches_volterra_fd(self, stable_half, stable_grid):
-        _, v, err = invert_derivative_pair(stable_half, 1.0, tol=1e-7)
-        h = 1e-4
-        fd = (stable_grid(1.0 + h) - stable_grid(1.0 - h)) / (2 * h)
-        assert v == pytest.approx(fd, abs=5e-4)
+    def test_matches_talbot_du(self, stable_half):
+        left, right, err = invert_derivative_pair(stable_half, 1.0, tol=1e-7)
+        want = talbot_du(STABLE_HALF_DOC, 1.0)
+        assert abs(left - want[0]) <= err and abs(right - want[1]) <= err
 
 
 class TestDerivativePair:
@@ -205,6 +207,12 @@ class TestDerivativePair:
     def test_abscissa_must_be_positive(self, delta1):
         with pytest.raises(PreconditionError):
             invert_derivative_pair(delta1, 1.0, lam=0.0)
+
+    @pytest.mark.parametrize("call", [invert_density, invert_derivative_pair, evaluate])
+    def test_abscissa_must_be_finite(self, delta1, call):
+        # x = 2 lies past the unit atom's series radius, so evaluate takes the contour
+        with pytest.raises(PreconditionError, match=r"^contour abscissa lam must be a finite number > 0, got inf$"):
+            call(delta1, 2.0, lam=math.inf)
 
     def test_order_floor_at_integer_boundary(self):
         # alpha = 0.7: 4 * (1 - alpha - eps) is 1 up to rounding, so N = 4

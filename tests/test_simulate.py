@@ -14,8 +14,8 @@ from subpot import (
     PreconditionError,
     creep_prob,
     creep_prob_killed,
+    evaluate,
     first_passage,
-    u_volterra,
 )
 from subpot import simulate
 from subpot.simulate import _BLOCK, _JumpSampler, _MAX_ROUNDS, _PURPOSE_JUMP, _PURPOSE_KILL, _PURPOSE_WAIT, _stream
@@ -130,15 +130,15 @@ class TestCreepProb:
         est = creep_prob(delta1, 30.0, 100_000, seed=8)
         assert abs(est.p_hat - 0.5) < 4 * est.sigma + 1e-3
 
-    def test_stable_with_truncation(self, stable_half, stable_grid):
+    def test_stable_with_truncation(self, stable_half):
+        u, err = evaluate(stable_half, 0.3, derivatives=False)[:2]
         est = creep_prob(stable_half, 0.3, 20_000, seed=11, eps=1e-6)
-        want = float(stable_grid(0.3))
-        assert abs(est.p_hat - want) < 3 * est.sigma + est.bias_bound
+        assert abs(est.p_hat - u[0]) < 3 * est.sigma + est.bias_bound + err[0]
 
     def test_tempered_with_truncation(self, tempered_model):
-        grid = u_volterra(tempered_model, 0.5)
+        u, err = evaluate(tempered_model, 0.3, derivatives=False)[:2]
         est = creep_prob(tempered_model, 0.3, 20_000, seed=13, eps=1e-6)
-        assert abs(est.p_hat - grid(0.3)) < 3 * est.sigma + est.bias_bound
+        assert abs(est.p_hat - u[0]) < 3 * est.sigma + est.bias_bound + err[0]
 
     def test_eps_bias_budget_scales(self, stable_half):
         b1 = creep_prob(stable_half, 0.2, 10, seed=0, eps=1e-4).bias_bound
@@ -152,11 +152,10 @@ class TestKilled:
         est = creep_prob_killed(model, 1.0, 0.7, 300_000, seed=7)
         assert abs(est.p_hat - math.exp(-0.7)) < 3 * est.sigma
 
-    def test_matches_volterra(self, delta1):
+    def test_matches_closed_form(self, delta1):
         model = LevyModel(drift=1.0, q=0.5, atomic=AtomicPart.from_pairs([(1, 1.0)]))
-        grid = u_volterra(model, 1.0)
         est = creep_prob_killed(model, 0.5, 0.5, 300_000, seed=21)
-        assert abs(est.p_hat - grid(0.5)) < 3 * est.sigma
+        assert abs(est.p_hat - delta1_u(0.5, q=0.5)) < 3 * est.sigma
 
     def test_requires_positive_q(self, delta1):
         with pytest.raises(PreconditionError):

@@ -125,10 +125,12 @@ def evaluate(model: LevyModel, x, tol: float = 1e-7, route: str = "auto", N: Opt
     pair is one ``invert_derivative_pair`` contour over every x, and one
     ConvolutionEngine serves all three calls.  x goes through
     ``check_points``: finite and >= 0, and > 0 for the derivatives; x = 0
-    is the series' first term 1/drift.
+    is the series' first term 1/drift.  tol must be a finite number > 0;
+    it is checked, as x is, before any engine is built.
     """
     if route not in ("auto", "series", "inversion"):
         raise ValueError(f"route must be 'auto', 'series' or 'inversion', got {route!r}")
+    check_positive("tol", tol)
     xs = check_points("x", x, zero_ok=not derivatives)
     x_max = float(xs.max())
     engine = ConvolutionEngine(model, x_max) if x_max > 0 else None  # all x = 0: m = 0, as in u_series

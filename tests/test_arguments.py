@@ -39,7 +39,16 @@ CASES = {
     "u_series tol -1": (lambda m: u_series(m, 0.3, tol=-1.0), "tol"),
     "u_series x inf": (lambda m: u_series(m, inf), "x"),
     "bv_split tol nan": (lambda m: bv_split(m, 0.3, tol=nan), "tol"),
+    "bv_split x_max nan": (lambda m: bv_split(m, nan), "x_max"),
+    "bv_split x_max inf": (lambda m: bv_split(m, inf), "x_max"),
+    "evaluate tol nan": (lambda m: evaluate(m, 0.3, tol=nan), "tol"),
+    "evaluate tol 0": (lambda m: evaluate(m, 0.3, tol=0.0), "tol"),
+    "evaluate tol inf": (lambda m: evaluate(m, 0.3, tol=inf), "tol"),
+    "evaluate series tol -1": (lambda m: evaluate(m, 0.3, tol=-1.0, route="series"), "tol"),
+    "evaluate inversion tol nan": (lambda m: evaluate(m, 2.0, tol=nan, route="inversion"), "tol"),
     "laplace_crosscheck tol nan": (lambda m: laplace_crosscheck(m, [1.0], tol=nan), "tol"),
+    "laplace_crosscheck tol 0": (lambda m: laplace_crosscheck(m, [1.0], tol=0.0), "tol"),
+    "laplace_crosscheck tol inf": (lambda m: laplace_crosscheck(m, [1.0], tol=inf), "tol"),
 }
 
 
@@ -73,6 +82,16 @@ POINT_CASES = [pytest.param(call, name, x, id=f"{taker} {label}")
 def test_bad_points_raise_value_error_naming_them(delta1, call, name, x):
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call(delta1, x)
+
+
+@pytest.mark.parametrize("route", ["auto", "series", "inversion"])
+def test_evaluate_names_tol_before_the_engine(delta1, monkeypatch, route):
+    """A bad tol costs no engine build: each route once built one before u_series or the contour refused it."""
+    from subpot import density
+
+    monkeypatch.setattr(density, "ConvolutionEngine", None)  # any engine call would raise TypeError
+    with pytest.raises(ValueError, match=r"^tol must be a finite number > 0, got nan"):
+        evaluate(delta1, [0.3, 2.0], tol=nan, route=route, derivatives=False)
 
 
 @pytest.mark.parametrize("x", [[[0.5, 1.5]], [], [nan]], ids=["2-D", "empty", "nan"])

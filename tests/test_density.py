@@ -17,18 +17,24 @@ from subpot import (
     evaluate,
     invert_density,
     invert_derivative_pair,
+    atom_sums,
     laplace_crosscheck,
+    model_from_dict,
     series_radius,
     u_series,
 )
 from subpot import convolve, density
-from conftest import delta1_u, random_atomic_model
+from conftest import delta1_u, oracles, random_atomic_model
 
 
 UNIT_ATOM = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(1, 1.0)]))
 TWO_ATOMS_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.6, 0.9), (1.4, 0.5)]))
 TEMPERED_ATOM_KILLED = LevyModel(drift=1.3, q=0.3, atomic=AtomicPart.from_pairs([(0.8, 0.5)]),
                                  ac=AcTail.tempered(0.7, 0.6, 1.5))
+ATOM_STABLE = LevyModel(drift=1.4, atomic=AtomicPart.from_pairs([(0.7, 0.6)]), ac=AcTail.stable(0.3, 0.5))
+KILLED_DRIFT = LevyModel(drift=1.0, q=1.0)
+# an atom at 0.003: the first cells of u are far shorter than the series radius (about 0.994)
+SHORT_ATOM = LevyModel(drift=1.0, atomic=AtomicPart.from_pairs([(0.003, 1.0), (1.0, 0.5)]))
 
 
 class TestSeries:
@@ -241,6 +247,31 @@ class TestCrosscheck:
         for row in laplace_crosscheck(self.HONESTY[name], np.array([1.0, 3.0, 10.0]), tol=1e-6):
             assert row.abs_diff <= row.tail_bound + row.lhs_err, f"lam {row.lam}"
 
+    # the same check on atoms in pairs, a stable tail beside an atom, killing
+    # alone, an atom shorter than the first unit cell and atom-free tails
+    MORE_MODELS = {
+        "two atoms killed": TWO_ATOMS_KILLED,
+        "atom stable": ATOM_STABLE,
+        "killed drift": KILLED_DRIFT,
+        "short atom": SHORT_ATOM,
+        "tempered": LevyModel(drift=1.0, ac=AcTail.tempered(1.0, 0.5, 1.0)),
+        "killed stable": LevyModel(drift=1.0, q=0.3, ac=AcTail.stable(0.5, 0.5)),
+    }
+
+    @pytest.mark.parametrize("name", MORE_MODELS)
+    def test_no_slack_honesty_on_more_models(self, name):
+        for row in laplace_crosscheck(self.MORE_MODELS[name], np.array([1.0, 3.0, 10.0]), tol=1e-6):
+            assert row.abs_diff <= row.tail_bound + row.lhs_err, f"lam {row.lam}"
+            assert row.abs_diff < 1e-6
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_within_tol_at_every_tol(self, delta1, tol):
+        # x_max grows with log(1/tol) and evaluate runs at tol/100: the rows
+        # stay within tol and honest as tol tightens
+        row = laplace_crosscheck(delta1, 3.0, tol=tol)
+        assert row.tail_bound <= tol and row.lhs_err <= tol / 100
+        assert row.abs_diff <= min(tol, row.tail_bound + row.lhs_err)
+
     def test_cells(self):
         # breaks at every atom sum of order <= 3 below x_max, cells at most 1
         # wide, and the first cell halved 24 times toward 0
@@ -391,3 +422,173 @@ class TestArrayCallers:
         u = np.array([u_series(model, float(x), tol=1e-12, engine=engine)[0] for x in check.xs])
         # an infinite measure: the check reports (1/drift - u)/x
         assert np.array_equal(check.lhs, (1.0 / model.drift - u) / check.xs)
+
+
+# ---------------------------------------------------------------------------
+# the printed density: evaluate against closed forms and 30-digit oracles
+# ---------------------------------------------------------------------------
+
+
+class TestEvaluatedDensity:
+    """evaluate's u on the unit atom and the stable 1/2 tail, against u's closed form and its known shape."""
+
+    def test_delta1_closed_form(self, delta1):
+        xs = np.linspace(0.025, 5.0, 200)
+        u, err, method, *_ = evaluate(delta1, xs)
+        want = np.array([delta1_u(x) for x in xs])
+        assert 0 < np.sum(method == "series") < xs.size
+        assert np.all(np.abs(u - want) <= err) and np.max(err) < 1e-6
+
+    def test_named_values(self, delta1):
+        # u(1.5) = e^{-1.5} + 0.5 e^{-0.5};  u(2.5) adds the 2-jump term
+        u, err, *_ = evaluate(delta1, [1.5, 2.5], tol=1e-10, derivatives=False)
+        assert u[0] == pytest.approx(math.exp(-1.5) + 0.5 * math.exp(-0.5), abs=1e-10)
+        assert u[1] == pytest.approx(delta1_u(2.5), abs=1e-10)
+        assert u[1] == pytest.approx(0.4925966, abs=1e-6)
+        assert evaluate(delta1, [0.0], derivatives=False)[0].tolist() == [1.0]
+
+    def test_continuity_at_atoms(self, delta1):
+        # u is continuous across an atom: only u' jumps there
+        for a in (1.0, 2.0):
+            u, err, *_ = evaluate(delta1, [a - 1e-9, a, a + 1e-9], derivatives=False)
+            assert np.all(np.abs(np.diff(u)) <= 2e-9 + err[1:] + err[:-1])
+
+    def test_positive_and_bounded(self, delta1, stable_half):
+        # 0 < u <= 1/drift: u(x) drift is the probability of creeping across x
+        xs = np.linspace(0.01, 6.0, 300)
+        for model in (delta1, stable_half):
+            u = evaluate(model, xs, derivatives=False)[0]
+            assert np.all(u > 0) and np.all(u <= 1.0 / model.drift)
+
+    def test_long_run_level(self, delta1):
+        # u(x) -> 1/E[X_1] = 1/2
+        u, err, *_ = evaluate(delta1, [40.0], derivatives=False)
+        assert abs(u[0] - 0.5) <= err[0] + 1e-12
+
+    def test_stable_head_matches_series(self, stable_half):
+        u, err, method, *_ = evaluate(stable_half, [0.01, 0.03], tol=1e-12, derivatives=False)
+        for x, v, e, how in zip((0.01, 0.03), u, err, method):
+            want, bound, _ = u_series(stable_half, x, tol=1e-12)
+            if how == "series":
+                assert v == want and e == bound
+            assert abs(v - want) <= e + bound
+
+    def test_no_slack_on_the_head(self, delta1):
+        # the span a grid once interpolated between series nodes: each value
+        # carries its own bound
+        xs = np.linspace(1e-6, 0.6, 4001)
+        u, err, *_ = evaluate(delta1, xs, derivatives=False)
+        want = np.array([delta1_u(x) for x in xs])
+        assert np.all(np.abs(u - want) <= err)
+
+    def test_no_slack_next_to_breakpoints(self, delta1):
+        # both sides of the series radius 1/2 and of the atom sums 1 to 4
+        off = np.geomspace(1e-9, 3e-3, 40)
+        xs = np.sort(np.concatenate([k + s * off for k in (0.45, 0.5, 1.0, 2.0, 3.0, 4.0) for s in (-1.0, 1.0)]))
+        u, err, *_ = evaluate(delta1, xs, derivatives=False)
+        want = np.array([delta1_u(x) for x in xs])
+        assert np.all(np.abs(u - want) <= err)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_error_bar_holds_at_every_tol(self, delta1, tol):
+        xs = np.linspace(0.05, 6.0, 60)
+        u, err, *_ = evaluate(delta1, xs, tol=tol, derivatives=False)
+        want = np.array([delta1_u(x) for x in xs])
+        assert np.all(np.abs(u - want) <= err) and np.all(err <= tol)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_killed_unit_atom_closed_form(self, q):
+        model = LevyModel(drift=1.0, q=q, atomic=AtomicPart.from_pairs([(1, 1.0)]))
+        xs = np.linspace(0.05, 6.0, 60)
+        u, err, *_ = evaluate(model, xs, derivatives=False)
+        want = np.array([delta1_u(x, q) for x in xs])
+        assert np.all(np.abs(u - want) <= err)
+
+
+class TestKilledRoutes:
+    """Killing at q > 0 through both routes and the 30-digit oracle."""
+
+    def test_killed_atomic_both_routes(self):
+        doc = {"drift": 1.2, "q": 0.5, "atoms": [{"x": 0.8, "mass": 0.7}]}
+        model = model_from_dict(doc)
+        xs = np.array([0.15, 0.9, 2.2])
+        u, err, method, *_ = evaluate(model, xs, tol=1e-9, derivatives=False)
+        assert method.tolist() == ["series", "inversion", "inversion"]
+        for x, v, e in zip(xs.tolist(), u, err):
+            want = oracles.density(doc, x)
+            assert abs(v - float(want)) <= e + oracles.ulp_floor(want)
+        inv, inv_err = invert_density(model, 0.15, N=3, tol=1e-9)
+        assert abs(u[0] - inv) <= err[0] + inv_err
+
+    def test_killed_tempered_both_routes(self):
+        doc = {"drift": 1.0, "q": 0.3, "ac": {"kind": "tempered", "C": 0.6, "alpha": 0.5, "b": 1.0}}
+        model = model_from_dict(doc)
+        u, err, *_ = evaluate(model, [0.02, 0.4, 1.5], tol=1e-8, derivatives=False)
+        for x, v, e in zip((0.02, 0.4, 1.5), u, err):
+            want = oracles.density(doc, x)
+            assert abs(v - float(want)) <= e + oracles.ulp_floor(want)
+
+
+class TestRouteAgreement:
+    """Inside the series radius the series and the contour agree within the sum of their bounds."""
+
+    MODELS = [UNIT_ATOM, TWO_ATOMS_KILLED, ATOM_STABLE, TEMPERED_ATOM_KILLED, KILLED_DRIFT, SHORT_ATOM]
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-10])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_series_and_contour_agree_inside_the_radius(self, model, tol):
+        xs = np.linspace(0.0, series_radius(model, 3.0), 9)[1:]
+        series, s_err, *_ = evaluate(model, xs, tol=tol, route="series", derivatives=False)
+        contour, c_err, *_ = evaluate(model, xs, tol=tol, route="inversion", derivatives=False)
+        assert np.all(np.abs(series - contour) <= s_err + c_err)
+        assert np.all(s_err <= tol) and np.all(c_err <= tol)
+
+
+class TestOracleBattery:
+    """evaluate's route "auto" against the 30-digit oracles, with only the oracles' roundoff floor as slack."""
+
+    DOCS = {
+        "two_atoms_killed": {"drift": 1.3, "q": 0.3, "atoms": [{"x": 0.6, "mass": 0.9}, {"x": 1.4, "mass": 0.5}]},
+        "atom_stable": {"drift": 1.4, "atoms": [{"x": 0.7, "mass": 0.6}],
+                        "ac": {"kind": "stable", "C": 0.3, "alpha": 0.5}},
+        "short_atom": {"drift": 1.0, "atoms": [{"x": 0.003, "mass": 1.0}, {"x": 1.0, "mass": 0.5}]},
+        "killed_drift": {"drift": 1.0, "q": 1.0},
+        "pure_drift": {"drift": 2.0},
+        "tempered": {"drift": 1.0, "ac": {"kind": "tempered", "C": 1.0, "alpha": 0.5, "b": 1.0}},
+        "stable_half": {"drift": 1.0, "ac": {"kind": "stable", "C": 1.0, "alpha": 0.5}},
+        "killed_stable": {"drift": 1.0, "q": 0.3, "ac": {"kind": "stable", "C": 0.5, "alpha": 0.5}},
+    }
+    XS = [0.05, 0.3, 1.1, 2.5, 4.0]
+
+    @pytest.mark.parametrize("name", DOCS)
+    def test_error_bar_holds_without_slack(self, name):
+        doc = self.DOCS[name]
+        u, err, *_ = evaluate(model_from_dict(doc), self.XS, tol=1e-8, derivatives=False)
+        for x, v, e in zip(self.XS, u, err):
+            want = oracles.density(doc, x)
+            assert abs(v - float(want)) <= e + oracles.ulp_floor(want), f"x {x}"
+            assert e <= 1e-8
+
+
+class TestCellBreaksOneEnumeration:
+    """The kinks come from one atom-sum set, the union over k = 1..order, and the crosscheck's cells break at them."""
+
+    FAMILY = LevyModel(drift=2.0, atomic=AtomicPart.reciprocal_integers([j**-1.25 for j in range(1, 9)], 8))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("model, x_max", [(UNIT_ATOM, 4.5), (TWO_ATOMS_KILLED, 3.0), (FAMILY, 1.2)])
+    def test_bit_equal_to_union_over_k(self, model, x_max, order):
+        engine = ConvolutionEngine(model, x_max)
+        union = set()
+        for k in range(1, order + 1):
+            union.update(float(v) for v in atom_sums(model.atomic, k, engine.x_max).values)
+        kinks = engine.kinks(order)
+        assert kinks.tobytes() == np.array(sorted(union)).tobytes()
+        if order == 3:  # the order of the crosscheck's breaks
+            assert np.all(np.isin(kinks[kinks < x_max], density._cells(model, x_max)))
+
+    def test_atom_free_model_has_only_the_ends(self):
+        engine = ConvolutionEngine(KILLED_DRIFT, 2.0)
+        assert engine.kinks(2).size == 0 and engine.kinks(3).size == 0
+        edges = density._cells(KILLED_DRIFT, 2.0)
+        assert edges[25:].tolist() == [1.0, 2.0]

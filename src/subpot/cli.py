@@ -1,6 +1,9 @@
 """Command-line interface.
 
-One process per run; outputs are written atomically (temp file + rename)
+The console script runs one command per process; ``main(argv)`` may also be
+called many times in one process, and the argument parser is built on the
+first call and shared by every later one (the console script builds it
+once, as before).  Outputs are written atomically (temp file + rename)
 with fixed %.12e float formatting so identical configurations produce
 byte-identical artifacts.  The commands that print a table (eval, invert,
 gk, conv, asymptotics, simulate, crosscheck) take --format csv|json: CSV
@@ -20,6 +23,7 @@ results (it exists so deployments can pin an upper bound).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -314,7 +318,10 @@ class _Parser(argparse.ArgumentParser):
         raise ModelValidationError([(flag.group(1) if flag else "argv", message)])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it as it was and fills a
+    fresh Namespace from the chosen subparser's defaults (``fn``, ``invert``'s route)."""
     parser = _Parser(prog="subpot", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

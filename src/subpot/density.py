@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .convolve import ConvolutionEngine, _gauss_legendre, atom_sums
-from .errors import AccuracyFailureError, PreconditionError, SeriesRadiusError, check_points, check_positive
+from .errors import (AccuracyFailureError, PreconditionError, SeriesRadiusError, check_count, check_points,
+                     check_positive)
 from .inversion import invert_density, invert_derivative_pair
 from .model import LevyModel
 
@@ -125,12 +126,15 @@ def evaluate(model: LevyModel, x, tol: float = 1e-7, route: str = "auto", N: Opt
     pair is one ``invert_derivative_pair`` contour over every x, and one
     ConvolutionEngine serves all three calls.  x goes through
     ``check_points``: finite and >= 0, and > 0 for the derivatives; x = 0
-    is the series' first term 1/drift.  tol must be a finite number > 0;
-    it is checked, as x is, before any engine is built.
+    is the series' first term 1/drift.  tol must be a finite number > 0
+    and N None or an integer >= 1; both are checked, as x is, before any
+    engine is built.
     """
     if route not in ("auto", "series", "inversion"):
         raise ValueError(f"route must be 'auto', 'series' or 'inversion', got {route!r}")
     check_positive("tol", tol)
+    if N is not None:
+        check_count("N", N, 1)
     xs = check_points("x", x, zero_ok=not derivatives)
     x_max = float(xs.max())
     engine = ConvolutionEngine(model, x_max) if x_max > 0 else None  # all x = 0: m = 0, as in u_series

@@ -3,13 +3,15 @@
 The CLI maps these onto exit codes: model validation failures -> 2,
 numerical accuracy failures -> 3, precondition failures (wrong regime,
 budget, unusable parameters) -> 4.  A bad argument of a library call
-raises ValueError naming it (``check_positive``, ``check_points``); the CLI
+raises ValueError naming it (``check_positive``, ``check_points``,
+``check_count``); the CLI
 checks its flags before it calls the library.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -35,6 +37,16 @@ def check_points(name: str, x, zero_ok: bool = False) -> np.ndarray:
     if bad.any():
         raise ValueError(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, got {float(xs[bad][0])!r}")
     return xs
+
+
+def check_count(name: str, value, least: int) -> int:
+    """value as an int, or ValueError naming ``name`` unless it is an integer >= least.
+
+    A bool, a float (3.0 too) or a string is refused; a numpy integer is taken.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class SubpotError(Exception):

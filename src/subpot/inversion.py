@@ -93,8 +93,8 @@ from typing import Optional
 import numpy as np
 
 from .convolve import ConvolutionEngine, _gauss_legendre, _unwrap
-from .errors import (AccuracyFailureError, ContourOrderError, ModelValidationError, PreconditionError, check_points,
-                     check_positive)
+from .errors import (AccuracyFailureError, ContourOrderError, ModelValidationError, PreconditionError, check_count,
+                     check_points, check_positive)
 from .model import LevyModel, Side
 
 DENOM_FLOOR = 1e-10
@@ -301,9 +301,12 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
     N=None takes, among the orders up to 16 within ``PANEL_BUDGET``, the
     cheapest whose predicted err_est meets tol, else the lowest with the
     least predicted err_est.  Both predictions come before any integrand
-    evaluation (module docstring).  tol must be a finite number > 0.
+    evaluation (module docstring).  tol must be a finite number > 0, and
+    N None or an integer >= 1 (``check_count``: 3.0 and True are refused).
     """
     check_positive("tol", tol)
+    if N is not None:
+        N = check_count("N", N, 1)
     beta = model.bg_index()
     # smallest order with an integrable remainder
     n_min = max(1, math.floor((1.0 + 1e-12 - e) / (1.0 - beta - contour_epsilon(beta))) + 1)
@@ -344,8 +347,6 @@ def _split_contour(model: LevyModel, xs: np.ndarray, N: Optional[int], lam: floa
         return float(np.trapezoid(ratio / (s**e * drift), th))
 
     if N is not None:
-        if N < 1:
-            raise ValueError("N must be >= 1")
         if N < n_min:
             raise ContourOrderError(N, n_min)
         theta, tail, panels = truncation(N)
@@ -402,8 +403,7 @@ def invert_density(model: LevyModel, x, N: Optional[int] = None, lam: Optional[f
 
 
 def _derivative_pair(model, x, xs, N, lam, tol, engine, order=1):
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = check_count("order", order, 1)
     if order > 1 and model.has_ac:
         raise PreconditionError(f"one-sided derivatives of order {order} need a model without an AC part")
     integrand = derivative_integrand if order == 1 else (

@@ -49,13 +49,12 @@ contraction factor.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import PreconditionError, check_points, check_positive
+from .errors import PreconditionError, check_count, check_points, check_positive
 from .model import LevyModel
 
 _KEY_SALT = np.uint64(0x9E3779B97F4A7C15)
@@ -81,12 +80,6 @@ def _stream(seed: int, purpose: int, round_idx: int, n: Union[int, np.ndarray], 
     counter = np.array([0, 0, round_idx, purpose], dtype=np.uint64)
     out = n if isinstance(n, np.ndarray) else np.empty(n)
     return Generator(Philox(counter=counter, key=key).advance(start // 4)).random(out=out)
-
-
-def _check_count(name: str, value, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -272,7 +265,7 @@ def first_passage(model: LevyModel, x: float, seed: int, path_id: int = 0,
     """Outcome of one indexed path (same draws as the batched estimator)."""
     check_positive("x", x)
     _check_q(q)
-    path_id = _check_count("path_id", path_id, 0)
+    path_id = check_count("path_id", path_id, 0)
     # the group of paths from the last multiple of 4 up to path_id
     start = path_id - path_id % 4
     state = _buffers(path_id - start + 1)
@@ -297,7 +290,7 @@ def first_passage(model: LevyModel, x: float, seed: int, path_id: int = 0,
 
 def _estimate(model: LevyModel, x, n_paths: int, seed: int, eps: float, q: float) -> CreepEstimate:
     xs = check_points("x", x)
-    n_paths = _check_count("n_paths", n_paths, 1)
+    n_paths = check_count("n_paths", n_paths, 1)
     levels, where = np.unique(xs, return_inverse=True)
     sampler = _JumpSampler(model, eps)
     buffers = _buffers(min(n_paths, _BLOCK))

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .convolve import DEFAULT_SUM_BUDGET, AtomSumEntry, ConvolutionEngine, atom_sums
-from .errors import PreconditionError, check_positive
+from .errors import PreconditionError, check_count, check_positive
 from .inversion import invert_derivative_pair
 from .model import AtomicPart, LevyModel
 
@@ -100,7 +100,8 @@ def classify_point(
     contour's one-sided derivatives, with the two sides' bars summed; an
     order the contour cannot give (j >= 2 with an AC part) has measured
     and err_est None.  An x that ``Fraction`` cannot read, or that is not a
-    finite number > 0, raises ValueError naming x.
+    finite number > 0, raises ValueError naming x; a k_max that is not an
+    integer >= 1 raises ValueError naming k_max.
     """
     exact = None
     try:
@@ -110,6 +111,7 @@ def classify_point(
     except (ValueError, ZeroDivisionError, OverflowError):  # "abc", "1/0", "1e400"
         raise ValueError(f"x must be a finite number > 0, got {x!r}") from None
     check_positive("x", xf)
+    k_max = check_count("k_max", k_max, 1)
     if model.bg_index() >= 1.0:
         raise PreconditionError("classification requires small-jump index < 1")
 

@@ -7,6 +7,7 @@ an argument the caller never passed.
 
 import math
 
+import numpy as np
 import pytest
 
 from subpot import (
@@ -92,6 +93,34 @@ def test_evaluate_names_tol_before_the_engine(delta1, monkeypatch, route):
     monkeypatch.setattr(density, "ConvolutionEngine", None)  # any engine call would raise TypeError
     with pytest.raises(ValueError, match=r"^tol must be a finite number > 0, got nan"):
         evaluate(delta1, [0.3, 2.0], tol=nan, route=route, derivatives=False)
+
+
+# the split order N, the derivative order and k_max: (call on the unit atom with the bad value, the argument's name);
+# a float is refused even when integral, as is a bool, which Python counts as an int
+COUNT_CASES = {
+    f"{taker} {label}": (call, name, value)
+    for taker, (call, name) in {
+        "invert_density N": (lambda m, v: invert_density(m, 2.0, N=v), "N"),
+        "invert_derivative_pair N": (lambda m, v: invert_derivative_pair(m, 2.0, N=v), "N"),
+        "derivative_zero_contour N": (lambda m, v: derivative_zero_contour(m, 2.0, N=v), "N"),
+        "evaluate N": (lambda m, v: evaluate(m, 2.0, N=v, derivatives=False), "N"),
+        "evaluate series N": (lambda m, v: evaluate(m, 0.3, N=v, route="series", derivatives=False), "N"),
+        "invert_derivative_pair order": (lambda m, v: invert_derivative_pair(m, 2.0, order=v), "order"),
+        "classify_point k_max": (lambda m, v: classify_point(m, 2, k_max=v), "k_max"),
+    }.items()
+    for label, value in {"1.5": 1.5, "2.5": 2.5, "3.0": 3.0, "True": True, "0": 0}.items()
+}
+
+
+@pytest.mark.parametrize("call, name, value", COUNT_CASES.values(), ids=COUNT_CASES)
+def test_bad_counts_raise_value_error_naming_them(delta1, call, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {value!r}$"):
+        call(delta1, value)
+
+
+def test_numpy_integer_counts_accepted(delta1):
+    assert invert_density(delta1, 2.0, N=np.int64(3)) == invert_density(delta1, 2.0, N=3)
+    assert classify_point(delta1, 2, k_max=np.int32(2)) == classify_point(delta1, 2, k_max=2)
 
 
 @pytest.mark.parametrize("x", [[[0.5, 1.5]], [], [nan]], ids=["2-D", "empty", "nan"])

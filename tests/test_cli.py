@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -602,3 +603,73 @@ class TestDeterminismAcrossThreadCaps:
             env=dict(os.environ, SUBPOT_THREADS="zero"),
         )
         assert r.returncode == 2
+
+
+class TestCachedParser:
+    """main builds the parser once per process; every later call must behave as with a fresh one."""
+
+    def test_no_parser_built_after_the_first_call(self, delta1_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argvs = [
+            ["validate"], ["gk", "--k", "2", "--xmax", "3"], ["eval", "--x", "0.25,2.5"],
+            ["invert", "--x", "2.5"], ["conv", "--n", "2", "--xmax", "3", "--steps", "4"],
+            ["asymptotics", "--law", "linear-zero"], ["smoothness", "--x", "2"],
+            ["simulate", "--x", "1.5", "--paths", "100"], ["crosscheck", "--lambda", "3"], ["validate"],
+        ]
+        counts = []
+        for argv in argvs:
+            assert main([argv[0], "--model", delta1_path, *argv[1:]]) == 0
+            counts.append(len(built))
+        capsys.readouterr()
+        assert counts == [counts[0]] * len(argvs)
+
+    def test_outputs_equal_a_fresh_process(self, delta1_path, stable_path, capsysbinary):
+        """eval (auto), invert, eval --route series, ... in one process print what fresh processes print.
+
+        invert's route default ("inversion") must not reach eval, nor eval's ("auto") invert: the auto
+        eval after invert prints a series row, and invert prints no series row.
+        """
+        argvs = [
+            ["eval", "--model", delta1_path, "--x", "0.25,2.5"],
+            ["invert", "--model", delta1_path, "--x", "0.25,2.5"],
+            ["eval", "--model", delta1_path, "--x", "0.1,0.4", "--route", "series"],
+            ["simulate", "--model", delta1_path, "--x", "0.5,1.5", "--paths", "2000", "--seed", "3"],
+            ["smoothness", "--model", delta1_path, "--x", "2", "--kmax", "2", "--measure"],
+            ["crosscheck", "--model", stable_path, "--lambda", "1,3"],
+            ["eval", "--model", delta1_path, "--x", "0.25,2.5"],
+        ]
+        outs = []
+        for argv in argvs:
+            rc = main(argv)
+            out, err = capsysbinary.readouterr()
+            fresh = run_cli(argv)
+            assert (rc, out, err) == (fresh.returncode, fresh.stdout.encode(), fresh.stderr.encode()), argv
+            assert rc == 0, err
+            outs.append(out)
+        auto, invert, series = (out.decode().splitlines()[1:] for out in outs[:3])
+        assert [r.rsplit(",", 1)[1] for r in auto] == ["series", "inversion"]
+        assert [r.rsplit(",", 1)[1] for r in invert] == ["inversion", "inversion"]
+        assert [r.rsplit(",", 1)[1] for r in series] == ["series", "series"]
+        assert outs[-1] == outs[0]
+
+    @pytest.mark.parametrize("argv, pointer", [
+        (["eval", "--x", "0.5"], "--model"),
+        (["eval", "--model", "{delta1}", "--x", "abc"], "--x"),
+        (["nosuch", "--model", "{delta1}"], "command"),
+    ], ids=["missing --model", "--x abc", "unknown command"])
+    def test_usage_errors_after_a_good_call(self, delta1_path, capsysbinary, argv, pointer):
+        argv = [a.format(delta1=delta1_path) for a in argv]
+        assert main(["validate", "--model", delta1_path]) == 0
+        capsysbinary.readouterr()
+        rc = main(argv)
+        out, err = capsysbinary.readouterr()
+        fresh = run_cli(argv)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout.encode(), fresh.stderr.encode())
+        assert rc == 2 and [v["pointer"] for v in json.loads(err)["violations"]] == [pointer]
